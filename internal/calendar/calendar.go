@@ -9,7 +9,11 @@
 // past than the window covers, preserving the map semantics bit for bit.
 package calendar
 
-import "sort"
+import (
+	"cmp"
+	"maps"
+	"slices"
+)
 
 // window is the number of epoch slots kept in the flat ring. Timestamp
 // spread inside one simulation is bounded by the dependence chains the ROB
@@ -27,12 +31,19 @@ const window = 1 << 13
 // while straggler reservations that actually need an old epoch's count are
 // rare. The log is folded into the map in one batch the first time a
 // straggler probes it, so the common no-straggler run never hashes at all.
+//
+// A caller that can prove it will never reserve below some epoch says so
+// with Release, and the calendar forgets everything older: evicted epochs
+// below the floor are not logged and Export omits them, so such a calendar
+// holds O(window) state however long the run. Without Release (the DRAM
+// calendar has no such floor) every epoch is kept, as before.
 type Calendar struct {
 	tags     []uint64       // epoch currently occupying each slot
 	counts   []uint16       // reservations booked in that epoch
 	retired  []retiredEpoch // evicted epochs not yet folded into overflow
 	overflow map[uint64]uint16
 	booked   uint64
+	floor    uint64 // Release floor: no Reserve targets an epoch below it
 }
 
 type retiredEpoch struct {
@@ -70,8 +81,8 @@ func (c *Calendar) claim(epoch uint64, capacity uint16) bool {
 		c.counts[slot]++
 	case tag < epoch:
 		// The slot holds an older epoch: log its count (a straggler
-		// reservation may still target it) and take over.
-		if n := c.counts[slot]; n != 0 {
+		// reservation may still target it, unless released) and take over.
+		if n := c.counts[slot]; n != 0 && tag >= c.floor {
 			c.retired = append(c.retired, retiredEpoch{tag, n})
 		}
 		c.tags[slot] = epoch
@@ -80,6 +91,9 @@ func (c *Calendar) claim(epoch uint64, capacity uint16) bool {
 		// Straggler: epoch fell out of the ring window. Tags only move
 		// forward, so its count (if any) lives in the retirement log or
 		// the overflow map; fold so the map is authoritative.
+		if epoch < c.floor {
+			panic("calendar: Reserve below the released floor")
+		}
 		c.fold()
 		n := c.overflow[epoch]
 		if n >= capacity {
@@ -110,7 +124,21 @@ func (c *Calendar) fold() {
 	c.retired = c.retired[:0]
 }
 
-// Booked returns the total number of reservations made so far.
+// Release promises that no later Reserve targets an epoch below before
+// (Reserve only ever moves forward from the epoch it is given) and drops
+// the bookings of every such epoch. Booked is unaffected. Floors only
+// rise; a lower one is ignored.
+func (c *Calendar) Release(before uint64) {
+	if before <= c.floor {
+		return
+	}
+	c.floor = before
+	c.retired = slices.DeleteFunc(c.retired, func(r retiredEpoch) bool { return r.epoch < before })
+	maps.DeleteFunc(c.overflow, func(epoch uint64, _ uint16) bool { return epoch < before })
+}
+
+// Booked returns the total number of reservations made so far, released
+// ones included.
 func (c *Calendar) Booked() uint64 { return c.booked }
 
 // State is a serializable image of a calendar's bookings, used by the
@@ -127,24 +155,14 @@ type EpochCount struct {
 	Count uint16 `json:"n"`
 }
 
-// Export captures every epoch with a nonzero count plus the booked total.
-// Ring slots and the overflow map are disjoint (an epoch maps to exactly
-// one slot, and evicted epochs are always older than the slot's current
-// tag), so the merge is a plain concatenation.
+// Export captures every unreleased epoch with a nonzero count plus the
+// booked total.
 func (c *Calendar) Export() State {
-	c.fold()
 	st := State{Booked: c.booked}
-	for slot, n := range c.counts {
-		if n != 0 {
-			st.Epochs = append(st.Epochs, EpochCount{c.tags[slot], n})
-		}
-	}
-	for epoch, n := range c.overflow {
-		if n != 0 {
-			st.Epochs = append(st.Epochs, EpochCount{epoch, n})
-		}
-	}
-	sort.Slice(st.Epochs, func(i, j int) bool { return st.Epochs[i].Epoch < st.Epochs[j].Epoch })
+	c.Each(func(epoch uint64, n uint16) {
+		st.Epochs = append(st.Epochs, EpochCount{epoch, n})
+	})
+	slices.SortFunc(st.Epochs, func(a, b EpochCount) int { return cmp.Compare(a.Epoch, b.Epoch) })
 	return st
 }
 
@@ -152,14 +170,15 @@ func (c *Calendar) Export() State {
 // each slot holds the largest epoch ever claimed there, with its full
 // count — is rebuilt by keeping the max epoch per slot in the ring and
 // spilling every older epoch to the overflow map, which is exactly the
-// state a live calendar converges to. Duplicate epochs in st merge.
+// state a live calendar converges to. Duplicate epochs in st merge. The
+// release floor starts over at zero: st holds nothing below the floor it
+// was exported under, and the caller's next Release re-establishes it.
 func (c *Calendar) Import(st State) {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.counts[i] = 0
-	}
+	clear(c.tags)
+	clear(c.counts)
 	c.retired = c.retired[:0]
 	c.overflow = nil
+	c.floor = 0
 	for _, ec := range st.Epochs {
 		if ec.Count == 0 {
 			continue
@@ -188,12 +207,15 @@ func (c *Calendar) spill(epoch uint64, count uint16) {
 	c.overflow[epoch] += count
 }
 
-// Each calls fn for every epoch with a nonzero reservation count, in no
-// particular order. Intended for tests and statistics, not the hot path.
+// Each calls fn for every unreleased epoch with a nonzero reservation
+// count, in no particular order. Ring slots and the overflow map are
+// disjoint (an epoch maps to exactly one slot, and evicted epochs are
+// always older than the slot's current tag), so each epoch is visited
+// once. Intended for checkpoints, tests and statistics, not the hot path.
 func (c *Calendar) Each(fn func(epoch uint64, count uint16)) {
 	c.fold()
 	for slot, n := range c.counts {
-		if n != 0 {
+		if n != 0 && c.tags[slot] >= c.floor {
 			fn(c.tags[slot], n)
 		}
 	}

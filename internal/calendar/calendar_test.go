@@ -28,6 +28,12 @@ func (r *lcg) next() uint64 {
 	return uint64(*r) >> 11
 }
 
+// TestMatchesMapSemantics pins the ring to the map's Reserve results on a
+// stream whose requests never fall below a slowly advancing base, once
+// plain and once with Release(base) interleaved: releasing what the caller
+// can no longer reach must change nothing Reserve returns, must leave only
+// epochs at or above the floor in Export, and must keep Booked the running
+// total.
 func TestMatchesMapSemantics(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -41,24 +47,52 @@ func TestMatchesMapSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ring := New()
+			ring, released := New(), New()
 			ref := &mapCalendar{used: make(map[uint64]uint16)}
 			r := lcg(42)
 			base := uint64(0)
 			for i := 0; i < 20000; i++ {
-				// A slowly advancing base with jitter both forward and
-				// backward models the out-of-order timestamps the
-				// schedulers see.
+				// A slowly advancing base with forward jitter models the
+				// out-of-order timestamps the schedulers see: requests
+				// land anywhere in [base, base+span).
 				base += r.next() % 3
 				e := base + r.next()%tc.span
-				got := ring.Reserve(e, tc.capacity)
 				want := ref.reserve(e, tc.capacity)
-				if got != want {
+				if got := ring.Reserve(e, tc.capacity); got != want {
 					t.Fatalf("request %d at epoch %d: ring=%d map=%d", i, e, got, want)
 				}
+				if got := released.Reserve(e, tc.capacity); got != want {
+					t.Fatalf("request %d at epoch %d: released ring=%d map=%d", i, e, got, want)
+				}
+				if i%64 == 0 {
+					released.Release(base)
+				}
 			}
-			if ring.Booked() != ref.booked {
-				t.Fatalf("booked: ring=%d map=%d", ring.Booked(), ref.booked)
+			if ring.Booked() != ref.booked || released.Booked() != ref.booked {
+				t.Fatalf("booked: ring=%d released=%d map=%d", ring.Booked(), released.Booked(), ref.booked)
+			}
+
+			released.Release(base)
+			st := released.Export()
+			if st.Booked != ref.booked {
+				t.Errorf("exported booked = %d, want the running total %d", st.Booked, ref.booked)
+			}
+			live := 0
+			for e, n := range ref.used {
+				if e >= base && n != 0 {
+					live++
+				}
+			}
+			if len(st.Epochs) != live {
+				t.Errorf("export after Release(%d) holds %d epochs, map has %d at or above it", base, len(st.Epochs), live)
+			}
+			for _, ec := range st.Epochs {
+				if ec.Epoch < base || ec.Count != ref.used[ec.Epoch] {
+					t.Fatalf("export after Release(%d) holds epoch %d x%d, map has x%d", base, ec.Epoch, ec.Count, ref.used[ec.Epoch])
+				}
+			}
+			if full := len(ring.Export().Epochs); full <= len(st.Epochs) {
+				t.Errorf("unreleased export holds %d epochs, released %d: nothing was dropped", full, len(st.Epochs))
 			}
 		})
 	}
@@ -66,34 +100,40 @@ func TestMatchesMapSemantics(t *testing.T) {
 
 // TestExportImportRoundTrip checks that a calendar restored from Export
 // keeps answering Reserve exactly like the original (and like the map
-// reference) on a shared continuation stream. This is the property the
-// checkpoint subsystem depends on: restore must be behaviorally, not just
+// reference) on a shared continuation stream, whether or not the original
+// released its past before exporting. This is the property the checkpoint
+// subsystem depends on: restore must be behaviorally, not just
 // structurally, identical.
 func TestExportImportRoundTrip(t *testing.T) {
 	for _, span := range []uint64{64, window / 2, 4 * window} {
-		orig := New()
-		ref := &mapCalendar{used: make(map[uint64]uint16)}
-		r := lcg(7)
-		base := uint64(0)
-		step := func(c *Calendar) {
-			base += r.next() % 3
-			e := base + r.next()%span
-			got := c.Reserve(e, 4)
-			want := ref.reserve(e, 4)
-			if got != want {
-				t.Fatalf("span %d: ring=%d map=%d", span, got, want)
+		for _, release := range []bool{false, true} {
+			orig := New()
+			ref := &mapCalendar{used: make(map[uint64]uint16)}
+			r := lcg(7)
+			base := uint64(0)
+			step := func(c *Calendar) {
+				base += r.next() % 3
+				e := base + r.next()%span
+				got := c.Reserve(e, 4)
+				want := ref.reserve(e, 4)
+				if got != want {
+					t.Fatalf("span %d, release %v: ring=%d map=%d", span, release, got, want)
+				}
 			}
-		}
-		for i := 0; i < 5000; i++ {
-			step(orig)
-		}
-		restored := New()
-		restored.Import(orig.Export())
-		if restored.Booked() != orig.Booked() {
-			t.Fatalf("span %d: booked %d != %d after restore", span, restored.Booked(), orig.Booked())
-		}
-		for i := 0; i < 5000; i++ {
-			step(restored)
+			for i := 0; i < 5000; i++ {
+				step(orig)
+			}
+			if release {
+				orig.Release(base)
+			}
+			restored := New()
+			restored.Import(orig.Export())
+			if restored.Booked() != orig.Booked() {
+				t.Fatalf("span %d: booked %d != %d after restore", span, restored.Booked(), orig.Booked())
+			}
+			for i := 0; i < 5000; i++ {
+				step(restored)
+			}
 		}
 	}
 }

@@ -22,7 +22,11 @@ import (
 // Bump it whenever the State schema or any embedded snapshot schema
 // changes shape; old files then decode to ErrVersion (dropped, recompute)
 // instead of restoring garbage.
-const FormatVersion = 1
+//
+// v2: cpu.Snapshot.IQ is the ascending list of outstanding issue cycles
+// (v1 stored a heap's raw layout), and the functional-unit calendars hold
+// only the epochs a continuation can still book.
+const FormatVersion = 2
 
 // ErrVersion marks an intact checkpoint written by a different format
 // version. Unlike corruption it is expected across upgrades; callers drop

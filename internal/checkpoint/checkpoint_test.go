@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -84,19 +85,23 @@ func TestDecodeVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A future format version is intact data we cannot interpret. Rewrite
-	// the version field and re-seal (the digest must verify for the
-	// version check to even run).
+	// Another format version — a future one, or the v1 files an upgraded
+	// worker finds in its checkpoint directory — is intact data we cannot
+	// interpret. Rewrite the version field and re-seal (the digest must
+	// verify for the version check to even run).
 	payload, err := Unseal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := strings.Replace(string(payload), `"version":1`, `"version":99`, 1)
-	if mut == string(payload) {
-		t.Fatal("version field not found in payload")
-	}
-	if _, err := Decode(Seal([]byte(mut))); !errors.Is(err, ErrVersion) {
-		t.Errorf("Decode(version 99) = %v, want ErrVersion", err)
+	cur := fmt.Sprintf(`"version":%d`, FormatVersion)
+	for _, other := range []string{`"version":1`, `"version":99`} {
+		mut := strings.Replace(string(payload), cur, other, 1)
+		if mut == string(payload) {
+			t.Fatal("version field not found in payload")
+		}
+		if _, err := Decode(Seal([]byte(mut))); !errors.Is(err, ErrVersion) {
+			t.Errorf("Decode(%s) = %v, want ErrVersion", other, err)
+		}
 	}
 }
 

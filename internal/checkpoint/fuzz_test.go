@@ -23,7 +23,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/4] ^= 1
 	f.Add(flipped)
-	skew := bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":2`), 1)
+	skew := bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":1`), 1)
 	f.Add(Seal(skew[:len(skew)-footerLen]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -151,3 +151,13 @@ func (f *fuPool) issue(at uint64) uint64 {
 	}
 	return start
 }
+
+// release tells the calendar that no operation will issue at or before
+// cycle, so it can drop those epochs.
+func (f *fuPool) release(cycle uint64) {
+	epoch := cycle + 1
+	if !f.pipelined {
+		epoch /= f.latency
+	}
+	f.cal.Release(epoch)
+}

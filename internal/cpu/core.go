@@ -350,6 +350,17 @@ func (c *Core) newRunState() *runState {
 	}
 }
 
+// releaseFUs lets the functional-unit calendars forget the past. Every
+// later instruction dispatches at or after the fetch limiter's cycle and
+// issues after it dispatches (ready = disp+1), so no booking will target
+// that cycle or an earlier one. The loop calls it every cancelCheckInterval
+// instructions, which keeps the calendars' state bounded by the window.
+func (rs *runState) releaseFUs() {
+	for _, f := range [...]*fuPool{rs.alu, rs.mul, rs.div, rs.loadPorts, rs.storePorts} {
+		f.release(rs.fetchLim.cycle)
+	}
+}
+
 // lastPCs returns the trailing committed PCs before instruction seq,
 // oldest first.
 func (rs *runState) lastPCs(seq uint64) []int {
@@ -402,14 +413,17 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 	}
 
 	for seq := startSeq; seq < maxInsts; seq++ {
-		if cancelCh != nil && seq%cancelCheckInterval == 0 {
-			select {
-			case <-cancelCh:
-				runErr = ctx.Err()
-			default:
-			}
-			if runErr != nil {
-				break
+		if seq%cancelCheckInterval == 0 {
+			rs.releaseFUs()
+			if cancelCh != nil {
+				select {
+				case <-cancelCh:
+					runErr = ctx.Err()
+				default:
+				}
+				if runErr != nil {
+					break
+				}
 			}
 		}
 		if opts.StatsBoundaryAt > 0 && seq == opts.StatsBoundaryAt && opts.StatsBoundaryFn != nil {

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -242,21 +241,6 @@ func TestIssueQueueOccupancyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIssueQueueHeapOrder(t *testing.T) {
-	q := newIssueQueue(100)
-	vals := []uint64{9, 3, 7, 1, 8, 2, 6}
-	for _, v := range vals {
-		q.record(v)
-	}
-	var got []uint64
-	for len(q.h) > 0 {
-		got = append(got, q.pop())
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Errorf("heap pops not sorted: %v", got)
 	}
 }
 

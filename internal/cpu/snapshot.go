@@ -72,7 +72,7 @@ type Snapshot struct {
 	Res        Result          `json:"res"` // stats accumulated by the loop so far
 	RegReady   []uint64        `json:"reg_ready"`
 	CommitRing []uint64        `json:"commit_ring"`
-	IQ         []uint64        `json:"iq"` // issue-queue min-heap, raw layout
+	IQ         []uint64        `json:"iq"` // outstanding issue cycles, ascending
 	LoadRing   []uint64        `json:"load_ring"`
 	StoreRing  []uint64        `json:"store_ring"`
 	FetchLim   LimiterState    `json:"fetch_lim"`
@@ -109,12 +109,15 @@ func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: frontend %T", ErrCheckpointUnsupported, c.fe)
 	}
+	// Release first, so the calendars export only what a continuation can
+	// still reach and a straight and a resumed run snapshot alike.
+	rs.releaseFUs()
 	s := &Snapshot{
 		Seq:        seq,
 		Res:        c.boundaryRes(rs),
 		RegReady:   slices.Clone(rs.regReady[:]),
 		CommitRing: slices.Clone(rs.commitRing),
-		IQ:         slices.Clone(rs.iq.h),
+		IQ:         rs.iq.export(),
 		LoadRing:   slices.Clone(rs.loadRing),
 		StoreRing:  slices.Clone(rs.storeRing),
 		FetchLim:   LimiterState{rs.fetchLim.cycle, rs.fetchLim.count},
@@ -193,6 +196,8 @@ func (c *Core) restore(rs *runState, s *Snapshot) (uint64, error) {
 		return 0, fmt.Errorf("%w: ROB size %d, config has %d", ErrSnapshotMismatch, len(s.CommitRing), c.cfg.ROBSize)
 	case len(s.IQ) > c.cfg.IQSize:
 		return 0, fmt.Errorf("%w: %d issue-queue entries, config holds %d", ErrSnapshotMismatch, len(s.IQ), c.cfg.IQSize)
+	case !iqLoadable(s.IQ, s.FetchLim.Cycle):
+		return 0, fmt.Errorf("%w: issue-queue cycles not ascending within %d of dispatch", ErrSnapshotMismatch, maxIQSpan)
 	case len(s.LoadRing) != c.cfg.LQSize:
 		return 0, fmt.Errorf("%w: LQ size %d, config has %d", ErrSnapshotMismatch, len(s.LoadRing), c.cfg.LQSize)
 	case len(s.StoreRing) != c.cfg.SQSize:
@@ -233,11 +238,13 @@ func (c *Core) restore(rs *runState, s *Snapshot) (uint64, error) {
 	rs.res = s.Res
 	copy(rs.regReady[:], s.RegReady)
 	copy(rs.commitRing, s.CommitRing)
-	rs.iq.h = append(rs.iq.h[:0], s.IQ...)
 	copy(rs.loadRing, s.LoadRing)
 	copy(rs.storeRing, s.StoreRing)
 	rs.fetchLim.cycle, rs.fetchLim.count = s.FetchLim.Cycle, s.FetchLim.Count
 	rs.commitLim.cycle, rs.commitLim.count = s.CommitLim.Cycle, s.CommitLim.Count
+	// Dispatch never precedes the fetch limiter's cycle, so it is the
+	// queue's cursor: entries issuing by then are already free.
+	rs.iq.load(s.IQ, s.FetchLim.Cycle)
 	rs.alu.cal.Import(s.ALU)
 	rs.mul.cal.Import(s.Mul)
 	rs.div.cal.Import(s.Div)

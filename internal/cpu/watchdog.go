@@ -85,7 +85,7 @@ func (c *Core) livelock(rs *runState, seq uint64, di interp.DynInst,
 			PrevCommit:   rs.lastCommit,
 			EngineHold:   hold,
 			ROBOccupancy: ringOccupancy(rs.commitRing, seq, disp),
-			IQOccupancy:  len(rs.iq.h),
+			IQOccupancy:  rs.iq.n,
 			LQOccupancy:  ringOccupancy(rs.loadRing, rs.nLoads, disp),
 			SQOccupancy:  ringOccupancy(rs.storeRing, rs.nStores, disp),
 			LastPCs:      rs.lastPCs(seq),

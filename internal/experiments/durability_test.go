@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"dvr/internal/calendar"
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
 	"dvr/internal/workloads"
@@ -182,6 +185,19 @@ func TestResumeRejectsMismatchedCore(t *testing.T) {
 	if _, err := RunJob(context.Background(), spec, TechOoO, cfg, JobOpts{Resume: snap}); !errors.Is(err, cpu.ErrSnapshotMismatch) {
 		t.Errorf("resume without engine = %v, want ErrSnapshotMismatch", err)
 	}
+
+	// The issue queue's list is sized by its contents on restore, so a
+	// crafted one is refused rather than allocated for.
+	for name, iq := range map[string][]uint64{
+		"unsorted":  {snap.FetchLim.Cycle + 9, snap.FetchLim.Cycle + 3},
+		"far ahead": {snap.FetchLim.Cycle + 1, 1 << 62},
+	} {
+		bad := *snap
+		bad.IQ = iq
+		if _, err := RunJob(context.Background(), spec, TechDVR, cfg, JobOpts{Resume: &bad}); !errors.Is(err, cpu.ErrSnapshotMismatch) {
+			t.Errorf("resume with %s issue queue = %v, want ErrSnapshotMismatch", name, err)
+		}
+	}
 }
 
 // TestWatchdogLivelock seeds a scripted livelock (the commit stream wedges
@@ -269,3 +285,60 @@ func TestRunERejectsDegenerateConfig(t *testing.T) {
 }
 
 var _ = workloads.Ref{} // keep the import when build tags trim tests
+
+// TestCheckpointStateBounded pins the two properties the release floor of
+// the functional-unit calendars exists for. A checkpoint's size must not
+// grow with how long the run has been going: the calendars used to export
+// one epoch per simulated cycle since instruction zero (1.9 MB of ALU
+// bookings at 200k instructions, 7.8 MB at 800k); now they hold only the
+// epochs a continuation can still book, a window's worth. And forgetting
+// the past must not make a resumed run's state differ from a straight
+// run's: from the same boundary on, both checkpoint deep-equal snapshots.
+func TestCheckpointStateBounded(t *testing.T) {
+	spec, err := workloads.Resolve(workloads.Ref{Kernel: "camel", ROI: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cpu.DefaultConfig()
+	const every = 200_000
+	collect := func(resume *cpu.Snapshot) map[uint64]*cpu.Snapshot {
+		snaps := make(map[uint64]*cpu.Snapshot)
+		_, err := RunJob(context.Background(), spec, TechDVR, cfg, JobOpts{
+			Resume:          resume,
+			CheckpointEvery: every,
+			Checkpoint:      func(s *cpu.Snapshot) error { snaps[s.Seq] = s; return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snaps
+	}
+	straight := collect(nil)
+	if len(straight) != 4 {
+		t.Fatalf("got %d checkpoints, want 4", len(straight))
+	}
+
+	// A pipelined pool books at most a few hundred cycles past dispatch,
+	// so 2000 epochs across the five pools is generous; the parent commit
+	// exported ~330 000 at the first checkpoint and ~1.3 M at the last.
+	const maxEpochs = 2000
+	for seq, s := range straight {
+		n := 0
+		for _, st := range []calendar.State{s.ALU, s.Mul, s.Div, s.LoadPorts, s.StorePorts} {
+			n += len(st.Epochs)
+		}
+		if n > maxEpochs {
+			t.Errorf("checkpoint at %d exports %d functional-unit epochs, want at most %d", seq, n, maxEpochs)
+		}
+		if !slices.IsSorted(s.IQ) || len(s.IQ) > cfg.IQSize {
+			t.Errorf("checkpoint at %d: issue queue %v is not an ascending list of at most %d cycles", seq, s.IQ, cfg.IQSize)
+		}
+	}
+
+	resumed := collect(straight[2*every])
+	for _, seq := range []uint64{3 * every, 4 * every} {
+		if !reflect.DeepEqual(resumed[seq], straight[seq]) {
+			t.Errorf("checkpoint at %d differs between the straight run and the run resumed at %d", seq, 2*every)
+		}
+	}
+}

@@ -4,6 +4,8 @@
 package prefetch
 
 import (
+	"slices"
+
 	"dvr/internal/cpu"
 	"dvr/internal/interp"
 	"dvr/internal/isa"
@@ -27,12 +29,14 @@ type IMP struct {
 	// iteration order is architecturally visible (it decides which candidate
 	// patterns win table slots and in what order prefetches contend for
 	// MSHRs). Both therefore keep deterministic insertion order — a slice
-	// for the handful of striding PCs, a map plus an ordered key list for
+	// for the handful of striding PCs, a map plus an ordered entry list for
 	// the pattern table — so identical runs produce identical results in
-	// any process (the property the dvrd result cache is keyed on).
+	// any process (the property the dvrd result cache is keyed on). The
+	// list carries each pattern beside its key, so walking it (every
+	// confident striding load does) never hashes.
 	lastVal []impLastVal // striding-load PC -> last loaded value
 	pats    map[impKey]*impPattern
-	order   []impKey // pats keys, insertion-ordered
+	order   []impEntry // pats entries, insertion-ordered
 	degree  int
 
 	stats cpu.EngineStats
@@ -58,6 +62,11 @@ type impPattern struct {
 	base      uint64
 	conf      int
 	confirmed bool
+}
+
+type impEntry struct {
+	key impKey
+	pat *impPattern
 }
 
 // impCoeffs are the candidate index-to-address scale factors IMP tests.
@@ -122,8 +131,9 @@ func (p *IMP) observe(pc int, addr uint64, cycle uint64) {
 			pat, ok := p.pats[k]
 			if !ok {
 				if len(p.pats) < 256 {
-					p.pats[k] = &impPattern{base: base, conf: 1}
-					p.order = append(p.order, k)
+					pat = &impPattern{base: base, conf: 1}
+					p.pats[k] = pat
+					p.order = append(p.order, impEntry{k, pat})
 				}
 				continue
 			}
@@ -144,12 +154,7 @@ func (p *IMP) observe(pc int, addr uint64, cycle uint64) {
 				pat.conf--
 				if pat.conf <= 0 {
 					delete(p.pats, k)
-					for i, ok := range p.order {
-						if ok == k {
-							p.order = append(p.order[:i], p.order[i+1:]...)
-							break
-						}
-					}
+					p.order = slices.DeleteFunc(p.order, func(e impEntry) bool { return e.pat == pat })
 				}
 			}
 		}
@@ -173,8 +178,8 @@ func (p *IMP) setLastVal(pc int, val uint64) {
 // index values at addr+stride .. addr+degree*stride (being brought in by
 // the stride prefetcher) are translated and their targets prefetched.
 func (p *IMP) trigger(pc int, addr uint64, e *runahead.RPTEntry, cycle uint64) {
-	for _, k := range p.order {
-		pat := p.pats[k]
+	for _, en := range p.order {
+		k, pat := en.key, en.pat
 		if !pat.confirmed || k.stridePC != pc {
 			continue
 		}

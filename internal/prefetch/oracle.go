@@ -70,9 +70,7 @@ func (o *Oracle) OnCommit(di interp.DynInst, cycle uint64) {
 // the hypothetical upper bound: it pays DRAM bandwidth but is not bounded
 // by the MSHR file.
 func (o *Oracle) Advance(now uint64) {
-	for len(o.queue) > 0 {
-		addr := o.queue[0]
-		o.queue = o.queue[1:]
+	for _, addr := range o.queue {
 		if o.hier.Resident(addr) {
 			continue
 		}
@@ -81,6 +79,7 @@ func (o *Oracle) Advance(now uint64) {
 			o.stats.Prefetches++
 		}
 	}
+	o.queue = o.queue[:0]
 }
 
 var _ cpu.Engine = (*Oracle)(nil)

@@ -41,8 +41,8 @@ func (p *IMP) SnapshotState() (json.RawMessage, error) {
 	for _, lv := range p.lastVal {
 		s.LastVal = append(s.LastVal, impLastValSnapshot{PC: lv.pc, Val: lv.val})
 	}
-	for _, k := range p.order {
-		pat := p.pats[k]
+	for _, en := range p.order {
+		k, pat := en.key, en.pat
 		s.Pats = append(s.Pats, impPatternSnapshot{
 			StridePC: k.stridePC, IndirPC: k.indirPC, Coeff: k.coeff,
 			Base: pat.base, Conf: pat.conf, Confirmed: pat.confirmed,
@@ -74,8 +74,9 @@ func (p *IMP) RestoreState(raw json.RawMessage) error {
 		if _, dup := p.pats[k]; dup {
 			return fmt.Errorf("prefetch: imp state has duplicate pattern key %+v", k)
 		}
-		p.pats[k] = &impPattern{base: ps.Base, conf: ps.Conf, confirmed: ps.Confirmed}
-		p.order = append(p.order, k)
+		pat := &impPattern{base: ps.Base, conf: ps.Conf, confirmed: ps.Confirmed}
+		p.pats[k] = pat
+		p.order = append(p.order, impEntry{k, pat})
 	}
 	p.stats = s.Stats
 	return nil
