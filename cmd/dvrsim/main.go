@@ -272,6 +272,11 @@ func runDurable(spec workloads.Spec, tech experiments.Technique, cfg cpu.Config,
 	opts := experiments.JobOpts{WatchdogBudget: watchdog, Trace: rec}
 	if ckptFile != "" {
 		opts.CheckpointEvery = every
+		// Journal against a fork of the image: a checkpoint holds the words
+		// that differ from the memory's base, which for the image itself is
+		// every word in it.
+		build := spec.Build
+		spec.Build = func() *workloads.Workload { return build().Fork() }
 		if resume {
 			if data, err := os.ReadFile(ckptFile); err == nil {
 				st, derr := checkpoint.Decode(data)

@@ -26,7 +26,12 @@ import (
 // v2: cpu.Snapshot.IQ is the ascending list of outstanding issue cycles
 // (v1 stored a heap's raw layout), and the functional-unit calendars hold
 // only the epochs a continuation can still book.
-const FormatVersion = 2
+//
+// v3: interp.PageDelta.Data holds packed (word index, value) records for
+// the words that differ from the memory's base chain (v2 stored every
+// owned page whole), and mem.CacheSnapshot.Ways is packed 21-byte records
+// (v2 stored an array of objects).
+const FormatVersion = 3
 
 // ErrVersion marks an intact checkpoint written by a different format
 // version. Unlike corruption it is expected across upgrades; callers drop
@@ -78,11 +83,16 @@ func Decode(data []byte) (*State, error) {
 		return nil, err
 	}
 	var st State
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if st.Version != FormatVersion {
+	err = json.Unmarshal(payload, &st)
+	// Another version's fields need not fit this build's types (v2 wrote
+	// cache ways as an array of objects); Unmarshal skips such a field and
+	// still fills in the rest, so the version is judged first.
+	var shape *json.UnmarshalTypeError
+	if (err == nil || errors.As(err, &shape)) && st.Version != FormatVersion {
 		return nil, fmt.Errorf("%w: file has %d, this build reads %d", ErrVersion, st.Version, FormatVersion)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return &st, nil
 }

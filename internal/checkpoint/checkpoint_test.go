@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -10,10 +11,14 @@ import (
 	"testing"
 
 	"dvr/internal/cpu"
+	"dvr/internal/interp"
+	"dvr/internal/mem"
 	"dvr/internal/workloads"
 )
 
-// testState builds a small but structurally real checkpoint.
+// testState builds a small but structurally real checkpoint, with one
+// packed word record and one packed cache way so the v3 fields are on the
+// wire.
 func testState() *State {
 	return &State{
 		Engine:    "dvr-engine/test",
@@ -27,6 +32,13 @@ func testState() *State {
 			LoadRing:   make([]uint64, 72),
 			StoreRing:  make([]uint64, 56),
 			LastPCs:    []int{4, 5, 6, 7},
+			Frontend: interp.Snapshot{Pages: []interp.PageDelta{
+				{PN: 3, Data: []byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
+			}},
+			Hier: mem.Snapshot{L1D: mem.CacheSnapshot{
+				UseClock: 9,
+				Ways:     []byte{0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1},
+			}},
 		},
 	}
 }
@@ -94,7 +106,7 @@ func TestDecodeVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := fmt.Sprintf(`"version":%d`, FormatVersion)
-	for _, other := range []string{`"version":1`, `"version":99`} {
+	for _, other := range []string{`"version":1`, `"version":2`, `"version":99`} {
 		mut := strings.Replace(string(payload), cur, other, 1)
 		if mut == string(payload) {
 			t.Fatal("version field not found in payload")
@@ -102,6 +114,40 @@ func TestDecodeVersionSkew(t *testing.T) {
 		if _, err := Decode(Seal([]byte(mut))); !errors.Is(err, ErrVersion) {
 			t.Errorf("Decode(%s) = %v, want ErrVersion", other, err)
 		}
+	}
+}
+
+// TestDecodeV2FileIsVersionSkew feeds Decode what a v2 worker left in the
+// checkpoint directory: dense 4 KiB pages and cache ways as an array of
+// objects, which does not even fit this build's field types. It must read
+// as version skew (dropped, recomputed), not as corruption (quarantined).
+func TestDecodeV2FileIsVersionSkew(t *testing.T) {
+	data, err := Encode(testState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := Unseal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := string(payload)
+	for _, r := range []struct{ v3, v2 string }{
+		{`"version":3`, `"version":2`},
+		{`"data":"BwABAgMEBQYHCA=="`, `"data":"` + base64.StdEncoding.EncodeToString(make([]byte, 4096)) + `"`},
+		{`"ways":"AAAAAEAAAAAAAAAACQAAAAAAAAAB"`, `"ways":[{"w":0,"l":64,"d":true,"u":9}]`},
+	} {
+		if !strings.Contains(v2, r.v3) {
+			t.Fatalf("payload has no %s", r.v3)
+		}
+		v2 = strings.Replace(v2, r.v3, r.v2, 1)
+	}
+	if _, err := Decode(Seal([]byte(v2))); !errors.Is(err, ErrVersion) {
+		t.Errorf("Decode(v2 file) = %v, want ErrVersion", err)
+	}
+	// The same misfit under the current version number is damage.
+	v3 := strings.Replace(v2, `"version":2`, `"version":3`, 1)
+	if _, err := Decode(Seal([]byte(v3))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode(v3 file with v2 ways) = %v, want ErrCorrupt", err)
 	}
 }
 

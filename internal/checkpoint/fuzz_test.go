@@ -23,8 +23,17 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/4] ^= 1
 	f.Add(flipped)
-	skew := bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":1`), 1)
-	f.Add(Seal(skew[:len(skew)-footerLen]))
+	// Sealed mutations of the payload: the previous version, and the v3
+	// packed fields cut ragged or swapped for v2's array of way objects.
+	for _, m := range [][2]string{
+		{`"version":3`, `"version":2`},
+		{`"data":"BwABAgMEBQYHCA=="`, `"data":"BwABAgME"`},
+		{`"ways":"AAAAAEAAAAAAAAAACQAAAAAAAAAB"`, `"ways":"AAAAAEAAAAAA"`},
+		{`"ways":"AAAAAEAAAAAAAAAACQAAAAAAAAAB"`, `"ways":[{"w":0,"l":64,"u":9}]`},
+	} {
+		mut := bytes.Replace(valid[:len(valid)-footerLen], []byte(m[0]), []byte(m[1]), 1)
+		f.Add(Seal(mut))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

@@ -222,10 +222,11 @@ func NewCore(cfg Config, fe Frontend) *Core {
 }
 
 // NewCoreWith builds a core around a caller-provided hierarchy and
-// predictor. The sampled-simulation replayer (internal/sampling) reuses
-// one hierarchy allocation across windows — mem.Hierarchy.Reset, then
-// trace-driven warming — because constructing the Table 1 L3 dominates
-// the cost of a short replay; behavior is otherwise identical to NewCore.
+// predictor. The sampled-simulation replayer (internal/sampling) builds
+// one hierarchy per Replay and carries it across that plan's windows —
+// trace-driven warming, then mem.Hierarchy.BeginSegment before each timed
+// segment — because constructing the Table 1 L3 dominates the cost of a
+// short replay; behavior is otherwise identical to NewCore.
 func NewCoreWith(cfg Config, fe Frontend, h *mem.Hierarchy, bp *bpred.Predictor) *Core {
 	return &Core{cfg: cfg, hier: h, bp: bp, fe: fe}
 }

@@ -209,6 +209,11 @@ func (c *Core) restore(rs *runState, s *Snapshot) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: frontend %T", ErrCheckpointUnsupported, c.fe)
 	}
+	// The frontend is restored before the engine, and must stay so: memory
+	// deltas are words that differ from the base chain, and an engine's
+	// cloned interpreter (the Oracle's look-ahead view) forks the
+	// frontend's memory, so its delta only means what it did at snapshot
+	// time once the frontend underneath reads as it did then.
 	if err := fs.Restore(s.Frontend); err != nil {
 		return 0, fmt.Errorf("%w: frontend: %v", ErrSnapshotMismatch, err)
 	}

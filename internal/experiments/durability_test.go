@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -13,6 +15,7 @@ import (
 	"dvr/internal/calendar"
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
+	"dvr/internal/interp"
 	"dvr/internal/workloads"
 )
 
@@ -21,9 +24,11 @@ import (
 var errKilled = errors.New("scripted kill")
 
 // killResumeTechs is the bit-identity matrix of the durability contract:
-// the no-engine baseline and both runahead engines (VR exercises the
-// delayed-termination hold path, DVR the full discovery/vectorize state).
-var killResumeTechs = []Technique{TechOoO, TechVR, TechDVR}
+// the six Figure 7 techniques — the no-engine baseline, PRE, IMP's pattern
+// table, VR's delayed-termination hold path, DVR's full discovery/vectorize
+// state, and the Oracle, whose look-ahead memory is a delta against the
+// restored frontend's.
+var killResumeTechs = []Technique{TechOoO, TechPRE, TechIMP, TechVR, TechDVR, TechOracle}
 
 // TestKillResumeBitIdentity is the durability acceptance test: for every
 // suite workload under every technique, a run that is killed at a
@@ -198,6 +203,39 @@ func TestResumeRejectsMismatchedCore(t *testing.T) {
 			t.Errorf("resume with %s issue queue = %v, want ErrSnapshotMismatch", name, err)
 		}
 	}
+
+	// The packed word and way records come off disk as opaque bytes, so
+	// restore is the only place a malformed one can be caught: each is a
+	// mismatch, never a panic or a restore where the last record wins.
+	le := binary.LittleEndian
+	word := func(idx uint16, val uint64) []byte { return le.AppendUint64(le.AppendUint16(nil, idx), val) }
+	way := func(w uint32, line uint64, flags byte) []byte {
+		return append(le.AppendUint64(le.AppendUint64(le.AppendUint32(nil, w), line), 1), flags)
+	}
+	pages := func(ps ...interp.PageDelta) func(*cpu.Snapshot) {
+		return func(s *cpu.Snapshot) { s.Frontend.Pages = ps }
+	}
+	ways := func(b []byte) func(*cpu.Snapshot) { return func(s *cpu.Snapshot) { s.Hier.L1D.Ways = b } }
+	for name, mutate := range map[string]func(*cpu.Snapshot){
+		"empty page":          pages(interp.PageDelta{PN: 1}),
+		"ragged page":         pages(interp.PageDelta{PN: 1, Data: word(0, 1)[:7]}),
+		"dense v2 page":       pages(interp.PageDelta{PN: 1, Data: make([]byte, 4096)}),
+		"513 words":           pages(interp.PageDelta{PN: 1, Data: bytes.Repeat(word(0, 1), 513)}),
+		"word index 512":      pages(interp.PageDelta{PN: 1, Data: word(512, 1)}),
+		"duplicate page":      pages(interp.PageDelta{PN: 1, Data: word(0, 1)}, interp.PageDelta{PN: 1, Data: word(1, 1)}),
+		"descending pages":    pages(interp.PageDelta{PN: 2, Data: word(0, 1)}, interp.PageDelta{PN: 1, Data: word(0, 1)}),
+		"ragged ways":         ways(way(0, 0, 0)[:20]),
+		"way out of range":    ways(way(1<<31, 0, 0)),
+		"line in another set": ways(way(0, 1, 0)),
+		"duplicate way":       ways(append(way(0, 0, 0), way(0, 0, 0)...)),
+		"unknown fill source": ways(way(0, 0, 63<<2)),
+	} {
+		bad := *snap
+		mutate(&bad)
+		if _, err := RunJob(context.Background(), spec, TechDVR, cfg, JobOpts{Resume: &bad}); !errors.Is(err, cpu.ErrSnapshotMismatch) {
+			t.Errorf("resume with %s = %v, want ErrSnapshotMismatch", name, err)
+		}
+	}
 }
 
 // TestWatchdogLivelock seeds a scripted livelock (the commit stream wedges
@@ -339,6 +377,60 @@ func TestCheckpointStateBounded(t *testing.T) {
 	for _, seq := range []uint64{3 * every, 4 * every} {
 		if !reflect.DeepEqual(resumed[seq], straight[seq]) {
 			t.Errorf("checkpoint at %d differs between the straight run and the run resumed at %d", seq, 2*every)
+		}
+	}
+}
+
+// TestCheckpointSizeTracksChangedWords pins what the word-granular memory
+// delta and the packed cache ways buy. The three kernels scatter a few
+// thousand stores over thousands of pages, so a journal that stores owned
+// pages whole is 10–40 MB at 100 000 instructions (the Oracle's look-ahead
+// view repeating the frontend's pages in its own state) and a cold fleet
+// cell spends a third of its time encoding it. The same run must also
+// write the same bytes, or a checkpoint could not be verified by content.
+func TestCheckpointSizeTracksChangedWords(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	const maxFile, maxOracleState = 1 << 20, 8 << 10
+	for _, kernel := range []string{"randomaccess", "camel", "nas-is"} {
+		spec, err := workloads.Resolve(workloads.Ref{Kernel: kernel, ROI: 100_001})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Run on forks of one built image, as dvrd and the figure suites
+		// do: the delta is taken against the image, which a resume rebuilds.
+		spec = memoSpec(spec)
+		for _, tech := range []Technique{TechOoO, TechOracle} {
+			t.Run(fmt.Sprintf("%s/%s", kernel, tech), func(t *testing.T) {
+				t.Parallel()
+				encode := func() (file []byte, engineState int) {
+					_, err := RunJob(context.Background(), spec, tech, cfg, JobOpts{
+						CheckpointEvery: 100_000,
+						Checkpoint: func(s *cpu.Snapshot) (err error) {
+							if s.Engine != nil {
+								engineState = len(s.Engine.State)
+							}
+							file, err = checkpoint.Encode(&checkpoint.State{
+								Engine: "test-engine", Ref: spec.Ref, Technique: string(tech), Config: cfg, Core: *s,
+							})
+							return err
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return file, engineState
+				}
+				file, engineState := encode()
+				if len(file) == 0 || len(file) > maxFile {
+					t.Errorf("checkpoint is %d bytes, want 1..%d", len(file), maxFile)
+				}
+				if tech == TechOracle && (engineState == 0 || engineState > maxOracleState) {
+					t.Errorf("oracle engine state is %d bytes, want 1..%d", engineState, maxOracleState)
+				}
+				if again, _ := encode(); !bytes.Equal(file, again) {
+					t.Error("two runs of one cell wrote different checkpoint bytes")
+				}
+			})
 		}
 	}
 }

@@ -1,49 +1,74 @@
 package interp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dvr/internal/isa"
 )
 
-const pageBytes = pageWords * 8
+// wordRecBytes is the size of one packed word record in PageDelta.Data:
+// a uint16 word index within the page, then the uint64 value.
+const wordRecBytes = 10
 
 // PageDelta is one owned page of a Memory in serializable form: the page
-// number plus the page's 512 words, little-endian. JSON encodes Data as
-// base64, which keeps checkpoint files a manageable multiple of the
-// touched footprint.
+// number plus packed little-endian (index, value) records, ascending by
+// index, for exactly the words that differ from what the memory would read
+// through its base chain (all zeros when no ancestor holds the page). A
+// checkpoint therefore costs the words a run changed, not the pages it
+// touched: a one-word page is 10 bytes and a fully rewritten one 5120
+// (1.25x the dense page). JSON encodes Data as base64.
 type PageDelta struct {
 	PN   uint64 `json:"pn"`
 	Data []byte `json:"data"`
 }
 
-// SnapshotPages captures the pages owned by m itself — for a fork, exactly
-// the copy-on-write delta against its base — sorted by page number so the
-// encoding is deterministic. Pages still inherited from the base are not
-// captured: the checkpoint contract is that the base image is rebuilt
-// deterministically from the workload description and the delta is
-// replayed on a fresh fork of it.
+var zeroPage page
+
+// SnapshotPages captures m's owned pages as word deltas against its base
+// chain, sorted by page number so the encoding is deterministic. Owned
+// pages that read the same as the base are omitted. The checkpoint
+// contract is that the base is rebuilt to the same contents first — a
+// workload image from its description, a cloned interpreter's parent by
+// restoring the parent before the clone — and the delta is replayed on a
+// fresh fork of it.
 func (m *Memory) SnapshotPages() []PageDelta {
-	if len(m.pages) == 0 {
-		return nil
-	}
-	deltas := make([]PageDelta, 0, len(m.pages))
+	var deltas []PageDelta
 	for pn, p := range m.pages {
-		data := make([]byte, pageBytes)
+		parent := m.parentPage(pn)
+		var data []byte
 		for i, w := range p {
-			binary.LittleEndian.PutUint64(data[i*8:], w)
+			if w != parent[i] {
+				data = binary.LittleEndian.AppendUint16(data, uint16(i))
+				data = binary.LittleEndian.AppendUint64(data, w)
+			}
 		}
-		deltas = append(deltas, PageDelta{PN: pn, Data: data})
+		if data != nil {
+			deltas = append(deltas, PageDelta{PN: pn, Data: data})
+		}
 	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].PN < deltas[j].PN })
+	slices.SortFunc(deltas, func(a, b PageDelta) int { return cmp.Compare(a.PN, b.PN) })
 	return deltas
 }
 
-// RestorePages replaces m's owned pages with deltas and invalidates the
-// TLB. Restoring onto a fresh fork of the same base the snapshot was taken
-// over reproduces the snapshotted memory exactly.
+// parentPage is the page a fork reads at pn before it owns one.
+func (m *Memory) parentPage(pn uint64) *page {
+	if m.base != nil {
+		if p, _ := m.base.find(pn); p != nil {
+			return p
+		}
+	}
+	return &zeroPage
+}
+
+// RestorePages replaces m's owned pages with deltas, each page starting
+// from the base chain's current view of it, and invalidates the TLB.
+// Restoring onto a fresh fork of a base that reads as it did when the
+// snapshot was taken reproduces the snapshotted memory exactly. Pages
+// must be strictly ascending and each page's records strictly ascending
+// by index, so a malformed delta is an error rather than a last-wins.
 func (m *Memory) RestorePages(deltas []PageDelta) error {
 	if m.pages == nil {
 		m.pages = make(map[uint64]*page, len(deltas))
@@ -51,13 +76,23 @@ func (m *Memory) RestorePages(deltas []PageDelta) error {
 		clear(m.pages)
 	}
 	m.tlb = [tlbSize]tlbEntry{}
-	for _, d := range deltas {
-		if len(d.Data) != pageBytes {
-			return fmt.Errorf("interp: page %#x has %d bytes, want %d", d.PN, len(d.Data), pageBytes)
+	for i, d := range deltas {
+		if i > 0 && d.PN <= deltas[i-1].PN {
+			return fmt.Errorf("interp: page %#x follows page %#x, want strictly ascending", d.PN, deltas[i-1].PN)
+		}
+		if len(d.Data) == 0 || len(d.Data)%wordRecBytes != 0 {
+			return fmt.Errorf("interp: page %#x has %d bytes, want a positive multiple of %d", d.PN, len(d.Data), wordRecBytes)
 		}
 		p := new(page)
-		for i := range p {
-			p[i] = binary.LittleEndian.Uint64(d.Data[i*8:])
+		*p = *m.parentPage(d.PN)
+		prev := -1
+		for rec := d.Data; len(rec) > 0; rec = rec[wordRecBytes:] {
+			idx := int(binary.LittleEndian.Uint16(rec))
+			if idx <= prev || idx >= pageWords {
+				return fmt.Errorf("interp: page %#x has word index %d after %d, want ascending below %d", d.PN, idx, prev, pageWords)
+			}
+			p[idx] = binary.LittleEndian.Uint64(rec[2:])
+			prev = idx
 		}
 		m.pages[d.PN] = p
 	}

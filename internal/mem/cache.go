@@ -143,8 +143,8 @@ func (c *cache) lookup(line uint64) *cacheLine {
 }
 
 // install fills line, evicting the LRU way. It returns the victim line
-// (valid=false in the returned struct if the way was empty) so the caller
-// can account dirty writebacks and wasted prefetches.
+// (the zero cacheLine if the way was empty, whatever its meta last held)
+// so the caller can account dirty writebacks and wasted prefetches.
 func (c *cache) install(line uint64, src Source) cacheLine {
 	c.useClock++
 	base := (line & c.setMask) * c.assoc
@@ -158,7 +158,10 @@ func (c *cache) install(line uint64, src Source) cacheLine {
 			victim = w
 		}
 	}
-	old := c.meta[victim]
+	var old cacheLine
+	if c.tags[victim] != 0 {
+		old = c.meta[victim]
+	}
 	c.tags[victim] = line + 1
 	c.meta[victim] = cacheLine{
 		tag:      line,

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -318,6 +320,20 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 }
 
+// TestInstallIntoEmptyWayReportsNoVictim pins install's contract on the
+// tag array alone: an empty way yields the zero victim whatever its meta
+// slot last held, so no caller can book a writeback or a wasted prefetch
+// for a line that was not there.
+func TestInstallIntoEmptyWayReportsNoVictim(t *testing.T) {
+	c := newCache(CacheConfig{SizeBytes: 4 * LineSize, Assoc: 2, Latency: 1})
+	c.install(8, SrcRunahead)
+	c.way(8).dirty = true
+	c.invalidate(8)
+	if victim := c.install(10, SrcDemand); victim != (cacheLine{}) {
+		t.Errorf("install into an emptied way returned victim %+v, want the zero line", victim)
+	}
+}
+
 func TestUnusedPrefetchEvictionCounted(t *testing.T) {
 	cfg := testConfig()
 	cfg.L1D = CacheConfig{SizeBytes: 2 * LineSize, Assoc: 1, Latency: 4}
@@ -524,5 +540,65 @@ func TestBeginSegmentClearsTransientsKeepsState(t *testing.T) {
 	// Contents survive: the same lines hit without re-missing.
 	if r := h.Access(0x40000, 0, false, 1); r.Level != LvlL1 {
 		t.Errorf("line lost across BeginSegment: satisfied at %v", r.Level)
+	}
+}
+
+// wayRec packs one cache way the way CacheSnapshot.Ways holds it.
+func wayRec(way uint32, line, lastUse uint64, flags byte) []byte {
+	rec := binary.LittleEndian.AppendUint32(nil, way)
+	rec = binary.LittleEndian.AppendUint64(rec, line)
+	rec = binary.LittleEndian.AppendUint64(rec, lastUse)
+	return append(rec, flags)
+}
+
+// TestSnapshotRoundTripAndMalformedWays checks the packed way records both
+// ways: a live hierarchy's snapshot restores into a fresh one that
+// snapshots identically, and records no snapshot produces are refused — a
+// restore must never panic on a file's contents or let the second of two
+// records for one way win.
+func TestSnapshotRoundTripAndMalformedWays(t *testing.T) {
+	cfg := testConfig()
+	cfg.L1D = CacheConfig{SizeBytes: 8 * LineSize, Assoc: 2, Latency: 4} // 4 sets x 2 ways
+	h := NewHierarchy(cfg)
+	now := uint64(0)
+	for i := uint64(0); i < 40; i++ {
+		now = h.Access(i*7*LineSize, now+1, i%3 == 0, 1).Done
+		h.Prefetch((1000+i)*LineSize, now, SrcRunahead)
+	}
+	snap := h.Snapshot()
+	if len(snap.L1D.Ways) != 8*wayRecBytes {
+		t.Fatalf("full 8-way L1D snapshots to %d bytes, want %d", len(snap.L1D.Ways), 8*wayRecBytes)
+	}
+	fresh := NewHierarchy(cfg)
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatalf("restore of a live snapshot: %v", err)
+	}
+	if again := fresh.Snapshot(); !reflect.DeepEqual(again, snap) {
+		t.Error("restored hierarchy snapshots differently from its source")
+	}
+
+	// Line 5 maps to set 1, ways 2 and 3.
+	cases := map[string][]byte{
+		"ragged length":     wayRec(2, 5, 1, 0)[:20],
+		"way out of range":  wayRec(8, 5, 1, 0),
+		"line in wrong set": wayRec(0, 5, 1, 0),
+		"duplicate way":     append(wayRec(2, 5, 1, 0), wayRec(2, 9, 2, 0)...),
+		"unknown source":    wayRec(2, 5, 1, byte(numSources)<<2),
+	}
+	for name, ways := range cases {
+		bad := snap
+		bad.L1D.Ways = ways
+		if err := NewHierarchy(cfg).Restore(bad); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+	}
+	ok := snap
+	ok.L1D.Ways = append(wayRec(2, 5, 1, 3|byte(SrcRunahead)<<2), wayRec(3, 9, 2, 0)...)
+	g := NewHierarchy(cfg)
+	if err := g.Restore(ok); err != nil {
+		t.Fatalf("well-formed ways refused: %v", err)
+	}
+	if m := g.l1d.way(5); m == nil || !m.dirty || !m.prefetch || m.prefSrc != SrcRunahead || m.lastUse != 1 {
+		t.Errorf("way for line 5 restored as %+v", m)
 	}
 }

@@ -1,29 +1,26 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dvr/internal/calendar"
 )
 
-// CacheWay is one occupied way of a cache level in serializable form. The
-// way index pins the line to its exact slot so LRU victim selection after
-// restore is bit-identical.
-type CacheWay struct {
-	Way      uint64 `json:"w"`
-	Line     uint64 `json:"l"`
-	Dirty    bool   `json:"d,omitempty"`
-	LastUse  uint64 `json:"u"`
-	Prefetch bool   `json:"p,omitempty"`
-	PrefSrc  uint8  `json:"s,omitempty"`
-}
+// wayRecBytes is the size of one packed record in CacheSnapshot.Ways:
+// uint32 way, uint64 line, uint64 lastUse, then one flag byte
+// (dirty | prefetch<<1 | source<<2), all little-endian.
+const wayRecBytes = 21
 
 // CacheSnapshot captures one cache level: its LRU clock and every occupied
-// way. Empty ways are implicit, so the size tracks the touched footprint
-// rather than the configured capacity (an idle 8 MB L3 costs nothing).
+// way as a packed record (JSON encodes Ways as base64). The way index pins
+// the line to its exact slot so LRU victim selection after restore is
+// bit-identical. Empty ways are implicit, so the size tracks the touched
+// footprint rather than the configured capacity (an idle 8 MB L3 costs
+// nothing).
 type CacheSnapshot struct {
-	UseClock uint64     `json:"use_clock"`
-	Ways     []CacheWay `json:"ways,omitempty"`
+	UseClock uint64 `json:"use_clock"`
+	Ways     []byte `json:"ways,omitempty"`
 }
 
 // MSHRWay is one outstanding miss in serializable form.
@@ -78,44 +75,53 @@ func (c *cache) snapshot() CacheSnapshot {
 			continue
 		}
 		m := c.meta[w]
-		s.Ways = append(s.Ways, CacheWay{
-			Way:      uint64(w),
-			Line:     m.tag,
-			Dirty:    m.dirty,
-			LastUse:  m.lastUse,
-			Prefetch: m.prefetch,
-			PrefSrc:  uint8(m.prefSrc),
-		})
+		flags := byte(m.prefSrc) << 2
+		if m.dirty {
+			flags |= 1
+		}
+		if m.prefetch {
+			flags |= 2
+		}
+		s.Ways = binary.LittleEndian.AppendUint32(s.Ways, uint32(w))
+		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, m.tag)
+		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, m.lastUse)
+		s.Ways = append(s.Ways, flags)
 	}
 	return s
 }
 
 func (c *cache) restore(s CacheSnapshot, name string) error {
+	if len(s.Ways)%wayRecBytes != 0 {
+		return fmt.Errorf("mem: %s snapshot has %d bytes of ways, want a multiple of %d", name, len(s.Ways), wayRecBytes)
+	}
 	for i := range c.tags {
 		c.tags[i] = 0
 		c.meta[i] = cacheLine{}
 	}
-	for _, w := range s.Ways {
-		if w.Way >= uint64(len(c.tags)) {
-			return fmt.Errorf("mem: %s snapshot way %d out of range (cache has %d ways)", name, w.Way, len(c.tags))
+	for rec := s.Ways; len(rec) > 0; rec = rec[wayRecBytes:] {
+		way := uint64(binary.LittleEndian.Uint32(rec))
+		line := binary.LittleEndian.Uint64(rec[4:])
+		flags := rec[20]
+		if way >= uint64(len(c.tags)) {
+			return fmt.Errorf("mem: %s snapshot way %d out of range (cache has %d ways)", name, way, len(c.tags))
 		}
-		if (w.Line&c.setMask)*c.assoc > w.Way || w.Way >= (w.Line&c.setMask)*c.assoc+c.assoc {
-			return fmt.Errorf("mem: %s snapshot line %#x does not map to way %d", name, w.Line, w.Way)
+		if way/c.assoc != line&c.setMask {
+			return fmt.Errorf("mem: %s snapshot line %#x does not map to way %d", name, line, way)
 		}
-		if c.tags[w.Way] != 0 {
-			return fmt.Errorf("mem: %s snapshot has duplicate way %d", name, w.Way)
+		if c.tags[way] != 0 {
+			return fmt.Errorf("mem: %s snapshot has duplicate way %d", name, way)
 		}
-		if w.PrefSrc >= uint8(numSources) {
-			return fmt.Errorf("mem: %s snapshot way %d has unknown source %d", name, w.Way, w.PrefSrc)
+		if flags>>2 >= byte(numSources) {
+			return fmt.Errorf("mem: %s snapshot way %d has unknown source %d", name, way, flags>>2)
 		}
-		c.tags[w.Way] = w.Line + 1
-		c.meta[w.Way] = cacheLine{
-			tag:      w.Line,
+		c.tags[way] = line + 1
+		c.meta[way] = cacheLine{
+			tag:      line,
 			valid:    true,
-			dirty:    w.Dirty,
-			lastUse:  w.LastUse,
-			prefetch: w.Prefetch,
-			prefSrc:  Source(w.PrefSrc),
+			dirty:    flags&1 != 0,
+			lastUse:  binary.LittleEndian.Uint64(rec[12:]),
+			prefetch: flags&2 != 0,
+			prefSrc:  Source(flags >> 2),
 		}
 	}
 	c.useClock = s.UseClock

@@ -2,11 +2,11 @@ package mem
 
 import "dvr/internal/calendar"
 
-// Warm and Reset are the sampled-simulation support surface: the replayer
-// (internal/sampling) reconstructs approximate cache state from a recorded
-// functional access trace before timing a representative window, and
-// reuses one hierarchy allocation (the L3 tag/meta arrays dominate
-// construction cost) across windows.
+// Warm and BeginSegment are the sampled-simulation support surface: the
+// replayer (internal/sampling) builds one hierarchy per Replay (the L3
+// tag/meta arrays dominate construction cost), reconstructs approximate
+// cache state in it from a recorded functional access trace, and calls
+// BeginSegment before timing each representative window.
 
 // Warm touches the line holding addr as a demand access with only the
 // state a future access can observe — residency, LRU recency, dirty bits.
@@ -49,37 +49,6 @@ func (h *Hierarchy) BeginSegment() {
 		h.stride.reset()
 	}
 	h.lastCycle = 0
-}
-
-// Reset returns the hierarchy to its freshly constructed state without
-// reallocating the backing arrays. Observers and tracers are detached.
-func (h *Hierarchy) Reset() {
-	h.l1d.reset()
-	h.l2.reset()
-	h.l3.reset()
-	h.mshr.reset()
-	h.dram.reset()
-	if h.stride != nil {
-		h.stride.reset()
-	}
-	h.Stats = Stats{}
-	h.lastCycle = 0
-	h.observer = nil
-	h.tr = nil
-}
-
-// reset empties the cache. Only the tag array is cleared: every probe
-// path checks tags first, and install overwrites a way's meta before any
-// read of it, so the stale meta entries are unreachable — which is what
-// makes reset ~6x cheaper than reallocating (the L3 meta array is 5 MB).
-func (c *cache) reset() {
-	clear(c.tags)
-	c.useClock = 0
-}
-
-func (m *mshrFile) reset() {
-	m.entries = m.entries[:0]
-	m.busyCycles = 0
 }
 
 func (d *dramSched) reset() {

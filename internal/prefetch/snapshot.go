@@ -84,7 +84,7 @@ func (p *IMP) RestoreState(raw json.RawMessage) error {
 
 // oracleSnapshot captures the Oracle's future view: the ahead interpreter's
 // state relative to the main frontend (its memory is a copy-on-write fork
-// of the frontend's, so the page delta is just the stores the future view
+// of the frontend's, so the word delta is just the stores the future view
 // has run ahead of), the commit horizon, and the pending prefetch queue.
 type oracleSnapshot struct {
 	Ahead     interp.Snapshot `json:"ahead"`
@@ -106,8 +106,8 @@ func (o *Oracle) SnapshotState() (json.RawMessage, error) {
 // RestoreState implements cpu.EngineState. The Oracle must be freshly
 // constructed over the already-restored frontend: NewOracle clones it, so
 // o.ahead's memory is a fork whose base is the frontend's (restored)
-// memory object, and installing the snapshot's page delta reproduces the
-// exact future view.
+// memory object, and applying the snapshot's word delta on top of what the
+// frontend now reads reproduces the exact future view.
 func (o *Oracle) RestoreState(raw json.RawMessage) error {
 	var s oracleSnapshot
 	if err := json.Unmarshal(raw, &s); err != nil {
