@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -163,70 +162,23 @@ func buildWorkload(spec workloads.Spec) (w *workloads.Workload, err error) {
 //
 // Cells that name the same benchmark share one built workload: the image
 // is built once (workload construction rivals simulation cost on quick
-// suites) and every simulation runs on a copy-on-write fork of it, which
-// is observationally identical to a fresh build. Spec names are assumed to
-// identify the built workload, which holds for every suite in this
-// package (names encode kernel and input).
+// suites), as a scheduler task of its own (see runGrouped) so no worker
+// parks behind another's build, and every simulation runs on a
+// copy-on-write fork of it, which is observationally identical to a fresh
+// build. Spec names are assumed to identify the built workload, which
+// holds for every suite in this package (names encode kernel and input).
 func RunAllE(ctx context.Context, cells []Cell) ([]cpu.Result, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	results := make([]cpu.Result, len(cells))
-	type lazyBase struct {
-		once sync.Once
-		w    *workloads.Workload
-		err  error
-	}
-	bases := make(map[string]*lazyBase, len(cells))
-	for _, c := range cells {
-		if bases[c.Spec.Name] == nil {
-			bases[c.Spec.Name] = &lazyBase{}
-		}
-	}
-	runCell := func(c Cell) (cpu.Result, error) {
-		b := bases[c.Spec.Name]
-		b.once.Do(func() { b.w, b.err = buildWorkload(c.Spec) })
-		if b.err != nil {
-			return cpu.Result{}, b.err
-		}
-		return runWorkloadE(ctx, b.w.Fork(), c.Spec, c.Tech, c.Cfg)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := runCell(cells[i])
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range cells {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := runGrouped(ctx, len(cells),
+		func(i int) string { return cells[i].Spec.Name },
+		func(first int) (*workloads.Workload, error) { return buildWorkload(cells[first].Spec) },
+		func(ctx context.Context, i int, base *workloads.Workload) (err error) {
+			c := cells[i]
+			results[i], err = runWorkloadE(ctx, base.Fork(), c.Spec, c.Tech, c.Cfg)
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -256,15 +208,19 @@ func MatrixE(ctx context.Context, specs []workloads.Spec, techs []Technique, cfg
 	if err != nil {
 		return nil, err
 	}
+	return byCell(specs, techs, res), nil
+}
+
+// byCell indexes the spec-major results of a matrix run as
+// results[benchmark][technique].
+func byCell(specs []workloads.Spec, techs []Technique, res []cpu.Result) map[string]map[Technique]cpu.Result {
 	out := make(map[string]map[Technique]cpu.Result, len(specs))
-	i := 0
-	for _, sp := range specs {
+	for i, sp := range specs {
 		row := make(map[Technique]cpu.Result, len(techs))
-		for _, tech := range techs {
-			row[tech] = res[i]
-			i++
+		for j, tech := range techs {
+			row[tech] = res[i*len(techs)+j]
 		}
 		out[sp.Name] = row
 	}
-	return out, nil
+	return out
 }

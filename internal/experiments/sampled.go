@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dvr/internal/cpu"
@@ -47,21 +44,27 @@ func RunSampled(ctx context.Context, spec workloads.Spec, tech Technique, cfg cp
 	if err := cfg.Validate(); err != nil {
 		return cpu.Result{}, err
 	}
-	base, err := buildWorkload(spec)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	plan, err := sampling.NewPlan(base, so.options(roiOf(spec)))
+	plan, err := newPlan(spec, cfg, so)
 	if err != nil {
 		return cpu.Result{}, err
 	}
 	return replayPlan(ctx, plan, spec, tech, cfg)
 }
 
+// newPlan builds the spec's workload image and its sampling plan, with the
+// branch predictor of cfg trained along the way.
+func newPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*sampling.Plan, error) {
+	base, err := buildWorkload(spec)
+	if err != nil {
+		return nil, err
+	}
+	return sampling.NewPlan(base, cfg.Bpred, so.options(roiOf(spec)))
+}
+
 // replayPlan projects one technique from a prepared plan. Plans are
 // technique-independent; Matrix-style callers build one per spec and
-// replay it per technique — the profile and boundary-capture passes are
-// the bulk of a single projection's cost.
+// replay it per technique — the profile pass and the boundary-capture and
+// predictor-training pass are the bulk of a single projection's cost.
 func replayPlan(ctx context.Context, plan *sampling.Plan, spec workloads.Spec, tech Technique, cfg cpu.Config) (cpu.Result, error) {
 	hostStart := time.Now()
 	build := func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
@@ -81,8 +84,14 @@ func replayPlan(ctx context.Context, plan *sampling.Plan, spec workloads.Spec, t
 }
 
 // MatrixSampled is MatrixE's sampled counterpart: every (spec, technique)
-// cell projected from a shared per-spec sampling.Plan, cells run in
-// parallel (Plan.Replay is safe for concurrent use).
+// cell projected from a shared per-spec sampling.Plan. Building a plan
+// (profile, boundary capture, predictor training: everything that does not
+// depend on the technique) is a task of RunAllE's scheduler like any
+// replay, so while one worker builds the next kernel's plan the others
+// keep replaying the ready ones (Plan.Replay is safe for concurrent use).
+// A plan holds the spec's recorded event streams and boundary snapshots,
+// tens of MB at full ROIs; the scheduler drops it with the row's last
+// cell and bounds the live ones by the worker count.
 func MatrixSampled(ctx context.Context, specs []workloads.Spec, techs []Technique, cfg cpu.Config, so SampleOptions) (map[string]map[Technique]cpu.Result, error) {
 	for _, tech := range techs {
 		if _, err := ParseTechnique(string(tech)); err != nil {
@@ -92,100 +101,16 @@ func MatrixSampled(ctx context.Context, specs []workloads.Spec, techs []Techniqu
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type cell struct {
-		spec workloads.Spec
-		tech Technique
+	results := make([]cpu.Result, len(specs)*len(techs))
+	err := runGrouped(ctx, len(results),
+		func(i int) string { return specs[i/len(techs)].Name },
+		func(first int) (*sampling.Plan, error) { return newPlan(specs[first/len(techs)], cfg, so) },
+		func(ctx context.Context, i int, plan *sampling.Plan) (err error) {
+			results[i], err = replayPlan(ctx, plan, specs[i/len(techs)], techs[i%len(techs)], cfg)
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
-	for _, sp := range specs {
-		for _, tech := range techs {
-			cells = append(cells, cell{sp, tech})
-		}
-	}
-	type lazyPlan struct {
-		once sync.Once
-		plan *sampling.Plan
-		err  error
-		left atomic.Int32 // cells yet to replay; the plan is dropped at 0
-	}
-	plans := make(map[string]*lazyPlan, len(specs))
-	for _, c := range cells {
-		if plans[c.spec.Name] == nil {
-			plans[c.spec.Name] = &lazyPlan{}
-		}
-		plans[c.spec.Name].left.Add(1)
-	}
-	results := make([]cpu.Result, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				c := cells[i]
-				lp := plans[c.spec.Name]
-				lp.once.Do(func() {
-					var base *workloads.Workload
-					base, lp.err = buildWorkload(c.spec)
-					if lp.err == nil {
-						lp.plan, lp.err = sampling.NewPlan(base, so.options(roiOf(c.spec)))
-					}
-				})
-				var out cpu.Result
-				err := lp.err
-				if err == nil {
-					out, err = replayPlan(ctx, lp.plan, c.spec, c.tech, cfg)
-				}
-				if lp.left.Add(-1) == 0 {
-					// Row complete: a plan holds the spec's recorded event
-					// streams and boundary snapshots — tens of MB at full
-					// ROIs — so keeping all specs' plans alive would make
-					// peak memory scale with the suite instead of the
-					// worker count.
-					lp.plan = nil
-				}
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					continue
-				}
-				results[i] = out
-			}
-		}()
-	}
-	for i := range cells {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out := make(map[string]map[Technique]cpu.Result, len(specs))
-	i := 0
-	for _, sp := range specs {
-		row := make(map[Technique]cpu.Result, len(techs))
-		for _, tech := range techs {
-			row[tech] = results[i]
-			i++
-		}
-		out[sp.Name] = row
-	}
-	return out, nil
+	return byCell(specs, techs, results), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"dvr/internal/cpu"
@@ -59,33 +60,70 @@ func TestRunSampledRejectsBadInputs(t *testing.T) {
 }
 
 // MatrixSampled fills every cell with a sampled projection and matches
-// RunSampled cell-for-cell (the shared per-spec plan must not leak state
-// across techniques).
+// RunSampled cell-for-cell (the shared per-spec plan, its once-trained
+// predictor and the scheduler's interleaving must not leak state across
+// techniques), whatever the worker count.
 func TestMatrixSampledMatchesRunSampled(t *testing.T) {
-	sp := quickSpec()
+	q := QuickSuite()
+	specs := []workloads.Spec{q.GAP[1], q.GAP[3], q.HPCDB[0]}
 	cfg := cpu.DefaultConfig()
-	techs := []Technique{TechOoO, TechDVR}
-	m, err := MatrixSampled(context.Background(), []workloads.Spec{sp}, techs, cfg, SampleOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 1 || len(m[sp.Name]) != 2 {
-		t.Fatalf("matrix shape wrong: %v", m)
-	}
-	for _, tech := range techs {
-		cell := m[sp.Name][tech]
-		if cell.Sampled == nil {
-			t.Fatalf("%s cell missing Sampled provenance", tech)
+	techs := append([]Technique{TechOoO}, AllTechniques...)
+	solo := make(map[string][]byte)
+	for _, sp := range specs {
+		for _, tech := range techs {
+			res, err := RunSampled(context.Background(), sp, tech, cfg, SampleOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo[sp.Name+"/"+string(tech)], _ = json.Marshal(res.Canonical())
 		}
-		solo, err := RunSampled(context.Background(), sp, tech, cfg, SampleOptions{})
+	}
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		m, err := MatrixSampled(context.Background(), specs, techs, cfg, SampleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := json.Marshal(cell.Canonical())
-		b, _ := json.Marshal(solo.Canonical())
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: matrix cell differs from solo projection:\n%s\n%s", tech, a, b)
+		if len(m) != len(specs) {
+			t.Fatalf("GOMAXPROCS %d: matrix has %d rows, want %d", procs, len(m), len(specs))
 		}
+		for _, sp := range specs {
+			if len(m[sp.Name]) != len(techs) {
+				t.Fatalf("GOMAXPROCS %d: row %s has %d cells, want %d", procs, sp.Name, len(m[sp.Name]), len(techs))
+			}
+			for _, tech := range techs {
+				cell := m[sp.Name][tech]
+				if cell.Sampled == nil {
+					t.Fatalf("%s/%s cell missing Sampled provenance", sp.Name, tech)
+				}
+				got, _ := json.Marshal(cell.Canonical())
+				if want := solo[sp.Name+"/"+string(tech)]; !bytes.Equal(got, want) {
+					t.Errorf("GOMAXPROCS %d, %s/%s: matrix cell differs from solo projection:\n%s\n%s", procs, sp.Name, tech, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Cancelling the context while plans are being built and replayed ends
+// the matrix with the context's error.
+func TestMatrixSampledCancelMidMatrix(t *testing.T) {
+	setProcs(t, 2)
+	q := QuickSuite()
+	specs := []workloads.Spec{q.GAP[1], q.GAP[3], q.HPCDB[0]}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	build := specs[1].Build
+	specs[1].Build = func() *workloads.Workload {
+		cancel()
+		return build()
+	}
+	var err error
+	within(t, func() {
+		_, err = MatrixSampled(ctx, specs, AllTechniques, cpu.DefaultConfig(), SampleOptions{})
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 

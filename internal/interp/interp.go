@@ -62,17 +62,18 @@ func (it *Interp) Clone() *Interp {
 func (it *Interp) Step() (di DynInst, ok bool) {
 	if it.St.Halted || it.St.PC < 0 || it.St.PC >= len(it.Prog.Code) {
 		it.St.Halted = true
-		return DynInst{}, false
+		return di, false
 	}
-	in := it.Prog.Code[it.St.PC]
-	di = DynInst{Seq: it.Seq, PC: it.St.PC, Inst: in, NextPC: it.St.PC + 1}
+	in := &it.Prog.Code[it.St.PC]
+	di.Seq, di.PC, di.Inst, di.NextPC = it.Seq, it.St.PC, *in, it.St.PC+1
 	r := &it.St.Regs
 
-	src2 := func() uint64 {
-		if in.UseImm {
-			return uint64(in.Imm)
-		}
-		return r[in.Src2]
+	// The arithmetic second operand, read once. Ops that ignore it may carry
+	// any Src2 (Validate checks only the registers an op reads), hence the
+	// mask; for the ops that do read it the mask is the identity.
+	src2 := uint64(in.Imm)
+	if !in.UseImm {
+		src2 = r[in.Src2%isa.NumRegs]
 	}
 
 	switch in.Op {
@@ -89,39 +90,38 @@ func (it *Interp) Step() (di DynInst, ok bool) {
 		di.Val = isa.Mix64(r[in.Src1])
 		r[in.Dst] = di.Val
 	case isa.Add:
-		di.Val = r[in.Src1] + src2()
+		di.Val = r[in.Src1] + src2
 		r[in.Dst] = di.Val
 	case isa.Sub:
-		di.Val = r[in.Src1] - src2()
+		di.Val = r[in.Src1] - src2
 		r[in.Dst] = di.Val
 	case isa.Mul:
-		di.Val = r[in.Src1] * src2()
+		di.Val = r[in.Src1] * src2
 		r[in.Dst] = di.Val
 	case isa.Div:
-		d := src2()
-		if d == 0 {
+		if src2 == 0 {
 			di.Val = 0
 		} else {
-			di.Val = r[in.Src1] / d
+			di.Val = r[in.Src1] / src2
 		}
 		r[in.Dst] = di.Val
 	case isa.And:
-		di.Val = r[in.Src1] & src2()
+		di.Val = r[in.Src1] & src2
 		r[in.Dst] = di.Val
 	case isa.Or:
-		di.Val = r[in.Src1] | src2()
+		di.Val = r[in.Src1] | src2
 		r[in.Dst] = di.Val
 	case isa.Xor:
-		di.Val = r[in.Src1] ^ src2()
+		di.Val = r[in.Src1] ^ src2
 		r[in.Dst] = di.Val
 	case isa.Shl:
-		di.Val = r[in.Src1] << (src2() & 63)
+		di.Val = r[in.Src1] << (src2 & 63)
 		r[in.Dst] = di.Val
 	case isa.Shr:
-		di.Val = r[in.Src1] >> (src2() & 63)
+		di.Val = r[in.Src1] >> (src2 & 63)
 		r[in.Dst] = di.Val
 	case isa.Cmp:
-		di.Val = r[in.Src1] - src2()
+		di.Val = r[in.Src1] - src2
 		r[in.Dst] = di.Val
 	case isa.Load:
 		di.Addr = r[in.Src1] + uint64(in.Imm)

@@ -20,36 +20,38 @@ type phaseResult struct {
 }
 
 // Replay timing-simulates the plan's segments under one technique and
-// extrapolates the full-run Result. One hierarchy and one branch
-// predictor live for the whole pass: segments run in ascending window
-// order, and every gap between timed segments is functionally warmed
-// from the recorded stream (mem.Hierarchy.Warm / bpred.Predictor.Warm),
-// so cache and predictor state track the exact run continuously from the
-// ROI start — a replayed window never sees artificial cold misses for
-// the techniques to hide. Concurrent Replay calls on one Plan are safe:
-// each call owns its hierarchy/predictor and forks the shared frozen
-// boundary state copy-on-write.
+// extrapolates the full-run Result. One hierarchy lives for the whole
+// pass: segments run in ascending window order, and every gap between
+// timed segments is functionally warmed from the recorded stream
+// (mem.Hierarchy.Warm). The predictor is not re-trained per replay: its
+// state at a segment start depends only on the committed branch stream, so
+// the plan trained it once (Plan.walk) and each segment restores that
+// state. Cache and predictor state thus track the exact run continuously
+// from the ROI start — a replayed window never sees artificial cold
+// misses for the techniques to hide. Concurrent Replay calls on one Plan
+// are safe: each call owns its hierarchy and predictor, forks the shared
+// frozen boundary state copy-on-write and only reads the trained states.
 func (p *Plan) Replay(ctx context.Context, cfg cpu.Config, build BuildEngine) (cpu.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return cpu.Result{}, err
 	}
 	h := mem.NewHierarchy(cfg.Mem)
 	bp := bpred.New(cfg.Bpred)
+	states := p.predictorStates(cfg.Bpred)
 	results := make([]phaseResult, len(p.phases))
 	for i, ph := range p.phases {
 		results[i].insts = ph.insts
 	}
 	var simulated uint64
 	pos := 0
-	for _, s := range p.segs {
+	for k, s := range p.segs {
 		for j := pos; j < s.start; j++ {
-			tr := p.recs[j]
-			for _, ev := range tr.mem {
+			for _, ev := range p.recs[j] {
 				h.Warm(ev>>1, ev&1 == 1)
 			}
-			for _, ev := range tr.br {
-				bp.Warm(ev>>1, ev&1 == 1)
-			}
+		}
+		if err := bp.Restore(states[k]); err != nil {
+			return cpu.Result{}, err
 		}
 		delta, ran, err := p.runSegment(ctx, cfg, build, h, bp, s)
 		if err != nil {
@@ -85,7 +87,7 @@ func (p *Plan) runSegment(ctx context.Context, cfg cpu.Config, build BuildEngine
 		BranchLookups:    bp.Lookups,
 		BranchMispredict: bp.Mispredicts,
 	}
-	wk := p.template
+	wk := *p.base
 	wk.Mem = cp.mem.Fork()
 	fe := interp.New(wk.Prog, wk.Mem)
 	fe.St = cp.st

@@ -14,12 +14,15 @@
 //     each phase's weight is its share of the executed instructions.
 //  3. Prepare: a second functional pass freezes the architectural state
 //     (registers + a copy-on-write view of memory) at every window
-//     boundary a replay will start from, and records the memory-line and
-//     branch-outcome streams of the windows leading up to it.
+//     boundary a replay will start from, records the memory-line stream
+//     of the windows leading up to it, and trains the branch predictor
+//     over the committed branch stream, keeping its state at each
+//     boundary: predictor state depends on the stream alone, never on the
+//     technique, so it is computed once per plan instead of per replay.
 //  4. Replay, per technique: for each phase, the window(s) nearest the
-//     centroid are timing-simulated. Caches and the branch predictor are
-//     first warmed from the recorded functional streams
-//     (mem.Hierarchy.Warm, bpred.Predictor.Warm), then a detailed-warmup
+//     centroid are timing-simulated. Caches are first warmed from the
+//     recorded functional stream (mem.Hierarchy.Warm) and the predictor
+//     is restored to the plan's trained state, then a detailed-warmup
 //     prefix runs on the timing core with a checkpoint at the window
 //     boundary (cpu.Snapshot), and the window's contribution is the
 //     final-minus-boundary delta — warmup primes state without polluting
@@ -32,10 +35,10 @@
 //     cpu.SampledProvenance block ride along.
 //
 // A Plan is built once per workload and replayed once per technique (the
-// profile, clustering and boundary states are technique-independent);
-// concurrent Replay calls on one Plan are safe. Everything is
-// deterministic: the same workload, config and options produce a
-// byte-identical canonical Result.
+// profile, clustering, boundary and predictor states are
+// technique-independent); concurrent Replay calls on one Plan are safe.
+// Everything is deterministic: the same workload, config and options
+// produce a byte-identical canonical Result.
 package sampling
 
 import (
@@ -43,8 +46,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
+	"dvr/internal/bpred"
 	"dvr/internal/cpu"
 	"dvr/internal/interp"
 	"dvr/internal/isa"
@@ -75,8 +80,9 @@ type Options struct {
 	// prefix that exists — window 0 runs as cold as the exact run does.
 	//
 	// Cache and branch-predictor warming is not an option: replays run in
-	// window order over one hierarchy and one predictor, functionally
-	// warming every gap between timed segments from the recorded stream,
+	// window order over one hierarchy, functionally warming every gap
+	// between timed segments from the recorded stream, and start each
+	// segment from the predictor state the committed stream leaves there,
 	// so that state tracks the exact run continuously from the ROI start.
 	WarmupInsts uint64
 	// MaxPhases caps the k-means cluster count; 0 means 8.
@@ -160,19 +166,6 @@ type boundary struct {
 	seq uint64
 }
 
-// wtrace is one window's recorded functional streams for warming:
-// memory events pack addr<<1|store, branch events pack pc<<1|taken.
-// Consecutive same-line memory events are deduplicated at record time
-// (sequential scans touch each 64-byte line many times): dropping a
-// duplicate preserves the relative LRU order of distinct lines and the
-// dirty bits Warm would set, so the warmed state is identical and the
-// stream is severalfold shorter. A store following a recorded load to
-// the same line is still kept for its dirty bit.
-type wtrace struct {
-	mem []uint64
-	br  []uint64
-}
-
 // segment is one timed excursion of a replay: fork the frozen state at
 // window start, run windows [start, bwin] on the timing core (the prefix
 // [start, bwin-1] is detailed warmup, subtracted via stats boundary), and
@@ -187,25 +180,43 @@ type segment struct {
 }
 
 // Plan is a workload's sampled-simulation plan: windows, phases, the
-// replay schedule with its frozen boundary states and warming traces.
-// Build it once with NewPlan, then Replay once per technique; a Plan is
-// immutable after construction and safe for concurrent Replay calls.
+// replay schedule with its frozen boundary states, warming traces and
+// trained predictor states. Build it once with NewPlan, then Replay once
+// per technique; a Plan is safe for concurrent Replay calls (only the
+// predictor memo changes after construction, under its lock).
 type Plan struct {
 	opts     Options
 	winLen   uint64
 	warmWins int // detailed warmup, whole windows
-	template workloads.Workload
-	wins     []window
-	phases   []phase
-	segs     []segment
-	tot      profTotals
-	caps     map[int]boundary
-	recs     map[int]wtrace
+	// base is the caller's image: walks fork it, and segments run its
+	// Prog/Sym/Skip over a fork of a boundary's memory.
+	base   *workloads.Workload
+	wins   []window
+	phases []phase
+	segs   []segment
+	tot    profTotals
+	caps   map[int]boundary
+	// recs holds the memory events (addr<<1|store) of every window between
+	// timed segments, for cache warming. Consecutive same-line events are
+	// deduplicated at record time (sequential scans touch each 64-byte line
+	// many times): dropping a duplicate preserves the relative LRU order of
+	// distinct lines and the dirty bits Warm would set, so the warmed state
+	// is identical and the stream is severalfold shorter. A store following
+	// a recorded load to the same line is still kept for its dirty bit.
+	recs map[int][]uint64
+
+	// trained maps a predictor config (printed) to the predictor's state at
+	// each segment start. NewPlan fills in the config it was given; a
+	// Replay under any other trains it on first use with a walk of its own.
+	mu      sync.Mutex
+	trained map[string][]bpred.Snapshot
 }
 
 // NewPlan profiles, clusters and prepares replay state for base under
-// opts. base is forked internally and never mutated.
-func NewPlan(base *workloads.Workload, opts Options) (*Plan, error) {
+// opts, training the branch predictor bc along the way. base is forked
+// internally and never mutated; the plan keeps it (a Replay under another
+// predictor config walks it again), so the caller must not write it either.
+func NewPlan(base *workloads.Workload, bc bpred.Config, opts Options) (*Plan, error) {
 	if opts.ROI == 0 {
 		return nil, errors.New("sampling: Options.ROI is required")
 	}
@@ -230,12 +241,15 @@ func NewPlan(base *workloads.Workload, opts Options) (*Plan, error) {
 		opts:     opts,
 		winLen:   opts.WindowInsts,
 		warmWins: ceilWins(opts.WarmupInsts, opts.WindowInsts),
+		base:     base,
 		wins:     wins,
 		phases:   phases,
 		tot:      tot,
+		caps:     make(map[int]boundary),
+		recs:     make(map[int][]uint64),
 	}
 	p.schedule()
-	p.prepare(base)
+	p.trained = map[string][]bpred.Snapshot{fmt.Sprint(bc): p.walk(bc, true)}
 	return p, nil
 }
 
@@ -262,71 +276,83 @@ func (p *Plan) schedule() {
 	}
 }
 
-// prepare is the second functional pass: walk the stream once more,
-// freezing boundary state at every segment start and recording the
-// warming streams of every window between timed segments.
-func (p *Plan) prepare(base *workloads.Workload) {
-	needCap := make(map[int]bool)
-	needRec := make(map[int]bool)
-	maxWin := -1
-	pos := 0
-	for _, s := range p.segs {
-		needCap[s.start] = true
-		for j := pos; j < s.start; j++ {
-			needRec[j] = true
+// walk is the functional pass over the windows before the last segment. It
+// trains a fresh predictor of config bc on the committed branch stream
+// exactly as a replay's predictor used to see it — every branch of a
+// window between segments (functional warming takes them all), only the
+// conditional ones of a timed window, statistics included (what the core
+// feeds it) — and returns its state at each segment start. With capture
+// set (NewPlan's walk) it also freezes the boundary state at every segment
+// start and records the memory stream of the windows between segments.
+func (p *Plan) walk(bc bpred.Config, capture bool) []bpred.Snapshot {
+	it := p.base.Fork().Frontend()
+	bp := bpred.New(bc)
+	states := make([]bpred.Snapshot, 0, len(p.segs))
+	k := 0 // segs[k] is the segment window i belongs to or leads up to
+	for i := 0; ; i++ {
+		if i > p.segs[k].bwin {
+			k++
 		}
-		pos = s.bwin + 1
-		maxWin = s.bwin
-	}
-
-	wk := base.Fork()
-	it := interp.New(wk.Prog, wk.Mem)
-	if wk.Skip > 0 {
-		it.Run(wk.Skip)
-	}
-	p.caps = make(map[int]boundary, len(needCap))
-	p.recs = make(map[int]wtrace, len(needRec))
-	for i := 0; i <= maxWin; i++ {
-		if needCap[i] {
-			// Freeze the walker's memory: hand the frozen view to the
-			// boundary and continue on a fresh fork of it, so nothing
-			// written after this instant is visible through the boundary.
-			frozen := wk.Mem
-			wk.Mem = frozen.Fork()
-			it.Mem = wk.Mem
-			p.caps[i] = boundary{mem: frozen, st: it.St, seq: it.Seq}
+		s := p.segs[k]
+		if i == s.start {
+			states = append(states, bp.Snapshot())
+			if capture {
+				// Freeze the walker's memory: hand the frozen view to the
+				// boundary and continue on a fresh fork of it, so nothing
+				// written after this instant is visible through the boundary.
+				frozen := it.Mem
+				it.Mem = frozen.Fork()
+				p.caps[i] = boundary{mem: frozen, st: it.St, seq: it.Seq}
+			}
+			if len(states) == len(p.segs) {
+				break
+			}
 		}
-		if needRec[i] {
-			tr := wtrace{}
-			lastLine := ^uint64(0)
-			lastWrite := false
-			it.RunWith(p.wins[i].insts, func(di interp.DynInst) {
-				op := di.Inst.Op
-				switch {
-				case op.IsLoad():
-					if line := di.Addr / mem.LineSize; line != lastLine {
-						tr.mem = append(tr.mem, di.Addr<<1)
-						lastLine, lastWrite = line, false
-					}
-				case op.IsStore():
-					if line := di.Addr / mem.LineSize; line != lastLine || !lastWrite {
-						tr.mem = append(tr.mem, di.Addr<<1|1)
-						lastLine, lastWrite = line, true
-					}
-				case op.IsBranch():
-					ev := uint64(di.PC) << 1
-					if di.Taken {
-						ev |= 1
-					}
-					tr.br = append(tr.br, ev)
+		timed := i >= s.start
+		var rec []uint64
+		lastLine := ^uint64(0)
+		lastWrite := false
+		it.RunWith(p.wins[i].insts, func(di interp.DynInst) {
+			op := di.Inst.Op
+			switch {
+			case op.IsBranch():
+				if !timed {
+					bp.Warm(uint64(di.PC), di.Taken)
+				} else if di.Inst.Cond != isa.Always {
+					bp.Update(uint64(di.PC), di.Taken)
 				}
-			})
-			p.recs[i] = tr
-		} else {
-			it.RunWith(p.wins[i].insts, nil)
+			case timed || !capture: // no replay warms caches from this window
+			case op.IsLoad():
+				if line := di.Addr / mem.LineSize; line != lastLine {
+					rec = append(rec, di.Addr<<1)
+					lastLine, lastWrite = line, false
+				}
+			case op.IsStore():
+				if line := di.Addr / mem.LineSize; line != lastLine || !lastWrite {
+					rec = append(rec, di.Addr<<1|1)
+					lastLine, lastWrite = line, true
+				}
+			}
+		})
+		if capture && !timed {
+			p.recs[i] = rec
 		}
 	}
-	p.template = *wk // Prog/Sym/Skip/...; Mem is replaced per replay
+	return states
+}
+
+// predictorStates returns the predictor state at every segment start
+// under config bc, training it first if no call has asked for bc before.
+func (p *Plan) predictorStates(bc bpred.Config) []bpred.Snapshot {
+	key := fmt.Sprint(bc)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	states, ok := p.trained[key]
+	if !ok {
+		states = p.walk(bc, false)
+		p.trained[key] = states
+	}
+	return states
 }
 
 // profile runs the functional pass over a fork of base: fast-forward the
@@ -440,7 +466,7 @@ func normalizeSig(counts []float64) []float64 {
 // technique-independent and dominate the cost of a single projection.
 func Run(ctx context.Context, base *workloads.Workload, cfg cpu.Config, build BuildEngine, opts Options) (cpu.Result, error) {
 	hostStart := time.Now()
-	plan, err := NewPlan(base, opts)
+	plan, err := NewPlan(base, cfg.Bpred, opts)
 	if err != nil {
 		return cpu.Result{}, err
 	}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"dvr/internal/bpred"
 	"dvr/internal/cpu"
 	"dvr/internal/graphgen"
 	"dvr/internal/interp"
@@ -212,5 +215,146 @@ func TestRunRequiresROI(t *testing.T) {
 	}, Options{})
 	if err == nil {
 		t.Fatal("ROI-less options accepted")
+	}
+}
+
+func noEngine(_ *interp.Interp, _ *workloads.Workload, _ *mem.Hierarchy) (cpu.Engine, error) {
+	return nil, nil
+}
+
+// twoKernels are the plans the predictor tests run on: a graph kernel and
+// an hpc-db kernel whose inner loops both take unconditional branches (the
+// ones functional warming trains on and the core does not), with two
+// replicates per phase so that segments both follow each other directly
+// and sit far apart.
+func twoKernels(t *testing.T, bc bpred.Config) map[string]*Plan {
+	t.Helper()
+	g := graphgen.Kronecker(12, 8, 7)
+	specs := []workloads.Spec{
+		{Name: "cc_t", Build: func() *workloads.Workload { return workloads.CC(g) }, ROI: 60_000},
+		{Name: "kangaroo", Build: workloads.Kangaroo, ROI: 60_000},
+	}
+	plans := make(map[string]*Plan)
+	for _, sp := range specs {
+		p, err := NewPlan(sp.Build(), bc, Options{ROI: sp.ROI, WindowInsts: 2_000, Replicates: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.segs) < 4 {
+			t.Fatalf("%s: only %d segments, the test wants several", sp.Name, len(p.segs))
+		}
+		plans[sp.Name] = p
+	}
+	return plans
+}
+
+// The state a replay restores at each segment start must be the state the
+// replay's own predictor used to reach there: every branch of the windows
+// between segments through Warm, and the timed windows through the core
+// itself (which trains on conditional branches only and counts them).
+func TestPlanPredictorStatesMatchPerReplayWarm(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	for name, p := range twoKernels(t, cfg.Bpred) {
+		states := p.predictorStates(cfg.Bpred)
+		if len(states) != len(p.segs) {
+			t.Fatalf("%s: %d states for %d segments", name, len(states), len(p.segs))
+		}
+		it := p.base.Fork().Frontend()
+		ref := bpred.New(cfg.Bpred)
+		h := mem.NewHierarchy(cfg.Mem)
+		pos := 0
+		for k, s := range p.segs {
+			for j := pos; j < s.start; j++ {
+				it.RunWith(p.wins[j].insts, func(di interp.DynInst) {
+					if di.Inst.Op.IsBranch() {
+						ref.Warm(uint64(di.PC), di.Taken)
+					}
+				})
+			}
+			if got, want := states[k], ref.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: segment %d (window %d): restored predictor state differs from the per-replay one (ghist %x vs %x, lookups %d vs %d)",
+					name, k, s.start, got.GHist, want.GHist, got.Lookups, want.Lookups)
+			}
+			if _, _, err := p.runSegment(context.Background(), cfg, noEngine, h, ref, s); err != nil {
+				t.Fatal(err)
+			}
+			for j := s.start; j <= s.bwin; j++ {
+				it.Run(p.wins[j].insts)
+			}
+			pos = s.bwin + 1
+		}
+	}
+}
+
+// A plan keeps memory events for the windows between segments and nothing
+// per window for branches: the walk trains on the branch stream as it
+// passes and keeps only the predictor states.
+func TestPlanHoldsNoBranchStreams(t *testing.T) {
+	for name, p := range twoKernels(t, bpred.DefaultConfig()) {
+		timed := make(map[int]bool)
+		for _, s := range p.segs {
+			for j := s.start; j <= s.bwin; j++ {
+				timed[j] = true
+			}
+		}
+		for j, rec := range p.recs {
+			if timed[j] || j >= p.segs[len(p.segs)-1].start {
+				t.Errorf("%s: stream recorded for window %d, which no replay warms", name, j)
+			}
+			if w := p.wins[j]; uint64(len(rec)) > w.loads+w.stores {
+				t.Errorf("%s: window %d holds %d events for %d memory accesses", name, j, len(rec), w.loads+w.stores)
+			}
+		}
+		if len(p.trained) != 1 {
+			t.Errorf("%s: %d trained configs after NewPlan, want 1", name, len(p.trained))
+		}
+	}
+}
+
+// A plan trained for one predictor config must replay correctly under
+// another (it trains the second one on first use, once), also when
+// replays under both configs run at the same time.
+func TestReplayUnderSecondPredictorConfig(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	small := cfg
+	small.Bpred.TableBits = 7
+	small.Bpred.HistLengths = []int{4, 16, 64}
+	sp := testSpec(t, 60_000)
+	base := sp.Build()
+	opts := Options{ROI: sp.ROI, WindowInsts: 2_000}
+	canon := func(p *Plan, c cpu.Config) string {
+		res, err := p.Replay(context.Background(), c, noEngine)
+		if err != nil {
+			t.Error(err)
+		}
+		b, _ := json.Marshal(res.Canonical())
+		return string(b)
+	}
+	fresh := func(c cpu.Config) *Plan {
+		p, err := NewPlan(base, c.Bpred, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cfgs := []cpu.Config{cfg, small}
+	want := []string{canon(fresh(cfg), cfg), canon(fresh(small), small)}
+	if want[0] == want[1] {
+		t.Fatal("the two predictor configs project the same result; the test would prove nothing")
+	}
+	plan := fresh(cfg)
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := canon(plan, cfgs[i%2]); got != want[i%2] {
+				t.Errorf("replay %d differs from a plan built for its config:\n%s\n%s", i, got, want[i%2])
+			}
+		}()
+	}
+	wg.Wait()
+	if len(plan.trained) != 2 {
+		t.Errorf("%d trained configs after replays under two, want 2", len(plan.trained))
 	}
 }
