@@ -59,7 +59,6 @@ func main() {
 	sReps := flag.Int("sample-reps", 0, "with -sampled, representative windows timed per phase (0 = one)")
 	fidROI := flag.Uint64("fidelity-roi", 2_000_000, "fidelity: ROI the quick-suite benchmarks are stretched to")
 	fidTol := flag.Float64("fidelity-tol", 0.02, "fidelity: max mean per-technique h-mean speedup error")
-	fidMin := flag.Float64("fidelity-min-speedup", 5, "fidelity: min exact/sampled suite wall-clock ratio")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -243,7 +242,7 @@ func main() {
 					float64(exactDur)/float64(sampDur))
 			}
 		case "fidelity":
-			if err := fidelityReport(os.Stdout, *fidROI, so, *fidTol, *fidMin, cfg); err != nil {
+			if err := fidelityReport(os.Stdout, *fidROI, so, *fidTol, cfg); err != nil {
 				fmt.Fprintln(os.Stderr, "dvrbench:", err)
 				os.Exit(1)
 			}
@@ -618,14 +617,22 @@ func suiteWallClock(specs []workloads.Spec, cfg cpu.Config, so experiments.Sampl
 	return exact, sampled, nil
 }
 
+// fidelityMaxTimedFrac bounds the share of profiled instructions a sampled
+// matrix may time in detail: the host-independent cause of its speed-up
+// (0.044 measured on the quick suite at the default fidelity ROI).
+const fidelityMaxTimedFrac = 0.10
+
 // fidelityReport is the sampled-simulation acceptance gate: it stretches
 // the quick suite to a full-length ROI, renders Figure 7's per-technique
 // h-mean speedups from an exact matrix and from a sampled one, and fails
-// if the mean relative error exceeds tol or the exact/sampled wall-clock
-// ratio falls below minSpeed. CI runs it as the sampled-fidelity job; the
-// error metric is over h-means (the figure's headline numbers), where
-// independent per-benchmark projection noise largely cancels.
-func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol, minSpeed float64, cfg cpu.Config) error {
+// if the mean relative error exceeds tol or the sampled matrix timed more
+// than fidelityMaxTimedFrac of the instructions it profiled. Both repeat
+// exactly on any host; the exact/sampled wall-clock ratio the timed
+// fraction buys is printed but does not gate, because it depends on the
+// runner. CI runs it as the sampled-fidelity job; the error metric is
+// over h-means (the figure's headline numbers), where independent
+// per-benchmark projection noise largely cancels.
+func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol float64, cfg cpu.Config) error {
 	specs := experiments.QuickSuite().All()
 	for i := range specs {
 		specs[i] = specs[i].WithROI(roi)
@@ -667,16 +674,24 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol, 
 		t.AddRow(string(tech), he, hs, fmt.Sprintf("%.2f%%", 100*e))
 	}
 	meanErr := sumErr / float64(len(experiments.AllTechniques))
-	ratio := float64(exactDur) / float64(sampDur)
+	var timed, profiled uint64
+	for _, row := range sm {
+		for _, res := range row {
+			timed += res.Sampled.SimulatedInsts
+			profiled += res.Sampled.ProfiledInsts
+		}
+	}
+	timedFrac := float64(timed) / float64(profiled)
 	fmt.Fprintln(w, t.String())
 	fmt.Fprintf(w, "mean h-mean speedup error: %.2f%% (tolerance %.2f%%)\n", 100*meanErr, 100*tol)
-	fmt.Fprintf(w, "suite wall-clock: exact %s, sampled %s (%.1fx, minimum %.1fx)\n",
-		exactDur.Round(time.Millisecond), sampDur.Round(time.Millisecond), ratio, minSpeed)
+	fmt.Fprintf(w, "timed-instruction fraction: %.3f (maximum %.2f)\n", timedFrac, fidelityMaxTimedFrac)
+	fmt.Fprintf(w, "suite wall-clock: exact %s, sampled %s (%.1fx, not gated)\n",
+		exactDur.Round(time.Millisecond), sampDur.Round(time.Millisecond), float64(exactDur)/float64(sampDur))
 	if meanErr > tol {
 		return fmt.Errorf("fidelity: mean speedup error %.2f%% exceeds tolerance %.2f%%", 100*meanErr, 100*tol)
 	}
-	if ratio < minSpeed {
-		return fmt.Errorf("fidelity: wall-clock ratio %.1fx below minimum %.1fx", ratio, minSpeed)
+	if timedFrac > fidelityMaxTimedFrac {
+		return fmt.Errorf("fidelity: timed-instruction fraction %.3f above maximum %.2f", timedFrac, fidelityMaxTimedFrac)
 	}
 	fmt.Fprintln(w, "fidelity: OK")
 	return nil

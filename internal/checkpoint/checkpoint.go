@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"dvr/internal/cpu"
+	"dvr/internal/sealed"
 	"dvr/internal/workloads"
 )
 
@@ -34,9 +35,9 @@ import (
 const FormatVersion = 3
 
 // ErrVersion marks an intact checkpoint written by a different format
-// version. Unlike corruption it is expected across upgrades; callers drop
-// the file and recompute rather than quarantining it.
-var ErrVersion = errors.New("checkpoint: unsupported format version")
+// version. Unlike corruption it is expected across upgrades: it wraps
+// sealed.ErrSkew, so the file is dropped, not quarantined, and recomputed.
+var ErrVersion = fmt.Errorf("checkpoint: %w", sealed.ErrSkew)
 
 // ErrMismatch marks a checkpoint that decodes fine but belongs to a
 // different job (other engine build, workload, technique, or config) than
@@ -70,15 +71,15 @@ func Encode(st *State) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	return Seal(payload), nil
+	return sealed.Seal(payload), nil
 }
 
 // Decode verifies and deserializes a checkpoint file. It returns
-// ErrCorrupt-wrapped errors for integrity failures (quarantine the file)
+// sealed.ErrCorrupt-wrapped errors for integrity failures (quarantine the file)
 // and ErrVersion-wrapped errors for format skew (drop the file); it never
 // panics on hostile input.
 func Decode(data []byte) (*State, error) {
-	payload, err := Unseal(data)
+	payload, err := sealed.Unseal(data)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +93,7 @@ func Decode(data []byte) (*State, error) {
 		return nil, fmt.Errorf("%w: file has %d, this build reads %d", ErrVersion, st.Version, FormatVersion)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", sealed.ErrCorrupt, err)
 	}
 	return &st, nil
 }

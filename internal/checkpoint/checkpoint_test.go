@@ -13,8 +13,12 @@ import (
 	"dvr/internal/cpu"
 	"dvr/internal/interp"
 	"dvr/internal/mem"
+	"dvr/internal/sealed"
 	"dvr/internal/workloads"
 )
+
+// footerLen is the size of the digest footer sealed.Seal appends.
+var footerLen = len(sealed.Seal(nil))
 
 // testState builds a small but structurally real checkpoint, with one
 // packed word record and one packed cache way so the v3 fields are on the
@@ -70,7 +74,7 @@ func TestDecodeTruncated(t *testing.T) {
 		if n > len(data) {
 			continue
 		}
-		if _, err := Decode(data[:n]); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(data[:n]); !errors.Is(err, sealed.ErrCorrupt) {
 			t.Errorf("Decode(%d of %d bytes) = %v, want ErrCorrupt", n, len(data), err)
 		}
 	}
@@ -85,7 +89,7 @@ func TestDecodeBitFlips(t *testing.T) {
 	for pos := 0; pos < len(data); pos += 37 {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x40
-		if _, err := Decode(mut); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(mut); !errors.Is(err, sealed.ErrCorrupt) {
 			t.Fatalf("Decode with bit flip at %d = %v, want ErrCorrupt", pos, err)
 		}
 	}
@@ -101,7 +105,7 @@ func TestDecodeVersionSkew(t *testing.T) {
 	// worker finds in its checkpoint directory — is intact data we cannot
 	// interpret. Rewrite the version field and re-seal (the digest must
 	// verify for the version check to even run).
-	payload, err := Unseal(data)
+	payload, err := sealed.Unseal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestDecodeVersionSkew(t *testing.T) {
 		if mut == string(payload) {
 			t.Fatal("version field not found in payload")
 		}
-		if _, err := Decode(Seal([]byte(mut))); !errors.Is(err, ErrVersion) {
+		if _, err := Decode(sealed.Seal([]byte(mut))); !errors.Is(err, ErrVersion) {
 			t.Errorf("Decode(%s) = %v, want ErrVersion", other, err)
 		}
 	}
@@ -126,7 +130,7 @@ func TestDecodeV2FileIsVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := Unseal(data)
+	payload, err := sealed.Unseal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +145,12 @@ func TestDecodeV2FileIsVersionSkew(t *testing.T) {
 		}
 		v2 = strings.Replace(v2, r.v3, r.v2, 1)
 	}
-	if _, err := Decode(Seal([]byte(v2))); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(sealed.Seal([]byte(v2))); !errors.Is(err, ErrVersion) {
 		t.Errorf("Decode(v2 file) = %v, want ErrVersion", err)
 	}
 	// The same misfit under the current version number is damage.
 	v3 := strings.Replace(v2, `"version":2`, `"version":3`, 1)
-	if _, err := Decode(Seal([]byte(v3))); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(sealed.Seal([]byte(v3))); !errors.Is(err, sealed.ErrCorrupt) {
 		t.Errorf("Decode(v3 file with v2 ways) = %v, want ErrCorrupt", err)
 	}
 }
@@ -221,7 +225,7 @@ func TestStoreQuarantinesCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := s.Load("bad"); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.Load("bad"); !errors.Is(err, sealed.ErrCorrupt) {
 		t.Fatalf("Load(corrupt) = %v, want ErrCorrupt", err)
 	}
 	if got := s.Quarantined(); got != 1 {
@@ -264,7 +268,7 @@ func TestStoreScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := `{"version":0,"engine":"x"}`
-	if err := os.WriteFile(s.Path("old"), Seal([]byte(old)), 0o644); err != nil {
+	if err := os.WriteFile(s.Path("old"), sealed.Seal([]byte(old)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

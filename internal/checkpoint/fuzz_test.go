@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"testing"
+
+	"dvr/internal/sealed"
 )
 
 // FuzzDecodeCheckpoint drives Decode with hostile bytes: truncations,
@@ -32,7 +34,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		{`"ways":"AAAAAEAAAAAAAAAACQAAAAAAAAAB"`, `"ways":[{"w":0,"l":64,"u":9}]`},
 	} {
 		mut := bytes.Replace(valid[:len(valid)-footerLen], []byte(m[0]), []byte(m[1]), 1)
-		f.Add(Seal(mut))
+		f.Add(sealed.Seal(mut))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

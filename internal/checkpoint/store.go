@@ -1,53 +1,33 @@
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync/atomic"
 
 	"dvr/internal/faults"
+	"dvr/internal/sealed"
 )
 
 // ext is the checkpoint file suffix under a Store directory.
 const ext = ".ckpt"
 
-// Store keeps checkpoints as <dir>/<key>.ckpt, one per job key, through a
-// faults.FS so the chaos suite can script disk failures. Writes are
-// atomic (CreateTemp then Rename), reads verify the digest footer, and
-// corrupt files are quarantined to <dir>/quarantine/ — never served,
-// never re-read — exactly like the dvrd result-cache spill.
+// Store keeps checkpoints as <dir>/<key>.ckpt, one per job key: the
+// Encode/Decode codec over the embedded sealed.Store, which provides Path,
+// Quarantined and Remove (a completed job no longer needs its resume
+// point) and decides what happens to corrupt and version-skewed files.
 type Store struct {
-	dir string
-	fs  faults.FS
-
-	quarantined atomic.Uint64
+	*sealed.Store
 }
 
 // NewStore opens (creating if needed) a checkpoint directory. A nil fsys
 // means the real filesystem.
 func NewStore(dir string, fsys faults.FS) (*Store, error) {
-	if fsys == nil {
-		fsys = faults.OS()
+	files, err := sealed.Open(dir, ext, fsys)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: open store %s: %w", dir, err)
-	}
-	return &Store{dir: dir, fs: fsys}, nil
+	return &Store{files}, nil
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Path returns the checkpoint file path for a job key.
-func (s *Store) Path(key string) string { return filepath.Join(s.dir, key+ext) }
-
-// Quarantined returns how many checkpoint files failed integrity checks
-// and were quarantined since the store opened (scan + reads).
-func (s *Store) Quarantined() uint64 { return s.quarantined.Load() }
 
 // Save atomically writes the checkpoint for key, replacing any previous
 // one. A checkpoint that cannot be written is an error — unlike cache
@@ -58,107 +38,45 @@ func (s *Store) Save(key string, st *State) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := s.fs.CreateTemp(s.dir, key+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: save %s: %w", key, err)
-	}
-	if err := s.fs.WriteFile(tmp, data, 0o644); err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: save %s: %w", key, err)
-	}
-	if err := s.fs.Rename(tmp, s.Path(key)); err != nil {
-		_ = s.fs.Remove(tmp)
+	if err := s.Put(key, data); err != nil {
 		return fmt.Errorf("checkpoint: save %s: %w", key, err)
 	}
 	return nil
 }
 
-// Load reads, verifies and decodes the checkpoint for key.
-//
-//   - missing file: an fs.ErrNotExist-wrapped error (start from scratch);
-//   - corrupt file: quarantined, an ErrCorrupt-wrapped error;
-//   - version skew: the file is removed, an ErrVersion-wrapped error.
-//
-// Every error case leaves nothing behind that a later Load could trip
-// over again.
-func (s *Store) Load(key string) (*State, error) {
-	data, err := s.fs.ReadFile(s.Path(key))
-	if err != nil {
-		return nil, err
-	}
-	st, err := Decode(data)
-	switch {
-	case errors.Is(err, ErrCorrupt):
-		s.quarantine(key)
-		return nil, err
-	case errors.Is(err, ErrVersion):
-		_ = s.fs.Remove(s.Path(key))
-		return nil, err
-	case err != nil:
-		return nil, err
-	}
-	return st, nil
-}
-
-// Remove deletes the checkpoint for key (a completed job no longer needs
-// its resume point). Removing a missing checkpoint is not an error.
-func (s *Store) Remove(key string) error {
-	err := s.fs.Remove(s.Path(key))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
-// quarantine moves a corrupt checkpoint to <dir>/quarantine/ so it is
-// never re-read; if the move fails the file is deleted outright.
-func (s *Store) quarantine(key string) {
-	qdir := filepath.Join(s.dir, "quarantine")
-	_ = s.fs.MkdirAll(qdir, 0o755)
-	if err := s.fs.Rename(s.Path(key), filepath.Join(qdir, key+ext)); err != nil {
-		_ = s.fs.Remove(s.Path(key))
-	}
-	s.quarantined.Add(1)
+// Load reads, verifies and decodes the checkpoint for key. A missing file
+// is an fs.ErrNotExist-wrapped error (start from scratch); a corrupt file
+// (sealed.ErrCorrupt) is quarantined, a version-skewed one (ErrVersion) removed.
+func (s *Store) Load(key string) (st *State, err error) {
+	err = s.Get(key, func(data []byte) (derr error) {
+		st, derr = Decode(data)
+		return derr
+	})
+	return st, err
 }
 
 // Health summarizes a startup Scan.
 type Health struct {
-	Scanned     int      // checkpoint files examined
-	Healthy     int      // files that verified and decoded
-	Quarantined int      // corrupt files moved to quarantine/
-	Dropped     int      // intact files from another format version, removed
-	Pending     []string // keys with a healthy checkpoint (interrupted jobs), sorted
+	sealed.Health
+	// Pending lists the keys with a healthy checkpoint (interrupted jobs),
+	// sorted; States holds each one decoded, so resuming reads no file twice.
+	Pending []string
+	States  map[string]*State
 }
 
 // Scan verifies every checkpoint at startup: corrupt files are
-// quarantined, version-skewed ones dropped, and the keys of healthy ones
-// returned so the caller can resume the interrupted jobs they journal.
+// quarantined, version-skewed ones dropped, and the healthy ones returned
+// decoded so the caller can resume the interrupted jobs they journal.
 func (s *Store) Scan() Health {
-	var h Health
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return h
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ext) {
-			continue
-		}
-		h.Scanned++
-		key := strings.TrimSuffix(name, ext)
-		_, err := s.Load(key)
-		switch {
-		case errors.Is(err, ErrCorrupt):
-			h.Quarantined++
-		case errors.Is(err, ErrVersion):
-			h.Dropped++
-		case err != nil:
-			// Unreadable (disk fault mid-scan): leave it for a later read.
-		default:
-			h.Healthy++
+	h := Health{States: make(map[string]*State)}
+	h.Health = s.Store.Scan(func(key string, data []byte) error {
+		st, err := Decode(data)
+		if err == nil {
 			h.Pending = append(h.Pending, key)
+			h.States[key] = st
 		}
-	}
+		return err
+	})
 	sort.Strings(h.Pending)
 	return h
 }

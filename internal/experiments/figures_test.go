@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"dvr/internal/cpu"
+	"dvr/internal/graphgen"
 	"dvr/internal/stats"
+	"dvr/internal/workloads"
 )
 
 // TestFiguresQuick runs every figure harness at quick scale and checks the
@@ -63,4 +65,16 @@ func TestFiguresQuick(t *testing.T) {
 
 	// Tables.
 	t.Log("\n" + Table1(cfg))
+}
+
+// TestCCLargeInput verifies DVR does not regress connected components on
+// large power-law inputs (both edge endpoints' label loads must be
+// covered via co-stride vectorization).
+func TestCCLargeInput(t *testing.T) {
+	g := graphgen.PowerLaw(60_000, 900_000, 2.3, 2)
+	spec := workloads.Spec{Name: "cc_ljn", Build: func() *workloads.Workload { return workloads.CC(g) }, ROI: 60_000}
+	cfg := cpu.DefaultConfig()
+	if s := Speedup(Run(spec, TechOoO, cfg), Run(spec, TechDVR, cfg)); s < 0.95 {
+		t.Errorf("DVR regresses cc on a large input: %.2fx", s)
+	}
 }

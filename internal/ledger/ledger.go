@@ -8,8 +8,8 @@
 // and hedged dispatches record their winner so the loser is cancelled,
 // never double-counted.
 //
-// The format deliberately reuses the checkpoint integrity scheme
-// (checkpoint.Seal/Unseal sha256 footers) and its failure taxonomy: a
+// The format deliberately reuses the one integrity scheme of every durable
+// artifact (sealed.Seal/Unseal sha256 footers) and its failure taxonomy: a
 // journal is a sequence of sealed single-line JSON records, so every
 // record verifies independently. A broken *final* record is a torn append
 // — the expected shape of a crash mid-write — and is dropped (and the
@@ -22,10 +22,9 @@ package ledger
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 
-	"dvr/internal/checkpoint"
+	"dvr/internal/sealed"
 	"dvr/internal/service/api"
 )
 
@@ -36,9 +35,9 @@ import (
 const Version = 1
 
 // ErrVersion marks an intact journal written by a different record format
-// version. The file is dropped, never quarantined: it is not damaged,
-// just unreadable by this build.
-var ErrVersion = errors.New("ledger: unsupported record version")
+// version. It wraps sealed.ErrSkew, so the file is dropped, never
+// quarantined: it is not damaged, just unreadable by this build.
+var ErrVersion = fmt.Errorf("ledger: %w", sealed.ErrSkew)
 
 // Record kinds. The enum is part of the on-disk contract: new kinds may
 // be added, existing names never change.
@@ -109,13 +108,13 @@ func Encode(rec Record) ([]byte, error) {
 	if bytes.IndexByte(payload, '\n') >= 0 {
 		return nil, fmt.Errorf("ledger: encode record: payload contains newline")
 	}
-	return checkpoint.Seal(payload), nil
+	return sealed.Seal(payload), nil
 }
 
 // DecodeJournal parses a journal file into its records. torn counts
 // trailing records dropped as torn appends (0 or 1: a crash can tear at
 // most the final record). A verification failure anywhere *before* the
-// tail is corruption and returns an error wrapping checkpoint.ErrCorrupt
+// tail is corruption and returns an error wrapping sealed.ErrCorrupt
 // (the caller quarantines the file); a record from another format version
 // returns an error wrapping ErrVersion (the caller drops the file). The
 // records decoded so far are returned alongside any error for forensics,
@@ -134,7 +133,7 @@ func DecodeJournal(data []byte) (recs []Record, torn int, err error) {
 		}
 		end := i + 1 + j + 1
 		last := end == len(data)
-		payload, uerr := checkpoint.Unseal(data[:end])
+		payload, uerr := sealed.Unseal(data[:end])
 		if uerr != nil {
 			if last {
 				return recs, 1, nil
@@ -149,7 +148,7 @@ func DecodeJournal(data []byte) (recs []Record, torn int, err error) {
 			if last {
 				return recs, 1, nil
 			}
-			return recs, 0, fmt.Errorf("ledger: record %d: %w: bad json: %v", len(recs), checkpoint.ErrCorrupt, jerr)
+			return recs, 0, fmt.Errorf("ledger: record %d: %w: bad json: %v", len(recs), sealed.ErrCorrupt, jerr)
 		}
 		if rec.V != Version {
 			return recs, 0, fmt.Errorf("%w: record %d has v%d, this build reads v%d", ErrVersion, len(recs), rec.V, Version)

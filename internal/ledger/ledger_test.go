@@ -9,7 +9,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dvr/internal/checkpoint"
+	"dvr/internal/sealed"
 	"dvr/internal/service/api"
 	"dvr/internal/workloads"
 )
@@ -79,7 +79,7 @@ func TestDecodeJournalMidFileCorruption(t *testing.T) {
 	// intact records after it — quarantine territory, not a torn tail.
 	mut := bytes.Clone(data)
 	mut[5] ^= 0xff
-	if _, _, err := DecodeJournal(mut); !errors.Is(err, checkpoint.ErrCorrupt) {
+	if _, _, err := DecodeJournal(mut); !errors.Is(err, sealed.ErrCorrupt) {
 		t.Errorf("mid-file corruption: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -89,7 +89,7 @@ func TestDecodeJournalVersionSkew(t *testing.T) {
 	skew := bytes.Replace(data, []byte(`{"v":1,`), []byte(`{"v":9,`), 1)
 	// Re-seal: the payload changed, so rebuild the record from scratch.
 	payload := skew[:bytes.IndexByte(skew, '\n')]
-	if _, _, err := DecodeJournal(checkpoint.Seal(payload)); !errors.Is(err, ErrVersion) {
+	if _, _, err := DecodeJournal(sealed.Seal(payload)); !errors.Is(err, ErrVersion) {
 		t.Errorf("version skew: err = %v, want ErrVersion", err)
 	}
 	_ = data
@@ -206,7 +206,7 @@ func FuzzDecodeLedger(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, torn, err := DecodeJournal(data)
 		if err != nil {
-			if !errors.Is(err, checkpoint.ErrCorrupt) && !errors.Is(err, ErrVersion) {
+			if !errors.Is(err, sealed.ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("DecodeJournal error outside the taxonomy: %v", err)
 			}
 			return

@@ -1,17 +1,14 @@
 package ledger
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"dvr/internal/checkpoint"
 	"dvr/internal/faults"
+	"dvr/internal/sealed"
 )
 
 // Ext is the per-job journal file suffix under a Store directory. Side
@@ -23,21 +20,21 @@ const (
 	SideExt = ".log"
 )
 
-// Store keeps one append-only journal per job as <dir>/<jobID>.job through
-// a faults.FS so the chaos suite can script torn appends and disk
-// failures. Appends go through faults.FS.AppendFile — deliberately
-// non-atomic, because the per-record seals are what absorb a crash
-// mid-append — and are serialized by a store-wide mutex so records from
-// concurrent handlers never interleave mid-record.
+// Store keeps one append-only journal per job as <dir>/<jobID>.job in a
+// sealed.Store, which names, quarantines, drops and atomically rewrites
+// the files; the append is the ledger's own. Appends go through
+// faults.FS.AppendFile — deliberately non-atomic, because the per-record
+// seals are what absorb a crash mid-append — and are serialized by a
+// store-wide mutex so records from concurrent handlers never interleave
+// mid-record.
 type Store struct {
-	dir string
-	fs  faults.FS
+	files *sealed.Store
+	fs    faults.FS
 
 	mu sync.Mutex // serializes appends (and append-vs-repair)
 
 	appends      atomic.Uint64
 	appendErrors atomic.Uint64
-	quarantined  atomic.Uint64
 	tornRepaired atomic.Uint64
 }
 
@@ -47,17 +44,15 @@ func NewStore(dir string, fsys faults.FS) (*Store, error) {
 	if fsys == nil {
 		fsys = faults.OS()
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: open store %s: %w", dir, err)
+	files, err := sealed.Open(dir, Ext, fsys)
+	if err != nil {
+		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	return &Store{dir: dir, fs: fsys}, nil
+	return &Store{files: files, fs: fsys}, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the journal file path for a job id.
-func (s *Store) Path(jobID string) string { return filepath.Join(s.dir, jobID+Ext) }
+func (s *Store) Path(jobID string) string { return s.files.Path(jobID) }
 
 // Appends returns how many records were durably appended; AppendErrors how
 // many appends failed (the job proceeded without that durability point);
@@ -65,7 +60,7 @@ func (s *Store) Path(jobID string) string { return filepath.Join(s.dir, jobID+Ex
 // TornRepaired how many torn tails were dropped and the journal rewritten.
 func (s *Store) Appends() uint64      { return s.appends.Load() }
 func (s *Store) AppendErrors() uint64 { return s.appendErrors.Load() }
-func (s *Store) Quarantined() uint64  { return s.quarantined.Load() }
+func (s *Store) Quarantined() uint64  { return s.files.Quarantined() }
 func (s *Store) TornRepaired() uint64 { return s.tornRepaired.Load() }
 
 // Append durably appends one record to the job's journal, creating it on
@@ -78,7 +73,7 @@ func (s *Store) Append(jobID string, rec Record) error {
 // home of hedge records whose request has no per-job journal (synchronous
 // batches and single sims). Scan skips side journals.
 func (s *Store) AppendSide(name string, rec Record) error {
-	return s.append(filepath.Join(s.dir, name+SideExt), rec)
+	return s.append(filepath.Join(s.files.Dir(), name+SideExt), rec)
 }
 
 func (s *Store) append(path string, rec Record) error {
@@ -98,84 +93,47 @@ func (s *Store) append(path string, rec Record) error {
 	return nil
 }
 
-// Load reads, verifies and decodes the journal for a job id.
-//
-//   - missing file: an fs.ErrNotExist-wrapped error;
-//   - torn tail: the broken final record is dropped and the journal
-//     atomically rewritten to its valid prefix, so a later append cannot
-//     convert a torn tail into mid-file corruption;
-//   - mid-file corruption: the journal is quarantined, an
-//     checkpoint.ErrCorrupt-wrapped error;
-//   - version skew: the file is removed, an ErrVersion-wrapped error.
-//
-// Every error case leaves nothing behind that a later Load could trip
-// over again.
-func (s *Store) Load(jobID string) ([]Record, error) {
+// Load reads, verifies and decodes the journal for a job id. A missing
+// file is an fs.ErrNotExist-wrapped error; mid-file corruption
+// (sealed.ErrCorrupt) quarantines the journal, version skew (ErrVersion)
+// removes it, and a torn tail is repaired (see decode).
+func (s *Store) Load(jobID string) (recs []Record, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.load(jobID)
+	err = s.files.Get(jobID, func(data []byte) (derr error) {
+		recs, _, derr = s.decode(jobID, data)
+		return derr
+	})
+	return recs, err
 }
 
-func (s *Store) load(jobID string) ([]Record, error) {
-	path := s.Path(jobID)
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// decode parses one journal and, when its tail is torn, drops the broken
+// final record and atomically rewrites the file to its valid prefix, so a
+// later append cannot convert a torn tail into mid-file corruption;
+// repaired reports that it did. A failed repair leaves the torn file in
+// place — it still decodes to the same prefix, so nothing is lost, only
+// the next boot repairs again. The caller holds mu.
+func (s *Store) decode(jobID string, data []byte) (recs []Record, repaired bool, err error) {
 	recs, torn, err := DecodeJournal(data)
-	switch {
-	case errors.Is(err, checkpoint.ErrCorrupt):
-		s.quarantine(jobID)
-		return nil, err
-	case errors.Is(err, ErrVersion):
-		_ = s.fs.Remove(path)
-		return nil, err
-	case err != nil:
-		return nil, err
+	if err != nil {
+		return nil, false, err
 	}
-	if torn > 0 {
-		s.repair(path, recs)
+	if torn == 0 {
+		return recs, false, nil
 	}
-	return recs, nil
-}
-
-// repair atomically rewrites a journal to the valid records that survived
-// a torn tail. A failed repair leaves the torn file in place — it still
-// decodes to the same prefix, so nothing is lost, only the next boot
-// repairs again.
-func (s *Store) repair(path string, recs []Record) {
 	buf := make([]byte, 0, 1024)
 	for _, rec := range recs {
-		data, err := Encode(rec)
+		line, err := Encode(rec)
 		if err != nil {
-			return
+			return recs, false, nil
 		}
-		buf = append(buf, data...)
+		buf = append(buf, line...)
 	}
-	tmp, err := s.fs.CreateTemp(s.dir, filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return
-	}
-	if err := s.fs.WriteFile(tmp, buf, 0o644); err != nil {
-		_ = s.fs.Remove(tmp)
-		return
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return
+	if s.files.Put(jobID, buf) != nil {
+		return recs, false, nil
 	}
 	s.tornRepaired.Add(1)
-}
-
-// quarantine moves a corrupt journal to <dir>/quarantine/ so it is never
-// re-read; if the move fails the file is deleted outright.
-func (s *Store) quarantine(jobID string) {
-	qdir := filepath.Join(s.dir, "quarantine")
-	_ = s.fs.MkdirAll(qdir, 0o755)
-	if err := s.fs.Rename(s.Path(jobID), filepath.Join(qdir, jobID+Ext)); err != nil {
-		_ = s.fs.Remove(s.Path(jobID))
-	}
-	s.quarantined.Add(1)
+	return recs, true, nil
 }
 
 // Job summarizes one journal: what was accepted, whether it completed,
@@ -195,13 +153,10 @@ type Job struct {
 
 // Health summarizes a startup Scan.
 type Health struct {
-	Scanned     int   // journal files examined
-	Healthy     int   // files that verified and decoded
-	Quarantined int   // corrupt files moved to quarantine/
-	Dropped     int   // intact files from another format version, removed
-	Torn        int   // torn tails dropped and repaired
-	Pending     []Job // accepted-but-not-done jobs, sorted by id
-	Completed   []Job // completed jobs (durable dedup window), sorted by id
+	sealed.Health
+	Torn      int   // torn tails dropped and repaired
+	Pending   []Job // accepted-but-not-done jobs, sorted by id
+	Completed []Job // completed jobs (durable dedup window), sorted by id
 }
 
 // Scan verifies every journal at startup: corrupt files are quarantined,
@@ -212,34 +167,14 @@ func (s *Store) Scan() Health {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var h Health
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return h
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, Ext) {
-			continue
+	h.Health = s.files.Scan(func(id string, data []byte) error {
+		recs, repaired, err := s.decode(id, data)
+		if err != nil {
+			return err
 		}
-		h.Scanned++
-		id := strings.TrimSuffix(name, Ext)
-		before := s.tornRepaired.Load()
-		recs, err := s.load(id)
-		switch {
-		case errors.Is(err, checkpoint.ErrCorrupt):
-			h.Quarantined++
-			continue
-		case errors.Is(err, ErrVersion):
-			h.Dropped++
-			continue
-		case err != nil:
-			// Unreadable (disk fault mid-scan): leave it for a later read.
-			continue
-		}
-		if s.tornRepaired.Load() > before {
+		if repaired {
 			h.Torn++
 		}
-		h.Healthy++
 		job := Job{ID: id}
 		for i := range recs {
 			switch recs[i].Kind {
@@ -253,17 +188,17 @@ func (s *Store) Scan() Health {
 				job.Done = &recs[i]
 			}
 		}
-		if job.Accepted == nil {
+		switch {
+		case job.Accepted == nil:
 			// A journal with no accepted record (a tear ate the first
 			// append) cannot be recovered or deduplicated; nothing to do.
-			continue
-		}
-		if job.Done != nil {
+		case job.Done != nil:
 			h.Completed = append(h.Completed, job)
-		} else {
+		default:
 			h.Pending = append(h.Pending, job)
 		}
-	}
+		return nil
+	})
 	sort.Slice(h.Pending, func(i, j int) bool { return h.Pending[i].ID < h.Pending[j].ID })
 	sort.Slice(h.Completed, func(i, j int) bool { return h.Completed[i].ID < h.Completed[j].ID })
 	return h
@@ -274,9 +209,5 @@ func (s *Store) Scan() Health {
 func (s *Store) Remove(jobID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.fs.Remove(s.Path(jobID))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
+	return s.files.Remove(jobID)
 }

@@ -498,7 +498,7 @@ func RequestIDFrom(ctx context.Context) string {
 // FlightRecord is the crash-time dump: the collector ring verbatim
 // (oldest first, exactly as collected — no re-sort, the recorder is a
 // chronology) plus drop accounting. The service layer seals the JSON
-// encoding with checkpoint.Seal and writes it beside the forensics
+// encoding with sealed.Seal and publishes it beside the forensics
 // dumps.
 type FlightRecord struct {
 	Proc       string       `json:"proc"`

@@ -1,4 +1,8 @@
-package checkpoint
+// Package sealed is the one place dvrd decides how a durable file is
+// named, published, verified, and disposed of when it cannot be trusted:
+// checkpoints, ledger journals, the result and interval-trace spills and
+// forensics dumps are codecs over it (DESIGN.md, "Durable artifacts").
+package sealed
 
 import (
 	"crypto/sha256"
@@ -7,8 +11,7 @@ import (
 	"fmt"
 )
 
-// Sealed-payload integrity: every durable artifact (checkpoint files here,
-// the dvrd result-cache spill) carries a digest footer —
+// Sealed-payload integrity: every durable artifact carries a digest footer —
 //
 //	<payload>\n# sha256:<hex of the payload bytes>\n
 //
@@ -25,9 +28,14 @@ const footerPrefix = "# sha256:"
 const footerLen = 1 + len(footerPrefix) + 2*sha256.Size + 1
 
 // ErrCorrupt marks data that failed integrity verification: truncated,
-// bit-flipped, or otherwise not what was written. Callers quarantine such
-// files and recompute.
-var ErrCorrupt = errors.New("checkpoint: corrupt")
+// bit-flipped, or otherwise not what was written. A Store quarantines
+// such files; the caller recomputes.
+var ErrCorrupt = errors.New("sealed: corrupt")
+
+// ErrSkew marks an intact artifact written by another format version —
+// expected across upgrades, so a Store removes the file instead of
+// quarantining it. Codecs wrap it in their own version sentinel.
+var ErrSkew = errors.New("unsupported format version")
 
 // Seal appends the digest footer to payload, returning the bytes to write
 // to disk.

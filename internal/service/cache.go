@@ -1,20 +1,15 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"path/filepath"
-	"strings"
 	"sync"
-	"sync/atomic"
 
-	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
 	"dvr/internal/faults"
+	"dvr/internal/sealed"
 	"dvr/internal/service/api"
 	"dvr/internal/workloads"
 )
@@ -25,12 +20,22 @@ import (
 // key; nothing else is (see DESIGN.md, "dvrd cache key"). Two requests
 // with the same key are the same job, whichever client sent them.
 func CacheKey(ref workloads.Ref, tech string, cfg cpu.Config) string {
+	return CacheKeySampled(ref, tech, cfg, nil)
+}
+
+// CacheKeySampled is CacheKey for sampled (projected) jobs: the sampling
+// options join the hashed payload, so a sampled result can never be served
+// for an exact request or vice versa, and two different sampling
+// configurations never alias either. A nil options pointer means an exact
+// job: the field is omitted and the address is CacheKey's.
+func CacheKeySampled(ref workloads.Ref, tech string, cfg cpu.Config, so *api.SamplingOptions) string {
 	payload := struct {
-		Engine    string        `json:"engine"`
-		Workload  workloads.Ref `json:"workload"`
-		Technique string        `json:"technique"`
-		Config    cpu.Config    `json:"config"`
-	}{api.EngineVersion, ref, tech, cfg}
+		Engine    string               `json:"engine"`
+		Workload  workloads.Ref        `json:"workload"`
+		Technique string               `json:"technique"`
+		Config    cpu.Config           `json:"config"`
+		Sampling  *api.SamplingOptions `json:"sampling,omitempty"`
+	}{api.EngineVersion, ref, tech, cfg, so}
 	b, err := json.Marshal(payload)
 	if err != nil {
 		// All fields are plain data; Marshal cannot fail.
@@ -40,318 +45,152 @@ func CacheKey(ref workloads.Ref, tech string, cfg cpu.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CacheKeySampled is CacheKey for sampled (projected) jobs: the sampling
-// options join the hashed payload, so a sampled result can never be served
-// for an exact request or vice versa, and two different sampling
-// configurations never alias either. A nil options pointer means an exact
-// job and returns CacheKey's address unchanged.
-func CacheKeySampled(ref workloads.Ref, tech string, cfg cpu.Config, so *api.SamplingOptions) string {
-	if so == nil {
-		return CacheKey(ref, tech, cfg)
-	}
-	payload := struct {
-		Engine    string              `json:"engine"`
-		Workload  workloads.Ref       `json:"workload"`
-		Technique string              `json:"technique"`
-		Config    cpu.Config          `json:"config"`
-		Sampling  api.SamplingOptions `json:"sampling"`
-	}{api.EngineVersion, ref, tech, cfg, *so}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		panic(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// Spill integrity: every spill file carries the checkpoint package's
-// digest footer —
-//
-//	<canonical result JSON>\n# sha256:<hex of the JSON bytes>\n
-//
-// verified on every read (checkpoint.Seal/Unseal; checkpoint files share
-// the exact scheme). A file whose footer is missing or whose digest does
-// not match is quarantined (moved to <dir>/quarantine/, never served,
-// never re-read) and counted at /metrics as spill_quarantined; the job
-// simply re-simulates. Write-path corruption (torn writes, bit rot, a
-// hostile or failing disk) therefore degrades to a cache miss, never to a
-// wrong figure.
-
-// errSpillCorrupt marks a spill entry that failed integrity verification
-// (as opposed to one from an older result schema, which is a plain miss).
-var errSpillCorrupt = errors.New("service: corrupt spill entry")
-
-func encodeSpill(res cpu.Result) ([]byte, error) {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.Seal(data), nil
-}
-
-func decodeSpill(data []byte) (cpu.Result, error) {
-	payload, err := checkpoint.Unseal(data)
-	if err != nil {
-		return cpu.Result{}, fmt.Errorf("%w: %v", errSpillCorrupt, err)
-	}
-	var res cpu.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return cpu.Result{}, fmt.Errorf("%w: %v", errSpillCorrupt, err)
-	}
-	if res.SchemaVersion != cpu.ResultSchemaVersion {
-		// Intact but from another engine build; the key should have
-		// prevented this, treat it as a miss rather than corruption.
-		return cpu.Result{}, errors.New("service: spill schema mismatch")
-	}
-	return res, nil
-}
-
-// SpillHealth summarizes the startup scan of a spill directory.
-type SpillHealth struct {
-	Scanned     int // spill entries examined
-	Healthy     int // entries whose digest verified
-	Quarantined int // corrupt entries moved to quarantine/
-}
-
-// resultCache is a bounded in-memory LRU of canonical Results with an
-// optional disk spill: entries evicted from (or missing in) memory are
-// read back from <dir>/<key>.json when a directory is configured, so a
-// restarted server keeps its history. Disk I/O is best-effort — a
-// corrupted or unwritable spill degrades to a miss, never an error — and
-// goes through a faults.FS so the chaos suite can script disk failures.
-type resultCache struct {
+// spillCache is a bounded in-memory LRU of values keyed by content address
+// with an optional disk spill: entries evicted from (or missing in) memory
+// are read back from <dir>/<key>.json when a directory is configured, so
+// a restarted server keeps its history. One instance holds canonical
+// results, another the per-cell interval traces. A spill file is the
+// value's sealed JSON in a sealed.Store; disk I/O is best-effort, so a
+// corrupt or unwritable spill (torn writes, bit rot, a failing disk)
+// degrades to a miss and a re-simulation, never to an error or a wrong
+// figure.
+type spillCache[V any] struct {
 	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *cacheEntry
-	items map[string]*list.Element
-	dir   string
-	fs    faults.FS
-
-	// hits/misses live under mu (not as atomics) so a /metrics snapshot
-	// reads a consistent pair: hits+misses always equals the lookups
-	// completed at snapshot time, never a torn in-between.
-	hits    uint64
-	misses  uint64
-	corrupt atomic.Uint64 // spill entries quarantined (startup scan + reads)
-
-	health SpillHealth
+	mem   *lru[V]
+	disk  *sealed.Store  // nil: memory only
+	check func(*V) error // optional: refuses an intact value as sealed.ErrSkew
 }
 
-type cacheEntry struct {
-	key string
-	res cpu.Result
-}
-
-func newResultCache(capacity int, dir string, fsys faults.FS) *resultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if fsys == nil {
-		fsys = faults.OS()
-	}
+func newSpillCache[V any](capacity int, dir string, fsys faults.FS, check func(*V) error) *spillCache[V] {
+	c := &spillCache[V]{mem: newLRU[V](capacity), check: check}
 	if dir != "" {
-		// Best-effort: a failed mkdir disables the spill, not the server.
-		if err := fsys.MkdirAll(dir, 0o755); err != nil {
-			dir = ""
-		}
-	}
-	c := &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
-		dir:   dir,
-		fs:    fsys,
-	}
-	if dir != "" {
-		c.health = c.scanSpill()
+		// A directory that cannot be opened disables the spill, not the server.
+		c.disk, _ = sealed.Open(dir, ".json", fsys)
 	}
 	return c
 }
 
-// Get returns the cached canonical result for key, consulting memory then
-// the disk spill. A disk hit is re-admitted to memory.
-func (c *resultCache) Get(key string) (cpu.Result, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		res := el.Value.(*cacheEntry).res
-		c.hits++
-		c.mu.Unlock()
-		return res, true
+func (c *spillCache[V]) decode(data []byte) (v V, err error) {
+	payload, err := sealed.Unseal(data)
+	if err != nil {
+		return v, err
 	}
-	c.mu.Unlock()
-	if res, ok := c.readSpill(key); ok {
-		c.admit(key, res)
-		c.count(true)
-		return res, true
+	if err := json.Unmarshal(payload, &v); err != nil {
+		return v, fmt.Errorf("%w: %v", sealed.ErrCorrupt, err)
 	}
-	c.count(false)
-	return cpu.Result{}, false
+	if c.check != nil {
+		err = c.check(&v)
+	}
+	return v, err
 }
 
-// count records one lookup outcome under mu (the in-memory hit path
-// increments inline while it already holds the lock).
-func (c *resultCache) count(hit bool) {
+// Get returns the value stored under key, consulting memory then the
+// disk spill. A disk hit is re-admitted to memory.
+func (c *spillCache[V]) Get(key string) (v V, ok bool) {
 	c.mu.Lock()
-	if hit {
+	v, ok = c.mem.get(key)
+	c.mu.Unlock()
+	if ok || c.disk == nil {
+		return v, ok
+	}
+	err := c.disk.Get(key, func(data []byte) (derr error) {
+		v, derr = c.decode(data)
+		return derr
+	})
+	if err != nil {
+		var zero V
+		return zero, false
+	}
+	c.admit(key, v)
+	return v, true
+}
+
+// Put stores a value under key, in memory and (best-effort) on disk.
+func (c *spillCache[V]) Put(key string, v V) {
+	c.admit(key, v)
+	if c.disk == nil {
+		return
+	}
+	if data, err := json.Marshal(v); err == nil {
+		_ = c.disk.Put(key, sealed.Seal(data))
+	}
+}
+
+func (c *spillCache[V]) admit(key string, v V) {
+	c.mu.Lock()
+	c.mem.put(key, v)
+	c.mu.Unlock()
+}
+
+// Len returns the number of in-memory entries.
+func (c *spillCache[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.mem.items)
+}
+
+// Quarantined counts the spill entries quarantined (startup scan + reads).
+func (c *spillCache[V]) Quarantined() uint64 {
+	if c.disk == nil {
+		return 0
+	}
+	return c.disk.Quarantined()
+}
+
+// resultCache is the spillCache of canonical Results plus the lookup
+// accounting /metrics reports.
+type resultCache struct {
+	*spillCache[cpu.Result]
+
+	// hits/misses live under mu (not as atomics) so a /metrics snapshot
+	// reads a consistent pair: hits+misses always equals the lookups
+	// completed at snapshot time, never a torn in-between.
+	hits   uint64
+	misses uint64
+
+	health sealed.Health // the startup scan, logged by dvrd at boot
+}
+
+func newResultCache(capacity int, dir string, fsys faults.FS) *resultCache {
+	// An intact entry from another result schema (the key should have
+	// prevented it) can never become readable by this build: it is
+	// dropped as skew rather than re-read on every lookup of its key.
+	check := func(res *cpu.Result) error {
+		if res.SchemaVersion != cpu.ResultSchemaVersion {
+			return fmt.Errorf("service: spill entry has result schema %d: %w", res.SchemaVersion, sealed.ErrSkew)
+		}
+		return nil
+	}
+	c := &resultCache{spillCache: newSpillCache(capacity, dir, fsys, check)}
+	if c.disk != nil {
+		c.health = c.disk.Scan(func(_ string, data []byte) error {
+			_, err := c.decode(data)
+			return err
+		})
+	}
+	return c
+}
+
+// Get is the lookup a request is accounted by: one hit or one miss.
+func (c *resultCache) Get(key string) (cpu.Result, bool) {
+	res, ok := c.Peek(key)
+	c.mu.Lock()
+	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
 	c.mu.Unlock()
+	return res, ok
 }
+
+// Peek is Get without the accounting — for internal re-checks (e.g. under
+// a single-flight) of a request its first Get already counted.
+func (c *resultCache) Peek(key string) (cpu.Result, bool) { return c.spillCache.Get(key) }
 
 // counters snapshots (hits, misses) as one consistent pair.
 func (c *resultCache) counters() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// Peek is Get without touching the hit/miss counters — for internal
-// re-checks (e.g. under a single-flight) that would otherwise double-count
-// a request already accounted by its first Get.
-func (c *resultCache) Peek(key string) (cpu.Result, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		res := el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res, true
-	}
-	c.mu.Unlock()
-	if res, ok := c.readSpill(key); ok {
-		c.admit(key, res)
-		return res, true
-	}
-	return cpu.Result{}, false
-}
-
-// Put stores a canonical result under key, in memory and (best-effort) on
-// disk.
-func (c *resultCache) Put(key string, res cpu.Result) {
-	c.admit(key, res)
-	c.writeSpill(key, res)
-}
-
-func (c *resultCache) admit(key string, res cpu.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.items, el.Value.(*cacheEntry).key)
-	}
-}
-
-// Len returns the number of in-memory entries.
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// Quarantined returns how many spill entries failed integrity checks and
-// were quarantined, including the startup scan.
-func (c *resultCache) Quarantined() uint64 { return c.corrupt.Load() }
-
-// Health returns the startup spill-scan summary.
-func (c *resultCache) Health() SpillHealth { return c.health }
-
-func (c *resultCache) spillPath(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-func (c *resultCache) readSpill(key string) (cpu.Result, bool) {
-	if c.dir == "" {
-		return cpu.Result{}, false
-	}
-	data, err := c.fs.ReadFile(c.spillPath(key))
-	if err != nil {
-		return cpu.Result{}, false
-	}
-	res, err := decodeSpill(data)
-	if err != nil {
-		if errors.Is(err, errSpillCorrupt) {
-			c.quarantine(key)
-		}
-		return cpu.Result{}, false
-	}
-	return res, true
-}
-
-// quarantine moves a corrupt spill entry to <dir>/quarantine/ so it is
-// never served and never re-read; if the move itself fails the entry is
-// deleted outright. Either way the slot re-simulates on the next miss.
-func (c *resultCache) quarantine(key string) {
-	qdir := filepath.Join(c.dir, "quarantine")
-	_ = c.fs.MkdirAll(qdir, 0o755)
-	if err := c.fs.Rename(c.spillPath(key), filepath.Join(qdir, key+".json")); err != nil {
-		_ = c.fs.Remove(c.spillPath(key))
-	}
-	c.corrupt.Add(1)
-}
-
-func (c *resultCache) writeSpill(key string, res cpu.Result) {
-	if c.dir == "" {
-		return
-	}
-	data, err := encodeSpill(res)
-	if err != nil {
-		return
-	}
-	// CreateTemp-then-rename: unique tmp names keep two processes sharing
-	// one spill dir from clobbering each other's half-written <key>.tmp,
-	// and the rename keeps a crashed write from ever being visible under
-	// the final name.
-	tmp, err := c.fs.CreateTemp(c.dir, key+".*.tmp")
-	if err != nil {
-		return
-	}
-	if err := c.fs.WriteFile(tmp, data, 0o644); err != nil {
-		_ = c.fs.Remove(tmp)
-		return
-	}
-	if err := c.fs.Rename(tmp, c.spillPath(key)); err != nil {
-		_ = c.fs.Remove(tmp)
-	}
-}
-
-// scanSpill verifies every spill entry at startup, quarantining the
-// corrupt ones, and returns the tally. The scan makes spill health
-// visible at boot (dvrd logs it) instead of surfacing one quarantine at a
-// time as reads happen to land on bad entries.
-func (c *resultCache) scanSpill() SpillHealth {
-	var h SpillHealth
-	entries, err := c.fs.ReadDir(c.dir)
-	if err != nil {
-		return h
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		h.Scanned++
-		key := strings.TrimSuffix(name, ".json")
-		data, err := c.fs.ReadFile(c.spillPath(key))
-		if err != nil {
-			continue
-		}
-		if _, err := decodeSpill(data); err != nil {
-			if errors.Is(err, errSpillCorrupt) {
-				c.quarantine(key)
-				h.Quarantined++
-			}
-			continue
-		}
-		h.Healthy++
-	}
-	return h
 }

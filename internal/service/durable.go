@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"path/filepath"
 
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
@@ -101,12 +100,17 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 	var le *cpu.LivelockError
 	if errors.As(err, &le) {
 		s.watchdogTrips.Add(1)
-		s.writeForensics(key, le)
+		// Persist the pipeline dump (ROB/IQ/LQ/SQ occupancy, the oldest
+		// instruction's timing, MSHRs, the trailing committed PCs) beside
+		// the cache, keyed by the job that wedged, for diagnosis afterwards.
+		if dump, jerr := json.MarshalIndent(le, "", "  "); jerr == nil {
+			publishForensics(s.cfg.Faults.Filesystem(), s.cfg.CacheDir, key, dump)
+		}
 		// A watchdog trip is a flight-recorder trigger: breadcrumb the
 		// wedge into the span ring, then seal the ring beside the pipeline
 		// forensics so the dump shows what the fleet was doing around it.
 		s.tracer.Event(obs.FromContext(ctx).TraceID(), "livelock", le.Error())
-		s.dumpFlight("livelock")
+		s.DumpFlight("livelock")
 		if s.ckpts != nil {
 			// The wedge is deterministic; resuming near it would only trip
 			// the watchdog again at the same instruction.
@@ -140,38 +144,15 @@ func (s *Server) simulateSampled(ctx context.Context, spec workloads.Spec, tech 
 	return experiments.RunSampled(ctx, spec, experiments.Technique(tech), cfg, opts)
 }
 
-// writeForensics persists a livelock's pipeline dump beside the cache so
-// the stall can be diagnosed after the fact: ROB/IQ/LQ/SQ occupancy, the
-// oldest instruction's timing, MSHR contents and the trailing committed
-// PCs, keyed by the job that wedged.
-func (s *Server) writeForensics(key string, le *cpu.LivelockError) {
-	if s.cfg.CacheDir == "" {
-		return
-	}
-	fsys := s.cfg.Faults.Filesystem()
-	dir := filepath.Join(s.cfg.CacheDir, "forensics")
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(le, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = fsys.WriteFile(filepath.Join(dir, key+".json"), data, 0o644)
-}
-
 // resumePending re-submits every job the startup checkpoint scan found a
 // healthy journal for. Each resumed job goes through runCell — the same
 // cache / single-flight / pool path as a fresh request — and simulate
 // picks the checkpoint back up; its result lands in the cache and the
 // checkpoint is deleted, exactly as if the original request had never
-// been interrupted.
-func (s *Server) resumePending() {
-	for _, key := range s.ckptHealth.Pending {
-		st, err := s.ckpts.Load(key)
-		if err != nil {
-			continue
-		}
+// been interrupted. The scan verified and decoded every journal already.
+func (s *Server) resumePending(scan checkpoint.Health) {
+	for _, key := range scan.Pending {
+		st := scan.States[key]
 		// The journal is self-describing; re-derive the content address
 		// and refuse files that do not name the job they are filed under
 		// (a renamed file, a foreign checkpoint dropped in the directory).
@@ -186,9 +167,9 @@ func (s *Server) resumePending() {
 			continue
 		}
 		s.jobs.wg.Add(1)
-		go func() {
+		go func(ref workloads.Ref, tech string, cfg cpu.Config) { // not st: the queued job must not pin the snapshot
 			defer s.jobs.wg.Done()
-			_, _ = s.runCell(s.rootCtx, st.Ref, st.Technique, st.Config, nil, admitQueue, nil)
-		}()
+			_, _ = s.runCell(s.rootCtx, ref, tech, cfg, nil, admitQueue, nil)
+		}(st.Ref, st.Technique, st.Config)
 	}
 }

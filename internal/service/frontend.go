@@ -1203,7 +1203,7 @@ func (f *Frontend) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // (<LedgerDir>/forensics/) and returns the path; "" when tracing or the
 // ledger is disabled. cmd/dvrd calls this on SIGTERM.
 func (f *Frontend) DumpFlight(reason string) string {
-	return dumpFlight(f.tracer, f.cfg.LedgerDir, reason, f.logger)
+	return dumpFlight(f.tracer, f.cfg.Faults.Filesystem(), f.cfg.LedgerDir, reason, f.logger)
 }
 
 func (f *Frontend) handleJobStream(w http.ResponseWriter, r *http.Request) {

@@ -225,7 +225,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", id)})
 		return
 	}
-	if s.traces == nil {
+	if s.cfg.TraceIntervalEvery == 0 {
 		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound,
 			Error: "service: interval tracing is disabled (start dvrd with -trace-interval)"})
 		return

@@ -9,7 +9,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,7 +16,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -30,8 +28,10 @@ import (
 	"dvr/internal/experiments"
 	"dvr/internal/faults"
 	"dvr/internal/obs"
+	"dvr/internal/sealed"
 	"dvr/internal/service/api"
 	"dvr/internal/stream"
+	"dvr/internal/trace"
 	"dvr/internal/workloads"
 )
 
@@ -189,7 +189,7 @@ type Server struct {
 	draining atomic.Bool
 
 	// ckpts is the durable checkpoint store (nil when disabled);
-	// ckptHealth is its startup scan.
+	// ckptHealth is its startup scan, less the decoded states.
 	ckpts      *checkpoint.Store
 	ckptHealth checkpoint.Health
 
@@ -197,11 +197,11 @@ type Server struct {
 	// /v1/jobs/{id}/stream and the TTL janitor reaping idle sessions.
 	streams *stream.Registry
 
-	// traces holds per-cell interval telemetry (nil when tracing is
+	// traces holds per-cell interval telemetry (empty when tracing is
 	// disabled); tracer is the distributed-tracing span collector (nil
 	// when disabled); logger, reqSeq and the histograms back the request
 	// observability layer (observe.go).
-	traces    *traceStore
+	traces    *spillCache[[]trace.Interval]
 	tracer    *obs.Tracer
 	logger    *slog.Logger
 	reqSeq    atomic.Uint64
@@ -236,7 +236,7 @@ func New(cfg Config) *Server {
 		flight:     newFlightGroup[cpu.Result](),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
 		jobs:       newJobStore(),
-		bases:      newBaseCache(cfg.BaseEntries),
+		bases:      &baseCache{entries: newLRU[*baseEntry](cfg.BaseEntries)},
 		logger:     cfg.Logger,
 		reqHist:    newHistogram(latencyBounds),
 		queueHist:  newHistogram(latencyBounds),
@@ -257,19 +257,18 @@ func New(cfg Config) *Server {
 		SessionBuffer: cfg.StreamBuffer,
 		SessionTTL:    cfg.StreamTTL,
 	})
-	if cfg.TraceIntervalEvery > 0 {
-		traceDir := ""
-		if cfg.CacheDir != "" {
-			traceDir = filepath.Join(cfg.CacheDir, "traces")
-		}
-		s.traces = newTraceStore(cfg.TraceEntries, traceDir, cfg.Faults.Filesystem())
+	traceDir := ""
+	if cfg.TraceIntervalEvery > 0 && cfg.CacheDir != "" {
+		traceDir = filepath.Join(cfg.CacheDir, "traces")
 	}
+	s.traces = newSpillCache[[]trace.Interval](cfg.TraceEntries, traceDir, cfg.Faults.Filesystem(), nil)
 	if cfg.CacheDir != "" && cfg.CheckpointEvery > 0 {
 		store, err := checkpoint.NewStore(filepath.Join(cfg.CacheDir, "checkpoints"), cfg.Faults.Filesystem())
 		if err == nil {
 			s.ckpts = store
 			s.ckptHealth = store.Scan()
-			s.resumePending()
+			s.resumePending(s.ckptHealth)
+			s.ckptHealth.States = nil // the resumed jobs hold what they need
 		}
 		// An unopenable checkpoint dir disables durability, not the server.
 	}
@@ -278,7 +277,7 @@ func New(cfg Config) *Server {
 
 // SpillHealth reports the startup scan of the spill directory (zero when
 // no -cache-dir is configured).
-func (s *Server) SpillHealth() SpillHealth { return s.cache.Health() }
+func (s *Server) SpillHealth() sealed.Health { return s.cache.health }
 
 // CheckpointHealth reports the startup scan of the checkpoint directory
 // (zero when checkpointing is disabled). Pending lists the interrupted
@@ -575,7 +574,7 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 			// exists for: breadcrumb the event into the ring, then seal the
 			// ring to disk while the evidence is fresh.
 			s.tracer.Event(obs.FromContext(ctx).TraceID(), "panic", pe.Error())
-			s.dumpFlight("panic")
+			s.DumpFlight("panic")
 		}
 		return api.SimResponse{}, err
 	}
@@ -920,21 +919,19 @@ func (s *Server) Metrics() api.Metrics {
 // last N finished spans plus error events — to
 // <CacheDir>/forensics/flight-<reason>-<µs>.json and returns the path.
 // The payload is integrity-sealed like a checkpoint (payload + sha256
-// footer; checkpoint.Unseal verifies), so a post-mortem can trust a dump
+// footer; sealed.Unseal verifies), so a post-mortem can trust a dump
 // that survived the crash it documents. Returns "" (and writes nothing)
 // when tracing is disabled or no CacheDir is configured. cmd/dvrd calls
 // this on SIGTERM; the watchdog and panic paths call it in-process.
-func (s *Server) DumpFlight(reason string) string { return s.dumpFlight(reason) }
-
-func (s *Server) dumpFlight(reason string) string {
-	return dumpFlight(s.tracer, s.cfg.CacheDir, reason, s.logger)
+func (s *Server) DumpFlight(reason string) string {
+	return dumpFlight(s.tracer, s.cfg.Faults.Filesystem(), s.cfg.CacheDir, reason, s.logger)
 }
 
 // dumpFlight is the role-agnostic flight-recorder dump shared by the
 // worker Server (rooted at CacheDir) and the cluster Frontend (rooted at
 // LedgerDir). Best-effort by contract: a failed dump must never worsen
 // the crash being documented, so every error path just returns "".
-func dumpFlight(tracer *obs.Tracer, dir, reason string, logger *slog.Logger) string {
+func dumpFlight(tracer *obs.Tracer, fsys faults.FS, dir, reason string, logger *slog.Logger) string {
 	if tracer == nil || dir == "" {
 		return ""
 	}
@@ -943,19 +940,25 @@ func dumpFlight(tracer *obs.Tracer, dir, reason string, logger *slog.Logger) str
 	if err != nil {
 		return ""
 	}
-	fdir := filepath.Join(dir, "forensics")
-	if err := os.MkdirAll(fdir, 0o755); err != nil {
-		return ""
-	}
-	path := filepath.Join(fdir, fmt.Sprintf("flight-%s-%d.json", reason, fr.DumpedAtUS))
-	if err := os.WriteFile(path, checkpoint.Seal(payload), 0o644); err != nil {
-		return ""
-	}
-	if logger != nil {
+	path := publishForensics(fsys, dir, fmt.Sprintf("flight-%s-%d", reason, fr.DumpedAtUS), sealed.Seal(payload))
+	if path != "" {
 		logger.Info("flight recorder dump",
 			"reason", reason, "path", path, "spans", len(fr.Spans), "dropped", fr.Dropped)
 	}
 	return path
+}
+
+// publishForensics atomically publishes <dir>/forensics/<name>.json and
+// returns its path, or "" when no dir is configured or the write failed.
+func publishForensics(fsys faults.FS, dir, name string, data []byte) string {
+	if dir == "" {
+		return ""
+	}
+	st, err := sealed.Open(filepath.Join(dir, "forensics"), ".json", fsys)
+	if err != nil || st.Put(name, data) != nil {
+		return ""
+	}
+	return st.Path(name)
 }
 
 // ---- built-workload memoization ----
@@ -967,23 +970,13 @@ func dumpFlight(tracer *obs.Tracer, dir, reason string, logger *slog.Logger) str
 // builds it once, not once per cell. Evicting a base while forks of it are
 // running is safe: the forks hold their own references.
 type baseCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List
-	items map[string]*list.Element
+	mu      sync.Mutex
+	entries *lru[*baseEntry]
 }
 
 type baseEntry struct {
-	key  string
 	once sync.Once
 	w    *workloads.Workload
-}
-
-func newBaseCache(capacity int) *baseCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &baseCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
 }
 
 // memoize wraps spec.Build to build the base image at most once per cache
@@ -995,28 +988,18 @@ func (b *baseCache) memoize(spec workloads.Spec) workloads.Spec {
 	if err != nil {
 		return spec
 	}
-	entry := b.entry(string(keyBytes))
+	key := string(keyBytes)
+	b.mu.Lock()
+	entry, ok := b.entries.get(key)
+	if !ok {
+		entry = &baseEntry{}
+		b.entries.put(key, entry)
+	}
+	b.mu.Unlock()
 	build := spec.Build
 	spec.Build = func() *workloads.Workload {
 		entry.once.Do(func() { entry.w = build() })
 		return entry.w.Fork()
 	}
 	return spec
-}
-
-func (b *baseCache) entry(key string) *baseEntry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if el, ok := b.items[key]; ok {
-		b.order.MoveToFront(el)
-		return el.Value.(*baseEntry)
-	}
-	e := &baseEntry{key: key}
-	b.items[key] = b.order.PushFront(e)
-	for b.order.Len() > b.cap {
-		el := b.order.Back()
-		b.order.Remove(el)
-		delete(b.items, el.Value.(*baseEntry).key)
-	}
-	return e
 }

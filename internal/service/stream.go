@@ -90,7 +90,7 @@ func (p *cellPub) traceHooks() (onInterval func(trace.Interval), onEvent func(tr
 // post-hoc /trace endpoint serves, so the streamed and stored views stay
 // element-identical.
 func (s *Server) replayTrace(p *cellPub, key string, cached bool) {
-	if !p.live() || s.traces == nil {
+	if !p.live() || s.cfg.TraceIntervalEvery == 0 {
 		return
 	}
 	ivs, ok := s.traces.Get(key)
