@@ -628,10 +628,11 @@ const fidelityMaxTimedFrac = 0.10
 // if the mean relative error exceeds tol or the sampled matrix timed more
 // than fidelityMaxTimedFrac of the instructions it profiled. Both repeat
 // exactly on any host; the exact/sampled wall-clock ratio the timed
-// fraction buys is printed but does not gate, because it depends on the
-// runner. CI runs it as the sampled-fidelity job; the error metric is
-// over h-means (the figure's headline numbers), where independent
-// per-benchmark projection noise largely cancels.
+// fraction buys, and the split of the sampled matrix's core-seconds into
+// plan builds and replays, are printed but do not gate, because they
+// depend on the runner. CI runs it as the sampled-fidelity job; the error
+// metric is over h-means (the figure's headline numbers), where
+// independent per-benchmark projection noise largely cancels.
 func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol float64, cfg cpu.Config) error {
 	specs := experiments.QuickSuite().All()
 	for i := range specs {
@@ -682,11 +683,29 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol f
 		}
 	}
 	timedFrac := float64(timed) / float64(profiled)
+	// Where the sampled matrix's host time goes. A cell's HostNS covers its
+	// replay only; what a lone RunSampled takes beyond that is its plan.
+	var planDur, replayDur time.Duration
+	for _, row := range sm {
+		for _, res := range row {
+			replayDur += time.Duration(res.HostNS)
+		}
+	}
+	for _, sp := range specs {
+		t2 := time.Now()
+		res, err := experiments.RunSampled(context.Background(), sp, experiments.TechOoO, cfg, so)
+		if err != nil {
+			return err
+		}
+		planDur += time.Since(t2) - time.Duration(res.HostNS)
+	}
 	fmt.Fprintln(w, t.String())
 	fmt.Fprintf(w, "mean h-mean speedup error: %.2f%% (tolerance %.2f%%)\n", 100*meanErr, 100*tol)
 	fmt.Fprintf(w, "timed-instruction fraction: %.3f (maximum %.2f)\n", timedFrac, fidelityMaxTimedFrac)
 	fmt.Fprintf(w, "suite wall-clock: exact %s, sampled %s (%.1fx, not gated)\n",
 		exactDur.Round(time.Millisecond), sampDur.Round(time.Millisecond), float64(exactDur)/float64(sampDur))
+	fmt.Fprintf(w, "sampled core-seconds: %d plans %.2f, %d replays %.2f (not gated)\n",
+		len(specs), planDur.Seconds(), len(specs)*len(techs), replayDur.Seconds())
 	if meanErr > tol {
 		return fmt.Errorf("fidelity: mean speedup error %.2f%% exceeds tolerance %.2f%%", 100*meanErr, 100*tol)
 	}

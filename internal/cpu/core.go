@@ -15,7 +15,7 @@ import (
 // pre-execute the future stream speculatively (runahead). *interp.Interp
 // satisfies it.
 type Frontend interface {
-	Step() (interp.DynInst, bool)
+	StepInto(*interp.DynInst) bool
 	Clone() *interp.Interp
 }
 
@@ -394,6 +394,7 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 	cancelCh := ctx.Done()
 	var runErr error
 	var srcBuf [4]isa.Reg // stack buffer for SrcRegs (keeps the loop allocation-free)
+	var di interp.DynInst // the instruction in flight, refilled in place each iteration
 	rs := c.newRunState()
 
 	var startSeq uint64
@@ -443,8 +444,7 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 		if c.traceEvery > 0 && seq > startSeq && seq%c.traceEvery == 0 {
 			c.trace.Sample(seq, rs.lastCommit, c.traceCounters(rs))
 		}
-		di, ok := c.fe.Step()
-		if !ok {
+		if !c.fe.StepInto(&di) {
 			break
 		}
 		in := di.Inst

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"dvr/internal/cpu"
@@ -8,6 +12,46 @@ import (
 	"dvr/internal/stats"
 	"dvr/internal/workloads"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
+
+// checkFig7Golden compares every cell's committed instructions and cycles
+// against testdata/fig7_quick.golden, so a change that is meant to leave
+// exact timing alone (a cache layout, a calendar, a faster interpreter)
+// proves it in tier-1. A change that moves cycles on purpose regenerates
+// the file with `go test ./internal/experiments -run TestFiguresQuick
+// -update` and says why in its description.
+func checkFig7Golden(t *testing.T, specs []workloads.Spec, techs []Technique, m map[string]map[Technique]cpu.Result) {
+	t.Helper()
+	const path = "testdata/fig7_quick.golden"
+	var b strings.Builder
+	b.WriteString("# bench technique instructions cycles\n")
+	for _, sp := range specs {
+		for _, tech := range techs {
+			r := m[sp.Name][tech]
+			fmt.Fprintf(&b, "%s %s %d %d\n", sp.Name, tech, r.Instructions, r.Cycles)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, golden := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(golden) {
+		t.Fatalf("this run has %d lines, the golden %d", len(got), len(golden))
+	}
+	for i := range got {
+		if got[i] != golden[i] {
+			t.Errorf("quick Fig 7 cell moved: got %q, golden has %q", got[i], golden[i])
+		}
+	}
+}
 
 // TestFiguresQuick runs every figure harness at quick scale and checks the
 // paper's qualitative claims hold: DVR beats VR and the baseline, VR's
@@ -22,7 +66,10 @@ func TestFiguresQuick(t *testing.T) {
 
 	// Figure 7 over a representative subset.
 	specs := suite.All()
-	rows, render := Fig7(specs, cfg)
+	techs := append([]Technique{TechOoO}, AllTechniques...)
+	m := Matrix(specs, techs, cfg)
+	checkFig7Golden(t, specs, techs, m)
+	rows, render := Fig7FromMatrix(specs, m)
 	t.Log("\n" + render())
 	var dvr, vr []float64
 	for _, r := range rows {

@@ -52,19 +52,19 @@ func RunSampled(ctx context.Context, spec workloads.Spec, tech Technique, cfg cp
 }
 
 // newPlan builds the spec's workload image and its sampling plan, with the
-// branch predictor of cfg trained along the way.
+// branch predictor and caches of cfg warmed along the way.
 func newPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*sampling.Plan, error) {
 	base, err := buildWorkload(spec)
 	if err != nil {
 		return nil, err
 	}
-	return sampling.NewPlan(base, cfg.Bpred, so.options(roiOf(spec)))
+	return sampling.NewPlan(base, cfg, so.options(roiOf(spec)))
 }
 
 // replayPlan projects one technique from a prepared plan. Plans are
 // technique-independent; Matrix-style callers build one per spec and
 // replay it per technique — the profile pass and the boundary-capture and
-// predictor-training pass are the bulk of a single projection's cost.
+// warming pass are the bulk of a single projection's cost.
 func replayPlan(ctx context.Context, plan *sampling.Plan, spec workloads.Spec, tech Technique, cfg cpu.Config) (cpu.Result, error) {
 	hostStart := time.Now()
 	build := func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
@@ -85,13 +85,13 @@ func replayPlan(ctx context.Context, plan *sampling.Plan, spec workloads.Spec, t
 
 // MatrixSampled is MatrixE's sampled counterpart: every (spec, technique)
 // cell projected from a shared per-spec sampling.Plan. Building a plan
-// (profile, boundary capture, predictor training: everything that does not
-// depend on the technique) is a task of RunAllE's scheduler like any
-// replay, so while one worker builds the next kernel's plan the others
+// (profile, boundary capture, cache and predictor warming: everything that
+// does not depend on the technique) is a task of RunAllE's scheduler like
+// any replay, so while one worker builds the next kernel's plan the others
 // keep replaying the ready ones (Plan.Replay is safe for concurrent use).
-// A plan holds the spec's recorded event streams and boundary snapshots,
-// tens of MB at full ROIs; the scheduler drops it with the row's last
-// cell and bounds the live ones by the worker count.
+// A plan holds the spec's boundary snapshots and one cache state per
+// segment, tens of MB at full ROIs; the scheduler drops it with the row's
+// last cell and bounds the live ones by the worker count.
 func MatrixSampled(ctx context.Context, specs []workloads.Spec, techs []Technique, cfg cpu.Config, so SampleOptions) (map[string]map[Technique]cpu.Result, error) {
 	for _, tech := range techs {
 		if _, err := ParseTechnique(string(tech)); err != nil {

@@ -6,9 +6,7 @@ import (
 	"dvr/internal/isa"
 )
 
-// BenchmarkStep measures functional interpretation throughput, the inner
-// loop of every simulation.
-func BenchmarkStep(b *testing.B) {
+func benchLoop() *Interp {
 	bl := isa.NewBuilder("b")
 	bl.Li(1, 0)
 	bl.Li(3, 1<<20)
@@ -19,11 +17,41 @@ func BenchmarkStep(b *testing.B) {
 	bl.AddI(1, 1, 1)
 	bl.CmpI(7, 1, 1<<40)
 	bl.Br(isa.LT, 7, "top")
-	it := New(bl.MustBuild(), NewMemory())
+	return New(bl.MustBuild(), NewMemory())
+}
+
+// BenchmarkStep measures functional interpretation throughput, the inner
+// loop of every simulation.
+func BenchmarkStep(b *testing.B) {
+	it := benchLoop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.Step()
 	}
+}
+
+var benchSink uint64
+
+// BenchmarkRunWith and BenchmarkRunInto measure a functional pass that
+// looks at every instruction, by value and through the reused record.
+func BenchmarkRunWith(b *testing.B) {
+	it := benchLoop()
+	b.ResetTimer()
+	it.RunWith(uint64(b.N), func(di DynInst) {
+		if di.Inst.Op.IsLoad() {
+			benchSink += di.Addr
+		}
+	})
+}
+
+func BenchmarkRunInto(b *testing.B) {
+	it := benchLoop()
+	b.ResetTimer()
+	it.RunInto(uint64(b.N), func(di *DynInst) {
+		if di.Inst.Op.IsLoad() {
+			benchSink += di.Addr
+		}
+	})
 }
 
 // BenchmarkMemoryStore64 measures sparse-memory write throughput.

@@ -60,12 +60,24 @@ func (it *Interp) Clone() *Interp {
 // Step executes one instruction and reports it. ok is false when the
 // program has halted (or runs off the end of the code).
 func (it *Interp) Step() (di DynInst, ok bool) {
+	ok = it.StepInto(&di)
+	return di, ok
+}
+
+// StepInto is Step writing into a DynInst the caller owns, so a loop over
+// millions of instructions reuses one 80-byte record instead of copying a
+// fresh one out per instruction. Every field of *di is overwritten; when
+// it returns false (halted, or off the end of the code) *di is untouched.
+func (it *Interp) StepInto(di *DynInst) bool {
 	if it.St.Halted || it.St.PC < 0 || it.St.PC >= len(it.Prog.Code) {
 		it.St.Halted = true
-		return di, false
+		return false
 	}
 	in := &it.Prog.Code[it.St.PC]
+	// Field by field: a composite-literal assignment builds the record on
+	// the stack and copies it over, which costs more than Step ever did.
 	di.Seq, di.PC, di.Inst, di.NextPC = it.Seq, it.St.PC, *in, it.St.PC+1
+	di.Addr, di.Taken, di.Val = 0, false, 0
 	r := &it.St.Regs
 
 	// The arithmetic second operand, read once. Ops that ignore it may carry
@@ -157,15 +169,18 @@ func (it *Interp) Step() (di DynInst, ok bool) {
 	if it.St.Halted {
 		di.NextPC = it.St.PC
 	}
-	return di, true
+	return true
 }
 
 // Run executes at most max instructions (all of them if max <= 0) and
 // returns the number executed.
 func (it *Interp) Run(max uint64) uint64 {
-	var n uint64
+	var (
+		di DynInst
+		n  uint64
+	)
 	for max <= 0 || n < max {
-		if _, ok := it.Step(); !ok {
+		if !it.StepInto(&di) {
 			break
 		}
 		n++
@@ -183,10 +198,31 @@ func (it *Interp) RunWith(max uint64, fn func(DynInst)) uint64 {
 	if fn == nil {
 		return it.Run(max)
 	}
+	var (
+		di DynInst
+		n  uint64
+	)
+	for max <= 0 || n < max {
+		if !it.StepInto(&di) {
+			break
+		}
+		fn(di)
+		n++
+	}
+	return n
+}
+
+// RunInto is RunWith for callbacks that only read the instruction: fn is
+// handed a pointer to one DynInst that RunInto reuses for every
+// instruction, valid until fn returns. A nil fn just runs.
+func (it *Interp) RunInto(max uint64, fn func(*DynInst)) uint64 {
+	if fn == nil {
+		return it.Run(max)
+	}
+	di := new(DynInst)
 	var n uint64
 	for max <= 0 || n < max {
-		di, ok := it.Step()
-		if !ok {
+		if !it.StepInto(di) {
 			break
 		}
 		fn(di)

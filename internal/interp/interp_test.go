@@ -290,3 +290,62 @@ func TestFootprint(t *testing.T) {
 		t.Errorf("footprint = %d, want 8192", m.Footprint())
 	}
 }
+
+// StepInto into a record still holding the previous instruction, RunWith
+// and RunInto must all report exactly what Step reports, field for field,
+// up to and including the halt.
+func TestStepIntoAndRunLoopsMatchStep(t *testing.T) {
+	prog := func() *Interp {
+		b := isa.NewBuilder("mix")
+		b.Li(1, 0)
+		b.Li(3, 0x4000)
+		b.Label("top")
+		b.Hash(8, 1)
+		b.AndI(8, 8, 63)
+		b.StoreIdx(3, 8, 0, 1)
+		b.LoadIdx(9, 3, 8, 0)
+		b.AddI(1, 1, 1)
+		b.CmpI(7, 1, 40)
+		b.Br(isa.LT, 7, "top")
+		b.Halt()
+		return New(b.MustBuild(), NewMemory())
+	}
+	var want []DynInst
+	for it := prog(); ; {
+		di, ok := it.Step()
+		if !ok {
+			break
+		}
+		want = append(want, di)
+	}
+	if len(want) < 200 || want[len(want)-1].Inst.Op != isa.Halt {
+		t.Fatalf("reference stream has %d instructions ending in %v", len(want), want[len(want)-1].Inst.Op)
+	}
+
+	into := prog()
+	var di DynInst
+	for i := range want {
+		if !into.StepInto(&di) || di != want[i] {
+			t.Fatalf("StepInto %d: got %+v, want %+v", i, di, want[i])
+		}
+	}
+	last := di
+	if into.StepInto(&di) || di != last {
+		t.Error("StepInto past the halt reported an instruction or touched the record")
+	}
+
+	var byValue, byPtr []DynInst
+	n1 := prog().RunWith(0, func(di DynInst) { byValue = append(byValue, di) })
+	n2 := prog().RunInto(0, func(di *DynInst) { byPtr = append(byPtr, *di) })
+	if n1 != uint64(len(want)) || n2 != uint64(len(want)) {
+		t.Errorf("RunWith ran %d, RunInto %d, want %d", n1, n2, len(want))
+	}
+	for i := range want {
+		if byValue[i] != want[i] || byPtr[i] != want[i] {
+			t.Fatalf("instruction %d: RunWith %+v, RunInto %+v, want %+v", i, byValue[i], byPtr[i], want[i])
+		}
+	}
+	if n := prog().RunInto(25, func(*DynInst) {}); n != 25 {
+		t.Errorf("RunInto(25) ran %d", n)
+	}
+}

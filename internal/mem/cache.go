@@ -75,27 +75,38 @@ type CacheConfig struct {
 	Latency   uint64 // access latency in cycles
 }
 
-type cacheLine struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	lastUse  uint64
-	prefSrc  Source // valid when prefetched && !prefUsed
-	prefetch bool   // line was installed by a prefetch and not yet demanded
+// Per-way flag byte: dirty | prefetch<<1 | source<<2, the byte a
+// CacheSnapshot way record ends with. The source is meaningful while the
+// prefetch bit is set (installed by a prefetch, not yet demanded) and is
+// left behind when a demand clears the bit.
+const (
+	flagDirty    uint8 = 1
+	flagPrefetch uint8 = 2
+	srcShift           = 2
+)
+
+// victim is the line an install displaced; the zero victim means the way
+// was empty.
+type victim struct {
+	line  uint64
+	flags uint8
+	valid bool
 }
 
-// cache is one set-associative LRU cache level. Tags live in a flat
-// parallel array so the hot probe loop touches 8 bytes per way instead of
-// a full cacheLine struct; the tag array stores line+1 with 0 meaning an
-// empty way (line addresses are <2^58, so +1 cannot wrap). Only install
-// and invalidate change residency, and both keep tags and meta in sync;
-// callers may mutate the dirty/prefetch bits of a returned way freely.
+// cache is one set-associative LRU cache level, held as flat parallel
+// arrays indexed by set*assoc+way: the probe loop touches 8 bytes per way,
+// the LRU scan 8 more, and the whole level is three copies to export or
+// import (CacheState). The tag array stores line+1 with 0 meaning an empty
+// way (line addresses are <2^58, so +1 cannot wrap); lastUse and flags of
+// an empty way are stale and never read. Only install and invalidate
+// change residency; callers may mutate the flag bits of a resident way.
 type cache struct {
 	cfg      CacheConfig
 	assoc    uint64
 	setMask  uint64
-	tags     []uint64    // tags[set*assoc+way] = line+1, 0 if empty
-	meta     []cacheLine // parallel per-way state
+	tags     []uint64 // line+1, 0 if empty
+	lastUse  []uint64 // useClock at the way's last lookup hit or install
+	flags    []uint8  // dirty | prefetch<<1 | source<<2
 	useClock uint64
 }
 
@@ -115,79 +126,132 @@ func newCache(cfg CacheConfig) *cache {
 		assoc:   uint64(cfg.Assoc),
 		setMask: uint64(nSets - 1),
 		tags:    make([]uint64, n),
-		meta:    make([]cacheLine, n),
+		lastUse: make([]uint64, n),
+		flags:   make([]uint8, n),
 	}
 }
 
-// way returns the resident way holding line, or nil, without touching LRU
-// state.
-func (c *cache) way(line uint64) *cacheLine {
+// way returns the index of the resident way holding line, or -1, without
+// touching LRU state.
+func (c *cache) way(line uint64) int {
 	base := (line & c.setMask) * c.assoc
 	t := line + 1
-	for w := base; w < base+c.assoc; w++ {
-		if c.tags[w] == t {
-			return &c.meta[w]
+	for w, tag := range c.tags[base : base+c.assoc] {
+		if tag == t {
+			return int(base) + w
 		}
 	}
-	return nil
+	return -1
 }
 
-// lookup probes for line; on hit it refreshes LRU state and returns the way.
-func (c *cache) lookup(line uint64) *cacheLine {
+// lookup probes for line; on hit it refreshes LRU state and returns the
+// way index, otherwise -1.
+func (c *cache) lookup(line uint64) int {
 	c.useClock++
-	if m := c.way(line); m != nil {
-		m.lastUse = c.useClock
-		return m
+	w := c.way(line)
+	if w >= 0 {
+		c.lastUse[w] = c.useClock
 	}
-	return nil
+	return w
 }
 
-// install fills line, evicting the LRU way. It returns the victim line
-// (the zero cacheLine if the way was empty, whatever its meta last held)
-// so the caller can account dirty writebacks and wasted prefetches.
-func (c *cache) install(line uint64, src Source) cacheLine {
+// install fills line, evicting the LRU way. It returns the victim (the
+// zero victim if the way was empty, whatever its flags last held) so the
+// caller can account dirty writebacks and wasted prefetches.
+func (c *cache) install(line uint64, src Source) victim {
 	c.useClock++
 	base := (line & c.setMask) * c.assoc
-	victim := base
-	for w := base; w < base+c.assoc; w++ {
-		if c.tags[w] == 0 {
-			victim = w
+	tags := c.tags[base : base+c.assoc]
+	lastUse := c.lastUse[base : base+c.assoc]
+	v, oldest := 0, ^uint64(0)
+	for w, tag := range tags {
+		if tag == 0 {
+			v = w
 			break
 		}
-		if c.meta[w].lastUse < c.meta[victim].lastUse {
-			victim = w
+		if u := lastUse[w]; u < oldest {
+			v, oldest = w, u
 		}
 	}
-	var old cacheLine
-	if c.tags[victim] != 0 {
-		old = c.meta[victim]
+	var old victim
+	if tags[v] != 0 {
+		old = victim{line: tags[v] - 1, flags: c.flags[base+uint64(v)], valid: true}
 	}
-	c.tags[victim] = line + 1
-	c.meta[victim] = cacheLine{
-		tag:      line,
-		valid:    true,
-		lastUse:  c.useClock,
-		prefetch: src.IsPrefetch(),
-		prefSrc:  src,
+	tags[v] = line + 1
+	lastUse[v] = c.useClock
+	f := uint8(src) << srcShift
+	if src.IsPrefetch() {
+		f |= flagPrefetch
 	}
+	c.flags[base+uint64(v)] = f
 	return old
+}
+
+// touch is lookup followed, on a miss, by a demand install whose victim is
+// dropped: the functional-warming primitive, one call per level.
+func (c *cache) touch(line uint64) bool {
+	base := (line & c.setMask) * c.assoc
+	tags := c.tags[base : base+c.assoc]
+	t := line + 1
+	for w, tag := range tags {
+		if tag == t {
+			c.useClock++
+			c.lastUse[base+uint64(w)] = c.useClock
+			return true
+		}
+	}
+	lastUse := c.lastUse[base : base+c.assoc]
+	v, oldest := 0, ^uint64(0)
+	for w, tag := range tags {
+		if tag == 0 {
+			v = w
+			break
+		}
+		if u := lastUse[w]; u < oldest {
+			v, oldest = w, u
+		}
+	}
+	c.useClock += 2
+	tags[v] = t
+	lastUse[v] = c.useClock
+	c.flags[base+uint64(v)] = 0
+	return false
 }
 
 // invalidate drops line if present and returns whether it was present.
 func (c *cache) invalidate(line uint64) bool {
-	base := (line & c.setMask) * c.assoc
-	t := line + 1
-	for w := base; w < base+c.assoc; w++ {
-		if c.tags[w] == t {
-			c.tags[w] = 0
-			c.meta[w].valid = false
-			return true
-		}
+	w := c.way(line)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.tags[w] = 0
+	return true
 }
 
 // contains reports whether line is resident without perturbing LRU.
 func (c *cache) contains(line uint64) bool {
-	return c.way(line) != nil
+	return c.way(line) >= 0
+}
+
+// claimPrefetch clears way w's prefetch bit and reports whether it was
+// set: the first demand for a line a prefetch installed.
+func (c *cache) claimPrefetch(w int) bool {
+	if c.flags[w]&flagPrefetch == 0 {
+		return false
+	}
+	c.flags[w] &^= flagPrefetch
+	return true
+}
+
+// setFlag and clearFlag change flag bits on line's way if it is resident.
+func (c *cache) setFlag(line uint64, f uint8) {
+	if w := c.way(line); w >= 0 {
+		c.flags[w] |= f
+	}
+}
+
+func (c *cache) clearFlag(line uint64, f uint8) {
+	if w := c.way(line); w >= 0 {
+		c.flags[w] &^= f
+	}
 }

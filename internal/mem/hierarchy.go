@@ -218,9 +218,9 @@ func (h *Hierarchy) access(addr uint64, now uint64, write bool, src Source) Resu
 			if h.tr != nil {
 				h.tr.Emit(trace.EvPrefetchLate, now, 0, -1, uint64(e.src), 0)
 			}
-			h.clearPrefTag(h.l1d, line)
-			h.clearPrefTag(h.l2, line)
-			h.clearPrefTag(h.l3, line)
+			h.l1d.clearFlag(line, flagPrefetch)
+			h.l2.clearFlag(line, flagPrefetch)
+			h.l3.clearFlag(line, flagPrefetch)
 		} else {
 			done := e.done
 			if src == SrcDemand {
@@ -232,9 +232,9 @@ func (h *Hierarchy) access(addr uint64, now uint64, write bool, src Source) Resu
 					if h.tr != nil {
 						h.tr.Emit(trace.EvPrefetchLate, now, 0, -1, uint64(e.src), 0)
 					}
-					h.clearPrefTag(h.l1d, line)
-					h.clearPrefTag(h.l2, line)
-					h.clearPrefTag(h.l3, line)
+					h.l1d.clearFlag(line, flagPrefetch)
+					h.l2.clearFlag(line, flagPrefetch)
+					h.l3.clearFlag(line, flagPrefetch)
 					e.src = SrcDemand
 					h.mshr.set(line, e)
 				}
@@ -247,17 +247,16 @@ func (h *Hierarchy) access(addr uint64, now uint64, write bool, src Source) Resu
 	}
 
 	// L1-D
-	if cl := h.l1d.lookup(line); cl != nil && !overtake {
+	if w := h.l1d.lookup(line); w >= 0 && !overtake {
 		if write {
 			h.markDirty(line)
 		}
 		if src == SrcDemand {
 			h.Stats.DemandHits[LvlL1]++
-			if cl.prefetch {
+			if h.l1d.claimPrefetch(w) {
 				h.Stats.PrefUsefulAt[LvlL1]++
-				cl.prefetch = false
-				h.clearPrefTag(h.l2, line)
-				h.clearPrefTag(h.l3, line)
+				h.l2.clearFlag(line, flagPrefetch)
+				h.l3.clearFlag(line, flagPrefetch)
 			}
 		}
 		return Result{Done: now + h.cfg.L1D.Latency, Level: LvlL1}
@@ -282,22 +281,20 @@ func (h *Hierarchy) access(addr uint64, now uint64, write bool, src Source) Resu
 	t := start + h.cfg.L1D.Latency
 	level := LvlMem
 	var done uint64
-	if cl := h.l2.lookup(line); cl != nil && !overtake {
+	if w := h.l2.lookup(line); w >= 0 && !overtake {
 		level = LvlL2
 		done = t + h.cfg.L2.Latency
-		if src == SrcDemand && cl.prefetch {
+		if src == SrcDemand && h.l2.claimPrefetch(w) {
 			h.Stats.PrefUsefulAt[LvlL2]++
-			cl.prefetch = false
-			h.clearPrefTag(h.l3, line)
+			h.l3.clearFlag(line, flagPrefetch)
 		}
 	} else {
 		t += h.cfg.L2.Latency
-		if cl := h.l3.lookup(line); cl != nil && !overtake {
+		if w := h.l3.lookup(line); w >= 0 && !overtake {
 			level = LvlL3
 			done = t + h.cfg.L3.Latency
-			if src == SrcDemand && cl.prefetch {
+			if src == SrcDemand && h.l3.claimPrefetch(w) {
 				h.Stats.PrefUsefulAt[LvlL3]++
-				cl.prefetch = false
 			}
 		} else {
 			// DRAM, under request-based bandwidth contention.
@@ -340,19 +337,20 @@ func (h *Hierarchy) installAll3(line uint64, src Source) {
 
 // evict accounts for a victim line leaving a cache level. Unused prefetch
 // accounting happens only when the line leaves the L3 (leaves the chip).
-func (h *Hierarchy) evict(victim cacheLine, fromL3 bool) {
-	if !victim.valid {
+func (h *Hierarchy) evict(v victim, fromL3 bool) {
+	if !v.valid || !fromL3 {
 		return
 	}
-	if victim.dirty && fromL3 {
+	if v.flags&flagDirty != 0 {
 		// Dirty writeback consumes a DRAM slot.
 		h.dram.schedule(h.lastCycle)
 		h.Stats.Writebacks++
 	}
-	if fromL3 && victim.prefetch {
-		h.Stats.PrefUnusedEvict[victim.prefSrc]++
+	if v.flags&flagPrefetch != 0 {
+		src := Source(v.flags >> srcShift)
+		h.Stats.PrefUnusedEvict[src]++
 		if h.tr != nil {
-			h.tr.Emit(trace.EvPrefetchUseless, h.lastCycle, 0, -1, uint64(victim.prefSrc), 0)
+			h.tr.Emit(trace.EvPrefetchUseless, h.lastCycle, 0, -1, uint64(src), 0)
 		}
 	}
 }
@@ -360,21 +358,9 @@ func (h *Hierarchy) evict(victim cacheLine, fromL3 bool) {
 // markDirty sets the dirty bit on every resident copy of line, so the
 // eventual L3 eviction accounts a writeback.
 func (h *Hierarchy) markDirty(line uint64) {
-	if m := h.l1d.way(line); m != nil {
-		m.dirty = true
-	}
-	if m := h.l2.way(line); m != nil {
-		m.dirty = true
-	}
-	if m := h.l3.way(line); m != nil {
-		m.dirty = true
-	}
-}
-
-func (h *Hierarchy) clearPrefTag(c *cache, line uint64) {
-	if m := c.way(line); m != nil {
-		m.prefetch = false
-	}
+	h.l1d.setFlag(line, flagDirty)
+	h.l2.setFlag(line, flagDirty)
+	h.l3.setFlag(line, flagDirty)
 }
 
 // FinishStats folds still-outstanding MSHR occupancy into the statistics;

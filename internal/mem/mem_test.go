@@ -294,9 +294,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.install(0, SrcDemand) // set 0
 	c.install(2, SrcDemand) // set 0 (line 2 maps to set 0 of 2 sets)
 	c.lookup(0)             // touch 0 so 2 is LRU
-	victim := c.install(4, SrcDemand)
-	if !victim.valid || victim.tag != 2 {
-		t.Errorf("evicted tag %d (valid=%v), want 2", victim.tag, victim.valid)
+	v := c.install(4, SrcDemand)
+	if !v.valid || v.line != 2 {
+		t.Errorf("evicted line %d (valid=%v), want 2", v.line, v.valid)
 	}
 	if c.contains(2) {
 		t.Error("line 2 should be gone")
@@ -321,16 +321,16 @@ func TestCacheInvalidate(t *testing.T) {
 }
 
 // TestInstallIntoEmptyWayReportsNoVictim pins install's contract on the
-// tag array alone: an empty way yields the zero victim whatever its meta
-// slot last held, so no caller can book a writeback or a wasted prefetch
+// tag array alone: an empty way yields the zero victim whatever its flag
+// and recency slots last held, so no caller can book a writeback or a wasted prefetch
 // for a line that was not there.
 func TestInstallIntoEmptyWayReportsNoVictim(t *testing.T) {
 	c := newCache(CacheConfig{SizeBytes: 4 * LineSize, Assoc: 2, Latency: 1})
 	c.install(8, SrcRunahead)
-	c.way(8).dirty = true
+	c.setFlag(8, flagDirty)
 	c.invalidate(8)
-	if victim := c.install(10, SrcDemand); victim != (cacheLine{}) {
-		t.Errorf("install into an emptied way returned victim %+v, want the zero line", victim)
+	if v := c.install(10, SrcDemand); v != (victim{}) {
+		t.Errorf("install into an emptied way returned victim %+v, want the zero victim", v)
 	}
 }
 
@@ -494,17 +494,17 @@ func TestWarmWriteMarksDirty(t *testing.T) {
 	h.Warm(0x2000, true)
 	line := lineOf(0x2000)
 	for lvl, c := range []*cache{h.l1d, h.l2, h.l3} {
-		m := c.lookup(line)
-		if m == nil {
+		w := c.lookup(line)
+		if w < 0 {
 			t.Fatalf("level %d: warmed line not resident", lvl)
 		}
-		if !m.dirty {
+		if c.flags[w]&flagDirty == 0 {
 			t.Errorf("level %d: warmed store left the line clean", lvl)
 		}
 	}
 	h2 := NewHierarchy(testConfig())
 	h2.Warm(0x2000, false)
-	if m := h2.l1d.lookup(line); m == nil || m.dirty {
+	if w := h2.l1d.lookup(line); w < 0 || h2.l1d.flags[w]&flagDirty != 0 {
 		t.Error("warmed load dirtied the line")
 	}
 }
@@ -598,7 +598,7 @@ func TestSnapshotRoundTripAndMalformedWays(t *testing.T) {
 	if err := g.Restore(ok); err != nil {
 		t.Fatalf("well-formed ways refused: %v", err)
 	}
-	if m := g.l1d.way(5); m == nil || !m.dirty || !m.prefetch || m.prefSrc != SrcRunahead || m.lastUse != 1 {
-		t.Errorf("way for line 5 restored as %+v", m)
+	if w := g.l1d.way(5); w != 2 || g.l1d.flags[w] != flagDirty|flagPrefetch|uint8(SrcRunahead)<<srcShift || g.l1d.lastUse[w] != 1 {
+		t.Errorf("line 5 restored into way %d, want way 2 dirty, runahead-prefetched, last used at 1", w)
 	}
 }

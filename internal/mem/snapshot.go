@@ -74,18 +74,10 @@ func (c *cache) snapshot() CacheSnapshot {
 		if t == 0 {
 			continue
 		}
-		m := c.meta[w]
-		flags := byte(m.prefSrc) << 2
-		if m.dirty {
-			flags |= 1
-		}
-		if m.prefetch {
-			flags |= 2
-		}
 		s.Ways = binary.LittleEndian.AppendUint32(s.Ways, uint32(w))
-		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, m.tag)
-		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, m.lastUse)
-		s.Ways = append(s.Ways, flags)
+		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, t-1)
+		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, c.lastUse[w])
+		s.Ways = append(s.Ways, c.flags[w])
 	}
 	return s
 }
@@ -94,10 +86,7 @@ func (c *cache) restore(s CacheSnapshot, name string) error {
 	if len(s.Ways)%wayRecBytes != 0 {
 		return fmt.Errorf("mem: %s snapshot has %d bytes of ways, want a multiple of %d", name, len(s.Ways), wayRecBytes)
 	}
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.meta[i] = cacheLine{}
-	}
+	clear(c.tags)
 	for rec := s.Ways; len(rec) > 0; rec = rec[wayRecBytes:] {
 		way := uint64(binary.LittleEndian.Uint32(rec))
 		line := binary.LittleEndian.Uint64(rec[4:])
@@ -111,18 +100,12 @@ func (c *cache) restore(s CacheSnapshot, name string) error {
 		if c.tags[way] != 0 {
 			return fmt.Errorf("mem: %s snapshot has duplicate way %d", name, way)
 		}
-		if flags>>2 >= byte(numSources) {
+		if flags>>srcShift >= byte(numSources) {
 			return fmt.Errorf("mem: %s snapshot way %d has unknown source %d", name, way, flags>>2)
 		}
 		c.tags[way] = line + 1
-		c.meta[way] = cacheLine{
-			tag:      line,
-			valid:    true,
-			dirty:    flags&1 != 0,
-			lastUse:  binary.LittleEndian.Uint64(rec[12:]),
-			prefetch: flags&2 != 0,
-			prefSrc:  Source(flags >> 2),
-		}
+		c.lastUse[way] = binary.LittleEndian.Uint64(rec[12:])
+		c.flags[way] = flags
 	}
 	c.useClock = s.UseClock
 	return nil

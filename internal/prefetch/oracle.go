@@ -50,9 +50,9 @@ func (o *Oracle) Stats() cpu.EngineStats { return o.stats }
 // prefetch queue within resource limits.
 func (o *Oracle) OnCommit(di interp.DynInst, cycle uint64) {
 	o.committed++
+	var adi interp.DynInst
 	for o.ahead.Seq < o.committed+o.lookahead {
-		adi, ok := o.ahead.Step()
-		if !ok {
+		if !o.ahead.StepInto(&adi) {
 			break
 		}
 		if adi.Inst.Op.IsMem() {

@@ -75,9 +75,9 @@ func (p *PRE) OnROBStall(from, to uint64) {
 		ready[i] = from
 	}
 	fetch := from
+	var di interp.DynInst
 	for i := 0; i < budget; i++ {
-		di, ok := it.Step()
-		if !ok {
+		if !it.StepInto(&di) {
 			break
 		}
 		// Front-end supply: width instructions per cycle.

@@ -20,37 +20,37 @@ type phaseResult struct {
 }
 
 // Replay timing-simulates the plan's segments under one technique and
-// extrapolates the full-run Result. One hierarchy lives for the whole
-// pass: segments run in ascending window order, and every gap between
-// timed segments is functionally warmed from the recorded stream
-// (mem.Hierarchy.Warm). The predictor is not re-trained per replay: its
-// state at a segment start depends only on the committed branch stream, so
-// the plan trained it once (Plan.walk) and each segment restores that
-// state. Cache and predictor state thus track the exact run continuously
-// from the ROI start — a replayed window never sees artificial cold
-// misses for the techniques to hide. Concurrent Replay calls on one Plan
-// are safe: each call owns its hierarchy and predictor, forks the shared
-// frozen boundary state copy-on-write and only reads the trained states.
+// extrapolates the full-run Result. One hierarchy and one predictor live
+// for the whole pass and segments run in ascending window order. Nothing
+// is warmed per replay: what the caches and the predictor hold at a
+// segment start depends only on the committed stream, so the plan computed
+// it once (Plan.walk) and each segment restores it. A segment that
+// directly follows the previous timed one keeps the cache state it
+// carries instead. Cache and predictor state thus track the exact run
+// continuously from the ROI start — a replayed window never sees
+// artificial cold misses for the techniques to hide. Concurrent Replay
+// calls on one Plan are safe: each call owns its hierarchy and predictor,
+// forks the shared frozen boundary state copy-on-write and only reads the
+// plan's states.
 func (p *Plan) Replay(ctx context.Context, cfg cpu.Config, build BuildEngine) (cpu.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return cpu.Result{}, err
 	}
 	h := mem.NewHierarchy(cfg.Mem)
 	bp := bpred.New(cfg.Bpred)
-	states := p.predictorStates(cfg.Bpred)
+	states := p.states(cfg)
 	results := make([]phaseResult, len(p.phases))
 	for i, ph := range p.phases {
 		results[i].insts = ph.insts
 	}
 	var simulated uint64
-	pos := 0
 	for k, s := range p.segs {
-		for j := pos; j < s.start; j++ {
-			for _, ev := range p.recs[j] {
-				h.Warm(ev>>1, ev&1 == 1)
+		if st := states[k].caches; st != nil {
+			if err := h.ImportCaches(st); err != nil {
+				return cpu.Result{}, err
 			}
 		}
-		if err := bp.Restore(states[k]); err != nil {
+		if err := bp.Restore(states[k].bp); err != nil {
 			return cpu.Result{}, err
 		}
 		delta, ran, err := p.runSegment(ctx, cfg, build, h, bp, s)
@@ -59,7 +59,6 @@ func (p *Plan) Replay(ctx context.Context, cfg cpu.Config, build BuildEngine) (c
 		}
 		results[s.phase].deltas = append(results[s.phase].deltas, delta)
 		simulated += ran
-		pos = s.bwin + 1
 	}
 	eff := p.opts
 	eff.WarmupInsts = uint64(p.warmWins) * p.winLen

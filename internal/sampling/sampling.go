@@ -14,17 +14,16 @@
 //     each phase's weight is its share of the executed instructions.
 //  3. Prepare: a second functional pass freezes the architectural state
 //     (registers + a copy-on-write view of memory) at every window
-//     boundary a replay will start from, records the memory-line stream
-//     of the windows leading up to it, and trains the branch predictor
-//     over the committed branch stream, keeping its state at each
-//     boundary: predictor state depends on the stream alone, never on the
+//     boundary a replay will start from, and carries one cache hierarchy
+//     (mem.Hierarchy.Warm) and one branch predictor through the committed
+//     stream, keeping their state at each boundary: what the caches and
+//     the predictor hold there depends on the stream alone, never on the
 //     technique, so it is computed once per plan instead of per replay.
 //  4. Replay, per technique: for each phase, the window(s) nearest the
-//     centroid are timing-simulated. Caches are first warmed from the
-//     recorded functional stream (mem.Hierarchy.Warm) and the predictor
-//     is restored to the plan's trained state, then a detailed-warmup
-//     prefix runs on the timing core with a checkpoint at the window
-//     boundary (cpu.Snapshot), and the window's contribution is the
+//     centroid are timing-simulated. Caches and predictor are restored to
+//     the plan's state at the segment start, then a detailed-warmup
+//     prefix runs on the timing core with a statistics boundary at the
+//     window seam, and the window's contribution is the
 //     final-minus-boundary delta — warmup primes state without polluting
 //     the measurement.
 //  5. Extrapolate: the full-run Result is the phase-weighted combination
@@ -35,7 +34,7 @@
 //     cpu.SampledProvenance block ride along.
 //
 // A Plan is built once per workload and replayed once per technique (the
-// profile, clustering, boundary and predictor states are
+// profile, clustering, boundary, cache and predictor states are
 // technique-independent); concurrent Replay calls on one Plan are safe.
 // Everything is deterministic: the same workload, config and options
 // produce a byte-identical canonical Result.
@@ -69,7 +68,7 @@ type Options struct {
 	// ROI is the timed instruction budget being projected. Required.
 	ROI uint64
 	// WindowInsts is the profile window length; 0 picks
-	// max(1000, ROI/64) capped at 50000. The final window is partial when
+	// max(1000, ROI/64) capped at 5000. The final window is partial when
 	// the ROI is not a multiple (or the program halts early).
 	WindowInsts uint64
 	// WarmupInsts is the detailed warmup: instructions run on the timing
@@ -79,11 +78,10 @@ type Options struct {
 	// boundaries); 0 picks one window. Windows at the ROI start get the
 	// prefix that exists — window 0 runs as cold as the exact run does.
 	//
-	// Cache and branch-predictor warming is not an option: replays run in
-	// window order over one hierarchy, functionally warming every gap
-	// between timed segments from the recorded stream, and start each
-	// segment from the predictor state the committed stream leaves there,
-	// so that state tracks the exact run continuously from the ROI start.
+	// Cache and branch-predictor warming is not an option: the plan carries
+	// both through the whole committed stream, and a replay starts each
+	// segment from the state the stream leaves there, so that state tracks
+	// the exact run continuously from the ROI start.
 	WarmupInsts uint64
 	// MaxPhases caps the k-means cluster count; 0 means 8.
 	MaxPhases int
@@ -180,10 +178,10 @@ type segment struct {
 }
 
 // Plan is a workload's sampled-simulation plan: windows, phases, the
-// replay schedule with its frozen boundary states, warming traces and
-// trained predictor states. Build it once with NewPlan, then Replay once
-// per technique; a Plan is safe for concurrent Replay calls (only the
-// predictor memo changes after construction, under its lock).
+// replay schedule with its frozen boundary states, and the cache and
+// predictor states at each segment start. Build it once with NewPlan, then
+// Replay once per technique; a Plan is safe for concurrent Replay calls
+// (only the state memo changes after construction, under its lock).
 type Plan struct {
 	opts     Options
 	winLen   uint64
@@ -196,27 +194,31 @@ type Plan struct {
 	segs   []segment
 	tot    profTotals
 	caps   map[int]boundary
-	// recs holds the memory events (addr<<1|store) of every window between
-	// timed segments, for cache warming. Consecutive same-line events are
-	// deduplicated at record time (sequential scans touch each 64-byte line
-	// many times): dropping a duplicate preserves the relative LRU order of
-	// distinct lines and the dirty bits Warm would set, so the warmed state
-	// is identical and the stream is severalfold shorter. A store following
-	// a recorded load to the same line is still kept for its dirty bit.
-	recs map[int][]uint64
 
-	// trained maps a predictor config (printed) to the predictor's state at
-	// each segment start. NewPlan fills in the config it was given; a
-	// Replay under any other trains it on first use with a walk of its own.
-	mu      sync.Mutex
-	trained map[string][]bpred.Snapshot
+	// warmed maps a (predictor, memory) config pair, printed, to the
+	// microarchitectural state at each segment start. NewPlan fills in the
+	// pair it was given; a Replay under any other computes it on first use
+	// with a walk of its own.
+	mu     sync.Mutex
+	warmed map[string][]segState
+}
+
+// segState is what the committed stream leaves in the predictor and the
+// caches at a segment start. caches is nil for a segment that directly
+// follows the previous timed one (or starts the ROI): a replay keeps
+// running on the state it carries, which also holds what its technique
+// prefetched.
+type segState struct {
+	bp     bpred.Snapshot
+	caches *mem.CacheState
 }
 
 // NewPlan profiles, clusters and prepares replay state for base under
-// opts, training the branch predictor bc along the way. base is forked
-// internally and never mutated; the plan keeps it (a Replay under another
-// predictor config walks it again), so the caller must not write it either.
-func NewPlan(base *workloads.Workload, bc bpred.Config, opts Options) (*Plan, error) {
+// opts, warming the branch predictor and the cache hierarchy of cfg along
+// the way. base is forked internally and never mutated; the plan keeps it
+// (a Replay under another predictor or memory config walks it again), so
+// the caller must not write it either.
+func NewPlan(base *workloads.Workload, cfg cpu.Config, opts Options) (*Plan, error) {
 	if opts.ROI == 0 {
 		return nil, errors.New("sampling: Options.ROI is required")
 	}
@@ -246,12 +248,14 @@ func NewPlan(base *workloads.Workload, bc bpred.Config, opts Options) (*Plan, er
 		phases:   phases,
 		tot:      tot,
 		caps:     make(map[int]boundary),
-		recs:     make(map[int][]uint64),
 	}
 	p.schedule()
-	p.trained = map[string][]bpred.Snapshot{fmt.Sprint(bc): p.walk(bc, true)}
+	p.warmed = map[string][]segState{warmKey(cfg): p.walk(cfg, true)}
 	return p, nil
 }
+
+// warmKey names the part of cfg the walk's result depends on.
+func warmKey(cfg cpu.Config) string { return fmt.Sprint(cfg.Bpred, cfg.Mem) }
 
 // schedule lays the phases' representative windows out as the ascending,
 // non-overlapping timed segments a replay executes. Each representative
@@ -277,25 +281,64 @@ func (p *Plan) schedule() {
 }
 
 // walk is the functional pass over the windows before the last segment. It
-// trains a fresh predictor of config bc on the committed branch stream
-// exactly as a replay's predictor used to see it — every branch of a
+// carries a fresh predictor and a fresh cache hierarchy of cfg through the
+// committed stream and returns their state at each segment start. The
+// predictor sees what a replay's predictor used to see: every branch of a
 // window between segments (functional warming takes them all), only the
 // conditional ones of a timed window, statistics included (what the core
-// feeds it) — and returns its state at each segment start. With capture
-// set (NewPlan's walk) it also freezes the boundary state at every segment
-// start and records the memory stream of the windows between segments.
-func (p *Plan) walk(bc bpred.Config, capture bool) []bpred.Snapshot {
+// feeds it). The hierarchy sees every load and store of every window as
+// demand traffic (mem.Hierarchy.Warm): across a gap, a replay's caches hold
+// what the program touched, not the prefetches one technique left behind
+// in an earlier timed window. With capture set (NewPlan's walk) it also
+// freezes the boundary state at every segment start.
+//
+// Consecutive accesses to one line are warmed once (sequential scans touch
+// each 64-byte line many times): dropping a duplicate preserves the
+// relative LRU order of distinct lines and the dirty bits Warm would set,
+// so victims and residency are identical. A store following a load to the
+// same line is still warmed for its dirty bit.
+func (p *Plan) walk(cfg cpu.Config, capture bool) []segState {
 	it := p.base.Fork().Frontend()
-	bp := bpred.New(bc)
-	states := make([]bpred.Snapshot, 0, len(p.segs))
-	k := 0 // segs[k] is the segment window i belongs to or leads up to
+	bp := bpred.New(cfg.Bpred)
+	h := mem.NewHierarchy(cfg.Mem)
+	states := make([]segState, 0, len(p.segs))
+	lastLine, lastWrite := ^uint64(0), false
+	timed := false
+	step := func(di *interp.DynInst) {
+		op := di.Inst.Op
+		switch {
+		case op.IsBranch():
+			if !timed {
+				bp.Warm(uint64(di.PC), di.Taken)
+			} else if di.Inst.Cond != isa.Always {
+				bp.Update(uint64(di.PC), di.Taken)
+			}
+		case op.IsLoad():
+			if line := di.Addr / mem.LineSize; line != lastLine {
+				h.Warm(di.Addr, false)
+				lastLine, lastWrite = line, false
+			}
+		case op.IsStore():
+			if line := di.Addr / mem.LineSize; line != lastLine || !lastWrite {
+				h.Warm(di.Addr, true)
+				lastLine, lastWrite = line, true
+			}
+		}
+	}
+	k := 0   // segs[k] is the segment window i belongs to or leads up to
+	pos := 0 // first window after the previous timed segment
 	for i := 0; ; i++ {
 		if i > p.segs[k].bwin {
+			pos = p.segs[k].bwin + 1
 			k++
 		}
 		s := p.segs[k]
 		if i == s.start {
-			states = append(states, bp.Snapshot())
+			st := segState{bp: bp.Snapshot()}
+			if s.start > pos {
+				st.caches = h.ExportCaches()
+			}
+			states = append(states, st)
 			if capture {
 				// Freeze the walker's memory: hand the frozen view to the
 				// boundary and continue on a fresh fork of it, so nothing
@@ -308,49 +351,23 @@ func (p *Plan) walk(bc bpred.Config, capture bool) []bpred.Snapshot {
 				break
 			}
 		}
-		timed := i >= s.start
-		var rec []uint64
-		lastLine := ^uint64(0)
-		lastWrite := false
-		it.RunWith(p.wins[i].insts, func(di interp.DynInst) {
-			op := di.Inst.Op
-			switch {
-			case op.IsBranch():
-				if !timed {
-					bp.Warm(uint64(di.PC), di.Taken)
-				} else if di.Inst.Cond != isa.Always {
-					bp.Update(uint64(di.PC), di.Taken)
-				}
-			case timed || !capture: // no replay warms caches from this window
-			case op.IsLoad():
-				if line := di.Addr / mem.LineSize; line != lastLine {
-					rec = append(rec, di.Addr<<1)
-					lastLine, lastWrite = line, false
-				}
-			case op.IsStore():
-				if line := di.Addr / mem.LineSize; line != lastLine || !lastWrite {
-					rec = append(rec, di.Addr<<1|1)
-					lastLine, lastWrite = line, true
-				}
-			}
-		})
-		if capture && !timed {
-			p.recs[i] = rec
-		}
+		timed = i >= s.start
+		it.RunInto(p.wins[i].insts, step)
 	}
 	return states
 }
 
-// predictorStates returns the predictor state at every segment start
-// under config bc, training it first if no call has asked for bc before.
-func (p *Plan) predictorStates(bc bpred.Config) []bpred.Snapshot {
-	key := fmt.Sprint(bc)
+// states returns the predictor and cache state at every segment start
+// under cfg, walking the stream first if no call has asked for its
+// predictor and memory configs before.
+func (p *Plan) states(cfg cpu.Config) []segState {
+	key := warmKey(cfg)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	states, ok := p.trained[key]
+	states, ok := p.warmed[key]
 	if !ok {
-		states = p.walk(bc, false)
-		p.trained[key] = states
+		states = p.walk(cfg, false)
+		p.warmed[key] = states
 	}
 	return states
 }
@@ -365,13 +382,23 @@ func profile(base *workloads.Workload, roi, winLen uint64) ([]window, profTotals
 	if wk.Skip > 0 {
 		it.Run(wk.Skip)
 	}
+	// The code bucket of a PC never changes, so hash each static
+	// instruction once instead of each dynamic one.
+	bbv := make([]uint8, len(wk.Prog.Code))
+	for pc := range bbv {
+		bbv[pc] = uint8(bbvBucket(pc))
+	}
 	var (
 		wins   []window
 		tot    profTotals
 		cur    window
 		counts = make([]float64, 2*sigDim)
-		seen   = make(map[uint64]struct{}) // cache lines touched so far
-		ft     float64                     // accesses to never-before-seen lines
+		seen   = make(map[uint64]*uint64) // per page, one bit per cache line touched so far
+		ft     float64                    // accesses to never-before-seen lines
+		// The page of the previous access and its bitmap: consecutive
+		// accesses mostly stay on a page, and skip the map.
+		lastPage = ^uint64(0)
+		lastBits *uint64
 	)
 	flush := func() {
 		if cur.insts == 0 {
@@ -397,25 +424,31 @@ func profile(base *workloads.Workload, roi, winLen uint64) ([]window, profTotals
 		ft = 0
 	}
 	touch := func(addr uint64) {
-		line := addr / mem.LineSize
-		if _, ok := seen[line]; !ok {
-			seen[line] = struct{}{}
+		page := addr >> pageShift
+		counts[sigDim+mavBucket(page)]++
+		if page != lastPage {
+			lastPage, lastBits = page, seen[page]
+			if lastBits == nil {
+				lastBits = new(uint64)
+				seen[page] = lastBits
+			}
+		}
+		if bit := uint64(1) << (addr % (1 << pageShift) / mem.LineSize); *lastBits&bit == 0 {
+			*lastBits |= bit
 			ft++
 		}
 	}
-	it.RunWith(roi, func(di interp.DynInst) {
-		counts[bbvBucket(di.PC)]++
+	it.RunInto(roi, func(di *interp.DynInst) {
+		counts[bbv[di.PC]]++
 		op := di.Inst.Op
 		switch {
 		case op.IsLoad():
 			cur.loads++
 			tot.loads++
-			counts[sigDim+mavBucket(di.Addr>>pageShift)]++
 			touch(di.Addr)
 		case op.IsStore():
 			cur.stores++
 			tot.stores++
-			counts[sigDim+mavBucket(di.Addr>>pageShift)]++
 			touch(di.Addr)
 		case op.IsBranch():
 			cur.branches++
@@ -466,7 +499,7 @@ func normalizeSig(counts []float64) []float64 {
 // technique-independent and dominate the cost of a single projection.
 func Run(ctx context.Context, base *workloads.Workload, cfg cpu.Config, build BuildEngine, opts Options) (cpu.Result, error) {
 	hostStart := time.Now()
-	plan, err := NewPlan(base, cfg.Bpred, opts)
+	plan, err := NewPlan(base, cfg, opts)
 	if err != nil {
 		return cpu.Result{}, err
 	}

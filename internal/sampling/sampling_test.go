@@ -2,9 +2,11 @@ package sampling
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -108,6 +110,47 @@ func TestProfileWindowsTile(t *testing.T) {
 	}
 	if last := wins[len(wins)-1]; last.insts != sp.ROI%winLen {
 		t.Errorf("final partial window has %d insts, want %d", last.insts, sp.ROI%winLen)
+	}
+}
+
+// The profile pass looks code buckets up in a per-PC table and tracks
+// first-touch lines in per-page bitmaps; its signatures must be bit for bit
+// what hashing every dynamic PC and keeping a set of line addresses gives.
+func TestProfileSignaturesMatchReference(t *testing.T) {
+	for name, sp := range map[string]workloads.Spec{
+		"bfs_t":    testSpec(t, 30_500),
+		"kangaroo": {Name: "kangaroo", Build: workloads.Kangaroo, ROI: 30_500},
+	} {
+		const winLen = 1_000
+		base := sp.Build()
+		wins, _ := profile(base, sp.ROI, winLen)
+
+		it := base.Fork().Frontend()
+		seen := make(map[uint64]struct{})
+		for i, w := range wins {
+			counts := make([]float64, 2*sigDim)
+			var ft, acc float64
+			it.RunWith(w.insts, func(di interp.DynInst) {
+				counts[bbvBucket(di.PC)]++
+				if di.Inst.Op.IsMem() {
+					counts[sigDim+mavBucket(di.Addr>>pageShift)]++
+					acc++
+					if _, ok := seen[di.Addr/mem.LineSize]; !ok {
+						seen[di.Addr/mem.LineSize] = struct{}{}
+						ft++
+					}
+				}
+			})
+			want := normalizeSig(counts)
+			if acc > 0 {
+				want = append(want, ft/acc)
+			} else {
+				want = append(want, 0)
+			}
+			if !reflect.DeepEqual(w.sig, want) {
+				t.Fatalf("%s: window %d signature differs from the reference", name, i)
+			}
+		}
 	}
 }
 
@@ -222,12 +265,12 @@ func noEngine(_ *interp.Interp, _ *workloads.Workload, _ *mem.Hierarchy) (cpu.En
 	return nil, nil
 }
 
-// twoKernels are the plans the predictor tests run on: a graph kernel and
-// an hpc-db kernel whose inner loops both take unconditional branches (the
+// twoKernels are the plans the state tests run on: a graph kernel and an
+// hpc-db kernel whose inner loops both take unconditional branches (the
 // ones functional warming trains on and the core does not), with two
 // replicates per phase so that segments both follow each other directly
 // and sit far apart.
-func twoKernels(t *testing.T, bc bpred.Config) map[string]*Plan {
+func twoKernels(t *testing.T, cfg cpu.Config) map[string]*Plan {
 	t.Helper()
 	g := graphgen.Kronecker(12, 8, 7)
 	specs := []workloads.Spec{
@@ -236,7 +279,7 @@ func twoKernels(t *testing.T, bc bpred.Config) map[string]*Plan {
 	}
 	plans := make(map[string]*Plan)
 	for _, sp := range specs {
-		p, err := NewPlan(sp.Build(), bc, Options{ROI: sp.ROI, WindowInsts: 2_000, Replicates: 2})
+		p, err := NewPlan(sp.Build(), cfg, Options{ROI: sp.ROI, WindowInsts: 2_000, Replicates: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,8 +297,8 @@ func twoKernels(t *testing.T, bc bpred.Config) map[string]*Plan {
 // itself (which trains on conditional branches only and counts them).
 func TestPlanPredictorStatesMatchPerReplayWarm(t *testing.T) {
 	cfg := cpu.DefaultConfig()
-	for name, p := range twoKernels(t, cfg.Bpred) {
-		states := p.predictorStates(cfg.Bpred)
+	for name, p := range twoKernels(t, cfg) {
+		states := p.states(cfg)
 		if len(states) != len(p.segs) {
 			t.Fatalf("%s: %d states for %d segments", name, len(states), len(p.segs))
 		}
@@ -271,7 +314,7 @@ func TestPlanPredictorStatesMatchPerReplayWarm(t *testing.T) {
 					}
 				})
 			}
-			if got, want := states[k], ref.Snapshot(); !reflect.DeepEqual(got, want) {
+			if got, want := states[k].bp, ref.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: segment %d (window %d): restored predictor state differs from the per-replay one (ghist %x vs %x, lookups %d vs %d)",
 					name, k, s.start, got.GHist, want.GHist, got.Lookups, want.Lookups)
 			}
@@ -286,39 +329,149 @@ func TestPlanPredictorStatesMatchPerReplayWarm(t *testing.T) {
 	}
 }
 
-// A plan keeps memory events for the windows between segments and nothing
-// per window for branches: the walk trains on the branch stream as it
-// passes and keeps only the predictor states.
-func TestPlanHoldsNoBranchStreams(t *testing.T) {
-	for name, p := range twoKernels(t, bpred.DefaultConfig()) {
-		timed := make(map[int]bool)
-		for _, s := range p.segs {
-			for j := s.start; j <= s.bwin; j++ {
-				timed[j] = true
+// wayRecBytes is the packed way record of mem.CacheSnapshot.Ways: uint32
+// way, uint64 line, uint64 lastUse, one flag byte.
+const wayRecBytes = 21
+
+// recencyOrder returns a level's occupied ways with the clock values
+// dropped (way, line and flags only), in ascending order of last use.
+func recencyOrder(t *testing.T, ways []byte) [][wayRecBytes - 8]byte {
+	t.Helper()
+	if len(ways)%wayRecBytes != 0 {
+		t.Fatalf("%d bytes of ways", len(ways))
+	}
+	type rec struct {
+		lastUse uint64
+		id      [wayRecBytes - 8]byte
+	}
+	var order []rec
+	for ; len(ways) > 0; ways = ways[wayRecBytes:] {
+		r := rec{lastUse: binary.LittleEndian.Uint64(ways[12:])}
+		copy(r.id[:12], ways[:12])
+		r.id[12] = ways[20]
+		order = append(order, r)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].lastUse < order[j].lastUse })
+	out := make([][wayRecBytes - 8]byte, len(order))
+	for i, r := range order {
+		out[i] = r.id
+	}
+	return out
+}
+
+// The cache state a replay restores at a segment start must be what a
+// fresh hierarchy holds after functionally warming every load and store
+// the program commits before that segment, one Warm per access with no
+// deduplication: L2 and L3 byte for byte (a dropped duplicate is an L1 hit
+// and never reaches them), the L1-D line for line, flag for flag and in the
+// same recency order (its clock ticks once per Warm, so only the absolute
+// values may differ). A segment that directly follows the previous timed
+// one has no state of its own, and those states are all the plan keeps of
+// the memory stream: one memo entry, at most one state per segment, no
+// recorded events.
+func TestPlanCacheStatesMatchFunctionalWarm(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	for name, p := range twoKernels(t, cfg) {
+		if len(p.warmed) != 1 {
+			t.Errorf("%s: %d warmed configs after NewPlan, want 1", name, len(p.warmed))
+		}
+		states := p.states(cfg)
+		if len(states) != len(p.segs) {
+			t.Fatalf("%s: %d states for %d segments", name, len(states), len(p.segs))
+		}
+		it := p.base.Fork().Frontend()
+		ref := mem.NewHierarchy(cfg.Mem)
+		next, pos, gaps := 0, 0, 0
+		for k, s := range p.segs {
+			for ; next < s.start; next++ {
+				it.RunWith(p.wins[next].insts, func(di interp.DynInst) {
+					if op := di.Inst.Op; op.IsMem() {
+						ref.Warm(di.Addr, op.IsStore())
+					}
+				})
+			}
+			adjacent := s.start == pos
+			pos = s.bwin + 1
+			if adjacent {
+				if states[k].caches != nil {
+					t.Errorf("%s: segment %d (window %d) directly follows timed window %d but has a cache state", name, k, s.start, s.start-1)
+				}
+				continue
+			}
+			gaps++
+			if states[k].caches == nil {
+				t.Fatalf("%s: segment %d (window %d) follows a gap but has no cache state", name, k, s.start)
+			}
+			got := mem.NewHierarchy(cfg.Mem)
+			if err := got.ImportCaches(states[k].caches); err != nil {
+				t.Fatal(err)
+			}
+			g, w := got.Snapshot(), ref.Snapshot()
+			if !reflect.DeepEqual(g.L2, w.L2) || !reflect.DeepEqual(g.L3, w.L3) {
+				t.Errorf("%s: segment %d (window %d): L2/L3 differ from a functional warm of the whole prefix", name, k, s.start)
+			}
+			if len(w.L1D.Ways) == 0 || !reflect.DeepEqual(recencyOrder(t, g.L1D.Ways), recencyOrder(t, w.L1D.Ways)) {
+				t.Errorf("%s: segment %d (window %d): L1-D contents or recency order differ from a functional warm of the whole prefix", name, k, s.start)
 			}
 		}
-		for j, rec := range p.recs {
-			if timed[j] || j >= p.segs[len(p.segs)-1].start {
-				t.Errorf("%s: stream recorded for window %d, which no replay warms", name, j)
-			}
-			if w := p.wins[j]; uint64(len(rec)) > w.loads+w.stores {
-				t.Errorf("%s: window %d holds %d events for %d memory accesses", name, j, len(rec), w.loads+w.stores)
-			}
-		}
-		if len(p.trained) != 1 {
-			t.Errorf("%s: %d trained configs after NewPlan, want 1", name, len(p.trained))
+		if gaps == 0 || gaps == len(p.segs) {
+			t.Errorf("%s: %d of %d segments follow a gap; the test wants both kinds", name, gaps, len(p.segs))
 		}
 	}
 }
 
-// A plan trained for one predictor config must replay correctly under
-// another (it trains the second one on first use, once), also when
-// replays under both configs run at the same time.
-func TestReplayUnderSecondPredictorConfig(t *testing.T) {
+// Conservation laws of a projection: the phases partition the profiled
+// instructions, their weights sum to one, and the architectural counts of
+// the projected Result are the functional pass's, not extrapolated.
+func TestSampledResultConserves(t *testing.T) {
 	cfg := cpu.DefaultConfig()
-	small := cfg
-	small.Bpred.TableBits = 7
-	small.Bpred.HistLengths = []int{4, 16, 64}
+	for name, p := range twoKernels(t, cfg) {
+		var insts, loads, stores, branches uint64
+		it := p.base.Fork().Frontend()
+		it.RunWith(p.opts.ROI, func(di interp.DynInst) {
+			insts++
+			switch op := di.Inst.Op; {
+			case op.IsLoad():
+				loads++
+			case op.IsStore():
+				stores++
+			case op.IsBranch():
+				branches++
+			}
+		})
+		res, err := p.Replay(context.Background(), cfg, noEngine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mass uint64
+		for _, ph := range p.phases {
+			mass += ph.insts
+		}
+		if mass != res.Sampled.ProfiledInsts || mass != insts {
+			t.Errorf("%s: phase masses sum to %d, profiled %d, functional run %d", name, mass, res.Sampled.ProfiledInsts, insts)
+		}
+		var wsum float64
+		for _, w := range res.Sampled.PhaseWeights {
+			wsum += w
+		}
+		if math.Abs(wsum-1) > 1e-9 {
+			t.Errorf("%s: phase weights sum to %v", name, wsum)
+		}
+		if res.Instructions != insts || res.Loads != loads || res.Stores != stores || res.Branches != branches {
+			t.Errorf("%s: projected {i=%d l=%d s=%d b=%d}, functional {i=%d l=%d s=%d b=%d}", name,
+				res.Instructions, res.Loads, res.Stores, res.Branches, insts, loads, stores, branches)
+		}
+		if res.Sampled.SimulatedInsts == 0 || res.Sampled.SimulatedInsts > insts {
+			t.Errorf("%s: %d instructions timed of %d", name, res.Sampled.SimulatedInsts, insts)
+		}
+	}
+}
+
+// A plan warmed for one predictor or memory config must replay correctly
+// under another (it walks the stream for the second one on first use,
+// once), also when replays under both configs run at the same time.
+func testReplayUnderSecondConfig(t *testing.T, second cpu.Config) {
+	cfg := cpu.DefaultConfig()
 	sp := testSpec(t, 60_000)
 	base := sp.Build()
 	opts := Options{ROI: sp.ROI, WindowInsts: 2_000}
@@ -331,16 +484,16 @@ func TestReplayUnderSecondPredictorConfig(t *testing.T) {
 		return string(b)
 	}
 	fresh := func(c cpu.Config) *Plan {
-		p, err := NewPlan(base, c.Bpred, opts)
+		p, err := NewPlan(base, c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	cfgs := []cpu.Config{cfg, small}
-	want := []string{canon(fresh(cfg), cfg), canon(fresh(small), small)}
+	cfgs := []cpu.Config{cfg, second}
+	want := []string{canon(fresh(cfg), cfg), canon(fresh(second), second)}
 	if want[0] == want[1] {
-		t.Fatal("the two predictor configs project the same result; the test would prove nothing")
+		t.Fatal("the two configs project the same result; the test would prove nothing")
 	}
 	plan := fresh(cfg)
 	var wg sync.WaitGroup
@@ -354,7 +507,22 @@ func TestReplayUnderSecondPredictorConfig(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(plan.trained) != 2 {
-		t.Errorf("%d trained configs after replays under two, want 2", len(plan.trained))
+	if len(plan.warmed) != 2 {
+		t.Errorf("%d warmed configs after replays under two, want 2", len(plan.warmed))
 	}
+}
+
+func TestReplayUnderSecondPredictorConfig(t *testing.T) {
+	small := cpu.DefaultConfig()
+	small.Bpred.TableBits = 7
+	small.Bpred.HistLengths = []int{4, 16, 64}
+	testReplayUnderSecondConfig(t, small)
+}
+
+// The smaller L3 keeps its associativity, so a cache state of the default
+// geometry would not even import into it.
+func TestReplayUnderSecondMemConfig(t *testing.T) {
+	small := cpu.DefaultConfig()
+	small.Mem.L3.SizeBytes = 128 << 10
+	testReplayUnderSecondConfig(t, small)
 }

@@ -24,7 +24,7 @@ const Version = "v1"
 // never served for a newer one (see DESIGN.md, "dvrd cache key"). Bump it
 // whenever a change anywhere in the simulator (cpu, mem, bpred, runahead,
 // prefetch, workloads, graphgen) alters any Result field for any job.
-const EngineVersion = "dvr-engine/3"
+const EngineVersion = "dvr-engine/4"
 
 // SamplingOptions selects sampled simulation for a request: instead of
 // timing the full ROI, the server phase-profiles it, times one

@@ -349,8 +349,13 @@ func TestParentArtifactsLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parent checkpoint: %v", err)
 	}
-	if err := st.Matches(api.EngineVersion, st.Ref, "ooo", st.Config); err != nil || st.Seq() == 0 {
+	// The fixture tests the container, so it pins the engine it was written
+	// under; a journal of another engine must decode and then be refused.
+	if err := st.Matches("dvr-engine/3", st.Ref, "ooo", st.Config); err != nil || st.Seq() == 0 {
 		t.Errorf("parent checkpoint decoded to seq %d, match %v", st.Seq(), err)
+	}
+	if err := st.Matches(api.EngineVersion, st.Ref, "ooo", st.Config); err == nil {
+		t.Errorf("parent checkpoint (engine %s) matches the current engine %s", st.Engine, api.EngineVersion)
 	}
 
 	led, err := ledger.NewStore(dir, nil)

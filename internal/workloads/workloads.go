@@ -134,19 +134,29 @@ func fill(m *interp.Memory, base uint64, n int, val uint64) {
 }
 
 // randWords fills n words with deterministic pseudo-random values, reduced
-// modulo mod when mod is nonzero.
+// modulo mod when mod is nonzero. Values go through a stack buffer into
+// StoreSlice, so an image build never holds an n-word temporary, and a
+// power-of-two mod (most callers) is a mask instead of a division.
 func randWords(m *interp.Memory, base uint64, n int, seed uint64, mod uint64) {
-	vals := make([]uint64, n)
-	s := seed
-	for i := range vals {
-		s = isa.Mix64(s + uint64(i))
-		v := s
-		if mod != 0 {
-			v %= mod
-		}
-		vals[i] = v
+	mask := ^uint64(0)
+	if mod&(mod-1) == 0 { // power of two, or 0: no reduction
+		mask, mod = mod-1, 0
 	}
-	m.StoreSlice(base, vals)
+	var buf [512]uint64
+	s := seed
+	for i := 0; i < n; {
+		k := 0
+		for ; k < len(buf) && i < n; k, i = k+1, i+1 {
+			s = isa.Mix64(s + uint64(i))
+			v := s & mask
+			if mod != 0 {
+				v %= mod
+			}
+			buf[k] = v
+		}
+		m.StoreSlice(base, buf[:k])
+		base += uint64(k) * 8
+	}
 }
 
 // emitHash emits an inlined multi-instruction integer mix of r (two

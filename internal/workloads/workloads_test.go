@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"dvr/internal/graphgen"
@@ -375,6 +378,43 @@ func TestWorkingSetsExceedLLC(t *testing.T) {
 		w := build()
 		if fp := w.Mem.Footprint(); fp < 12<<20 {
 			t.Errorf("%s footprint %d MB; must exceed the 8 MB LLC", w.Name, fp>>20)
+		}
+	}
+}
+
+// imageHash digests every nonzero word of a freshly built image, pages in
+// ascending order.
+func imageHash(w *Workload) string {
+	h := sha256.New()
+	for _, pd := range w.Mem.SnapshotPages() {
+		h.Write(binary.LittleEndian.AppendUint64(nil, pd.PN))
+		h.Write(pd.Data)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestHPCDBImagesUnchanged pins the HPC/DB memory images word for word:
+// randWords generates them through a block buffer and masks power-of-two
+// moduli, and must produce exactly what the n-word, DIV-per-word version
+// did. The digests were taken at commit f63f945, before that change.
+func TestHPCDBImagesUnchanged(t *testing.T) {
+	want := map[string]string{
+		"camel":        "65a8a381557fa048",
+		"graph500":     "d286ce4b305a9655",
+		"hj2":          "145b218fcc81d489",
+		"hj8":          "145b218fcc81d489",
+		"kangaroo":     "b2d6c2423b65e842",
+		"nas-cg":       "85a7ed89df15a44f",
+		"nas-is":       "96a17c771877eca3",
+		"randomaccess": "7317a24c14a9fbd3",
+	}
+	specs := HPCDBSpecs()
+	if len(specs) != len(want) {
+		t.Errorf("%d HPC/DB specs, %d pinned digests", len(specs), len(want))
+	}
+	for _, sp := range specs {
+		if got := imageHash(sp.Build()); got != want[sp.Name] {
+			t.Errorf("%s: image digest %s, want %s", sp.Name, got, want[sp.Name])
 		}
 	}
 }
