@@ -77,6 +77,12 @@ type Predictor struct {
 	foldG   uint64
 	foldOK  bool
 
+	// The table index and tag of the branch being looked up, per table:
+	// filled by hash at the top of predictInternal and read by Update for
+	// the same pc and history, so each is computed once per branch.
+	idx  []uint32
+	tags []uint16
+
 	// Stats
 	Lookups     uint64
 	Mispredicts uint64
@@ -90,6 +96,8 @@ func New(cfg Config) *Predictor {
 		histLen: cfg.HistLengths,
 		foldIdx: make([]uint64, len(cfg.HistLengths)),
 		foldTag: make([]uint64, len(cfg.HistLengths)),
+		idx:     make([]uint32, len(cfg.HistLengths)),
+		tags:    make([]uint16, len(cfg.HistLengths)),
 	}
 	p.tables = make([][]taggedEntry, len(cfg.HistLengths))
 	for i := range p.tables {
@@ -175,17 +183,16 @@ func foldStep(f, out, b uint64, length, bits int) uint64 {
 	return (f ^ f>>uint(bits)) & (1<<uint(bits) - 1)
 }
 
-func (p *Predictor) index(table int, pc uint64) uint64 {
-	bits := p.cfg.TableBits
+// hash computes every table's index and tag for the branch at pc under the
+// current history, in one pass after one refold.
+func (p *Predictor) hash(pc uint64) {
 	p.refold()
-	f := p.foldIdx[table]
-	return (pc ^ (pc >> uint(bits)) ^ f ^ (f << 1)) & ((1 << uint(bits)) - 1)
-}
-
-func (p *Predictor) tag(table int, pc uint64) uint16 {
-	p.refold()
-	f := p.foldTag[table]
-	return uint16((pc ^ (pc >> 5) ^ f) & ((1 << uint(p.cfg.TagBits)) - 1))
+	ib, tb := uint(p.cfg.TableBits), uint(p.cfg.TagBits)
+	pi, pt := pc^pc>>ib, pc^pc>>5
+	for t, f := range p.foldIdx {
+		p.idx[t] = uint32((pi ^ f ^ f<<1) & (1<<ib - 1))
+		p.tags[t] = uint16((pt ^ p.foldTag[t]) & (1<<tb - 1))
+	}
 }
 
 // Predict returns the taken/not-taken prediction for the branch at pc.
@@ -196,9 +203,9 @@ func (p *Predictor) Predict(pc uint64) bool {
 }
 
 func (p *Predictor) predictInternal(pc uint64) (pred bool, provider int, base bool) {
+	p.hash(pc)
 	for t := len(p.tables) - 1; t >= 0; t-- {
-		e := &p.tables[t][p.index(t, pc)]
-		if e.tag == p.tag(t, pc) {
+		if e := &p.tables[t][p.idx[t]]; e.tag == p.tags[t] {
 			return e.ctr >= 0, t, false
 		}
 	}
@@ -216,7 +223,7 @@ func (p *Predictor) Update(pc uint64, taken bool) bool {
 	}
 
 	if provider >= 0 {
-		e := &p.tables[provider][p.index(provider, pc)]
+		e := &p.tables[provider][p.idx[provider]]
 		if taken && e.ctr < 3 {
 			e.ctr++
 		} else if !taken && e.ctr > -4 {
@@ -238,9 +245,9 @@ func (p *Predictor) Update(pc uint64, taken bool) bool {
 	if mispred && provider < len(p.tables)-1 {
 		allocated := false
 		for t := provider + 1; t < len(p.tables); t++ {
-			e := &p.tables[t][p.index(t, pc)]
+			e := &p.tables[t][p.idx[t]]
 			if e.useful == 0 {
-				e.tag = p.tag(t, pc)
+				e.tag = p.tags[t]
 				if taken {
 					e.ctr = 0
 				} else {

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"sync"
 	"testing"
 
 	"dvr/internal/isa"
@@ -71,30 +72,149 @@ func TestForkOfFork(t *testing.T) {
 	}
 }
 
-func TestTLBInvalidationOnPageCreation(t *testing.T) {
+// A load of an unmapped address reads zero without mapping anything, at
+// every level of the table, and a store there afterwards is visible.
+func TestBlockCreatedAfterZeroReadIsVisible(t *testing.T) {
 	m := NewMemory()
-	// A load miss on an absent page must not cache the miss: creating the
-	// page afterwards has to become visible.
-	if got := m.Load64(0x7000); got != 0 {
-		t.Fatalf("absent page = %d", got)
+	f := m.Fork()
+	addrs := []uint64{0x7000, 5 << leafShift, farLimit - 8, farLimit, 1<<63 + 0x40}
+	for _, addr := range addrs {
+		if got := f.Load64(addr); got != 0 {
+			t.Fatalf("absent %#x = %d", addr, got)
+		}
+		if fp := f.Footprint(); fp != 0 {
+			t.Fatalf("a load of %#x mapped %d bytes", addr, fp)
+		}
 	}
-	m.Store64(0x7000, 1)
-	if got := m.Load64(0x7000); got != 1 {
-		t.Errorf("page created after a miss is invisible: %d", got)
+	for i, addr := range addrs {
+		m.Store64(addr, uint64(i+1))
+		if got := m.Load64(addr); got != uint64(i+1) {
+			t.Errorf("block created at %#x after a zero read is invisible: %d", addr, got)
+		}
 	}
 }
 
-func TestTLBConflictingPages(t *testing.T) {
+// Addresses one block, one leaf and one directory's reach apart index
+// different slots at some level of the table and must not alias.
+func TestStridedAddressesDoNotAlias(t *testing.T) {
 	m := NewMemory()
-	// Two pages that collide in the direct-mapped TLB (same index bits).
-	a := uint64(0x0000_0000)
-	b := a + uint64(tlbSize)<<pageShift
-	m.Store64(a, 1)
-	m.Store64(b, 2)
-	for i := 0; i < 4; i++ {
-		if m.Load64(a) != 1 || m.Load64(b) != 2 {
-			t.Fatalf("TLB conflict corruption at round %d", i)
+	a := uint64(0x1238)
+	addrs := []uint64{a, a + 1<<blockShift, a + 1<<pageShift, a + 1<<leafShift, a + 2<<leafShift, a + farLimit, a + 2*farLimit, a + farLimit + 1<<leafShift}
+	for i, addr := range addrs {
+		m.Store64(addr, uint64(i+1))
+	}
+	f := m.Fork()
+	f.Store64(a, 100)
+	for round := 0; round < 2; round++ {
+		for i, addr := range addrs {
+			if got := m.Load64(addr); got != uint64(i+1) {
+				t.Fatalf("round %d: %#x = %d, want %d", round, addr, got, i+1)
+			}
+			if got := f.Load64(addr); i > 0 && got != uint64(i+1) {
+				t.Fatalf("round %d: %#x through the fork = %d, want %d", round, addr, got, i+1)
+			}
 		}
+	}
+}
+
+// TestForkKeepsForkTimeContentsOfBlocksParentFirstWritesLater pins what a
+// fork may rely on when its parent keeps writing (Fork's doc comment). The
+// map-and-chain memory showed a fork every later store of its parent to a
+// page the fork had not copied; the radix table shows it only the in-place
+// ones. (A block the parent first writes inside a leaf it owns, while the
+// fork still shares that leaf, does show through; nothing may depend on
+// that, and nothing here tests it.)
+func TestForkKeepsForkTimeContentsOfBlocksParentFirstWritesLater(t *testing.T) {
+	const (
+		a = 0x1000              // leaf 0, owned by the parent before the fork
+		b = a + 4<<blockShift   // leaf 0, the root's block
+		c = a + 9<<blockShift   // leaf 0, the child's scratch
+		d = 1<<leafShift + 0x40 // leaf 1, the root's leaf
+		e = 7<<leafShift + 0x40 // leaf 7, mapped by nobody
+	)
+	root := NewMemory()
+	root.Store64(a, 1)
+	root.Store64(b, 2)
+	root.Store64(d, 3)
+	p := root.Fork()
+	p.Store64(a, 10)
+	child := p.Fork()
+	check := func(when string, addr, want uint64) {
+		t.Helper()
+		if got := child.Load64(addr); got != want {
+			t.Errorf("%s: child reads %d at %#x, want %d", when, got, addr, want)
+		}
+	}
+
+	p.Store64(a, 11)
+	check("in-place store to a block the parent owned at the fork", a, 11)
+	p.Store64(d, 30)
+	check("first write into a leaf the parent did not own", d, 3)
+	p.Store64(e, 50)
+	check("first write into a leaf nobody had", e, 0)
+
+	child.Store64(c, 5) // the child now has its own copy of leaf 0
+	p.Store64(b, 20)
+	check("first write to a block after the child copied the leaf", b, 2)
+	p.Store64(a, 12)
+	check("in-place store after the child copied the leaf", a, 12)
+
+	child.Store64(a+8, 6) // and now its own copy of a's block
+	p.Store64(a, 13)
+	check("in-place store after the child copied the block", a, 12)
+	for addr, want := range map[uint64]uint64{a: 13, b: 20, c: 0, d: 30, e: 50} {
+		if got := p.Load64(addr); got != want {
+			t.Errorf("parent reads %d at %#x, want %d", got, addr, want)
+		}
+	}
+}
+
+// TestConcurrentForksOfFrozenBase forks one frozen image from eight
+// goroutines that each read through it and write their own copy. Run under
+// -race: a fork must never write a leaf, block or directory it shares.
+func TestConcurrentForksOfFrozenBase(t *testing.T) {
+	base := NewMemory()
+	vals := make([]uint64, 3<<(leafShift-3))
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	base.StoreSlice(1<<20, vals)
+	base.Store64(farLimit+8, 99)
+	frozen := base.Fork() // a fork of a fork, as sampling's boundaries are
+	frozen.Store64(1<<20, 1)
+
+	var wg sync.WaitGroup
+	for g := uint64(1); g <= 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				f := frozen.Fork()
+				for i := uint64(0); i < uint64(len(vals)); i += 61 {
+					addr := 1<<20 + i*8
+					if got := f.Load64(addr); got != max(i, 1) {
+						t.Errorf("goroutine %d: %#x = %d through a fresh fork, want %d", g, addr, got, max(i, 1))
+						return
+					}
+					f.Store64(addr, g<<32|i)
+				}
+				f.Store64(farLimit+8, g)
+				f.StoreSlice(1<<20+uint64(len(vals))*8-64, []uint64{g, g, g, g, g, g, g, g, g, g})
+				for i := uint64(0); i < uint64(len(vals))-8; i += 61 {
+					if got := f.Load64(1<<20 + i*8); got != g<<32|i {
+						t.Errorf("goroutine %d: own store lost at word %d: %#x", g, i, got)
+						return
+					}
+				}
+				if f.Load64(farLimit+8) != g || f.Load64(1<<20+uint64(len(vals))*8) != g {
+					t.Errorf("goroutine %d: far or slice store lost", g)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if frozen.Load64(1<<20) != 1 || frozen.Load64(1<<20+61*8) != 61 || frozen.Load64(farLimit+8) != 99 {
+		t.Error("a fork's store reached the frozen base")
 	}
 }
 

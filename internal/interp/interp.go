@@ -48,7 +48,7 @@ func New(p *isa.Program, m *Memory) *Interp {
 // Clone returns a copy of the interpreter sharing the same program but
 // with an independent register state and a copy-on-write fork of the
 // memory image. The clone exists to pre-execute the future stream
-// speculatively: its stores land in private page copies (visible to its
+// speculatively: its stores land in private block copies (visible to its
 // own later loads, as they would be architecturally) and never reach the
 // parent's memory.
 func (it *Interp) Clone() *Interp {

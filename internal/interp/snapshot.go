@@ -1,22 +1,31 @@
 package interp
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"dvr/internal/isa"
+)
+
+// pageShift and pageWords fix the PageDelta wire unit: a 4 KiB page, eight
+// copy-on-write blocks. The unit predates the block size and stays as it is
+// so checkpoints written before the radix table still load.
+const (
+	pageShift  = 12
+	pageWords  = 1 << (pageShift - 3)
+	pageBlocks = 1 << (pageShift - blockShift)
 )
 
 // wordRecBytes is the size of one packed word record in PageDelta.Data:
 // a uint16 word index within the page, then the uint64 value.
 const wordRecBytes = 10
 
-// PageDelta is one owned page of a Memory in serializable form: the page
+// PageDelta is one 4 KiB page of a Memory in serializable form: the page
 // number plus packed little-endian (index, value) records, ascending by
-// index, for exactly the words that differ from what the memory would read
-// through its base chain (all zeros when no ancestor holds the page). A
+// index, for exactly the words of the blocks the memory owns that differ
+// from what its base reads there (all zeros when the base maps nothing). A
 // checkpoint therefore costs the words a run changed, not the pages it
 // touched: a one-word page is 10 bytes and a fully rewritten one 5120
 // (1.25x the dense page). JSON encodes Data as base64.
@@ -25,76 +34,91 @@ type PageDelta struct {
 	Data []byte `json:"data"`
 }
 
-var zeroPage page
+var zeroBlock block
 
-// SnapshotPages captures m's owned pages as word deltas against its base
-// chain, sorted by page number so the encoding is deterministic. Owned
-// pages that read the same as the base are omitted. The checkpoint
-// contract is that the base is rebuilt to the same contents first — a
-// workload image from its description, a cloned interpreter's parent by
-// restoring the parent before the clone — and the delta is replayed on a
-// fresh fork of it.
+// SnapshotPages captures the blocks m owns as word deltas against its
+// base's current view, ascending by page number so the encoding is
+// deterministic. Pages that read the same as the base are omitted. The
+// checkpoint contract is that the base is rebuilt to the same contents
+// first — a workload image from its description, a cloned interpreter's
+// parent by restoring the parent before the clone — and the delta is
+// replayed on a fresh fork of it.
 func (m *Memory) SnapshotPages() []PageDelta {
 	var deltas []PageDelta
-	for pn, p := range m.pages {
-		parent := m.parentPage(pn)
-		var data []byte
-		for i, w := range p {
-			if w != parent[i] {
-				data = binary.LittleEndian.AppendUint16(data, uint16(i))
-				data = binary.LittleEndian.AppendUint64(data, w)
+	// diff appends block bn's changed words; calls come in ascending bn.
+	diff := func(bn uint64, b *block) {
+		parent := &zeroBlock
+		if m.base != nil {
+			if b := m.base.block(bn << blockShift); b != nil {
+				parent = b
 			}
 		}
-		if data != nil {
-			deltas = append(deltas, PageDelta{PN: pn, Data: data})
+		pn := bn / pageBlocks
+		first := int(bn%pageBlocks) * blockWords // the block's first word within its page
+		for i, w := range b {
+			if w == parent[i] {
+				continue
+			}
+			if len(deltas) == 0 || deltas[len(deltas)-1].PN != pn {
+				deltas = append(deltas, PageDelta{PN: pn})
+			}
+			d := &deltas[len(deltas)-1]
+			d.Data = binary.LittleEndian.AppendUint16(d.Data, uint16(first+i))
+			d.Data = binary.LittleEndian.AppendUint64(d.Data, w)
 		}
 	}
-	slices.SortFunc(deltas, func(a, b PageDelta) int { return cmp.Compare(a.PN, b.PN) })
+	for li, l := range m.dir {
+		if l == nil || l.owner != m {
+			continue
+		}
+		for wi, set := range l.owned {
+			for ; set != 0; set &= set - 1 {
+				bi := wi*64 + bits.TrailingZeros64(set)
+				diff(uint64(li)<<(leafShift-blockShift)|uint64(bi), l.blocks[bi])
+			}
+		}
+	}
+	far := make([]uint64, 0, len(m.far))
+	for bn := range m.far {
+		far = append(far, bn)
+	}
+	slices.Sort(far)
+	for _, bn := range far {
+		diff(bn, m.far[bn])
+	}
 	return deltas
 }
 
-// parentPage is the page a fork reads at pn before it owns one.
-func (m *Memory) parentPage(pn uint64) *page {
-	if m.base != nil {
-		if p, _ := m.base.find(pn); p != nil {
-			return p
-		}
-	}
-	return &zeroPage
-}
-
-// RestorePages replaces m's owned pages with deltas, each page starting
-// from the base chain's current view of it, and invalidates the TLB.
-// Restoring onto a fresh fork of a base that reads as it did when the
-// snapshot was taken reproduces the snapshotted memory exactly. Pages
-// must be strictly ascending and each page's records strictly ascending
-// by index, so a malformed delta is an error rather than a last-wins.
+// RestorePages makes m a fresh fork of its base (an empty memory for a
+// root) and applies deltas to it. Restoring over a base that reads as it
+// did when the snapshot was taken reproduces the snapshotted memory
+// exactly. Pages must be strictly ascending and each page's records
+// strictly ascending by index, so a malformed delta is an error rather
+// than a last-wins.
 func (m *Memory) RestorePages(deltas []PageDelta) error {
-	if m.pages == nil {
-		m.pages = make(map[uint64]*page, len(deltas))
-	} else {
-		clear(m.pages)
+	m.dir, m.far = nil, nil
+	if m.base != nil {
+		m.dir = slices.Clone(m.base.dir)
 	}
-	m.tlb = [tlbSize]tlbEntry{}
 	for i, d := range deltas {
 		if i > 0 && d.PN <= deltas[i-1].PN {
 			return fmt.Errorf("interp: page %#x follows page %#x, want strictly ascending", d.PN, deltas[i-1].PN)
 		}
+		if d.PN >= 1<<(64-pageShift) {
+			return fmt.Errorf("interp: page %#x is beyond the address space", d.PN)
+		}
 		if len(d.Data) == 0 || len(d.Data)%wordRecBytes != 0 {
 			return fmt.Errorf("interp: page %#x has %d bytes, want a positive multiple of %d", d.PN, len(d.Data), wordRecBytes)
 		}
-		p := new(page)
-		*p = *m.parentPage(d.PN)
 		prev := -1
 		for rec := d.Data; len(rec) > 0; rec = rec[wordRecBytes:] {
 			idx := int(binary.LittleEndian.Uint16(rec))
 			if idx <= prev || idx >= pageWords {
 				return fmt.Errorf("interp: page %#x has word index %d after %d, want ascending below %d", d.PN, idx, prev, pageWords)
 			}
-			p[idx] = binary.LittleEndian.Uint64(rec[2:])
+			m.Store64(d.PN<<pageShift|uint64(idx)<<3, binary.LittleEndian.Uint64(rec[2:]))
 			prev = idx
 		}
-		m.pages[d.PN] = p
 	}
 	return nil
 }

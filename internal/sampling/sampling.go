@@ -128,7 +128,7 @@ func ceilWins(insts, winLen uint64) int {
 // length does not dominate distance.
 const (
 	sigDim    = 32 // buckets per half
-	pageShift = 12 // 4 KiB pages, matching interp.Memory's page size
+	pageShift = 12 // 4 KiB pages, the signature's own unit (interp.Memory copies 512-byte blocks)
 	bbvSalt   = 0x9e3779b97f4a7c15
 	mavSalt   = 0xd1b54a32d192ed03
 )

@@ -9,8 +9,9 @@ import (
 )
 
 // Session is one subscriber's view of a job stream: a bounded ring of
-// undelivered events with an explicit drop-oldest overflow policy, a TTL,
-// and per-session delivery/drop accounting. One goroutine consumes a
+// undelivered events with an explicit drop-oldest-telemetry overflow policy
+// (cell-done and job-done are never dropped), a TTL, and per-session
+// delivery/drop accounting. One goroutine consumes a
 // session (Next); any number may publish into it through the broadcaster.
 type Session struct {
 	b   *Broadcaster
@@ -18,7 +19,8 @@ type Session struct {
 	ttl time.Duration
 
 	mu        sync.Mutex
-	buf       []api.Event // delivery ring
+	buf       []api.Event // delivery ring; longer than limit only while it holds terminal events alone
+	limit     int         // events the ring holds before it evicts telemetry
 	head      int         // index of the oldest buffered event
 	n         int         // buffered count
 	dropped   uint64      // events lost to the overflow policy
@@ -33,9 +35,18 @@ type Session struct {
 	notify chan struct{} // cap 1; kicked on enqueue/close/expire
 }
 
-// enqueue appends ev to the delivery ring, evicting the oldest buffered
-// event when full (counted in dropped). Called with b.mu held, so the
-// per-session order matches publish order exactly.
+// terminal reports whether ev is one a consumer cannot do without: it
+// tells a finished cell or the finished job apart from a lost one.
+func terminal(ev api.Event) bool {
+	return ev.Kind == api.EventCellDone || ev.Kind == api.EventJobDone
+}
+
+// enqueue appends ev to the delivery ring. When the ring is full it evicts
+// the oldest buffered telemetry event (counted in dropped), never a
+// terminal one: a ring holding nothing else grows for a terminal event, so
+// it may exceed its limit by the job's cells + 1, and drops an incoming
+// telemetry event. Called with b.mu held, so the per-session order matches
+// publish order exactly.
 func (s *Session) enqueue(ev api.Event) {
 	if s.filter != nil && !s.filter(ev) {
 		return
@@ -45,21 +56,57 @@ func (s *Session) enqueue(ev api.Event) {
 		s.mu.Unlock()
 		return
 	}
-	if s.n == len(s.buf) {
+	s.lastID = ev.ID
+	if s.n >= s.limit {
 		// Drop-oldest: the freshest events are the valuable ones for a
 		// live view, and the replay window covers re-reading history.
-		s.head = (s.head + 1) % len(s.buf)
-		s.n--
-		s.dropped++
-		if s.b != nil && s.b.reg != nil {
-			s.b.reg.droppedTotal.Add(1)
+		switch {
+		case s.evict():
+		case !terminal(ev):
+			s.countDrop()
+			s.mu.Unlock()
+			return
+		case s.n == len(s.buf):
+			grown := make([]api.Event, 2*len(s.buf))
+			for i := range s.buf {
+				grown[i] = s.buf[(s.head+i)%len(s.buf)]
+			}
+			s.buf, s.head = grown, 0
 		}
 	}
 	s.buf[(s.head+s.n)%len(s.buf)] = ev
 	s.n++
-	s.lastID = ev.ID
 	s.mu.Unlock()
 	s.kick()
+}
+
+// evict removes the oldest buffered event that is not terminal, moving the
+// terminal ones ahead of it (at most the job's cells + 1) one slot back.
+// It reports false when every buffered event is terminal.
+func (s *Session) evict() bool {
+	at := func(i int) *api.Event { return &s.buf[(s.head+i)%len(s.buf)] }
+	k := 0
+	for k < s.n && terminal(*at(k)) {
+		k++
+	}
+	if k == s.n {
+		return false
+	}
+	for ; k > 0; k-- {
+		*at(k) = *at(k - 1)
+	}
+	*at(0) = api.Event{}
+	s.head = (s.head + 1) % len(s.buf)
+	s.n--
+	s.countDrop()
+	return true
+}
+
+func (s *Session) countDrop() {
+	s.dropped++
+	if s.b != nil && s.b.reg != nil {
+		s.b.reg.droppedTotal.Add(1)
+	}
 }
 
 func (s *Session) kick() {

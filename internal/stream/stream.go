@@ -16,9 +16,11 @@
 //     its observers.
 //
 //   - Backpressure is drop-oldest, and it is accounted. A session whose
-//     reader cannot keep up loses its oldest undelivered events first
-//     (the newest data is the live data a dashboard wants) and counts
-//     every loss in a per-session drop counter surfaced at /metrics.
+//     reader cannot keep up loses its oldest undelivered telemetry events
+//     first (the newest data is the live data a dashboard wants) and
+//     counts every loss in a per-session drop counter surfaced at
+//     /metrics. cell-done and job-done are never dropped: a follower
+//     must be able to tell a finished cell from a lost one.
 //
 //   - Sessions expire. Every session carries a TTL; a subscriber that
 //     stops polling without closing (a wedged proxy, a laptop lid) is
@@ -139,8 +141,9 @@ type SubOptions struct {
 	// Last-Event-ID cursor). 0 means from the oldest retained event.
 	After uint64
 	// Buffer bounds the session's delivery buffer; 0 means the registry
-	// default. When full, the oldest buffered event is dropped and the
-	// session's drop counter incremented.
+	// default. When full, the oldest buffered telemetry event is dropped
+	// and the session's drop counter incremented; cell-done and job-done
+	// events are kept, beyond the bound if need be.
 	Buffer int
 	// TTL overrides the registry's session TTL; 0 means the default. A
 	// session not polled within its TTL is reaped.
@@ -178,6 +181,7 @@ func (b *Broadcaster) Subscribe(opts SubOptions) *Session {
 	s := &Session{
 		b:      b,
 		buf:    make([]api.Event, bufCap),
+		limit:  bufCap,
 		ttl:    ttl,
 		filter: opts.Filter,
 		notify: make(chan struct{}, 1),

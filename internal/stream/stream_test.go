@@ -254,3 +254,61 @@ func TestNextHonorsContext(t *testing.T) {
 		t.Fatalf("Next: %v, want DeadlineExceeded", err)
 	}
 }
+
+// TestFullRingKeepsTerminalEvents: a stalled subscriber whose ring is full
+// of interval telemetry still receives every cell-done and the job-done
+// published after it, in publish order; what the ring evicts to make room
+// is telemetry, and it is counted.
+func TestFullRingKeepsTerminalEvents(t *testing.T) {
+	const ringCap, cells = 8, 12 // more terminal events than the ring holds
+	r := testRegistry(t, Config{SessionBuffer: ringCap})
+	b := r.Create("job-1")
+	s := b.Subscribe(SubOptions{}) // stalled: no Next until the end
+	defer s.Close()
+	for i := 0; i < 3*ringCap; i++ {
+		b.Publish(api.Event{Kind: api.EventInterval, Cell: i})
+	}
+	published := 3 * ringCap
+	for c := 0; c < cells; c++ {
+		// Telemetry keeps arriving between the terminal events.
+		b.Publish(api.Event{Kind: api.EventRunahead, Cell: c})
+		b.Publish(api.Event{Kind: api.EventCellDone, Cell: c})
+		published += 2
+	}
+	b.Publish(api.Event{Kind: api.EventJobDone})
+	published++
+	b.Close()
+
+	evs := drain(t, s, 5*time.Second)
+	var done []int
+	for i, ev := range evs {
+		if i > 0 && ev.ID <= evs[i-1].ID {
+			t.Fatalf("event %d (id %d) delivered after id %d", i, ev.ID, evs[i-1].ID)
+		}
+		if ev.Kind == api.EventCellDone {
+			done = append(done, ev.Cell)
+		}
+	}
+	if len(done) != cells {
+		t.Fatalf("%d of %d cell-done events delivered: %v", len(done), cells, done)
+	}
+	for c, got := range done {
+		if got != c {
+			t.Fatalf("cell-done events out of order: %v", done)
+		}
+	}
+	if last := evs[len(evs)-1]; last.Kind != api.EventJobDone {
+		t.Errorf("last event is %q, want job-done", last.Kind)
+	}
+	// More terminal events than the ring's cap: it grew for them alone,
+	// and every telemetry event made way.
+	if len(evs) != cells+1 {
+		t.Errorf("%d events delivered, want the %d terminal ones and no telemetry", len(evs), cells+1)
+	}
+	if got, want := s.Dropped(), uint64(published-len(evs)); got != want {
+		t.Errorf("Dropped() = %d, want %d (published %d, delivered %d)", got, want, published, len(evs))
+	}
+	if m := r.Snapshot(); m.EventsDropped != s.Dropped() {
+		t.Errorf("registry EventsDropped = %d, session dropped %d", m.EventsDropped, s.Dropped())
+	}
+}
