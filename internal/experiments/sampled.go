@@ -41,40 +41,59 @@ func RunSampled(ctx context.Context, spec workloads.Spec, tech Technique, cfg cp
 	if _, err := ParseTechnique(string(tech)); err != nil {
 		return cpu.Result{}, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return cpu.Result{}, err
-	}
-	plan, err := newPlan(spec, cfg, so)
+	plan, err := NewSampledPlan(spec, cfg, so)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	return replayPlan(ctx, plan, spec, tech, cfg)
+	return plan.Replay(ctx, tech)
 }
 
-// newPlan builds the spec's workload image and its sampling plan, with the
-// branch predictor and caches of cfg warmed along the way.
-func newPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*sampling.Plan, error) {
+// SampledPlan is everything about a benchmark's sampled projection that
+// does not depend on the technique: the built workload image and its
+// sampling.Plan (profile, phases, boundary snapshots, and the predictor
+// and cache states of cfg at every segment start). The profile pass and
+// the boundary-capture and warming pass are the bulk of one projection's
+// cost, so a caller with several techniques to project (MatrixSampled, a
+// dvrd batch) builds the plan once and calls Replay per technique. A plan
+// holds one cache state per segment, tens of MB at full ROIs. Replay is
+// safe for concurrent use.
+type SampledPlan struct {
+	spec workloads.Spec
+	cfg  cpu.Config
+	plan *sampling.Plan
+}
+
+// NewSampledPlan builds spec's workload image and its sampling plan under
+// cfg and so.
+func NewSampledPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*SampledPlan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	base, err := buildWorkload(spec)
 	if err != nil {
 		return nil, err
 	}
-	return sampling.NewPlan(base, cfg, so.options(roiOf(spec)))
+	plan, err := sampling.NewPlan(base, cfg, so.options(roiOf(spec)))
+	if err != nil {
+		return nil, err
+	}
+	return &SampledPlan{spec: spec, cfg: cfg, plan: plan}, nil
 }
 
-// replayPlan projects one technique from a prepared plan. Plans are
-// technique-independent; Matrix-style callers build one per spec and
-// replay it per technique — the profile pass and the boundary-capture and
-// warming pass are the bulk of a single projection's cost.
-func replayPlan(ctx context.Context, plan *sampling.Plan, spec workloads.Spec, tech Technique, cfg cpu.Config) (cpu.Result, error) {
+// Replay projects the plan's benchmark under one technique.
+func (p *SampledPlan) Replay(ctx context.Context, tech Technique) (cpu.Result, error) {
+	if _, err := ParseTechnique(string(tech)); err != nil {
+		return cpu.Result{}, err
+	}
 	hostStart := time.Now()
 	build := func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
-		return buildEngine(tech, fe, w, h, cfg)
+		return buildEngine(tech, fe, w, h, p.cfg)
 	}
-	res, err := plan.Replay(ctx, cfg, build)
+	res, err := p.plan.Replay(ctx, p.cfg, build)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	res.Name = spec.Name
+	res.Name = p.spec.Name
 	res.Technique = string(tech)
 	res.HostNS = time.Since(hostStart).Nanoseconds()
 	// Throughput accounting counts what the timing core actually ran, not
@@ -84,14 +103,11 @@ func replayPlan(ctx context.Context, plan *sampling.Plan, spec workloads.Spec, t
 }
 
 // MatrixSampled is MatrixE's sampled counterpart: every (spec, technique)
-// cell projected from a shared per-spec sampling.Plan. Building a plan
-// (profile, boundary capture, cache and predictor warming: everything that
-// does not depend on the technique) is a task of RunAllE's scheduler like
-// any replay, so while one worker builds the next kernel's plan the others
-// keep replaying the ready ones (Plan.Replay is safe for concurrent use).
-// A plan holds the spec's boundary snapshots and one cache state per
-// segment, tens of MB at full ROIs; the scheduler drops it with the row's
-// last cell and bounds the live ones by the worker count.
+// cell projected from a shared per-spec SampledPlan. Building a plan is a
+// task of RunAllE's scheduler like any replay, so while one worker builds
+// the next kernel's plan the others keep replaying the ready ones. The
+// scheduler drops a plan with the row's last cell and bounds the live ones
+// by the worker count.
 func MatrixSampled(ctx context.Context, specs []workloads.Spec, techs []Technique, cfg cpu.Config, so SampleOptions) (map[string]map[Technique]cpu.Result, error) {
 	for _, tech := range techs {
 		if _, err := ParseTechnique(string(tech)); err != nil {
@@ -104,9 +120,9 @@ func MatrixSampled(ctx context.Context, specs []workloads.Spec, techs []Techniqu
 	results := make([]cpu.Result, len(specs)*len(techs))
 	err := runGrouped(ctx, len(results),
 		func(i int) string { return specs[i/len(techs)].Name },
-		func(first int) (*sampling.Plan, error) { return newPlan(specs[first/len(techs)], cfg, so) },
-		func(ctx context.Context, i int, plan *sampling.Plan) (err error) {
-			results[i], err = replayPlan(ctx, plan, specs[i/len(techs)], techs[i%len(techs)], cfg)
+		func(first int) (*SampledPlan, error) { return NewSampledPlan(specs[first/len(techs)], cfg, so) },
+		func(ctx context.Context, i int, plan *SampledPlan) (err error) {
+			results[i], err = plan.Replay(ctx, techs[i%len(techs)])
 			return err
 		})
 	if err != nil {

@@ -13,6 +13,8 @@ package graphgen
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Graph is a directed graph in CSR (compressed sparse row) form.
@@ -38,6 +40,9 @@ func (r *rng) next() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// skip advances r as n calls of next would: the state is a counter.
+func (r *rng) skip(n uint64) { r.s += n * 0x9e3779b97f4a7c15 }
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
@@ -69,14 +74,38 @@ func fromEdgeList(n int, src, dst []uint32) *Graph {
 // edgeFactor edges per vertex, using the Graph500 partition probabilities
 // (a=0.57, b=0.19, c=0.19): a heavily skewed power-law degree distribution
 // with a few extremely hot vertices.
+//
+// Edge i consumes the generator's words i*scale .. i*scale+scale-1 and
+// splitmix64 is counter-based (skip), so the edge list is filled by up to
+// GOMAXPROCS goroutines, each over its own range of edges, and comes out
+// the same whatever their number.
 func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << uint(scale)
 	m := n * edgeFactor
-	r := rng{s: seed}
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
+	// A goroutine is worth starting for a few thousand edges, not fewer.
+	const minEdges = 4096
+	workers := max(1, min(runtime.GOMAXPROCS(0), m/minEdges))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := m*w/workers, m*(w+1)/workers
+		r := rng{s: seed}
+		r.skip(uint64(lo) * uint64(scale))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kroneckerEdges(r, scale, src[lo:hi], dst[lo:hi])
+		}()
+	}
+	wg.Wait()
+	return fromEdgeList(n, src, dst)
+}
+
+// kroneckerEdges draws len(src) consecutive edges from r.
+func kroneckerEdges(r rng, scale int, src, dst []uint32) {
 	const a, b, c = 0.57, 0.19, 0.19
-	for i := 0; i < m; i++ {
+	for i := range src {
 		var u, v int
 		for bit := scale - 1; bit >= 0; bit-- {
 			p := r.float()
@@ -95,7 +124,6 @@ func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 		src[i] = uint32(u)
 		dst[i] = uint32(v)
 	}
-	return fromEdgeList(n, src, dst)
 }
 
 // Uniform generates an Erdos-Renyi-style graph with n vertices and m

@@ -1,6 +1,8 @@
 package graphgen
 
 import (
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,6 +35,53 @@ func TestKroneckerCSR(t *testing.T) {
 	checkCSR(t, g)
 	if g.N != 1024 || g.M() != 8192 {
 		t.Errorf("kron size: N=%d M=%d", g.N, g.M())
+	}
+}
+
+// kroneckerSequential is Kronecker as it was before the edge loop was
+// split across goroutines: one generator, advanced edge after edge.
+func kroneckerSequential(scale, edgeFactor int, seed uint64) *Graph {
+	n := 1 << uint(scale)
+	m := n * edgeFactor
+	r := rng{s: seed}
+	src := make([]uint32, m)
+	dst := make([]uint32, m)
+	const a, b, c = 0.57, 0.19, 0.19
+	for i := 0; i < m; i++ {
+		var u, v int
+		for bit := scale - 1; bit >= 0; bit-- {
+			p := r.float()
+			switch {
+			case p < a:
+			case p < a+b:
+				v |= 1 << uint(bit)
+			case p < a+b+c:
+				u |= 1 << uint(bit)
+			default:
+				u |= 1 << uint(bit)
+				v |= 1 << uint(bit)
+			}
+		}
+		src[i] = uint32(u)
+		dst[i] = uint32(v)
+	}
+	return fromEdgeList(n, src, dst)
+}
+
+// TestKroneckerParallelMatchesSequential: however many goroutines fill the
+// edge list, the graph is the sequential generator's, bit for bit. Five
+// does not divide an edge count that is a power of two times eight, so the
+// ranges are uneven.
+func TestKroneckerParallelMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for scale := 4; scale <= 14; scale++ {
+		want := kroneckerSequential(scale, 8, uint64(scale)+7)
+		for _, procs := range []int{1, 2, 5} {
+			runtime.GOMAXPROCS(procs)
+			if got := Kronecker(scale, 8, uint64(scale)+7); !reflect.DeepEqual(got, want) {
+				t.Errorf("scale %d at GOMAXPROCS %d: graph differs from the sequential generator's", scale, procs)
+			}
+		}
 	}
 }
 

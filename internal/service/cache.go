@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,13 +37,72 @@ func CacheKeySampled(ref workloads.Ref, tech string, cfg cpu.Config, so *api.Sam
 		Config    cpu.Config           `json:"config"`
 		Sampling  *api.SamplingOptions `json:"sampling,omitempty"`
 	}{api.EngineVersion, ref, tech, cfg, so}
-	b, err := json.Marshal(payload)
+	sum := sha256.Sum256(mustJSON(payload))
+	return hex.EncodeToString(sum[:])
+}
+
+// simConfig is what every cell of one request shares: the core config, the
+// sampling options (nil: exact), and the part of every content address
+// under them that does not depend on the cell, marshalled once. Marshalling
+// the config is most of what an address costs, and a request's cells all
+// hash the same one: addressed through CacheKeySampled, a /v1/sim hit takes
+// 13.9 us instead of 12.2 and a 78-cell batch of hits 0.40 ms instead of
+// 0.30 (BenchmarkSimHit, BenchmarkBatchHit78).
+type simConfig struct {
+	cpu cpu.Config
+	so  *api.SamplingOptions
+	// keyTail closes the hashed payload after its technique:
+	// ,"config":{...}[,"sampling":{...}]}
+	keyTail []byte
+}
+
+// newSimConfig resolves a request's config override against the default.
+func newSimConfig(override *cpu.Config, so *api.SamplingOptions) simConfig {
+	if override == nil && so == nil {
+		return simConfig{cpu: cpu.DefaultConfig(), keyTail: defaultKeyTail()}
+	}
+	sc := simConfig{cpu: cpu.DefaultConfig(), so: so}
+	if override != nil {
+		sc.cpu = *override
+	}
+	sc.keyTail = keyTail(sc.cpu, so)
+	return sc
+}
+
+// defaultKeyTail is the tail of the request every client sends most: an
+// exact run under the default config.
+var defaultKeyTail = sync.OnceValue(func() []byte { return keyTail(cpu.DefaultConfig(), nil) })
+
+func keyTail(cfg cpu.Config, so *api.SamplingOptions) []byte {
+	tail := append([]byte(`,"config":`), mustJSON(cfg)...)
+	if so != nil {
+		tail = append(append(tail, `,"sampling":`...), mustJSON(so)...)
+	}
+	return append(tail, '}')
+}
+
+// keyHead opens the hashed payload: {"engine":"...","workload":
+var keyHead = append(append([]byte(`{"engine":`), mustJSON(api.EngineVersion)...), `,"workload":`...)
+
+// key is CacheKeySampled(ref, tech, sc.cpu, sc.so): the compact JSON of
+// that payload written field by field around the request's keyTail
+// (TestCacheKeyMatchesMarshalledPayload holds the two together).
+func (sc simConfig) key(ref workloads.Ref, tech string) string {
+	buf := make([]byte, 0, 1024)
+	buf = append(append(buf, keyHead...), mustJSON(ref)...)
+	buf = append(append(buf, `,"technique":`...), mustJSON(tech)...)
+	buf = append(buf, sc.keyTail...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// mustJSON marshals plain data, which cannot fail.
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// All fields are plain data; Marshal cannot fail.
 		panic(err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
 }
 
 // spillCache is a bounded in-memory LRU of values keyed by content address
@@ -59,6 +119,10 @@ type spillCache[V any] struct {
 	mem   *lru[V]
 	disk  *sealed.Store  // nil: memory only
 	check func(*V) error // optional: refuses an intact value as sealed.ErrSkew
+	// prepare, optional, completes a value on its way into memory (from Put
+	// or a spill re-read) with whatever is derived from it and not spilled.
+	// It runs outside mu.
+	prepare func(key string, v *V)
 }
 
 func newSpillCache[V any](capacity int, dir string, fsys faults.FS, check func(*V) error) *spillCache[V] {
@@ -101,13 +165,12 @@ func (c *spillCache[V]) Get(key string) (v V, ok bool) {
 		var zero V
 		return zero, false
 	}
-	c.admit(key, v)
-	return v, true
+	return c.admit(key, v), true
 }
 
 // Put stores a value under key, in memory and (best-effort) on disk.
 func (c *spillCache[V]) Put(key string, v V) {
-	c.admit(key, v)
+	v = c.admit(key, v)
 	if c.disk == nil {
 		return
 	}
@@ -116,10 +179,15 @@ func (c *spillCache[V]) Put(key string, v V) {
 	}
 }
 
-func (c *spillCache[V]) admit(key string, v V) {
+// admit prepares v, stores it in memory and returns it as stored.
+func (c *spillCache[V]) admit(key string, v V) V {
+	if c.prepare != nil {
+		c.prepare(key, &v)
+	}
 	c.mu.Lock()
 	c.mem.put(key, v)
 	c.mu.Unlock()
+	return v
 }
 
 // Len returns the number of in-memory entries.
@@ -137,10 +205,24 @@ func (c *spillCache[V]) Quarantined() uint64 {
 	return c.disk.Quarantined()
 }
 
+// cachedResult is one in-memory result-cache entry: the canonical Result
+// and the body a /v1/sim cache hit of it is answered with, the indented
+// api.SimResponse{key, cached: true, result} exactly as writeJSON would
+// encode it. The body is built once, when the entry enters memory, and
+// leaves with it; on disk an entry is the Result's JSON alone.
+type cachedResult struct {
+	cpu.Result
+	body []byte
+}
+
+func (e cachedResult) MarshalJSON() ([]byte, error) { return json.Marshal(e.Result) }
+
+func (e *cachedResult) UnmarshalJSON(data []byte) error { return json.Unmarshal(data, &e.Result) }
+
 // resultCache is the spillCache of canonical Results plus the lookup
 // accounting /metrics reports.
 type resultCache struct {
-	*spillCache[cpu.Result]
+	*spillCache[cachedResult]
 
 	// hits/misses live under mu (not as atomics) so a /metrics snapshot
 	// reads a consistent pair: hits+misses always equals the lookups
@@ -155,13 +237,21 @@ func newResultCache(capacity int, dir string, fsys faults.FS) *resultCache {
 	// An intact entry from another result schema (the key should have
 	// prevented it) can never become readable by this build: it is
 	// dropped as skew rather than re-read on every lookup of its key.
-	check := func(res *cpu.Result) error {
-		if res.SchemaVersion != cpu.ResultSchemaVersion {
-			return fmt.Errorf("service: spill entry has result schema %d: %w", res.SchemaVersion, sealed.ErrSkew)
+	check := func(e *cachedResult) error {
+		if e.SchemaVersion != cpu.ResultSchemaVersion {
+			return fmt.Errorf("service: spill entry has result schema %d: %w", e.SchemaVersion, sealed.ErrSkew)
 		}
 		return nil
 	}
 	c := &resultCache{spillCache: newSpillCache(capacity, dir, fsys, check)}
+	c.prepare = func(key string, e *cachedResult) {
+		var body bytes.Buffer
+		// A Result is plain data: the encoder cannot fail on it.
+		if err := encodeJSON(&body, api.SimResponse{Key: key, Cached: true, Result: e.Result}); err != nil {
+			panic(err)
+		}
+		e.body = body.Bytes()
+	}
 	if c.disk != nil {
 		c.health = c.disk.Scan(func(_ string, data []byte) error {
 			_, err := c.decode(data)
@@ -172,8 +262,8 @@ func newResultCache(capacity int, dir string, fsys faults.FS) *resultCache {
 }
 
 // Get is the lookup a request is accounted by: one hit or one miss.
-func (c *resultCache) Get(key string) (cpu.Result, bool) {
-	res, ok := c.Peek(key)
+func (c *resultCache) Get(key string) (cachedResult, bool) {
+	e, ok := c.spillCache.Get(key)
 	c.mu.Lock()
 	if ok {
 		c.hits++
@@ -181,12 +271,20 @@ func (c *resultCache) Get(key string) (cpu.Result, bool) {
 		c.misses++
 	}
 	c.mu.Unlock()
-	return res, ok
+	return e, ok
+}
+
+// Put admits a canonical result under its content address.
+func (c *resultCache) Put(key string, res cpu.Result) {
+	c.spillCache.Put(key, cachedResult{Result: res})
 }
 
 // Peek is Get without the accounting — for internal re-checks (e.g. under
 // a single-flight) of a request its first Get already counted.
-func (c *resultCache) Peek(key string) (cpu.Result, bool) { return c.spillCache.Get(key) }
+func (c *resultCache) Peek(key string) (cpu.Result, bool) {
+	e, ok := c.spillCache.Get(key)
+	return e.Result, ok
+}
 
 // counters snapshots (hits, misses) as one consistent pair.
 func (c *resultCache) counters() (hits, misses uint64) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime/debug"
+	"sync"
 
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
@@ -128,20 +130,61 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 	return res, err
 }
 
-// simulateSampled runs one sampled cell inside a pool worker. Sampled jobs
-// deliberately opt out of the durability machinery: they are cheap enough
-// to restart from scratch (that is their entire point), their projected
-// results have no meaningful per-interval telemetry, and the sampling
-// replayer drives cores directly rather than through the checkpointable
-// single-run path.
-func (s *Server) simulateSampled(ctx context.Context, spec workloads.Spec, tech string, cfg cpu.Config, so *api.SamplingOptions) (cpu.Result, error) {
-	opts := experiments.SampleOptions{
-		WindowInsts: so.WindowInsts,
-		WarmupInsts: so.WarmupInsts,
-		MaxPhases:   so.MaxPhases,
-		Replicates:  so.Replicates,
+// simulateSampled runs one sampled cell inside a pool worker: it replays
+// the technique over the workload's sampling plan, shared with the other
+// cells of the cell's batch that simulate the workload; a cell on its own
+// (/v1/sim) builds the plan for itself, as experiments.RunSampled does.
+// Sampled jobs deliberately opt out of the durability machinery: they are
+// cheap enough to restart from scratch (that is their entire point), their
+// projected results have no meaningful per-interval telemetry, and the
+// sampling replayer drives cores directly rather than through the
+// checkpointable single-run path.
+func (s *Server) simulateSampled(ctx context.Context, spec workloads.Spec, tech string, sc simConfig, shared *sharedPlan) (cpu.Result, error) {
+	if shared == nil {
+		shared = &sharedPlan{}
 	}
-	return experiments.RunSampled(ctx, spec, experiments.Technique(tech), cfg, opts)
+	plan, err := shared.get(func() (*experiments.SampledPlan, error) {
+		s.plansBuilt.Add(1)
+		return experiments.NewSampledPlan(spec, sc.cpu, experiments.SampleOptions{
+			WindowInsts: sc.so.WindowInsts,
+			WarmupInsts: sc.so.WarmupInsts,
+			MaxPhases:   sc.so.MaxPhases,
+			Replicates:  sc.so.Replicates,
+		})
+	})
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	return plan.Replay(ctx, experiments.Technique(tech))
+}
+
+// sharedPlan is the sampling plan of one workload within one batch: the
+// first of the batch's cells of that workload to reach a worker builds it,
+// the others replay it, and it is garbage once the last of them returns
+// (runBatch, which also decides how many are alive at a time). Sampling
+// only pays when the plan, as costly as all of a workload's replays
+// together, is amortised over them.
+type sharedPlan struct {
+	once sync.Once
+	plan *experiments.SampledPlan
+	err  error
+}
+
+// get returns the plan, building it on first use. A failed build fails
+// every cell that shares it with the builder's own error: Once counts a
+// panicking build as done, so the panic is kept (stack included) for the
+// followers before the builder's worker recovers it.
+func (p *sharedPlan) get(build func() (*experiments.SampledPlan, error)) (*experiments.SampledPlan, error) {
+	p.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				p.err = &PanicError{Value: r, Stack: debug.Stack()}
+				panic(r)
+			}
+		}()
+		p.plan, p.err = build()
+	})
+	return p.plan, p.err
 }
 
 // resumePending re-submits every job the startup checkpoint scan found a
@@ -156,7 +199,9 @@ func (s *Server) resumePending(scan checkpoint.Health) {
 		// The journal is self-describing; re-derive the content address
 		// and refuse files that do not name the job they are filed under
 		// (a renamed file, a foreign checkpoint dropped in the directory).
-		if CacheKey(st.Ref, st.Technique, st.Config) != key {
+		sc := newSimConfig(&st.Config, nil) // a copy: the queued job must not pin the snapshot
+		c, err := resolveCell(st.Ref, st.Technique, sc)
+		if err != nil || c.key != key {
 			_ = s.ckpts.Remove(key)
 			continue
 		}
@@ -167,9 +212,9 @@ func (s *Server) resumePending(scan checkpoint.Health) {
 			continue
 		}
 		s.jobs.wg.Add(1)
-		go func(ref workloads.Ref, tech string, cfg cpu.Config) { // not st: the queued job must not pin the snapshot
+		go func() {
 			defer s.jobs.wg.Done()
-			_, _ = s.runCell(s.rootCtx, ref, tech, cfg, nil, admitQueue, nil)
-		}(st.Ref, st.Technique, st.Config)
+			_, _, _ = s.runCell(s.rootCtx, c, sc, admitQueue, nil)
+		}()
 	}
 }

@@ -34,7 +34,7 @@ func runUninterrupted(t *testing.T, ref workloads.Ref, tech string, cfg cpu.Conf
 	return res.Canonical()
 }
 
-func shutdown(t *testing.T, srv *Server) {
+func shutdown(t testing.TB, srv *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -69,7 +69,7 @@ func TestServerResumesInterruptedJobAcrossRestart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv1.runCell(ctx, ref, tech, cfg, nil, admitQueue, nil)
+		_, err := runRef(ctx, srv1, ref, tech, cfg)
 		done <- err
 	}()
 	deadline := time.Now().Add(30 * time.Second)
@@ -115,7 +115,7 @@ func TestServerResumesInterruptedJobAcrossRestart(t *testing.T) {
 	if got := len(srv3.CheckpointHealth().Pending); got != 0 {
 		t.Errorf("third startup scan found %d pending jobs, want 0", got)
 	}
-	res, err := srv3.runCell(context.Background(), ref, tech, cfg, nil, admitQueue, nil)
+	res, err := runRef(context.Background(), srv3, ref, tech, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCorruptCheckpointQuarantinedAcrossRestarts(t *testing.T) {
 
 	// The named job is untainted: it simulates from scratch, with no
 	// resume from the quarantined bytes.
-	res, err := srv1.runCell(context.Background(), ref, "dvr", cfg, nil, admitQueue, nil)
+	res, err := runRef(context.Background(), srv1, ref, "dvr", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

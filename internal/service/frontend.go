@@ -16,15 +16,12 @@ import (
 	"time"
 
 	"dvr/internal/cluster"
-	"dvr/internal/cpu"
-	"dvr/internal/experiments"
 	"dvr/internal/faults"
 	"dvr/internal/ledger"
 	"dvr/internal/obs"
 	"dvr/internal/service/api"
 	"dvr/internal/service/client"
 	"dvr/internal/stream"
-	"dvr/internal/workloads"
 )
 
 // The cluster frontend: a stateless router that terminates client
@@ -125,7 +122,7 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 		c.StreamHeartbeat = 15 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c
 }
@@ -396,24 +393,6 @@ func (f *Frontend) candidates(key string) []string {
 	return out
 }
 
-// cellKey computes a cell's content address exactly as the worker will
-// (Resolve normalizes the ROI before hashing, nil config means the
-// default), which is what keeps routing aligned with the workers' caches.
-func (f *Frontend) cellKey(ref workloads.Ref, tech string, override *cpu.Config, so *api.SamplingOptions) (string, error) {
-	if _, err := experiments.ParseTechnique(tech); err != nil {
-		return "", badRequest(err)
-	}
-	spec, err := workloads.Resolve(ref)
-	if err != nil {
-		return "", badRequest(err)
-	}
-	cfg := cpu.DefaultConfig()
-	if override != nil {
-		cfg = *override
-	}
-	return CacheKeySampled(spec.Ref, tech, cfg, so), nil
-}
-
 // routeCell routes one cell to its preferred live replica, failing over
 // down the candidate list on transport errors. Typed API errors pass
 // through — the replica is alive and its answer (400, 429, 504, ...) is
@@ -628,12 +607,15 @@ func (f *Frontend) recordHedge(key, winner, loser string) {
 func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j *job) (*api.BatchResponse, error) {
 	list := req.CellList()
 	keys := make([]string, len(list))
+	sc := newSimConfig(req.Config, req.Sampling)
 	for i, c := range list {
-		key, err := f.cellKey(c.Workload, c.Technique, req.Config, req.Sampling)
+		// The content address exactly as the worker computes it, which is
+		// what keeps routing aligned with the workers' caches.
+		rc, err := resolveCell(c.Workload, c.Technique, sc)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = key
+		keys[i] = rc.key
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -935,7 +917,7 @@ func (f *Frontend) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest(err))
 		return
 	}
-	key, err := f.cellKey(req.Workload, req.Technique, req.Config, req.Sampling)
+	c, err := resolveCell(req.Workload, req.Technique, newSimConfig(req.Config, req.Sampling))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -947,7 +929,7 @@ func (f *Frontend) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
-	resp, err := f.routeCell(ctx, key, req)
+	resp, err := f.routeCell(ctx, c.key, req)
 	if err != nil {
 		writeRoutedError(w, err)
 		return

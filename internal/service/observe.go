@@ -140,6 +140,9 @@ func instrumentWith(next http.Handler, logger *slog.Logger, reqSeq, reqTotal *at
 		reqHist.observeTraced(dur, span.TraceID())
 		span.Attr("status", fmt.Sprintf("%d", rec.code))
 		span.End()
+		if !logger.Enabled(ctx, slog.LevelInfo) {
+			return
+		}
 		qw, sim, enc := sp.snapshot()
 		logger.Info("request",
 			"id", reqID,
@@ -156,6 +159,17 @@ func instrumentWith(next http.Handler, logger *slog.Logger, reqSeq, reqTotal *at
 	})
 }
 
+// discardHandler is the handler of a Config without a Logger. Enabled
+// reports false, so a log call returns before it builds a record; a text
+// handler over io.Discard formats every record and throws it away.
+// (slog.DiscardHandler is Go 1.24; go.mod says 1.22.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
+
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // writeJSONTimed is writeJSON plus encode-span accounting, for handlers
@@ -163,6 +177,11 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 func writeJSONTimed(ctx context.Context, w http.ResponseWriter, code int, v any) {
 	start := time.Now()
 	writeJSON(w, code, v)
+	encodeDone(ctx, start)
+}
+
+// encodeDone accounts the time since start to the request's encode span.
+func encodeDone(ctx context.Context, start time.Time) {
 	spansFrom(ctx).addEncode(time.Since(start))
 	obs.FromContext(ctx).StartChildAt("encode", start).End()
 }

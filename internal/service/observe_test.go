@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +154,62 @@ func TestRequestIDs(t *testing.T) {
 			t.Fatalf("duplicate request ID %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestRequestLogLine pins the one structured line a request logs: its ten
+// attributes and their order, which log pipelines parse positionally.
+func TestRequestLogLine(t *testing.T) {
+	var buf bytes.Buffer
+	srv := New(Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	defer shutdown(t, srv)
+	if rec := serve(srv.Handler(), http.MethodGet, "/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("healthz: status %d", rec.Code)
+	}
+	var keys []string
+	dec := json.NewDecoder(&buf)
+	for depth := 0; ; {
+		tok, err := dec.Token()
+		if err != nil {
+			break
+		}
+		switch tok {
+		case json.Delim('{'):
+			depth++
+		case json.Delim('}'):
+			depth--
+		default:
+			if key, ok := tok.(string); ok && depth == 1 {
+				keys = append(keys, key)
+				if _, err := dec.Token(); err != nil { // the value
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	want := []string{"time", "level", "msg", "id", "method", "path", "status", "duration_ms",
+		"queue_wait_ms", "sim_ms", "encode_ms", "trace_id", "span_id"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("request line has keys\n%v\nwant\n%v\nline: %s", keys, want, buf.String())
+	}
+}
+
+// TestDefaultLoggerDisabled: a server or frontend configured without a
+// logger must not pay for log lines nobody reads; Enabled is what lets the
+// request middleware skip building them.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	for role, logger := range map[string]*slog.Logger{
+		"worker":   Config{}.withDefaults().Logger,
+		"frontend": FrontendConfig{}.withDefaults().Logger,
+	} {
+		for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelError} {
+			if logger.Enabled(context.Background(), level) {
+				t.Errorf("%s: the default logger reports level %v enabled", role, level)
+			}
+		}
+		if logger.With("k", "v").WithGroup("g").Enabled(context.Background(), slog.LevelError) {
+			t.Errorf("%s: a logger derived from the default one is enabled", role)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func TestTraceSpillSealed(t *testing.T) {
 	ref := loopRef(3_700)
 	cfg := Config{CacheDir: dir, TraceIntervalEvery: 500}
 	srv1 := New(cfg)
-	resp, err := srv1.runCell(context.Background(), ref, "ooo", cpu.DefaultConfig(), nil, admitQueue, nil)
+	resp, err := runRef(context.Background(), srv1, ref, "ooo", cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestResumeDecodesEachCheckpointOnce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv1.runCell(ctx, ref, "dvr", cfg, nil, admitQueue, nil)
+		_, err := runRef(ctx, srv1, ref, "dvr", cfg)
 		done <- err
 	}()
 	for deadline := time.Now().Add(30 * time.Second); srv1.ckptWritten.Load() == 0; {
@@ -248,7 +248,7 @@ func TestForensicsPublishedAtomically(t *testing.T) {
 	})
 	defer shutdown(t, srv)
 	var le *cpu.LivelockError
-	if _, err := srv.runCell(context.Background(), ref, "dvr", cfg, nil, admitQueue, nil); !errors.As(err, &le) {
+	if _, err := runRef(context.Background(), srv, ref, "dvr", cfg); !errors.As(err, &le) {
 		t.Fatalf("runCell = %v, want a livelock", err)
 	}
 

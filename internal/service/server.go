@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -163,7 +162,7 @@ func (c Config) withDefaults() Config {
 		c.StreamHeartbeat = 15 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c
 }
@@ -213,6 +212,7 @@ type Server struct {
 	startInsts uint64
 	sfRetries  atomic.Uint64 // single-flight followers that re-ran after a leader error
 	simsDone   atomic.Uint64 // detailed simulations run to completion and committed
+	plansBuilt atomic.Uint64 // sampling plans built (simulateSampled)
 
 	// adm is the AIMD admission controller gating interactive requests;
 	// deadlineRejected counts doomed requests rejected 504 on arrival.
@@ -404,9 +404,16 @@ func errorCode(err error) string {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = encodeJSON(w, v)
+}
+
+// writeBody is writeJSON for a 200 whose body is already encoded; the time
+// since start, spent producing and writing it, is the request's encode span.
+func writeBody(ctx context.Context, w http.ResponseWriter, start time.Time, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	encodeDone(ctx, start)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -419,14 +426,6 @@ func writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	writeJSON(w, code, api.Error{Code: errorCode(err), Error: err.Error()})
-}
-
-// config resolves the request's config override against the default.
-func (s *Server) config(override *cpu.Config) cpu.Config {
-	if override != nil {
-		return *override
-	}
-	return cpu.DefaultConfig()
 }
 
 // timeout resolves a request's timeout_ms against the server default.
@@ -470,33 +469,67 @@ const (
 	admitQueue
 )
 
-// runCell answers one (workload, technique, config) cell: from the result
-// cache when possible, otherwise via single-flight on the cell's content
-// address and a worker-pool simulation. The result stored and returned is
-// canonical (deterministic), so repeated requests are byte-identical. A
-// non-nil so selects the sampled path: the cell's content address includes
-// the sampling options, so sampled and exact results never share a cache
-// line or a single-flight. A non-nil pub streams the cell's lifecycle and
-// telemetry to its job's subscribers; cells answered without running here
-// (cache hits, single-flight followers) replay their stored series instead.
-func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cfg cpu.Config, so *api.SamplingOptions, adm admission, pub *cellPub) (api.SimResponse, error) {
+// cell is one resolved job: its runnable spec, technique and content
+// address. Resolve normalizes the ROI (0 -> kernel default) and the key is
+// over the normalized ref, so explicit-default and defaulted requests share
+// a cache line, and a frontend routes by the address its workers cache by.
+type cell struct {
+	spec workloads.Spec
+	tech string
+	key  string
+	// plan, on a sampled cell of a batch, is the sampling plan it shares
+	// with the batch's other cells of its workload; nil builds its own.
+	plan *sharedPlan
+}
+
+// resolveCell validates one (workload, technique) pair; its errors are 400s.
+func resolveCell(ref workloads.Ref, tech string, sc simConfig) (cell, error) {
 	if _, err := experiments.ParseTechnique(tech); err != nil {
-		return api.SimResponse{}, badRequest(err)
+		return cell{}, badRequest(err)
 	}
 	spec, err := workloads.Resolve(ref)
 	if err != nil {
-		return api.SimResponse{}, badRequest(err)
+		return cell{}, badRequest(err)
 	}
-	// Resolve normalized the ROI (0 -> kernel default); key the normalized
-	// form so explicit-default and defaulted requests share a cache line.
-	key := CacheKeySampled(spec.Ref, tech, cfg, so)
-	pub.publish(api.Event{Kind: api.EventCellStarted, Key: key})
-	if res, ok := s.cache.Get(key); ok {
-		obs.FromContext(ctx).StartChild("worker.cache-hit").
-			Attr("key", key).Attr("bench", ref.Kernel).Attr("technique", tech).End()
-		s.replayTrace(pub, key, true)
-		return api.SimResponse{Key: key, Cached: true, Result: res}, nil
+	return cell{spec: spec, tech: tech, key: sc.key(spec.Ref, tech)}, nil
+}
+
+// runCell answers one cell: from the result cache when possible (hitCell),
+// otherwise by simulating it (missCell). body is non-nil on a cache hit:
+// the stored bytes that encode resp.
+func (s *Server) runCell(ctx context.Context, c cell, sc simConfig, adm admission, pub *cellPub) (resp api.SimResponse, body []byte, err error) {
+	if resp, body, ok := s.hitCell(ctx, c, pub); ok {
+		return resp, body, nil
 	}
+	resp, err = s.missCell(ctx, c, sc, adm, pub)
+	return resp, nil, err
+}
+
+// hitCell is the lookup a cell is accounted by. On a hit it returns the
+// response and the body the cache stored for it, and replays the cell's
+// stored telemetry to pub. A non-nil pub streams the cell's lifecycle and
+// telemetry to its job's subscribers.
+func (s *Server) hitCell(ctx context.Context, c cell, pub *cellPub) (api.SimResponse, []byte, bool) {
+	pub.publish(api.Event{Kind: api.EventCellStarted, Key: c.key})
+	e, ok := s.cache.Get(c.key)
+	if !ok {
+		return api.SimResponse{}, nil, false
+	}
+	obs.FromContext(ctx).StartChild("worker.cache-hit").
+		Attr("key", c.key).Attr("bench", c.spec.Ref.Kernel).Attr("technique", c.tech).End()
+	s.replayTrace(pub, c.key, true)
+	return api.SimResponse{Key: c.key, Cached: true, Result: e.Result}, e.body, true
+}
+
+// missCell simulates a cell the cache did not hold, via single-flight on
+// its content address and the worker pool. The result stored and returned
+// is canonical (deterministic), so repeated requests are byte-identical. A
+// non-nil sc.so selects the sampled path: the cell's content address includes
+// the sampling options, so sampled and exact results never share a cache
+// line or a single-flight. Cells answered by another request's flight
+// replay their stored series to pub instead of streaming live.
+func (s *Server) missCell(ctx context.Context, c cell, sc simConfig, adm admission, pub *cellPub) (api.SimResponse, error) {
+	key, tech, bench := c.key, c.tech, c.spec.Ref.Kernel
 	simulate := func() (cpu.Result, error) {
 		// Re-check under the flight: a just-landed leader may have filled
 		// the cache between our miss and here. Peek, not Get — this
@@ -504,7 +537,7 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 		if res, ok := s.cache.Peek(key); ok {
 			return res, nil
 		}
-		runSpec := s.bases.memoize(spec)
+		runSpec := s.bases.memoize(c.spec)
 		var (
 			out    cpu.Result
 			runErr error
@@ -525,12 +558,12 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 			s.cfg.Faults.Sim(key)
 			simStart := time.Now()
 			ssp := parent.StartChild("worker.sim").
-				Attr("key", key).Attr("bench", ref.Kernel).Attr("technique", tech)
-			if so != nil {
-				out, runErr = s.simulateSampled(ctx, runSpec, tech, cfg, so)
+				Attr("key", key).Attr("bench", bench).Attr("technique", tech)
+			if sc.so != nil {
+				out, runErr = s.simulateSampled(ctx, runSpec, tech, sc, c.plan)
 				ssp.Attr("sampled", "true")
 			} else {
-				out, runErr = s.simulate(ctx, key, runSpec, tech, cfg, pub)
+				out, runErr = s.simulate(ctx, key, runSpec, tech, sc.cpu, pub)
 			}
 			ssp.Fail(runErr).End()
 			sp.addSim(time.Since(simStart))
@@ -591,80 +624,146 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 
 // runBatch answers a batch's cell list (the Workloads×Techniques matrix
 // row-major, or the explicit Cells form — see api.BatchRequest.CellList).
-// Cells run concurrently (the pool bounds actual simulation parallelism).
-// A recovered worker panic fails only its own cell — the cell carries a
+// Cached cells are answered in place, in order; the others run
+// concurrently (the pool bounds actual simulation parallelism), a sampled
+// batch's a workload at a time around one sampling plan each. A
+// recovered worker panic fails only its own cell — the cell carries a
 // typed api.Error and the rest of the batch completes — while systemic
-// failures (deadline, shutdown) cancel the batch.
-func (s *Server) runBatch(ctx context.Context, req api.BatchRequest, j *job) (*api.BatchResponse, error) {
-	cfg := s.config(req.Config)
+// failures (deadline, shutdown) cancel the batch. bodies[i] is cell i's
+// stored encoding when it was a cache hit, nil otherwise (encodeBatch).
+func (s *Server) runBatch(ctx context.Context, req api.BatchRequest, j *job) (out *api.BatchResponse, bodies [][]byte, err error) {
+	sc := newSimConfig(req.Config, req.Sampling)
 	list := req.CellList()
-	// Validate every cell up front so a malformed one is a clean 400
+	// Resolve every cell up front so a malformed one is a clean 400
 	// before any simulation starts.
-	for _, c := range list {
-		if _, err := experiments.ParseTechnique(c.Technique); err != nil {
-			return nil, badRequest(err)
-		}
-		if _, err := workloads.Resolve(c.Workload); err != nil {
-			return nil, badRequest(err)
+	resolved := make([]cell, len(list))
+	for i, c := range list {
+		if resolved[i], err = resolveCell(c.Workload, c.Technique, sc); err != nil {
+			return nil, nil, err
 		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	cells := make([]api.SimResponse, len(list))
+	bodies = make([][]byte, len(list))
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for idx, cell := range list {
-		idx, ref, tech := idx, cell.Workload, cell.Technique
+	// settle records cell idx's answer and tells the job's stream.
+	settle := func(idx int, pub *cellPub, resp api.SimResponse, cellErr error) {
+		cells[idx] = resp
+		if j == nil {
+			return
+		}
+		ev := api.Event{Kind: api.EventCellDone, Key: resp.Key, Cached: resp.Cached, Done: j.cellDone(), Total: j.total}
+		if cellErr != nil {
+			ev.Error = cellErr.Error()
+		}
+		pub.publish(ev)
+	}
+	// miss is a cell the cache did not hold.
+	type miss struct {
+		idx int
+		c   cell
+		pub *cellPub
+	}
+	simulate := func(m miss) {
+		resp, err := s.missCell(ctx, m.c, sc, admitQueue, m.pub)
+		var (
+			pe *PanicError
+			le *cpu.LivelockError
+		)
+		switch {
+		case err == nil:
+			settle(m.idx, m.pub, resp, nil)
+		case errors.As(err, &pe) || errors.As(err, &le):
+			// Isolated crash or wedge of this one cell: report
+			// it in place and let the rest of the batch finish.
+			settle(m.idx, m.pub, api.SimResponse{
+				Key:   m.c.key,
+				Error: &api.Error{Code: api.CodeInternal, Error: err.Error()},
+			}, err)
+		default:
+			errOnce.Do(func() {
+				firstErr = err
+				cancel()
+			})
+		}
+	}
+	var (
+		groups  [][]miss // a sampled batch's misses, by workload
+		groupOf = make(map[string]int)
+	)
+	for idx, c := range resolved {
+		var pub *cellPub
+		if j != nil {
+			pub = &cellPub{j: j, cell: idx, bench: c.spec.Ref.Kernel, tech: c.tech}
+		}
+		if resp, body, ok := s.hitCell(ctx, c, pub); ok {
+			bodies[idx] = body
+			settle(idx, pub, resp, nil)
+			continue
+		}
+		m := miss{idx, c, pub}
+		if sc.so == nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				simulate(m)
+			}()
+			continue
+		}
+		ref := string(mustJSON(c.spec.Ref))
+		g, ok := groupOf[ref]
+		if !ok {
+			g = len(groups)
+			groupOf[ref] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], m)
+	}
+	// The sampled misses of one workload replay one sampling plan, which
+	// lives as long as its group runs, and no more groups run at a time
+	// than the pool has workers: peak memory follows the pool, not the
+	// batch (a plan is tens of MB at full ROIs). A group's first cell, which
+	// builds the plan, runs alone, so the group's other cells queue once
+	// the plan is there to replay and no worker parks behind the build
+	// while another group has work for it (experiments.MatrixSampled
+	// schedules the same way).
+	live := make(chan struct{}, s.cfg.Workers)
+	for _, group := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var pub *cellPub
-			if j != nil {
-				pub = &cellPub{j: j, cell: idx, bench: ref.Kernel, tech: tech}
+			select {
+			case live <- struct{}{}:
+				defer func() { <-live }()
+			case <-ctx.Done(): // cancelled: the cells below fail at once
 			}
-			resp, err := s.runCell(ctx, ref, tech, cfg, req.Sampling, admitQueue, pub)
-			if err != nil {
-				var (
-					pe *PanicError
-					le *cpu.LivelockError
-				)
-				if errors.As(err, &pe) || errors.As(err, &le) {
-					// Isolated crash or wedge of this one cell: report
-					// it in place and let the rest of the batch finish.
-					key := CacheKeySampled(ref, tech, cfg, req.Sampling)
-					cells[idx] = api.SimResponse{
-						Key:   key,
-						Error: &api.Error{Code: api.CodeInternal, Error: err.Error()},
-					}
-					if j != nil {
-						done := j.cellDone()
-						pub.publish(api.Event{Kind: api.EventCellDone, Key: key,
-							Error: err.Error(), Done: done, Total: j.total})
-					}
-					return
-				}
-				errOnce.Do(func() {
-					firstErr = err
-					cancel()
-				})
-				return
+			plan := &sharedPlan{}
+			run := func(m miss) {
+				m.c.plan = plan // on m, a copy: the plan dies with this goroutine
+				simulate(m)
 			}
-			cells[idx] = resp
-			if j != nil {
-				done := j.cellDone()
-				pub.publish(api.Event{Kind: api.EventCellDone, Key: resp.Key,
-					Cached: resp.Cached, Done: done, Total: j.total})
+			run(group[0])
+			var rest sync.WaitGroup
+			for _, m := range group[1:] {
+				rest.Add(1)
+				go func() {
+					defer rest.Done()
+					run(m)
+				}()
 			}
+			rest.Wait()
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, nil, firstErr
 	}
-	out := &api.BatchResponse{Cells: cells}
+	out = &api.BatchResponse{Cells: cells}
 	for _, c := range cells {
 		if c.Cached {
 			out.CacheHits++
@@ -673,7 +772,7 @@ func (s *Server) runBatch(ctx context.Context, req api.BatchRequest, j *job) (*a
 			out.Failed++
 		}
 	}
-	return out, nil
+	return out, bodies, nil
 }
 
 // ---- handlers ----
@@ -686,6 +785,12 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := req.Validate(); err != nil {
 		writeError(w, badRequest(err))
+		return
+	}
+	sc := newSimConfig(req.Config, req.Sampling)
+	c, err := resolveCell(req.Workload, req.Technique, sc)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	d, err := s.requestTimeout(r, req.TimeoutMS)
@@ -701,7 +806,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.Release()
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
-	resp, err := s.runCell(ctx, req.Workload, req.Technique, s.config(req.Config), req.Sampling, admitShed, nil)
+	resp, body, err := s.runCell(ctx, c, sc, admitShed, nil)
 	if err != nil {
 		if errors.Is(err, errOverloaded) {
 			// The queue itself filled behind the admission gate: congestion
@@ -712,6 +817,10 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.adm.Success()
+	if body != nil {
+		writeBody(r.Context(), w, time.Now(), body)
+		return
+	}
 	writeJSONTimed(r.Context(), w, http.StatusOK, resp)
 }
 
@@ -770,7 +879,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer s.jobs.wg.Done()
 			defer cancel()
-			batch, err := s.runBatch(ctx, req, j)
+			batch, _, err := s.runBatch(ctx, req, j)
 			jsp.Fail(err).End()
 			j.finish(batch, err)
 			if j.bc != nil {
@@ -801,7 +910,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.Release()
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
-	batch, err := s.runBatch(ctx, req, nil)
+	batch, bodies, err := s.runBatch(ctx, req, nil)
 	if err != nil {
 		if errors.Is(err, errOverloaded) {
 			s.adm.Overload()
@@ -810,7 +919,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.adm.Success()
-	writeJSONTimed(r.Context(), w, http.StatusOK, *batch)
+	start := time.Now()
+	body, err := encodeBatch(batch.Cells, bodies, batch.CacheHits, batch.Failed)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(r.Context(), w, start, body)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -67,6 +67,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// runRef answers one exact cell on srv the way a batch answers its cells.
+func runRef(ctx context.Context, srv *Server, ref workloads.Ref, tech string, cfg cpu.Config) (api.SimResponse, error) {
+	sc := newSimConfig(&cfg, nil)
+	c, err := resolveCell(ref, tech, sc)
+	if err != nil {
+		return api.SimResponse{}, err
+	}
+	resp, _, err := srv.runCell(ctx, c, sc, admitQueue, nil)
+	return resp, err
+}
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)

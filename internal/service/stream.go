@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -223,29 +224,52 @@ func streamJob(w http.ResponseWriter, r *http.Request, jobs *jobStore, hb time.D
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
+	// A frame is written when its event is dequeued, but flushed (one chunk,
+	// one write syscall) only when the queue runs empty: a burst of queued
+	// events costs one flush, and a subscriber that has fallen behind
+	// catches up instead of falling further behind.
+	var (
+		frame bytes.Buffer
+		enc   = json.NewEncoder(&frame)
+		dirty bool // frames written since the last Flush
+	)
+	flush := func() {
+		if dirty {
+			fl.Flush()
+			dirty = false
+		}
+	}
 	for {
-		ctx, cancel := context.WithTimeout(r.Context(), hb)
-		ev, err := sess.Next(ctx)
-		cancel()
+		ev, ok, err := sess.TryNext()
+		if !ok && err == nil {
+			// Nothing queued: put the burst on the wire, then wait. Only a
+			// wait arms the heartbeat timeout.
+			flush()
+			ctx, cancel := context.WithTimeout(r.Context(), hb)
+			ev, err = sess.Next(ctx)
+			cancel()
+		}
 		switch {
 		case err == nil:
-			data, merr := json.Marshal(ev)
-			if merr != nil {
+			frame.Reset()
+			fmt.Fprintf(&frame, "id: %d\nevent: %s\ndata: ", ev.ID, ev.Kind)
+			// The encoder's output has no newline but the one it ends with,
+			// so one data: line holds the whole event.
+			if enc.Encode(ev) != nil {
 				return
 			}
-			// json.Marshal output has no newlines, so one data: line holds
-			// the whole event.
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Kind, data)
-			fl.Flush()
+			frame.WriteByte('\n')
+			_, _ = w.Write(frame.Bytes())
+			dirty = true
 		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
 			// Quiet interval: heartbeat comment, keep the connection warm.
 			fmt.Fprint(w, ": hb\n\n")
 			fl.Flush()
-		case errors.Is(err, stream.ErrClosed):
-			// Clean end: the job finished and every buffered event is out.
-			return
 		default:
-			// Client gone, session reaped, or server shutdown.
+			// Clean end (stream.ErrClosed: the job finished and every
+			// buffered event is written), client gone, session reaped, or
+			// server shutdown.
+			flush()
 			return
 		}
 	}

@@ -28,7 +28,7 @@ type Session struct {
 	lastID    uint64      // highest event id enqueued (gap detection)
 	closed    bool        // broadcaster finished; drain then ErrClosed
 	expired   bool        // reaped; ErrExpired immediately
-	lastPoll  time.Time   // last Next call (TTL clock)
+	lastPoll  time.Time   // last Next or TryNext call (TTL clock)
 	opened    time.Time
 
 	filter func(api.Event) bool
@@ -122,24 +122,9 @@ func (s *Session) kick() {
 // idle clock.
 func (s *Session) Next(ctx context.Context) (api.Event, error) {
 	for {
-		s.mu.Lock()
-		s.lastPoll = time.Now()
-		if s.n > 0 {
-			ev := s.buf[s.head]
-			s.buf[s.head] = api.Event{} // release references
-			s.head = (s.head + 1) % len(s.buf)
-			s.n--
-			s.delivered++
-			s.mu.Unlock()
-			return ev, nil
-		}
-		expired, closed := s.expired, s.closed
-		s.mu.Unlock()
-		if expired {
-			return api.Event{}, ErrExpired
-		}
-		if closed {
-			return api.Event{}, ErrClosed
+		ev, ok, err := s.TryNext()
+		if ok || err != nil {
+			return ev, err
 		}
 		select {
 		case <-ctx.Done():
@@ -147,6 +132,30 @@ func (s *Session) Next(ctx context.Context) (api.Event, error) {
 		case <-s.notify:
 		}
 	}
+}
+
+// TryNext is Next without the wait: ok is false, with a nil error, when
+// nothing is buffered and the stream is still open. A consumer that
+// batches its output drains with TryNext and does its flush before it
+// blocks in Next. It refreshes the idle clock as Next does.
+func (s *Session) TryNext() (ev api.Event, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lastPoll = time.Now()
+	switch {
+	case s.n > 0:
+		ev = s.buf[s.head]
+		s.buf[s.head] = api.Event{} // release references
+		s.head = (s.head + 1) % len(s.buf)
+		s.n--
+		s.delivered++
+		return ev, true, nil
+	case s.expired:
+		return api.Event{}, false, ErrExpired
+	case s.closed:
+		return api.Event{}, false, ErrClosed
+	}
+	return api.Event{}, false, nil
 }
 
 // Dropped reports how many events this session lost to the drop-oldest

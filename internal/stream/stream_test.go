@@ -255,6 +255,47 @@ func TestNextHonorsContext(t *testing.T) {
 	}
 }
 
+// TestStreamBurstDrainsWithTryNext: TryNext hands over what is queued, in
+// order, and says "nothing yet" without blocking on an open stream; once
+// the stream is closed and drained it reports the clean end. Polling with
+// it alone keeps the session alive, as polling with Next does.
+func TestStreamBurstDrainsWithTryNext(t *testing.T) {
+	r := testRegistry(t, Config{SessionTTL: 100 * time.Millisecond})
+	b := r.Create("job-1")
+	s := b.Subscribe(SubOptions{})
+	defer s.Close()
+	if ev, ok, err := s.TryNext(); ok || err != nil {
+		t.Fatalf("TryNext on an empty open stream = (%+v, %v, %v), want nothing and no error", ev, ok, err)
+	}
+	const burst = 5
+	for i := 0; i < burst; i++ {
+		b.Publish(api.Event{Kind: api.EventInterval, Cell: i})
+	}
+	for i := 0; i < burst; i++ {
+		ev, ok, err := s.TryNext()
+		if !ok || err != nil || ev.ID != uint64(i+1) || ev.Cell != i {
+			t.Fatalf("TryNext %d = (id %d cell %d, %v, %v), want id %d", i, ev.ID, ev.Cell, ok, err, i+1)
+		}
+	}
+	if got := s.Delivered(); got != burst {
+		t.Errorf("Delivered() = %d, want %d", got, burst)
+	}
+	// Three TTLs of TryNext polls: the janitor must not reap the session.
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if _, ok, err := s.TryNext(); ok || err != nil {
+			t.Fatalf("TryNext while idle = (%v, %v); the session was reaped or grew an event", ok, err)
+		}
+	}
+	b.Publish(api.Event{Kind: api.EventJobDone, Cell: -1})
+	b.Close()
+	if ev, ok, err := s.TryNext(); !ok || err != nil || ev.Kind != api.EventJobDone {
+		t.Fatalf("TryNext after close = (%q, %v, %v), want the buffered job-done first", ev.Kind, ok, err)
+	}
+	if _, ok, err := s.TryNext(); ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("TryNext on a drained closed stream = (%v, %v), want ErrClosed", ok, err)
+	}
+}
+
 // TestFullRingKeepsTerminalEvents: a stalled subscriber whose ring is full
 // of interval telemetry still receives every cell-done and the job-done
 // published after it, in publish order; what the ring evicts to make room
