@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"dvr/internal/cpu"
 	"dvr/internal/graphgen"
+	"dvr/internal/runahead"
 	"dvr/internal/stats"
 	"dvr/internal/workloads"
 )
@@ -139,7 +141,7 @@ func TestAblationsQuick(t *testing.T) {
 	// Reconvergence pays off on kernels with loads down divergent paths
 	// (kangaroo loads from one of two arrays); on bfs the divergent paths
 	// hold only stores, so first-lane is cheaper there (see EXPERIMENTS.md).
-	kang := []workloads.Spec{{Name: "kangaroo_t", Build: workloads.Kangaroo, ROI: 30_000}}
+	kang := []workloads.Spec{kangarooSpec()}
 	rrows, rrender := AblationReconvergence(kang, cfg)
 	t.Log("\n" + rrender())
 	// Reconvergence serializes the divergent paths (the SIMT cost), so it
@@ -154,4 +156,79 @@ func TestAblationsQuick(t *testing.T) {
 	t.Log("\n" + trender())
 	_, mrender := AblationMSHR(specs, cfg)
 	t.Log("\n" + mrender())
+	_, brender := AblationBandwidth(specs, cfg)
+	t.Log("\n" + brender())
+}
+
+// kangarooSpec is the divergent-load kernel of the reconvergence ablation.
+func kangarooSpec() workloads.Spec {
+	return workloads.Spec{Name: "kangaroo_t", Build: workloads.Kangaroo, ROI: 30_000}
+}
+
+// TestAblationGolden pins every cell the five ablations run on the specs
+// TestAblationsQuick uses, each labelled with the registered technique
+// name that runs it: DVR variants (lanes, divergence handling, timeout)
+// the figures never run, and DVR and its baseline under MSHR counts and
+// DRAM bandwidths the figures never configure.
+func TestAblationGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("several simulations")
+	}
+	cfg := cpu.DefaultConfig()
+	bfs, kang := quickSpec(), kangarooSpec()
+	var cells []goldenCell
+	add := func(ablation string, sp workloads.Spec, tech Technique, c cpu.Config, res cpu.Result) {
+		cells = append(cells, goldenCell{ablation + " " + cfgLabel(sp.Name, tech, c), res})
+	}
+	variant := func(sp workloads.Spec, o runahead.Options) cpu.Result {
+		w := sp.Build()
+		fe := w.Frontend()
+		core := cpu.NewCore(cfg, fe)
+		core.Attach(runahead.NewVector(o, fe, core.Hierarchy()))
+		return core.Run(sp.ROI)
+	}
+	add("lanes", bfs, TechOoO, cfg, Run(bfs, TechOoO, cfg))
+	for _, lanes := range []int{32, 64, 128, 256} {
+		o := runahead.DVROptions()
+		o.Name = fmt.Sprintf("dvr-%d", lanes)
+		o.Lanes = lanes
+		tech := Technique(o.Name)
+		if lanes == 128 {
+			tech = TechDVR
+		}
+		add("lanes", bfs, tech, cfg, variant(bfs, o))
+	}
+	add("reconvergence", kang, TechOoO, cfg, Run(kang, TechOoO, cfg))
+	firstLane := runahead.DVROptions()
+	firstLane.Name = "first-lane"
+	firstLane.Reconverge = false
+	firstLane.Vec.Reconverge = false
+	add("reconvergence", kang, "dvr-first-lane", cfg, variant(kang, firstLane))
+	full := runahead.DVROptions()
+	full.Name = "reconverge"
+	add("reconvergence", kang, TechDVR, cfg, variant(kang, full))
+	add("timeout", bfs, TechOoO, cfg, Run(bfs, TechOoO, cfg))
+	for _, steps := range []int{50, 200, 800} {
+		o := runahead.DVROptions()
+		o.Name = fmt.Sprintf("to-%d", steps)
+		o.Vec.MaxSteps = steps
+		tech := Technique(fmt.Sprintf("dvr-to-%d", steps))
+		if steps == 200 {
+			tech = TechDVR
+		}
+		add("timeout", bfs, tech, cfg, variant(bfs, o))
+	}
+	for _, n := range []int{12, 24, 48} {
+		c := cfg
+		c.Mem.MSHRs = n
+		add("mshr", bfs, TechOoO, c, Run(bfs, TechOoO, c))
+		add("mshr", bfs, TechDVR, c, Run(bfs, TechDVR, c))
+	}
+	for _, cpl := range []uint64{2, 5, 10} {
+		c := cfg
+		c.Mem.DRAMCyclesPerLine = cpl
+		add("bandwidth", bfs, TechOoO, c, Run(bfs, TechOoO, c))
+		add("bandwidth", bfs, TechDVR, c, Run(bfs, TechDVR, c))
+	}
+	checkGolden(t, "ablation", "ablation "+cellLabels, cells)
 }

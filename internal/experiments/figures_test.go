@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,22 +16,26 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
-// checkFig7Golden compares every cell's committed instructions and cycles
-// against testdata/fig7_quick.golden, so a change that is meant to leave
-// exact timing alone (a cache layout, a calendar, a faster interpreter)
-// proves it in tier-1. A change that moves cycles on purpose regenerates
-// the file with `go test ./internal/experiments -run TestFiguresQuick
-// -update` and says why in its description.
-func checkFig7Golden(t *testing.T, specs []workloads.Spec, techs []Technique, m map[string]map[Technique]cpu.Result) {
+// goldenCell is one line of a golden file: a label naming the cell and
+// the cell's result.
+type goldenCell struct {
+	label string
+	res   cpu.Result
+}
+
+// checkGolden compares every cell's committed instructions and cycles
+// against testdata/<name>_quick.golden, so a change that is meant to leave
+// exact timing alone (a cache layout, a calendar, a faster interpreter, a
+// new run path) proves it in tier-1. header names the label's fields. A
+// change that moves cycles on purpose regenerates the files with
+// `go test ./internal/experiments -update` and says why in its description.
+func checkGolden(t *testing.T, name, header string, cells []goldenCell) {
 	t.Helper()
-	const path = "testdata/fig7_quick.golden"
+	path := filepath.Join("testdata", name+"_quick.golden")
 	var b strings.Builder
-	b.WriteString("# bench technique instructions cycles\n")
-	for _, sp := range specs {
-		for _, tech := range techs {
-			r := m[sp.Name][tech]
-			fmt.Fprintf(&b, "%s %s %d %d\n", sp.Name, tech, r.Instructions, r.Cycles)
-		}
+	fmt.Fprintf(&b, "# %s instructions cycles\n", header)
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%s %d %d\n", c.label, c.res.Instructions, c.res.Cycles)
 	}
 	if *update {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
@@ -44,13 +49,24 @@ func checkFig7Golden(t *testing.T, specs []workloads.Spec, techs []Technique, m 
 	}
 	got, golden := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
 	if len(got) != len(golden) {
-		t.Fatalf("this run has %d lines, the golden %d", len(got), len(golden))
+		t.Fatalf("%s: this run has %d lines, the golden %d", path, len(got), len(golden))
 	}
 	for i := range got {
 		if got[i] != golden[i] {
-			t.Errorf("quick Fig 7 cell moved: got %q, golden has %q", got[i], golden[i])
+			t.Errorf("quick %s cell moved: got %q, golden has %q", name, got[i], golden[i])
 		}
 	}
+}
+
+// matrixCells lists a matrix's cells spec-major, labelled "bench technique".
+func matrixCells(specs []workloads.Spec, techs []Technique, m map[string]map[Technique]cpu.Result) []goldenCell {
+	var cells []goldenCell
+	for _, sp := range specs {
+		for _, tech := range techs {
+			cells = append(cells, goldenCell{sp.Name + " " + string(tech), m[sp.Name][tech]})
+		}
+	}
+	return cells
 }
 
 // TestFiguresQuick runs every figure harness at quick scale and checks the
@@ -68,7 +84,7 @@ func TestFiguresQuick(t *testing.T) {
 	specs := suite.All()
 	techs := append([]Technique{TechOoO}, AllTechniques...)
 	m := Matrix(specs, techs, cfg)
-	checkFig7Golden(t, specs, techs, m)
+	checkGolden(t, "fig7", "bench technique", matrixCells(specs, techs, m))
 	rows, render := Fig7FromMatrix(specs, m)
 	t.Log("\n" + render())
 	var dvr, vr []float64
@@ -83,6 +99,14 @@ func TestFiguresQuick(t *testing.T) {
 	if dvrHM <= vrHM {
 		t.Errorf("DVR h-mean %.2f not above VR h-mean %.2f", dvrHM, vrHM)
 	}
+
+	// Figure 8's breakdown variants run Options toggles Figure 7 never
+	// enters.
+	techs8 := append([]Technique{TechOoO}, Fig8Variants...)
+	m8 := Matrix(specs, techs8, cfg)
+	checkGolden(t, "fig8", "bench technique", matrixCells(specs, techs8, m8))
+	_, render8 := Fig8FromMatrix(specs, m8)
+	t.Log("\n" + render8())
 
 	// Figure 2 / 12 on the GAP subset.
 	gap := suite.GAP
@@ -112,6 +136,52 @@ func TestFiguresQuick(t *testing.T) {
 
 	// Tables.
 	t.Log("\n" + Table1(cfg))
+}
+
+// robSweeps are the sweeps of Figure 2 (OoO and VR, back end fixed) and
+// Figure 12 (DVR, back end scaled with the ROB).
+var robSweeps = []struct {
+	tech  Technique
+	scale bool
+}{{TechOoO, false}, {TechVR, false}, {TechDVR, true}}
+
+// cfgLabel names a cell by benchmark, technique and the knobs the ROB
+// sweeps and the ablations vary.
+func cfgLabel(name string, tech Technique, cfg cpu.Config) string {
+	return fmt.Sprintf("%s %s %d %d %d %d %d %d", name, tech,
+		cfg.ROBSize, cfg.IQSize, cfg.LQSize, cfg.SQSize, cfg.Mem.MSHRs, cfg.Mem.DRAMCyclesPerLine)
+}
+
+// cellLabels is the golden header matching cfgLabel.
+const cellLabels = "bench technique rob iq lq sq mshrs bw"
+
+// TestROBSweepGolden pins every cell of the Figure 2 and Figure 12 ROB
+// sweeps on the quick GAP set: each ROBSizes entry with the back end fixed
+// and scaled, which the Figure 7 golden never configures.
+func TestROBSweepGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("90 quick simulations")
+	}
+	cfg := cpu.DefaultConfig()
+	var cells []Cell
+	for _, sw := range robSweeps {
+		for _, sp := range QuickSuite().GAP {
+			cells = append(cells, Cell{Spec: sp, Tech: TechOoO, Cfg: cfg.WithROB(BaselineROB)})
+			for _, rob := range ROBSizes {
+				c := cfg.WithROB(rob)
+				if sw.scale {
+					c = cfg.ScaleBackend(rob)
+				}
+				cells = append(cells, Cell{Spec: sp, Tech: sw.tech, Cfg: c})
+			}
+		}
+	}
+	res := RunAll(cells)
+	golden := make([]goldenCell, len(cells))
+	for i, c := range cells {
+		golden[i] = goldenCell{cfgLabel(c.Spec.Name, c.Tech, c.Cfg), res[i]}
+	}
+	checkGolden(t, "robsweep", cellLabels, golden)
 }
 
 // TestCCLargeInput verifies DVR does not regress connected components on
