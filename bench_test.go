@@ -6,6 +6,7 @@
 package dvr_test
 
 import (
+	"context"
 	"testing"
 
 	"dvr/internal/cpu"
@@ -34,7 +35,10 @@ func BenchmarkTable1Config(b *testing.B) {
 	spec := suite.GAP[1] // bfs
 	start := experiments.SimInstructions()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Run(spec, experiments.TechOoO, quickCfg())
+		res, err := experiments.Run(context.Background(), experiments.Job{Spec: spec, Tech: experiments.TechOoO, Cfg: quickCfg()})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(res.IPC(), "baseline-IPC")
 	}
 	simMIPS(b, start)

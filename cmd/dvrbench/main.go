@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	dvrbench table1|table2|fig2|fig7|fig8|fig9|fig10|fig11|fig12|intervals|ablation|perf|all [-quick]
+//	dvrbench table1|table2|fig2|fig7|fig8|fig9|fig10|fig11|fig12|intervals|ablation|fidelity|all [-quick]
 //
 // With -quick, a scaled-down suite runs in seconds; without it, the full
 // Table 2 inputs and the paper's ROIs are used (minutes).
@@ -14,12 +14,7 @@
 // sequentially with the event recorder attached and write one Perfetto
 // JSON per cell to <dir>/<bench>-<tech>.json; the rendered figure is
 // bit-identical to the untraced one (tracing is observational).
-//
-// The perf subcommand measures the simulator itself — simulated MIPS and
-// host allocations per simulated instruction for every benchmark×technique
-// cell — and writes the rows to BENCH_perf.json, the input of the
-// perf-regression guard. -cpuprofile/-memprofile write pprof profiles of
-// whatever experiment ran.
+// -cpuprofile/-memprofile write pprof profiles of whatever experiment ran.
 package main
 
 import (
@@ -52,7 +47,7 @@ func main() {
 	server := flag.String("server", "", "run matrix experiments (fig7, fig8) against this dvrd server instead of in-process")
 	ckptDir := flag.String("checkpoint-dir", "", "journal matrix cells (fig7, fig8) to this directory so a killed run resumes instead of restarting")
 	traceDir := flag.String("trace", "", "write one Perfetto trace-event JSON per matrix cell (fig7, fig8) to this directory")
-	sampled := flag.Bool("sampled", false, "fig7/fig8/perf: project results from phase-representative windows instead of timing full ROIs")
+	sampled := flag.Bool("sampled", false, "fig7/fig8: project results from phase-representative windows instead of timing full ROIs")
 	sWindow := flag.Uint64("sample-window", 0, "with -sampled, profiling window length in instructions (0 = auto from ROI)")
 	sWarmup := flag.Uint64("warmup", 0, "with -sampled, timed-but-discarded warmup per measured window (0 = one window)")
 	sPhases := flag.Int("sample-phases", 0, "with -sampled, maximum phase clusters (0 = default)")
@@ -120,6 +115,28 @@ func main() {
 		os.Exit(1)
 	}
 
+	// figMatrix runs a figure's matrix, the OoO baseline plus techs, the
+	// way the flags ask: through a dvrd server, journalled, traced, sampled
+	// or plainly in-process.
+	figMatrix := func(specs []workloads.Spec, techs []experiments.Technique) map[string]map[experiments.Technique]cpu.Result {
+		techs = append([]experiments.Technique{experiments.TechOoO}, techs...)
+		var m map[string]map[experiments.Technique]cpu.Result
+		var err error
+		switch {
+		case *server != "" || *ckptDir != "" || *traceDir != "":
+			m, err = matrixVia(*server, *ckptDir, *traceDir, specs, techs, cfg)
+		case *sampled:
+			m, err = experiments.MatrixSampled(context.Background(), specs, techs, cfg, so)
+		default:
+			m, err = experiments.MatrixE(context.Background(), specs, techs, cfg)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dvrbench:", err)
+			os.Exit(1)
+		}
+		return m
+	}
+
 	emit := func(rows interface{}, render func() string) {
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
@@ -150,56 +167,12 @@ func main() {
 			ooo, vr, render := experiments.Fig2(s.GAP, cfg)
 			emit(map[string]interface{}{"ooo": ooo, "vr": vr}, render)
 		case "fig7":
-			techs := append([]experiments.Technique{experiments.TechOoO}, experiments.AllTechniques...)
-			if *sampled {
-				specs := suite().All()
-				m, err := experiments.MatrixSampled(context.Background(), specs, techs, cfg, so)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dvrbench:", err)
-					os.Exit(1)
-				}
-				rows, render := experiments.Fig7FromMatrix(specs, m)
-				emit(rows, render)
-				break
-			}
-			if *server != "" || *ckptDir != "" || *traceDir != "" {
-				specs := suite().All()
-				m, err := matrixVia(*server, *ckptDir, *traceDir, specs, techs, cfg)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dvrbench:", err)
-					os.Exit(1)
-				}
-				rows, render := experiments.Fig7FromMatrix(specs, m)
-				emit(rows, render)
-				break
-			}
-			rows, render := experiments.Fig7(suite().All(), cfg)
+			specs := suite().All()
+			rows, render := experiments.Fig7FromMatrix(specs, figMatrix(specs, experiments.AllTechniques))
 			emit(rows, render)
 		case "fig8":
-			techs := append([]experiments.Technique{experiments.TechOoO}, experiments.Fig8Variants...)
-			if *sampled {
-				specs := suite().All()
-				m, err := experiments.MatrixSampled(context.Background(), specs, techs, cfg, so)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dvrbench:", err)
-					os.Exit(1)
-				}
-				rows, render := experiments.Fig8FromMatrix(specs, m)
-				emit(rows, render)
-				break
-			}
-			if *server != "" || *ckptDir != "" || *traceDir != "" {
-				specs := suite().All()
-				m, err := matrixVia(*server, *ckptDir, *traceDir, specs, techs, cfg)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dvrbench:", err)
-					os.Exit(1)
-				}
-				rows, render := experiments.Fig8FromMatrix(specs, m)
-				emit(rows, render)
-				break
-			}
-			rows, render := experiments.Fig8(suite().All(), cfg)
+			specs := suite().All()
+			rows, render := experiments.Fig8FromMatrix(specs, figMatrix(specs, experiments.Fig8Variants))
 			emit(rows, render)
 		case "fig9":
 			rows, render := experiments.Fig9(suite().All(), cfg)
@@ -220,27 +193,6 @@ func main() {
 			specs := append(s.GAP, suite().HPCDB...)
 			rows, render := experiments.Fig12(specs, cfg)
 			emit(rows, render)
-		case "perf":
-			rows, render := perfRows(suite(), cfg)
-			emit(rows, render)
-			if err := writePerfJSON("BENCH_perf.json", rows); err != nil {
-				fmt.Fprintln(os.Stderr, "dvrbench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote BENCH_perf.json")
-			if *sampled {
-				// BENCH_perf.json stays exact-only (its schema is the
-				// regression guard's input); -sampled appends a wall-clock
-				// comparison of the two suite paths.
-				exactDur, sampDur, err := suiteWallClock(suite().All(), cfg, so)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dvrbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("suite wall-clock: exact %s, sampled %s (%.1fx)\n",
-					exactDur.Round(time.Millisecond), sampDur.Round(time.Millisecond),
-					float64(exactDur)/float64(sampDur))
-			}
 		case "fidelity":
 			if err := fidelityReport(os.Stdout, *fidROI, so, *fidTol, cfg); err != nil {
 				fmt.Fprintln(os.Stderr, "dvrbench:", err)
@@ -251,16 +203,13 @@ func main() {
 			if *quick {
 				specs = specs[:4]
 			}
-			_, r1 := experiments.AblationLanes(specs, cfg)
-			fmt.Println(r1())
-			_, r2 := experiments.AblationReconvergence(specs, cfg)
-			fmt.Println(r2())
-			_, r3 := experiments.AblationTimeout(specs, cfg)
-			fmt.Println(r3())
-			_, r4 := experiments.AblationMSHR(specs, cfg)
-			fmt.Println(r4())
-			_, r5 := experiments.AblationBandwidth(specs, cfg)
-			fmt.Println(r5())
+			for _, ablate := range []func([]workloads.Spec, cpu.Config) ([]experiments.AblationRow, func() string){
+				experiments.AblationLanes, experiments.AblationReconvergence, experiments.AblationTimeout,
+				experiments.AblationMSHR, experiments.AblationBandwidth,
+			} {
+				_, render := ablate(specs, cfg)
+				fmt.Println(render())
+			}
 		default:
 			fmt.Fprintf(os.Stderr, "dvrbench: unknown experiment %q\n", name)
 			os.Exit(2)
@@ -307,6 +256,24 @@ func matrixVia(server, ckptDir, traceDir string, specs []workloads.Spec, techs [
 	return durableMatrix(ckptDir, specs, techs, cfg)
 }
 
+// eachCell runs the matrix in-process one cell at a time, spec-major,
+// through run, and returns results[benchmark][technique].
+func eachCell(specs []workloads.Spec, techs []experiments.Technique, run func(workloads.Spec, experiments.Technique) (cpu.Result, error)) (map[string]map[experiments.Technique]cpu.Result, error) {
+	m := make(map[string]map[experiments.Technique]cpu.Result, len(specs))
+	for _, sp := range specs {
+		row := make(map[experiments.Technique]cpu.Result, len(techs))
+		for _, tech := range techs {
+			res, err := run(sp, tech)
+			if err != nil {
+				return nil, fmt.Errorf("cell %s-%s: %w", sp.Name, tech, err)
+			}
+			row[tech] = res
+		}
+		m[sp.Name] = row
+	}
+	return m, nil
+}
+
 // tracedMatrix runs the matrix in-process, one cell at a time, each with
 // an event recorder attached, and writes one Perfetto trace-event JSON
 // per cell to <dir>/<bench>-<tech>.json. Cells run sequentially so each
@@ -316,30 +283,25 @@ func tracedMatrix(dir string, specs []workloads.Spec, techs []experiments.Techni
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := make(map[string]map[experiments.Technique]cpu.Result, len(specs))
-	for _, sp := range specs {
-		row := make(map[experiments.Technique]cpu.Result, len(techs))
-		for _, tech := range techs {
-			rec := trace.New(trace.Config{Events: 65536})
-			res, err := experiments.RunTraced(context.Background(), sp, tech, cfg, rec)
-			if err != nil {
-				return nil, fmt.Errorf("cell %s-%s: %w", sp.Name, tech, err)
-			}
-			path := filepath.Join(dir, fmt.Sprintf("%s-%s.json", sp.Name, tech))
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, err
-			}
-			werr := rec.WritePerfetto(f, fmt.Sprintf("%s (%s)", sp.Name, tech))
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return nil, fmt.Errorf("cell %s-%s: %w", sp.Name, tech, werr)
-			}
-			row[tech] = res
+	m, err := eachCell(specs, techs, func(sp workloads.Spec, tech experiments.Technique) (cpu.Result, error) {
+		job := experiments.Job{Spec: sp, Tech: tech, Cfg: cfg}
+		job.Trace = trace.New(trace.Config{Events: 65536})
+		res, err := experiments.Run(context.Background(), job)
+		if err != nil {
+			return res, err
 		}
-		m[sp.Name] = row
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%s.json", sp.Name, tech)))
+		if err != nil {
+			return res, err
+		}
+		err = job.Trace.WritePerfetto(f, fmt.Sprintf("%s (%s)", sp.Name, tech))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return res, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	// To stderr so -json output stays parseable.
 	fmt.Fprintf(os.Stderr, "[trace: wrote %d Perfetto files to %s]\n", len(specs)*len(techs), dir)
@@ -372,12 +334,13 @@ func intervalsReport(w io.Writer, s experiments.Suite, cfg cpu.Config) error {
 			every = 1_000
 		}
 		for _, tech := range intervalTechs {
-			rec := trace.New(trace.Config{IntervalEvery: every})
-			res, err := experiments.RunTraced(context.Background(), sp, tech, cfg, rec)
+			job := experiments.Job{Spec: sp, Tech: tech, Cfg: cfg}
+			job.Trace = trace.New(trace.Config{IntervalEvery: every})
+			res, err := experiments.Run(context.Background(), job)
 			if err != nil {
 				return fmt.Errorf("cell %s-%s: %w", sp.Name, tech, err)
 			}
-			ivs := rec.Intervals()
+			ivs := job.Trace.Intervals()
 			var insts uint64
 			var lastCycle uint64
 			ipc := make([]float64, 0, len(ivs))
@@ -421,58 +384,50 @@ func durableMatrix(dir string, specs []workloads.Spec, techs []experiments.Techn
 		return nil, err
 	}
 	resumed := 0
-	m := make(map[string]map[experiments.Technique]cpu.Result, len(specs))
-	for _, sp := range specs {
+	m, err := eachCell(specs, techs, func(sp workloads.Spec, tech experiments.Technique) (cpu.Result, error) {
 		if sp.Ref.Kernel == "" {
-			return nil, fmt.Errorf("benchmark %q has no declarative ref; cannot journal it", sp.Name)
+			return cpu.Result{}, fmt.Errorf("benchmark %q has no declarative ref; cannot journal it", sp.Name)
 		}
 		ref := sp.Ref
 		ref.ROI = sp.ROI
+		key := fmt.Sprintf("%s-%s", sp.Name, tech)
+		job := experiments.Job{Spec: sp, Tech: tech, Cfg: cfg}
 		// Checkpoint a handful of times per cell whatever its length, but
 		// not so often that journal encoding dominates short runs.
 		roi := sp.ROI
 		if roi == 0 {
 			roi = 300_000
 		}
-		every := roi / 5
-		if every < 10_000 {
-			every = 10_000
+		job.CheckpointEvery = min(max(roi/5, 10_000), 100_000)
+		if st, err := store.Load(key); err == nil {
+			if st.Matches(api.EngineVersion, ref, string(tech), cfg) == nil {
+				job.Resume = &st.Core
+				resumed++
+			} else {
+				// Journal from a different suite/config under the same
+				// name: useless for this run.
+				_ = store.Remove(key)
+			}
 		}
-		if every > 100_000 {
-			every = 100_000
+		job.Checkpoint = func(snap *cpu.Snapshot) error {
+			return store.Save(key, &checkpoint.State{
+				Engine:    api.EngineVersion,
+				Ref:       ref,
+				Technique: string(tech),
+				Config:    cfg,
+				Core:      *snap,
+			})
 		}
-		row := make(map[experiments.Technique]cpu.Result, len(techs))
-		for _, tech := range techs {
-			key := fmt.Sprintf("%s-%s", sp.Name, tech)
-			opts := experiments.JobOpts{CheckpointEvery: every}
-			if st, err := store.Load(key); err == nil {
-				if st.Matches(api.EngineVersion, ref, string(tech), cfg) == nil {
-					opts.Resume = &st.Core
-					resumed++
-				} else {
-					// Journal from a different suite/config under the same
-					// name: useless for this run.
-					_ = store.Remove(key)
-				}
-			}
-			opts.Checkpoint = func(snap *cpu.Snapshot) error {
-				return store.Save(key, &checkpoint.State{
-					Engine:    api.EngineVersion,
-					Ref:       ref,
-					Technique: string(tech),
-					Config:    cfg,
-					Core:      *snap,
-				})
-			}
-			res, err := experiments.RunJob(context.Background(), sp, tech, cfg, opts)
-			if err != nil {
-				// Journals of unfinished cells stay behind for the rerun.
-				return nil, fmt.Errorf("cell %s: %w", key, err)
-			}
+		res, err := experiments.Run(context.Background(), job)
+		if err == nil {
+			// Only a finished cell's journal goes; an unfinished one stays
+			// behind for the rerun.
 			_ = store.Remove(key)
-			row[tech] = res
 		}
-		m[sp.Name] = row
+		return res, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if resumed > 0 {
 		// To stderr so -json output stays parseable.
@@ -541,80 +496,6 @@ func gapSuite(quick bool) experiments.Suite {
 		return experiments.QuickSuite()
 	}
 	return experiments.GAPOnly(graphgen.Table2Inputs()[0])
-}
-
-// perfRow is one benchmark×technique measurement of the simulator itself.
-type perfRow struct {
-	Bench         string  `json:"bench"`
-	Technique     string  `json:"technique"`
-	Instructions  uint64  `json:"instructions"`
-	HostMS        float64 `json:"host_ms"`
-	SimMIPS       float64 `json:"sim_mips"`
-	AllocsPerInst float64 `json:"allocs_per_inst"`
-}
-
-// perfRows runs every benchmark under every Figure 7 technique, one cell
-// at a time (no concurrency, so host timings are clean), and reports
-// simulator throughput and allocation rate per cell.
-func perfRows(s experiments.Suite, cfg cpu.Config) ([]perfRow, func() string) {
-	specs := s.All()
-	// Warm the memoized workload images so the first measured cell does
-	// not pay graph construction.
-	for _, sp := range specs {
-		sp.Build()
-	}
-	techs := append([]experiments.Technique{experiments.TechOoO}, experiments.AllTechniques...)
-	var rows []perfRow
-	for _, sp := range specs {
-		for _, tech := range techs {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			res := experiments.Run(sp, tech, cfg)
-			runtime.ReadMemStats(&m1)
-			rows = append(rows, perfRow{
-				Bench:         sp.Name,
-				Technique:     string(tech),
-				Instructions:  res.Instructions,
-				HostMS:        float64(res.HostNS) / 1e6,
-				SimMIPS:       res.SimMIPS(),
-				AllocsPerInst: float64(m1.Mallocs-m0.Mallocs) / float64(res.Instructions),
-			})
-		}
-	}
-	render := func() string {
-		t := stats.NewTable("Simulator throughput (per benchmark × technique)",
-			"bench", "tech", "insts", "host-ms", "simMIPS", "allocs/inst")
-		for _, r := range rows {
-			t.AddRow(r.Bench, r.Technique, fmt.Sprintf("%d", r.Instructions),
-				r.HostMS, r.SimMIPS, fmt.Sprintf("%.4f", r.AllocsPerInst))
-		}
-		return t.String()
-	}
-	return rows, render
-}
-
-// suiteWallClock times the full Figure 7 matrix both ways — exact
-// (MatrixE) and sampled (MatrixSampled) — over pre-built workloads, so the
-// ratio measures simulation work, not graph construction. Sampled runs
-// first: both paths then start from identically cold simulator state, and
-// any process-level warmup (JIT-ish map growth, allocator steady state)
-// favours the exact side, making the reported ratio conservative.
-func suiteWallClock(specs []workloads.Spec, cfg cpu.Config, so experiments.SampleOptions) (exact, sampled time.Duration, err error) {
-	for _, sp := range specs {
-		sp.Build()
-	}
-	techs := append([]experiments.Technique{experiments.TechOoO}, experiments.AllTechniques...)
-	t0 := time.Now()
-	if _, err = experiments.MatrixSampled(context.Background(), specs, techs, cfg, so); err != nil {
-		return 0, 0, err
-	}
-	sampled = time.Since(t0)
-	t1 := time.Now()
-	if _, err = experiments.MatrixE(context.Background(), specs, techs, cfg); err != nil {
-		return 0, 0, err
-	}
-	exact = time.Since(t1)
-	return exact, sampled, nil
 }
 
 // fidelityMaxTimedFrac bounds the share of profiled instructions a sampled
@@ -693,7 +574,7 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol f
 	}
 	for _, sp := range specs {
 		t2 := time.Now()
-		res, err := experiments.RunSampled(context.Background(), sp, experiments.TechOoO, cfg, so)
+		res, err := experiments.Run(context.Background(), experiments.Job{Spec: sp, Tech: experiments.TechOoO, Cfg: cfg, Sample: &so})
 		if err != nil {
 			return err
 		}
@@ -714,14 +595,4 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol f
 	}
 	fmt.Fprintln(w, "fidelity: OK")
 	return nil
-}
-
-// writePerfJSON writes the perf rows as indented JSON, the machine-readable
-// artifact the perf-regression guard compares against.
-func writePerfJSON(path string, rows []perfRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -40,7 +40,6 @@ import (
 	"dvr/internal/experiments"
 	"dvr/internal/graphgen"
 	"dvr/internal/mem"
-	"dvr/internal/runahead"
 	"dvr/internal/service/api"
 	"dvr/internal/stats"
 	"dvr/internal/trace"
@@ -51,7 +50,7 @@ func main() {
 	var (
 		benchName = flag.String("bench", "bfs", "benchmark: bc,bfs,cc,pr,sssp,camel,graph500,hj2,hj8,kangaroo,nas-cg,nas-is,randomaccess")
 		inputName = flag.String("input", "KR", "graph input for GAP kernels: KR,LJN,ORK,TW,UR")
-		techName  = flag.String("tech", "dvr", "technique: ooo,pre,imp,vr,dvr,dvr-offload,dvr-discovery,oracle")
+		techName  = flag.String("tech", "dvr", "technique: "+techniques(","))
 		rob       = flag.Int("rob", 350, "reorder-buffer size")
 		roi       = flag.Uint64("roi", 300_000, "timed instructions")
 		pipeline  = flag.Uint64("pipeline", 0, "print pipeline timing for the first N instructions")
@@ -61,7 +60,6 @@ func main() {
 		ivOut     = flag.String("interval-out", "", "with -interval, also dump the series to this file (.csv = CSV, otherwise JSON)")
 		mshrs     = flag.Int("mshrs", 24, "L1-D MSHR count")
 		bwCycles  = flag.Uint64("bw", 5, "DRAM cycles per 64 B line (5 = 51.2 GB/s at 4 GHz)")
-		lanes     = flag.Int("lanes", 128, "DVR vectorization degree (dvr only; max 256)")
 		sampled   = flag.Bool("sampled", false, "sampled simulation: phase-profile the ROI, time one representative window per phase, extrapolate")
 		sWindow   = flag.Uint64("sample-window", 0, "with -sampled, profiling window length in instructions (0 = auto from ROI)")
 		sWarmup   = flag.Uint64("warmup", 0, "with -sampled, timed-but-discarded warmup instructions before each measured window (0 = one window)")
@@ -107,7 +105,7 @@ func main() {
 	if *list {
 		fmt.Println("benchmarks: bc bfs cc pr sssp (with -input KR|LJN|ORK|TW|UR)")
 		fmt.Println("            camel graph500 hj2 hj8 kangaroo nas-cg nas-is randomaccess")
-		fmt.Println("techniques: ooo pre imp vr dvr dvr-offload dvr-discovery oracle")
+		fmt.Println("techniques: " + techniques(" "))
 		return
 	}
 
@@ -121,12 +119,9 @@ func main() {
 	cfg := cpu.DefaultConfig().WithROB(*rob)
 	cfg.Mem.MSHRs = *mshrs
 	cfg.Mem.DRAMCyclesPerLine = *bwCycles
-	if *lanes != 128 && *techName == "dvr" {
-		runCustomLanes(spec, cfg, *lanes)
-		return
-	}
+	tech := experiments.Technique(*techName)
 	if *pipeline > 0 {
-		runPipeline(spec, experiments.Technique(*techName), cfg, *pipeline)
+		runPipeline(spec, tech, cfg, *pipeline)
 		return
 	}
 	var rec *trace.Recorder
@@ -137,30 +132,18 @@ func main() {
 		}
 		rec = trace.New(tc)
 	}
-	var res cpu.Result
+	job := experiments.Job{Spec: spec, Tech: tech, Cfg: cfg}
+	job.WatchdogBudget, job.Trace = *watchdog, rec
 	if *sampled {
-		// Sampling replaces the single timed run with a profile + replay
-		// pipeline; the durability and tracing machinery observe one
-		// continuous run and have nothing coherent to attach to.
-		if *ckptFile != "" || *resume || *traceFile != "" || *interval > 0 {
-			fmt.Fprintln(os.Stderr, "dvrsim: -sampled cannot be combined with -checkpoint, -resume, -trace or -interval")
-			os.Exit(1)
-		}
-		so := experiments.SampleOptions{
+		// Run refuses sampling with -checkpoint, -trace or -interval.
+		job.Sample = &experiments.SampleOptions{
 			WindowInsts: *sWindow,
 			WarmupInsts: *sWarmup,
 			MaxPhases:   *sPhases,
 			Replicates:  *sReps,
 		}
-		var err error
-		res, err = experiments.RunSampled(context.Background(), spec, experiments.Technique(*techName), cfg, so)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvrsim:", err)
-			os.Exit(1)
-		}
-	} else {
-		res = runDurable(spec, experiments.Technique(*techName), cfg, *ckptFile, *ckptEvery, *resume, *watchdog, rec)
 	}
+	res := runJob(job, *ckptFile, *ckptEvery, *resume)
 
 	fmt.Printf("benchmark    %s\n", res.Name)
 	fmt.Printf("technique    %s\n", res.Technique)
@@ -264,41 +247,39 @@ func emitTrace(rec *trace.Recorder, res cpu.Result, traceFile string, interval u
 	}
 }
 
-// runDurable runs the cell through the durable job path: optional
-// checkpoint journal (resumable with -resume after a kill, deleted on
-// success) and the retirement watchdog. A watchdog trip prints the typed
-// livelock error plus its forensics dump and exits 3.
-func runDurable(spec workloads.Spec, tech experiments.Technique, cfg cpu.Config, ckptFile string, every uint64, resume bool, watchdog uint64, rec *trace.Recorder) cpu.Result {
-	opts := experiments.JobOpts{WatchdogBudget: watchdog, Trace: rec}
+// runJob runs the job, journalled to ckptFile when one is named (resumable
+// with -resume after a kill, deleted on success). A watchdog trip prints
+// the typed livelock error plus its forensics dump and exits 3.
+func runJob(job experiments.Job, ckptFile string, every uint64, resume bool) cpu.Result {
 	if ckptFile != "" {
-		opts.CheckpointEvery = every
+		spec, tech, cfg := job.Spec, string(job.Tech), job.Cfg
+		job.CheckpointEvery = every
 		// Journal against a fork of the image: a checkpoint holds the words
 		// that differ from the memory's base, which for the image itself is
 		// every word in it.
-		build := spec.Build
-		spec.Build = func() *workloads.Workload { return build().Fork() }
+		job.Spec.Build = func() *workloads.Workload { return spec.Build().Fork() }
 		if resume {
 			if data, err := os.ReadFile(ckptFile); err == nil {
 				st, derr := checkpoint.Decode(data)
 				if derr == nil {
-					derr = st.Matches(api.EngineVersion, spec.Ref, string(tech), cfg)
+					derr = st.Matches(api.EngineVersion, spec.Ref, tech, cfg)
 				}
 				if derr != nil {
 					fmt.Fprintf(os.Stderr, "dvrsim: ignoring checkpoint %s: %v\n", ckptFile, derr)
 				} else {
 					fmt.Fprintf(os.Stderr, "dvrsim: resuming at instruction %d\n", st.Seq())
-					opts.Resume = &st.Core
+					job.Resume = &st.Core
 				}
 			} else if !errors.Is(err, fs.ErrNotExist) {
 				fmt.Fprintln(os.Stderr, "dvrsim:", err)
 				os.Exit(1)
 			}
 		}
-		opts.Checkpoint = func(snap *cpu.Snapshot) error {
+		job.Checkpoint = func(snap *cpu.Snapshot) error {
 			data, err := checkpoint.Encode(&checkpoint.State{
 				Engine:    api.EngineVersion,
 				Ref:       spec.Ref,
-				Technique: string(tech),
+				Technique: tech,
 				Config:    cfg,
 				Core:      *snap,
 			})
@@ -312,7 +293,7 @@ func runDurable(spec workloads.Spec, tech experiments.Technique, cfg cpu.Config,
 			return os.Rename(tmp, ckptFile)
 		}
 	}
-	res, err := experiments.RunJob(context.Background(), spec, tech, cfg, opts)
+	res, err := experiments.Run(context.Background(), job)
 	if err != nil {
 		var le *cpu.LivelockError
 		if errors.As(err, &le) {
@@ -332,37 +313,21 @@ func runDurable(spec workloads.Spec, tech experiments.Technique, cfg cpu.Config,
 	return res
 }
 
-// runCustomLanes runs DVR with a non-default vectorization degree.
-func runCustomLanes(spec workloads.Spec, cfg cpu.Config, lanes int) {
-	o := runahead.DVROptions()
-	o.Lanes = lanes
-	w := spec.Build()
-	fe := w.Frontend()
-	core := cpu.NewCore(cfg, fe)
-	core.Attach(runahead.NewVector(o, fe, core.Hierarchy()))
-	res := core.Run(spec.ROI)
-	fmt.Printf("benchmark    %s (dvr, %d lanes)\n", spec.Name, lanes)
-	fmt.Printf("IPC          %.4f\n", res.IPC())
-	fmt.Printf("MLP          %.2f MSHRs/cycle\n", res.MLP())
-	fmt.Printf("episodes     %d (nested %d)\n", res.Engine.Episodes, res.Engine.NestedModes)
-	fmt.Printf("prefetches   %d\n", res.Engine.Prefetches)
-}
-
 // runPipeline replays the run with a pipeline-timing trace on stdout
 // (the -pipeline debugging aid; structured tracing is -trace/-interval).
+// It builds its own core because the per-instruction timing hook is not
+// part of a Job.
 func runPipeline(spec workloads.Spec, tech experiments.Technique, cfg cpu.Config, n uint64) {
+	build, err := experiments.Lookup(tech)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dvrsim:", err)
+		os.Exit(1)
+	}
 	w := spec.Build()
 	fe := w.Frontend()
 	core := cpu.NewCore(cfg, fe)
-	switch tech {
-	case experiments.TechOoO:
-	case experiments.TechDVR:
-		core.Attach(runahead.NewDVR(fe, core.Hierarchy()))
-	case experiments.TechVR:
-		core.Attach(runahead.NewVR(fe, core.Hierarchy()))
-	default:
-		fmt.Fprintln(os.Stderr, "dvrsim: -pipeline supports ooo, vr and dvr")
-		os.Exit(1)
+	if eng := build(fe, w, core.Hierarchy(), cfg); eng != nil {
+		core.Attach(eng)
 	}
 	fmt.Printf("%-6s %-4s %-28s %8s %8s %8s %8s %8s\n", "seq", "pc", "inst", "disp", "ready", "issue", "done", "commit")
 	code := w.Prog.Code
@@ -371,6 +336,15 @@ func runPipeline(spec workloads.Spec, tech experiments.Technique, cfg cpu.Config
 	})
 	res := core.Run(n)
 	fmt.Printf("\nIPC %.3f over %d instructions\n", res.IPC(), res.Instructions)
+}
+
+// techniques lists the registered technique names joined by sep.
+func techniques(sep string) string {
+	var names []string
+	for _, t := range experiments.Techniques() {
+		names = append(names, string(t))
+	}
+	return strings.Join(names, sep)
 }
 
 func sum4(a [5]uint64) uint64 {

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"dvr/internal/cpu"
 	"dvr/internal/experiments"
@@ -28,7 +30,10 @@ func main() {
 		for i := range specs {
 			specs[i].ROI = 100_000
 		}
-		m := experiments.Matrix(specs, techs, cfg)
+		m, err := experiments.MatrixE(context.Background(), specs, techs, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-12s %8s %8s %8s %14s %8s\n", "kernel", "OoO", "VRx", "DVRx", "DVR episodes", "nested")
 		for _, sp := range specs {
 			base := m[sp.Name][experiments.TechOoO]

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"dvr/internal/cpu"
 	"dvr/internal/experiments"
@@ -24,7 +26,10 @@ func main() {
 		experiments.TechVR, experiments.TechDVR, experiments.TechOracle,
 	}
 	cfg := cpu.DefaultConfig()
-	m := experiments.Matrix(specs, techs, cfg)
+	m, err := experiments.MatrixE(context.Background(), specs, techs, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-8s", "bench")
 	for _, t := range techs[1:] {

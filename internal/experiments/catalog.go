@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
 
-	"dvr/internal/cpu"
 	"dvr/internal/graphgen"
 	"dvr/internal/workloads"
 )
@@ -121,106 +119,4 @@ func (s Suite) Refs() ([]workloads.Ref, error) {
 		refs = append(refs, ref)
 	}
 	return refs, nil
-}
-
-// Cell identifies one (benchmark, technique, config) simulation.
-type Cell struct {
-	Spec workloads.Spec
-	Tech Technique
-	Cfg  cpu.Config
-}
-
-// RunAll executes the cells concurrently (one simulation per core) and
-// returns results in input order. It panics on any failure — the
-// trusted-input convenience for the in-process figure harnesses; paths
-// that serve untrusted jobs (the dvrd service and anything like it) use
-// RunAllE, which returns errors instead.
-func RunAll(cells []Cell) []cpu.Result {
-	results, err := RunAllE(context.Background(), cells)
-	if err != nil {
-		panic(err)
-	}
-	return results
-}
-
-// buildWorkload runs spec.Build with panics converted to errors: a graph
-// generator or kernel builder that panics (a registry bug, a hostile
-// custom kernel) fails the cells that need it instead of unwinding the
-// whole runner.
-func buildWorkload(spec workloads.Spec) (w *workloads.Workload, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("experiments: building %s: %v", spec.Name, r)
-		}
-	}()
-	return spec.Build(), nil
-}
-
-// RunAllE is the error-returning core of RunAll: the first failure (an
-// unknown technique, a workload that fails to build, ctx expiry) cancels
-// the remaining cells and is returned; nothing panics.
-//
-// Cells that name the same benchmark share one built workload: the image
-// is built once (workload construction rivals simulation cost on quick
-// suites), as a scheduler task of its own (see runGrouped) so no worker
-// parks behind another's build, and every simulation runs on a
-// copy-on-write fork of it, which is observationally identical to a fresh
-// build. Spec names are assumed to identify the built workload, which
-// holds for every suite in this package (names encode kernel and input).
-func RunAllE(ctx context.Context, cells []Cell) ([]cpu.Result, error) {
-	results := make([]cpu.Result, len(cells))
-	err := runGrouped(ctx, len(cells),
-		func(i int) string { return cells[i].Spec.Name },
-		func(first int) (*workloads.Workload, error) { return buildWorkload(cells[first].Spec) },
-		func(ctx context.Context, i int, base *workloads.Workload) (err error) {
-			c := cells[i]
-			results[i], err = runWorkloadE(ctx, base.Fork(), c.Spec, c.Tech, c.Cfg)
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// Matrix runs every benchmark under every technique with one config and
-// returns results[benchmark][technique]. Like RunAll it panics on
-// failure; MatrixE is the error-returning form.
-func Matrix(specs []workloads.Spec, techs []Technique, cfg cpu.Config) map[string]map[Technique]cpu.Result {
-	m, err := MatrixE(context.Background(), specs, techs, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// MatrixE runs every benchmark under every technique with one config and
-// returns results[benchmark][technique], propagating the first failure
-// instead of panicking.
-func MatrixE(ctx context.Context, specs []workloads.Spec, techs []Technique, cfg cpu.Config) (map[string]map[Technique]cpu.Result, error) {
-	var cells []Cell
-	for _, sp := range specs {
-		for _, tech := range techs {
-			cells = append(cells, Cell{Spec: sp, Tech: tech, Cfg: cfg})
-		}
-	}
-	res, err := RunAllE(ctx, cells)
-	if err != nil {
-		return nil, err
-	}
-	return byCell(specs, techs, res), nil
-}
-
-// byCell indexes the spec-major results of a matrix run as
-// results[benchmark][technique].
-func byCell(specs []workloads.Spec, techs []Technique, res []cpu.Result) map[string]map[Technique]cpu.Result {
-	out := make(map[string]map[Technique]cpu.Result, len(specs))
-	for i, sp := range specs {
-		row := make(map[Technique]cpu.Result, len(techs))
-		for j, tech := range techs {
-			row[tech] = res[i*len(techs)+j]
-		}
-		out[sp.Name] = row
-	}
-	return out
 }

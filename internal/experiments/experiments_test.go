@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"fmt"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"dvr/internal/cpu"
 	"dvr/internal/graphgen"
-	"dvr/internal/runahead"
 	"dvr/internal/stats"
 	"dvr/internal/workloads"
 )
@@ -22,15 +21,27 @@ func quickSpec() workloads.Spec {
 	}
 }
 
+// runT runs the plain job and fails the test on error.
+func runT(t testing.TB, spec workloads.Spec, tech Technique, cfg cpu.Config) cpu.Result {
+	t.Helper()
+	res, err := Run(context.Background(), Job{Spec: spec, Tech: tech, Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunAllPreservesOrder(t *testing.T) {
 	sp := quickSpec()
 	cfg := cpu.DefaultConfig()
-	cells := []Cell{
+	res, err := RunAll(context.Background(), []Job{
 		{Spec: sp, Tech: TechOoO, Cfg: cfg},
 		{Spec: sp, Tech: TechDVR, Cfg: cfg},
 		{Spec: sp, Tech: TechOoO, Cfg: cfg.WithROB(128)},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := RunAll(cells)
 	if len(res) != 3 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -42,16 +53,22 @@ func TestRunAllPreservesOrder(t *testing.T) {
 func TestRunAllMatchesSequentialRun(t *testing.T) {
 	sp := quickSpec()
 	cfg := cpu.DefaultConfig()
-	seq := Run(sp, TechDVR, cfg)
-	par := RunAll([]Cell{{Spec: sp, Tech: TechDVR, Cfg: cfg}})[0]
-	if seq.Cycles != par.Cycles || seq.Instructions != par.Instructions {
-		t.Errorf("parallel run differs: %d vs %d cycles", par.Cycles, seq.Cycles)
+	seq := runT(t, sp, TechDVR, cfg)
+	par, err := RunAll(context.Background(), []Job{{Spec: sp, Tech: TechDVR, Cfg: cfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Cycles != par[0].Cycles || seq.Instructions != par[0].Instructions {
+		t.Errorf("parallel run differs: %d vs %d cycles", par[0].Cycles, seq.Cycles)
 	}
 }
 
 func TestMatrixShape(t *testing.T) {
 	sp := quickSpec()
-	m := Matrix([]workloads.Spec{sp}, []Technique{TechOoO, TechVR}, cpu.DefaultConfig())
+	m, err := MatrixE(context.Background(), []workloads.Spec{sp}, []Technique{TechOoO, TechVR}, cpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m) != 1 || len(m[sp.Name]) != 2 {
 		t.Fatalf("matrix shape wrong: %v", m)
 	}
@@ -73,15 +90,6 @@ func TestSpeedup(t *testing.T) {
 	if got := stats.HarmonicMean([]float64{2, Speedup(cpu.Result{}, b), 2}); !math.IsNaN(got) {
 		t.Errorf("h-mean with degenerate entry = %f, want NaN", got)
 	}
-}
-
-func TestRunUnknownTechniquePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown technique")
-		}
-	}()
-	Run(quickSpec(), Technique("bogus"), cpu.DefaultConfig())
 }
 
 func TestTable1ContainsKeyRows(t *testing.T) {
@@ -166,69 +174,35 @@ func kangarooSpec() workloads.Spec {
 }
 
 // TestAblationGolden pins every cell the five ablations run on the specs
-// TestAblationsQuick uses, each labelled with the registered technique
-// name that runs it: DVR variants (lanes, divergence handling, timeout)
-// the figures never run, and DVR and its baseline under MSHR counts and
-// DRAM bandwidths the figures never configure.
+// TestAblationsQuick uses: DVR variants (lanes, divergence handling,
+// timeout) the figures never run, and DVR and its baseline under MSHR
+// counts and DRAM bandwidths the figures never configure.
 func TestAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several simulations")
 	}
 	cfg := cpu.DefaultConfig()
-	bfs, kang := quickSpec(), kangarooSpec()
+	bfs, kang := []workloads.Spec{quickSpec()}, []workloads.Spec{kangarooSpec()}
 	var cells []goldenCell
-	add := func(ablation string, sp workloads.Spec, tech Technique, c cpu.Config, res cpu.Result) {
-		cells = append(cells, goldenCell{ablation + " " + cfgLabel(sp.Name, tech, c), res})
-	}
-	variant := func(sp workloads.Spec, o runahead.Options) cpu.Result {
-		w := sp.Build()
-		fe := w.Frontend()
-		core := cpu.NewCore(cfg, fe)
-		core.Attach(runahead.NewVector(o, fe, core.Hierarchy()))
-		return core.Run(sp.ROI)
-	}
-	add("lanes", bfs, TechOoO, cfg, Run(bfs, TechOoO, cfg))
-	for _, lanes := range []int{32, 64, 128, 256} {
-		o := runahead.DVROptions()
-		o.Name = fmt.Sprintf("dvr-%d", lanes)
-		o.Lanes = lanes
-		tech := Technique(o.Name)
-		if lanes == 128 {
-			tech = TechDVR
+	for _, a := range []struct {
+		name  string
+		specs []workloads.Spec
+		cols  []ablationCol
+	}{
+		{"lanes", bfs, laneCols(cfg)},
+		{"reconvergence", kang, reconvergenceCols(cfg)},
+		{"timeout", bfs, timeoutCols(cfg)},
+		{"mshr", bfs, mshrCols(cfg)},
+		{"bandwidth", bfs, bandwidthCols(cfg)},
+	} {
+		jobs := ablationJobs(a.specs, a.cols)
+		res, err := RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		add("lanes", bfs, tech, cfg, variant(bfs, o))
-	}
-	add("reconvergence", kang, TechOoO, cfg, Run(kang, TechOoO, cfg))
-	firstLane := runahead.DVROptions()
-	firstLane.Name = "first-lane"
-	firstLane.Reconverge = false
-	firstLane.Vec.Reconverge = false
-	add("reconvergence", kang, "dvr-first-lane", cfg, variant(kang, firstLane))
-	full := runahead.DVROptions()
-	full.Name = "reconverge"
-	add("reconvergence", kang, TechDVR, cfg, variant(kang, full))
-	add("timeout", bfs, TechOoO, cfg, Run(bfs, TechOoO, cfg))
-	for _, steps := range []int{50, 200, 800} {
-		o := runahead.DVROptions()
-		o.Name = fmt.Sprintf("to-%d", steps)
-		o.Vec.MaxSteps = steps
-		tech := Technique(fmt.Sprintf("dvr-to-%d", steps))
-		if steps == 200 {
-			tech = TechDVR
+		for i, j := range jobs {
+			cells = append(cells, goldenCell{a.name + " " + cfgLabel(j.Spec.Name, j.Tech, j.Cfg), res[i]})
 		}
-		add("timeout", bfs, tech, cfg, variant(bfs, o))
-	}
-	for _, n := range []int{12, 24, 48} {
-		c := cfg
-		c.Mem.MSHRs = n
-		add("mshr", bfs, TechOoO, c, Run(bfs, TechOoO, c))
-		add("mshr", bfs, TechDVR, c, Run(bfs, TechDVR, c))
-	}
-	for _, cpl := range []uint64{2, 5, 10} {
-		c := cfg
-		c.Mem.DRAMCyclesPerLine = cpl
-		add("bandwidth", bfs, TechOoO, c, Run(bfs, TechOoO, c))
-		add("bandwidth", bfs, TechDVR, c, Run(bfs, TechDVR, c))
 	}
 	checkGolden(t, "ablation", "ablation "+cellLabels, cells)
 }

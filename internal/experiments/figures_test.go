@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -83,7 +84,10 @@ func TestFiguresQuick(t *testing.T) {
 	// Figure 7 over a representative subset.
 	specs := suite.All()
 	techs := append([]Technique{TechOoO}, AllTechniques...)
-	m := Matrix(specs, techs, cfg)
+	m, err := MatrixE(context.Background(), specs, techs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "fig7", "bench technique", matrixCells(specs, techs, m))
 	rows, render := Fig7FromMatrix(specs, m)
 	t.Log("\n" + render())
@@ -103,7 +107,10 @@ func TestFiguresQuick(t *testing.T) {
 	// Figure 8's breakdown variants run Options toggles Figure 7 never
 	// enters.
 	techs8 := append([]Technique{TechOoO}, Fig8Variants...)
-	m8 := Matrix(specs, techs8, cfg)
+	m8, err := MatrixE(context.Background(), specs, techs8, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "fig8", "bench technique", matrixCells(specs, techs8, m8))
 	_, render8 := Fig8FromMatrix(specs, m8)
 	t.Log("\n" + render8())
@@ -163,23 +170,17 @@ func TestROBSweepGolden(t *testing.T) {
 		t.Skip("90 quick simulations")
 	}
 	cfg := cpu.DefaultConfig()
-	var cells []Cell
+	var jobs []Job
 	for _, sw := range robSweeps {
-		for _, sp := range QuickSuite().GAP {
-			cells = append(cells, Cell{Spec: sp, Tech: TechOoO, Cfg: cfg.WithROB(BaselineROB)})
-			for _, rob := range ROBSizes {
-				c := cfg.WithROB(rob)
-				if sw.scale {
-					c = cfg.ScaleBackend(rob)
-				}
-				cells = append(cells, Cell{Spec: sp, Tech: sw.tech, Cfg: c})
-			}
-		}
+		jobs = append(jobs, robSweepJobs(QuickSuite().GAP, sw.tech, cfg, sw.scale)...)
 	}
-	res := RunAll(cells)
-	golden := make([]goldenCell, len(cells))
-	for i, c := range cells {
-		golden[i] = goldenCell{cfgLabel(c.Spec.Name, c.Tech, c.Cfg), res[i]}
+	res, err := RunAll(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := make([]goldenCell, len(jobs))
+	for i, j := range jobs {
+		golden[i] = goldenCell{cfgLabel(j.Spec.Name, j.Tech, j.Cfg), res[i]}
 	}
 	checkGolden(t, "robsweep", cellLabels, golden)
 }
@@ -191,7 +192,7 @@ func TestCCLargeInput(t *testing.T) {
 	g := graphgen.PowerLaw(60_000, 900_000, 2.3, 2)
 	spec := workloads.Spec{Name: "cc_ljn", Build: func() *workloads.Workload { return workloads.CC(g) }, ROI: 60_000}
 	cfg := cpu.DefaultConfig()
-	if s := Speedup(Run(spec, TechOoO, cfg), Run(spec, TechDVR, cfg)); s < 0.95 {
+	if s := Speedup(runT(t, spec, TechOoO, cfg), runT(t, spec, TechDVR, cfg)); s < 0.95 {
 		t.Errorf("DVR regresses cc on a large input: %.2fx", s)
 	}
 }

@@ -1,18 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
 	"dvr/internal/cpu"
 	"dvr/internal/interp"
 	"dvr/internal/trace"
-	"dvr/internal/workloads"
 )
 
-// JobOpts are the durability options of RunJob. The zero value runs
-// exactly like RunE.
+// JobOpts are the durability and tracing options of an exact Job. The
+// zero value is a plain run.
 type JobOpts struct {
 	// Resume restores the run from a snapshot instead of starting at
 	// instruction zero. The snapshot must have been taken by the same
@@ -41,59 +39,6 @@ type JobOpts struct {
 	// events and interval samples per the recorder's Config. Tracing is
 	// observational — the Result is bit-identical with or without it.
 	Trace *trace.Recorder
-}
-
-// RunJob is RunE plus durability: optional resume from a snapshot,
-// periodic checkpoint capture, and the retirement watchdog. It is the
-// entry point the dvrd service and the CLI harnesses use for runs that
-// must survive being killed.
-func RunJob(ctx context.Context, spec workloads.Spec, tech Technique, cfg cpu.Config, opts JobOpts) (cpu.Result, error) {
-	if _, err := ParseTechnique(string(tech)); err != nil {
-		return cpu.Result{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return cpu.Result{}, err
-	}
-	w := spec.Build()
-	var fe *interp.Interp
-	if opts.Resume != nil {
-		// The snapshot carries the complete post-warmup machine state,
-		// including every page the warmup wrote, so the frontend starts
-		// cold and the restore inside RunWithOptions supplies everything.
-		fe = interp.New(w.Prog, w.Mem)
-	} else {
-		fe = w.Frontend()
-	}
-	core := cpu.NewCore(cfg, fe)
-	eng, err := buildEngine(tech, fe, w, core.Hierarchy(), cfg)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	if opts.LivelockAfter > 0 {
-		eng = &livelockEngine{inner: eng, after: opts.LivelockAfter}
-	}
-	if eng != nil {
-		core.Attach(eng)
-	}
-	if opts.Trace != nil {
-		core.Instrument(opts.Trace)
-	}
-	res, err := core.RunWithOptions(ctx, roiOf(spec), cpu.RunOptions{
-		Resume:          opts.Resume,
-		CheckpointEvery: opts.CheckpointEvery,
-		CheckpointFn:    opts.Checkpoint,
-		WatchdogBudget:  opts.WatchdogBudget,
-	})
-	res.Name = spec.Name
-	res.Technique = string(tech)
-	simInsts.Add(res.Instructions)
-	return res, err
-}
-
-// RunTraced is RunE with a trace recorder attached: the telemetry entry
-// point for the CLIs and tests.
-func RunTraced(ctx context.Context, spec workloads.Spec, tech Technique, cfg cpu.Config, rec *trace.Recorder) (cpu.Result, error) {
-	return RunJob(ctx, spec, tech, cfg, JobOpts{Trace: rec})
 }
 
 // livelockHold is the commit-block cycle a wedged engine reports: far

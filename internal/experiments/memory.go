@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"dvr/internal/cpu"
 	"dvr/internal/mem"
 	"dvr/internal/stats"
@@ -18,7 +20,7 @@ type Fig9Row struct {
 // the baseline core (the paper: OoO under four on average, DVR over ten).
 func Fig9(specs []workloads.Spec, cfg cpu.Config) (rows []Fig9Row, render func() string) {
 	techs := []Technique{TechOoO, TechVR, TechDVR}
-	m := Matrix(specs, techs, cfg)
+	m := must(matrix(context.Background(), specs, techs, cfg, nil))
 	for _, sp := range specs {
 		row := Fig9Row{Bench: sp.Name, MLP: make(map[Technique]float64)}
 		for _, tech := range techs {
@@ -62,7 +64,7 @@ type Fig10Row struct {
 // shifted into the runahead subthread (coverage).
 func Fig10(specs []workloads.Spec, cfg cpu.Config) (rows []Fig10Row, render func() string) {
 	techs := []Technique{TechOoO, TechVR, TechDVR}
-	m := Matrix(specs, techs, cfg)
+	m := must(matrix(context.Background(), specs, techs, cfg, nil))
 	for _, sp := range specs {
 		base := float64(m[sp.Name][TechOoO].Mem.TotalDRAM())
 		if base == 0 {
@@ -118,11 +120,11 @@ type Fig11Row struct {
 // are still in the L1-D when the main thread arrives; a consistent 10-20%
 // are observed beyond the LLC (in flight or wasted).
 func Fig11(specs []workloads.Spec, cfg cpu.Config) (rows []Fig11Row, render func() string) {
-	var cells []Cell
-	for _, sp := range specs {
-		cells = append(cells, Cell{Spec: sp, Tech: TechDVR, Cfg: cfg})
+	jobs := make([]Job, len(specs))
+	for i, sp := range specs {
+		jobs[i] = Job{Spec: sp, Tech: TechDVR, Cfg: cfg}
 	}
-	res := RunAll(cells)
+	res := must(RunAll(context.Background(), jobs))
 	for i, sp := range specs {
 		st := res[i].Mem
 		l1 := float64(st.PrefUsefulAt[mem.LvlL1])

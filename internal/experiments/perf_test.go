@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -32,6 +34,7 @@ func TestHotPathAllocations(t *testing.T) {
 	sp := quickSpec()
 	sp.ROI = 50_000
 	base := sp.Build()
+	sp.Build = base.Fork
 	cfg := cpu.DefaultConfig()
 
 	for _, tech := range append([]Technique{TechOoO}, AllTechniques...) {
@@ -42,7 +45,7 @@ func TestHotPathAllocations(t *testing.T) {
 		}
 		var insts uint64
 		allocs := testing.AllocsPerRun(3, func() {
-			res := runWorkload(base.Fork(), sp, tech, cfg)
+			res := runT(t, sp, tech, cfg)
 			insts = res.Instructions
 		})
 		if insts == 0 {
@@ -65,7 +68,7 @@ func TestHotPathAllocations(t *testing.T) {
 func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	sp := quickSpec()
 	cfg := cpu.DefaultConfig()
-	cells := []Cell{
+	jobs := []Job{
 		{Spec: sp, Tech: TechOoO, Cfg: cfg},
 		{Spec: sp, Tech: TechVR, Cfg: cfg},
 		{Spec: sp, Tech: TechDVR, Cfg: cfg},
@@ -74,14 +77,17 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	}
 
 	prev := runtime.GOMAXPROCS(1)
-	seq := RunAll(cells)
+	seq, err1 := RunAll(context.Background(), jobs)
 	procs := prev
 	if procs < 4 {
 		procs = 4
 	}
 	runtime.GOMAXPROCS(procs)
-	par := RunAll(cells)
+	par, err2 := RunAll(context.Background(), jobs)
 	runtime.GOMAXPROCS(prev)
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
 
 	if len(seq) != len(par) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
@@ -91,7 +97,7 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 		a.HostNS, b.HostNS = 0, 0
 		if a != b {
 			t.Errorf("cell %d (%s/%s): results differ between GOMAXPROCS=1 and %d:\nseq: %+v\npar: %+v",
-				i, cells[i].Spec.Name, cells[i].Tech, procs, a, b)
+				i, jobs[i].Spec.Name, jobs[i].Tech, procs, a, b)
 		}
 	}
 }

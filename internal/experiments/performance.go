@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"dvr/internal/cpu"
 	"dvr/internal/stats"
 	"dvr/internal/workloads"
@@ -19,7 +21,7 @@ type Fig7Row struct {
 // (up to 6.4x) and often approaches the Oracle.
 func Fig7(specs []workloads.Spec, cfg cpu.Config) (rows []Fig7Row, render func() string) {
 	techs := append([]Technique{TechOoO}, AllTechniques...)
-	return Fig7FromMatrix(specs, Matrix(specs, techs, cfg))
+	return Fig7FromMatrix(specs, must(matrix(context.Background(), specs, techs, cfg, nil)))
 }
 
 // Fig7FromMatrix renders Figure 7 from an already-computed result matrix —
@@ -74,7 +76,7 @@ var Fig8Variants = []Technique{TechVR, TechDVROffload, TechDVRDiscovery, TechDVR
 // Fig8 reproduces Figure 8: the contribution of each DVR mechanism.
 func Fig8(specs []workloads.Spec, cfg cpu.Config) (rows []Fig7Row, render func() string) {
 	techs := append([]Technique{TechOoO}, Fig8Variants...)
-	return Fig8FromMatrix(specs, Matrix(specs, techs, cfg))
+	return Fig8FromMatrix(specs, must(matrix(context.Background(), specs, techs, cfg, nil)))
 }
 
 // Fig8FromMatrix renders Figure 8 from an already-computed result matrix

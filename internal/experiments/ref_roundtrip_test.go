@@ -41,8 +41,8 @@ func TestRefRoundTripMatchesClosurePath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: resolve round-tripped ref: %v", sp.Name, err)
 			}
-			want := Run(sp, tech, cfg).Canonical()
-			got := Run(resolved, tech, cfg).Canonical()
+			want := runT(t, sp, tech, cfg).Canonical()
+			got := runT(t, resolved, tech, cfg).Canonical()
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s/%s: resolved-ref result differs from closure result\nwant: %+v\n got: %+v",
 					sp.Name, tech, want, got)

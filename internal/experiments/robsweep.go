@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"dvr/internal/cpu"
 	"dvr/internal/stats"
 	"dvr/internal/workloads"
@@ -28,18 +30,7 @@ type ROBSweepResult struct {
 // the issue/load/store queues in proportion (the paper's back-end-scaling
 // sensitivity variant).
 func ROBSweep(specs []workloads.Spec, tech Technique, cfg cpu.Config, scaleBackend bool) []ROBSweepResult {
-	var cells []Cell
-	for _, sp := range specs {
-		cells = append(cells, Cell{Spec: sp, Tech: TechOoO, Cfg: cfg.WithROB(BaselineROB)})
-		for _, rob := range ROBSizes {
-			c := cfg.WithROB(rob)
-			if scaleBackend {
-				c = cfg.ScaleBackend(rob)
-			}
-			cells = append(cells, Cell{Spec: sp, Tech: tech, Cfg: c})
-		}
-	}
-	res := RunAll(cells)
+	res := must(RunAll(context.Background(), robSweepJobs(specs, tech, cfg, scaleBackend)))
 	out := make([]ROBSweepResult, 0, len(specs))
 	i := 0
 	for _, sp := range specs {
@@ -59,6 +50,23 @@ func ROBSweep(specs []workloads.Spec, tech Technique, cfg cpu.Config, scaleBacke
 		out = append(out, row)
 	}
 	return out
+}
+
+// robSweepJobs lists, per spec, the OoO baseline at BaselineROB and then
+// tech at each ROBSizes entry.
+func robSweepJobs(specs []workloads.Spec, tech Technique, cfg cpu.Config, scaleBackend bool) []Job {
+	var jobs []Job
+	for _, sp := range specs {
+		jobs = append(jobs, Job{Spec: sp, Tech: TechOoO, Cfg: cfg.WithROB(BaselineROB)})
+		for _, rob := range ROBSizes {
+			c := cfg.WithROB(rob)
+			if scaleBackend {
+				c = cfg.ScaleBackend(rob)
+			}
+			jobs = append(jobs, Job{Spec: sp, Tech: tech, Cfg: c})
+		}
+	}
+	return jobs
 }
 
 // sweepTable renders a sweep as a table with one speedup column per ROB

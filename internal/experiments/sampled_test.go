@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dvr/internal/cpu"
+	"dvr/internal/trace"
 	"dvr/internal/workloads"
 )
 
@@ -45,7 +46,9 @@ func TestRunSampledDeterministic(t *testing.T) {
 	}
 }
 
-// RunSampled validates its inputs the same way RunE does.
+// A sampled job is validated the way an exact one is, and refused when it
+// also asks for resume, checkpoints or tracing, which observe one
+// continuous run a sampled projection does not have.
 func TestRunSampledRejectsBadInputs(t *testing.T) {
 	sp := quickSpec()
 	cfg := cpu.DefaultConfig()
@@ -56,6 +59,16 @@ func TestRunSampledRejectsBadInputs(t *testing.T) {
 	bad.ROBSize = 0
 	if _, err := RunSampled(context.Background(), sp, TechOoO, bad, SampleOptions{}); err == nil {
 		t.Error("invalid config accepted")
+	}
+	for name, opts := range map[string]JobOpts{
+		"resume":     {Resume: &cpu.Snapshot{}},
+		"checkpoint": {CheckpointEvery: 1000, Checkpoint: func(*cpu.Snapshot) error { return nil }},
+		"trace":      {Trace: trace.New(trace.Config{IntervalEvery: 1000})},
+	} {
+		job := Job{Spec: sp, Tech: TechOoO, Cfg: cfg, JobOpts: opts, Sample: &SampleOptions{}}
+		if _, err := Run(context.Background(), job); !errors.Is(err, errSampledDurable) {
+			t.Errorf("sampled job with %s: got %v, want errSampledDurable", name, err)
+		}
 	}
 }
 

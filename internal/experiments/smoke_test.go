@@ -21,7 +21,7 @@ func TestSmokeBFS(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	results := map[Technique]cpu.Result{}
 	for _, tech := range []Technique{TechOoO, TechPRE, TechIMP, TechVR, TechDVR, TechOracle} {
-		res := Run(spec, tech, cfg)
+		res := runT(t, spec, tech, cfg)
 		results[tech] = res
 		t.Logf("%-8s IPC=%.3f cyc=%d stall=%.1f%% mlp=%.2f pref=%d ep=%d disc=%d nest=%d dramD=%d dramRA=%d useL1/2/3=%d/%d/%d late=%d mispred=%.1f%%",
 			tech, res.IPC(), res.Cycles, 100*res.ROBStallFrac(), res.MLP(),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -54,14 +55,14 @@ func Table2(cfg cpu.Config, roi uint64) (rows []Table2Row, render func() string)
 	for _, in := range graphgen.Table2Inputs() {
 		g := in.Build()
 		specs := workloads.GAPSpecs(graphgen.Input{Name: in.Name, Build: func() *graphgen.Graph { return g }})
-		var cells []Cell
-		for _, sp := range specs {
+		jobs := make([]Job, len(specs))
+		for i, sp := range specs {
 			if roi != 0 {
 				sp = sp.WithROI(roi)
 			}
-			cells = append(cells, Cell{Spec: sp, Tech: TechOoO, Cfg: cfg})
+			jobs[i] = Job{Spec: sp, Tech: TechOoO, Cfg: cfg}
 		}
-		res := RunAll(cells)
+		res := must(RunAll(context.Background(), jobs))
 		var misses, insts uint64
 		for _, r := range res {
 			misses += r.Mem.DRAMAccesses[0]

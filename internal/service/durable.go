@@ -35,10 +35,9 @@ import (
 // its closing sample lands. The hooks publish without ever blocking, and
 // they observe only — the result stays bit-identical under streaming.
 func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, tech string, cfg cpu.Config, pub *cellPub) (cpu.Result, error) {
-	opts := experiments.JobOpts{
-		WatchdogBudget: s.cfg.WatchdogCycles,
-		LivelockAfter:  s.cfg.Faults.LivelockAfter(key),
-	}
+	job := experiments.Job{Spec: spec, Tech: experiments.Technique(tech), Cfg: cfg}
+	job.WatchdogBudget = s.cfg.WatchdogCycles
+	job.LivelockAfter = s.cfg.Faults.LivelockAfter(key)
 	onInterval, onEvent := pub.traceHooks()
 	var rec *trace.Recorder
 	if s.cfg.TraceIntervalEvery > 0 {
@@ -47,12 +46,12 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 		// bit-identical with or without it.
 		rec = trace.New(trace.Config{IntervalEvery: s.cfg.TraceIntervalEvery,
 			OnInterval: onInterval, OnEvent: onEvent})
-		opts.Trace = rec
+		job.Trace = rec
 	}
 	if s.ckpts != nil {
 		if st, err := s.ckpts.Load(key); err == nil {
 			if merr := st.Matches(api.EngineVersion, spec.Ref, tech, cfg); merr == nil {
-				opts.Resume = &st.Core
+				job.Resume = &st.Core
 				s.ckptResumed.Add(1)
 			} else {
 				// The key matched but the journal names a different job
@@ -60,8 +59,8 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 				_ = s.ckpts.Remove(key)
 			}
 		}
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.Checkpoint = func(snap *cpu.Snapshot) error {
+		job.CheckpointEvery = s.cfg.CheckpointEvery
+		job.Checkpoint = func(snap *cpu.Snapshot) error {
 			err := s.ckpts.Save(key, &checkpoint.State{
 				Engine:    api.EngineVersion,
 				Ref:       spec.Ref,
@@ -80,13 +79,13 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 			return nil
 		}
 	}
-	res, err := experiments.RunJob(ctx, spec, experiments.Technique(tech), cfg, opts)
-	if opts.Resume != nil && (errors.Is(err, cpu.ErrSnapshotMismatch) || errors.Is(err, cpu.ErrCheckpointUnsupported)) {
+	res, err := experiments.Run(ctx, job)
+	if job.Resume != nil && (errors.Is(err, cpu.ErrSnapshotMismatch) || errors.Is(err, cpu.ErrCheckpointUnsupported)) {
 		// The checkpoint verified and matched but still would not restore
 		// (shape drift the digest cannot see). Resume is an optimization,
 		// never a correctness requirement: drop it and run from scratch.
 		_ = s.ckpts.Remove(key)
-		opts.Resume = nil
+		job.Resume = nil
 		if rec != nil {
 			// Fresh recorder: the aborted attempt must not pollute the
 			// from-scratch run's series. Subscribers get a repeated
@@ -95,9 +94,9 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 			pub.publish(api.Event{Kind: api.EventCellStarted, Key: key})
 			rec = trace.New(trace.Config{IntervalEvery: s.cfg.TraceIntervalEvery,
 				OnInterval: onInterval, OnEvent: onEvent})
-			opts.Trace = rec
+			job.Trace = rec
 		}
-		res, err = experiments.RunJob(ctx, spec, experiments.Technique(tech), cfg, opts)
+		res, err = experiments.Run(ctx, job)
 	}
 	var le *cpu.LivelockError
 	if errors.As(err, &le) {
@@ -133,12 +132,12 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 // simulateSampled runs one sampled cell inside a pool worker: it replays
 // the technique over the workload's sampling plan, shared with the other
 // cells of the cell's batch that simulate the workload; a cell on its own
-// (/v1/sim) builds the plan for itself, as experiments.RunSampled does.
-// Sampled jobs deliberately opt out of the durability machinery: they are
-// cheap enough to restart from scratch (that is their entire point), their
-// projected results have no meaningful per-interval telemetry, and the
-// sampling replayer drives cores directly rather than through the
-// checkpointable single-run path.
+// (/v1/sim) builds the plan for itself. Sampled jobs deliberately opt out
+// of the durability machinery (experiments.Run refuses the combination):
+// they are cheap enough to restart from scratch (that is their entire
+// point), their projected results have no meaningful per-interval
+// telemetry, and the sampling replayer drives cores directly rather than
+// through the checkpointable single-run path.
 func (s *Server) simulateSampled(ctx context.Context, spec workloads.Spec, tech string, sc simConfig, shared *sharedPlan) (cpu.Result, error) {
 	if shared == nil {
 		shared = &sharedPlan{}
@@ -155,7 +154,7 @@ func (s *Server) simulateSampled(ctx context.Context, spec workloads.Spec, tech 
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	return plan.Replay(ctx, experiments.Technique(tech))
+	return experiments.Run(ctx, experiments.Job{Spec: spec, Tech: experiments.Technique(tech), Cfg: sc.cpu, Plan: plan})
 }
 
 // sharedPlan is the sampling plan of one workload within one batch: the

@@ -484,7 +484,7 @@ type cell struct {
 
 // resolveCell validates one (workload, technique) pair; its errors are 400s.
 func resolveCell(ref workloads.Ref, tech string, sc simConfig) (cell, error) {
-	if _, err := experiments.ParseTechnique(tech); err != nil {
+	if _, err := experiments.Lookup(experiments.Technique(tech)); err != nil {
 		return cell{}, badRequest(err)
 	}
 	spec, err := workloads.Resolve(ref)

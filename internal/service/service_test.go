@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"dvr/internal/graphgen"
 	"dvr/internal/interp"
 	"dvr/internal/isa"
+	"dvr/internal/mem"
 	"dvr/internal/service/api"
 	"dvr/internal/workloads"
 )
@@ -380,4 +382,55 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	if CacheKey(graphRef(1000), "ooo", cfg) == base {
 		t.Error("workload not in the key")
 	}
+}
+
+// TestUnknownTechniqueRejected: a technique nobody registered is refused
+// with experiments.ErrUnknownTechnique on every way into a run — Run,
+// RunAll, a sampled job — and as a 400 by dvrd's resolveCell, before any
+// simulation starts. Registering a name twice panics at registration, as
+// workloads.Register does.
+func TestUnknownTechniqueRejected(t *testing.T) {
+	spec, err := workloads.Resolve(loopRef(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bogus = "warp-drive"
+	job := experiments.Job{Spec: spec, Tech: bogus, Cfg: cpu.DefaultConfig()}
+	ctx := context.Background()
+	for name, run := range map[string]func() error{
+		"Run": func() error {
+			_, err := experiments.Run(ctx, job)
+			return err
+		},
+		"RunAll": func() error {
+			ok := job
+			ok.Tech = experiments.TechOoO
+			_, err := experiments.RunAll(ctx, []experiments.Job{ok, job})
+			return err
+		},
+		"sampled Run": func() error {
+			sampled := job
+			sampled.Sample = &experiments.SampleOptions{}
+			_, err := experiments.Run(ctx, sampled)
+			return err
+		},
+		"resolveCell": func() error {
+			_, err := resolveCell(loopRef(1000), bogus, newSimConfig(nil, nil))
+			if code := httpStatus(err); code != http.StatusBadRequest {
+				t.Errorf("resolveCell: status %d, want 400", code)
+			}
+			return err
+		},
+	} {
+		if err := run(); !errors.Is(err, experiments.ErrUnknownTechnique) {
+			t.Errorf("%s: got %v, want ErrUnknownTechnique", name, err)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("registering ooo a second time did not panic")
+		}
+	}()
+	experiments.Register(experiments.TechOoO, func(*interp.Interp, *workloads.Workload, *mem.Hierarchy, cpu.Config) cpu.Engine { return nil })
 }
