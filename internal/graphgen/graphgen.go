@@ -73,15 +73,99 @@ func fromEdgeList(n int, src, dst []uint32) *Graph {
 // Kronecker generates an R-MAT/Kronecker graph with 2^scale vertices and
 // edgeFactor edges per vertex, using the Graph500 partition probabilities
 // (a=0.57, b=0.19, c=0.19): a heavily skewed power-law degree distribution
-// with a few extremely hot vertices.
-//
-// Edge i consumes the generator's words i*scale .. i*scale+scale-1 and
-// splitmix64 is counter-based (skip), so the edge list is filled by up to
-// GOMAXPROCS goroutines, each over its own range of edges, and comes out
-// the same whatever their number.
+// with a few extremely hot vertices. Edge i consumes the generator's words
+// i*scale .. i*scale+scale-1.
 func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << uint(scale)
-	m := n * edgeFactor
+	return parallelEdges(n, n*edgeFactor, seed, scale, func(r rng, src, dst []uint32) {
+		for i := range src {
+			var u, v uint64
+			for bit := scale - 1; bit >= 0; bit-- {
+				qu, qv := quadrant(r.next() >> 11)
+				u |= qu << uint(bit)
+				v |= qv << uint(bit)
+			}
+			src[i] = uint32(u)
+			dst[i] = uint32(v)
+		}
+	})
+}
+
+// The R-MAT quadrant probabilities, and the cumulative thresholds a, a+b
+// and a+b+c scaled to 53-bit integers. A draw p = k/2^53 (k = next()>>11,
+// which is exact) falls below a threshold t exactly when k < t*2^53: each t
+// is a float64 in [0.5, 1), so a multiple of 2^-53, and the conversions to
+// uint64 would not compile were t*2^53 not an integer.
+const (
+	quadA, quadB, quadC = 0.57, 0.19, 0.19
+
+	thrA   = uint64(float64(quadA) * (1 << 53))
+	thrAB  = uint64(float64(quadA+quadB) * (1 << 53))
+	thrABC = uint64(float64(quadA+quadB+quadC) * (1 << 53))
+)
+
+// quadrant returns the row and column bits of the quadrant a 53-bit draw k
+// selects: (0,0) below a, (0,1) below a+b, (1,0) below a+b+c, else (1,1).
+// It compares without branching; (k-t)>>63 is 1 exactly when k < t, since
+// both are below 2^53.
+func quadrant(k uint64) (u, v uint64) {
+	ltA, ltAB, ltABC := (k-thrA)>>63, (k-thrAB)>>63, (k-thrABC)>>63
+	return 1 ^ ltAB, 1 ^ ltA ^ ltAB ^ ltABC
+}
+
+// Uniform generates an Erdos-Renyi-style graph with n vertices and m
+// uniformly random edges: degrees concentrate around m/n, so inner loops
+// over neighbours are uniformly short (the paper's UR input, where DVR's
+// Nested Vector Runahead matters most). Edge i consumes the generator's
+// words 2i (source) and 2i+1 (destination).
+func Uniform(n, m int, seed uint64) *Graph {
+	return parallelEdges(n, m, seed, 2, func(r rng, src, dst []uint32) {
+		for i := range src {
+			src[i] = uint32(r.intn(n))
+			dst[i] = uint32(r.intn(n))
+		}
+	})
+}
+
+// PowerLaw generates a graph whose out-degrees follow a discrete power law
+// p(d) ~ d^-alpha (smaller alpha = heavier tail, hotter head vertices). It
+// stands in for the real-world crawls (LiveJournal, Orkut, Twitter) of
+// Table 2. Sources are drawn from a Zipf distribution over vertex rank
+// with exponent s = 1/(alpha-1), the rank-frequency exponent matching the
+// degree exponent. Edge i consumes the generator's words 2i (source) and
+// 2i+1 (destination).
+func PowerLaw(n, m int, alpha float64, seed uint64) *Graph {
+	s := 1.0 / (alpha - 1.0)
+	cum := make([]float64, n)
+	total := 0.0
+	for rank := 0; rank < n; rank++ {
+		total += math.Pow(float64(rank+1), -s)
+		cum[rank] = total
+	}
+	return parallelEdges(n, m, seed, 2, func(r rng, src, dst []uint32) {
+		for i := range src {
+			u := r.float() * total
+			lo, hi := 0, n-1
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if cum[mid] < u {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			src[i] = uint32(lo)
+			dst[i] = uint32(r.intn(n))
+		}
+	})
+}
+
+// parallelEdges draws m edges over n vertices and builds their CSR. Edge i
+// consumes the generator's words i*words .. i*words+words-1 and splitmix64
+// is counter-based (skip), so the edge list is filled by up to GOMAXPROCS
+// goroutines, each calling draw with a generator positioned at the first
+// edge of its own range, and comes out the same whatever their number.
+func parallelEdges(n, m int, seed uint64, words int, draw func(r rng, src, dst []uint32)) *Graph {
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
 	// A goroutine is worth starting for a few thousand edges, not fewer.
@@ -91,90 +175,14 @@ func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 	for w := 0; w < workers; w++ {
 		lo, hi := m*w/workers, m*(w+1)/workers
 		r := rng{s: seed}
-		r.skip(uint64(lo) * uint64(scale))
+		r.skip(uint64(lo) * uint64(words))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kroneckerEdges(r, scale, src[lo:hi], dst[lo:hi])
+			draw(r, src[lo:hi], dst[lo:hi])
 		}()
 	}
 	wg.Wait()
-	return fromEdgeList(n, src, dst)
-}
-
-// kroneckerEdges draws len(src) consecutive edges from r.
-func kroneckerEdges(r rng, scale int, src, dst []uint32) {
-	const a, b, c = 0.57, 0.19, 0.19
-	for i := range src {
-		var u, v int
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.float()
-			switch {
-			case p < a:
-				// top-left: neither bit set
-			case p < a+b:
-				v |= 1 << uint(bit)
-			case p < a+b+c:
-				u |= 1 << uint(bit)
-			default:
-				u |= 1 << uint(bit)
-				v |= 1 << uint(bit)
-			}
-		}
-		src[i] = uint32(u)
-		dst[i] = uint32(v)
-	}
-}
-
-// Uniform generates an Erdos-Renyi-style graph with n vertices and m
-// uniformly random edges: degrees concentrate around m/n, so inner loops
-// over neighbours are uniformly short (the paper's UR input, where DVR's
-// Nested Vector Runahead matters most).
-func Uniform(n, m int, seed uint64) *Graph {
-	r := rng{s: seed}
-	src := make([]uint32, m)
-	dst := make([]uint32, m)
-	for i := 0; i < m; i++ {
-		src[i] = uint32(r.intn(n))
-		dst[i] = uint32(r.intn(n))
-	}
-	return fromEdgeList(n, src, dst)
-}
-
-// PowerLaw generates a graph whose out-degrees follow a discrete power law
-// p(d) ~ d^-alpha (smaller alpha = heavier tail, hotter head vertices). It
-// stands in for the real-world crawls (LiveJournal, Orkut, Twitter) of
-// Table 2. Sources are drawn from a Zipf distribution over vertex rank
-// with exponent s = 1/(alpha-1), the rank-frequency exponent matching the
-// degree exponent.
-func PowerLaw(n, m int, alpha float64, seed uint64) *Graph {
-	r := rng{s: seed}
-	s := 1.0 / (alpha - 1.0)
-	cum := make([]float64, n)
-	total := 0.0
-	for rank := 0; rank < n; rank++ {
-		total += math.Pow(float64(rank+1), -s)
-		cum[rank] = total
-	}
-	pick := func() uint32 {
-		u := r.float() * total
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return uint32(lo)
-	}
-	src := make([]uint32, m)
-	dst := make([]uint32, m)
-	for i := 0; i < m; i++ {
-		src[i] = pick()
-		dst[i] = uint32(r.intn(n))
-	}
 	return fromEdgeList(n, src, dst)
 }
 
@@ -212,24 +220,47 @@ func (p Params) Label() string {
 	return p.Gen
 }
 
-// Validate checks that the parameters describe a generatable graph without
-// generating it.
+// The largest graph Params may describe. Generation holds its edges three
+// times over (source and destination lists, then the CSR), so MaxEdges
+// keeps a request's graph near 1 GiB: a Graph500 scale-22 input at edge
+// factor 16, or a 4 M-node graph of degree 16. A Go out-of-memory is fatal
+// to the whole process, so a graph that cannot be built must be refused
+// before anything is allocated for it.
+const (
+	MaxVertices = 1 << maxScale
+	MaxEdges    = 1 << 26
+
+	maxScale = 24 // the largest Kronecker scale
+)
+
+// Validate checks that the parameters describe a generatable graph, within
+// MaxVertices and MaxEdges, without generating it.
 func (p Params) Validate() error {
+	var n, m int
 	switch p.Gen {
 	case GenKronecker:
-		if p.Scale <= 0 || p.Scale > 24 || p.EdgeFactor <= 0 {
+		if p.Scale <= 0 || p.Scale > maxScale || p.EdgeFactor <= 0 {
 			return fmt.Errorf("graphgen: kronecker needs 0 < scale <= 24 and edge_factor > 0 (got scale=%d edge_factor=%d)", p.Scale, p.EdgeFactor)
 		}
+		if p.EdgeFactor > MaxEdges>>p.Scale {
+			return fmt.Errorf("graphgen: kronecker scale %d at edge_factor %d exceeds the limit of %d edges", p.Scale, p.EdgeFactor, MaxEdges)
+		}
+		n, m = 1<<p.Scale, p.EdgeFactor<<p.Scale
 	case GenUniform:
 		if p.N <= 0 || p.M <= 0 {
 			return fmt.Errorf("graphgen: uniform needs n > 0 and m > 0 (got n=%d m=%d)", p.N, p.M)
 		}
+		n, m = p.N, p.M
 	case GenPowerLaw:
 		if p.N <= 0 || p.M <= 0 || p.Alpha <= 1 {
 			return fmt.Errorf("graphgen: powerlaw needs n > 0, m > 0 and alpha > 1 (got n=%d m=%d alpha=%g)", p.N, p.M, p.Alpha)
 		}
+		n, m = p.N, p.M
 	default:
 		return fmt.Errorf("graphgen: unknown generator %q", p.Gen)
+	}
+	if n > MaxVertices || m > MaxEdges {
+		return fmt.Errorf("graphgen: %s graph of %d vertices and %d edges exceeds the limit of %d vertices and %d edges", p.Gen, n, m, MaxVertices, MaxEdges)
 	}
 	return nil
 }

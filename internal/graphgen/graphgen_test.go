@@ -1,9 +1,12 @@
 package graphgen
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -220,5 +223,110 @@ func TestDegreeAccessor(t *testing.T) {
 	g := &Graph{N: 2, Offsets: []uint64{0, 3, 5}, Edges: []uint64{1, 1, 0, 0, 1}}
 	if g.Degree(0) != 3 || g.Degree(1) != 2 {
 		t.Errorf("degrees: %d, %d", g.Degree(0), g.Degree(1))
+	}
+}
+
+// TestQuadrantMatchesFloatCompares: the integer-threshold quadrant is the
+// three float comparisons of a draw p = k/2^53 against a, a+b and a+b+c,
+// at every threshold and either side of it, and on a million random draws.
+func TestQuadrantMatchesFloatCompares(t *testing.T) {
+	float := func(k uint64) (u, v uint64) {
+		switch p := float64(k) / (1 << 53); {
+		case p < quadA:
+			return 0, 0
+		case p < quadA+quadB:
+			return 0, 1
+		case p < quadA+quadB+quadC:
+			return 1, 0
+		}
+		return 1, 1
+	}
+	check := func(k uint64) {
+		t.Helper()
+		gu, gv := quadrant(k)
+		wu, wv := float(k)
+		if gu != wu || gv != wv {
+			t.Fatalf("k=%d: quadrant (%d,%d), float compares (%d,%d)", k, gu, gv, wu, wv)
+		}
+	}
+	for _, thr := range []uint64{thrA, thrAB, thrABC} {
+		for _, k := range []uint64{thr - 1, thr, thr + 1} {
+			check(k)
+		}
+	}
+	check(0)
+	check(1<<53 - 1)
+	r := rng{s: 42}
+	for i := 0; i < 1_000_000; i++ {
+		check(r.next() >> 11)
+	}
+}
+
+// TestGeneratedCSRIndependentOfGOMAXPROCS: each generator's CSR is the same
+// whether one goroutine or several fill its edge list. The edge counts are
+// not multiples of 2 or 7, so the workers' ranges are uneven.
+func TestGeneratedCSRIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	gens := map[string]func() *Graph{
+		"kronecker": func() *Graph { return Kronecker(12, 7, 3) },
+		"uniform":   func() *Graph { return Uniform(5000, 60_001, 4) },
+		"powerlaw":  func() *Graph { return PowerLaw(5000, 60_001, 2.2, 5) },
+	}
+	for name, gen := range gens {
+		runtime.GOMAXPROCS(1)
+		want := gen()
+		for _, procs := range []int{2, 7} {
+			runtime.GOMAXPROCS(procs)
+			if got := gen(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at GOMAXPROCS %d: graph differs from the one-goroutine graph", name, procs)
+			}
+		}
+	}
+}
+
+// TestValidateBoundsGraphSize: graphs up to the paper-scale inputs
+// validate; one vertex or edge beyond MaxVertices or MaxEdges does not, and
+// the error names the limit.
+func TestValidateBoundsGraphSize(t *testing.T) {
+	ok := []Params{
+		{Gen: GenKronecker, Scale: 22, EdgeFactor: 16},
+		{Gen: GenKronecker, Scale: 24, EdgeFactor: 4},
+		{Gen: GenUniform, N: 1 << 20, M: MaxEdges},
+		{Gen: GenPowerLaw, N: MaxVertices, M: 16 << 20, Alpha: 2},
+	}
+	for _, p := range ok {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", p, err)
+		}
+	}
+	bad := []struct {
+		p     Params
+		limit string // what the error must state
+	}{
+		{Params{Gen: GenKronecker, Scale: 22, EdgeFactor: 17}, strconv.Itoa(MaxEdges)},
+		{Params{Gen: GenKronecker, Scale: 25, EdgeFactor: 1}, "scale <= 24"},
+		{Params{Gen: GenKronecker, Scale: 1, EdgeFactor: math.MaxInt}, strconv.Itoa(MaxEdges)},
+		{Params{Gen: GenUniform, N: 1, M: 4_000_000_000}, strconv.Itoa(MaxEdges)},
+		{Params{Gen: GenUniform, N: MaxVertices + 1, M: 1}, strconv.Itoa(MaxVertices)},
+		{Params{Gen: GenPowerLaw, N: MaxVertices + 1, M: 1, Alpha: 2}, strconv.Itoa(MaxVertices)},
+		{Params{Gen: GenPowerLaw, N: 10, M: MaxEdges + 1, Alpha: 2}, strconv.Itoa(MaxEdges)},
+	}
+	for _, c := range bad {
+		if err := c.p.Validate(); err == nil {
+			t.Errorf("%+v validates", c.p)
+		} else if !strings.Contains(err.Error(), c.limit) {
+			t.Errorf("%+v: error %q does not state the limit %s", c.p, err, c.limit)
+		}
+	}
+}
+
+// BenchmarkTable2 generates the five Table 2 inputs.
+func BenchmarkTable2(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, p := range Table2Params() {
+			if _, err := p.Generate(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

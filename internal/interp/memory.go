@@ -5,7 +5,11 @@
 // the future instruction stream speculatively.
 package interp
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // The radix table's geometry. The sizes are fixed by measurement (DESIGN.md,
 // "Copy-on-write forks"), not options: 512-byte blocks were the fastest of
@@ -54,11 +58,9 @@ type Memory struct {
 	// far holds the blocks this memory owns at or above farLimit, by block
 	// number; a lookup that misses walks base. Nil until the first such store.
 	far map[uint64]*block
-	// run is the number of blocks the rest of the run StoreSlice is writing
-	// spans, and spare what is left of the slab newBlock allocated for them.
-	// Both are zero between calls.
-	run   int
-	spare []block
+	// forked is set once m has been forked: its leaves may then sit in a
+	// fork's directory too, so Map refuses them.
+	forked atomic.Bool
 }
 
 // NewMemory returns an empty memory.
@@ -79,7 +81,14 @@ func NewMemory() *Memory { return &Memory{} }
 // long-lived clone, the Oracle's look-ahead thread, executes every store its
 // parent later commits, so it owns each such block before the parent
 // writes it.
-func (m *Memory) Fork() *Memory { return &Memory{dir: slices.Clone(m.dir), base: m} }
+func (m *Memory) Fork() *Memory {
+	// Stored once: runs on several goroutines fork one image base, and
+	// would otherwise each write its cache line.
+	if !m.forked.Load() {
+		m.forked.Store(true)
+	}
+	return &Memory{dir: slices.Clone(m.dir), base: m}
+}
 
 // Load64 returns the 64-bit word at addr. An unmapped address reads zero
 // and allocates nothing.
@@ -138,12 +147,22 @@ func (m *Memory) ownBlock(addr uint64) *block {
 			if m.far == nil {
 				m.far = make(map[uint64]*block)
 			}
-			b = m.newBlock(m.base.farBlock(addr))
+			b = copyBlock(m.base.farBlock(addr))
 			m.far[bn] = b
 		}
 		return b
 	}
-	li := addr >> leafShift
+	l, bi := m.ownLeaf(addr>>leafShift), addr>>blockShift&leafMask
+	if !l.owns(bi) {
+		l.blocks[bi] = copyBlock(l.blocks[bi])
+		l.owned[bi>>6] |= 1 << (bi & 63)
+	}
+	return l.blocks[bi]
+}
+
+// ownLeaf returns leaf li of m's directory as a leaf m owns, growing the
+// directory, creating the leaf or copying a shared one as needed.
+func (m *Memory) ownLeaf(li uint64) *leaf {
 	if n := uint64(len(m.dir)); li >= n {
 		m.dir = append(m.dir, make([]*leaf, li+1-n)...)
 	}
@@ -155,41 +174,85 @@ func (m *Memory) ownBlock(addr uint64) *block {
 		l = &leaf{blocks: l.blocks, owner: m}
 		m.dir[li] = l
 	}
-	bi := addr >> blockShift & leafMask
-	if !l.owns(bi) {
-		l.blocks[bi] = m.newBlock(l.blocks[bi])
-		l.owned[bi>>6] |= 1 << (bi & 63)
-	}
-	return l.blocks[bi]
+	return l
 }
 
-// newBlock returns a fresh block holding a copy of from (zeros when nil).
-// Inside StoreSlice the blocks come from one slab, so building an image
-// makes one heap object per call, not one per block.
-func (m *Memory) newBlock(from *block) *block {
-	if len(m.spare) == 0 {
-		m.spare = make([]block, max(m.run, 1))
-	}
-	b := &m.spare[0]
-	m.spare = m.spare[1:]
+// copyBlock returns a fresh block holding a copy of from (zeros when nil).
+func copyBlock(from *block) *block {
+	b := new(block)
 	if from != nil {
 		*b = *from
 	}
 	return b
 }
 
+// mapSlab enters slab, a whole number of blocks, as the blocks m owns from
+// the block-aligned addr on. Every one must be unmapped and below farLimit.
+// A slab is one heap object however many blocks it holds.
+func (m *Memory) mapSlab(addr uint64, slab []uint64) {
+	for i := 0; i < len(slab); i += blockWords {
+		a := addr + uint64(i)*8
+		l, bi := m.ownLeaf(a>>leafShift), a>>blockShift&leafMask
+		l.blocks[bi] = (*block)(slab[i : i+blockWords])
+		l.owned[bi>>6] |= 1 << (bi & 63)
+	}
+}
+
+// Map maps n fresh words at addr as one contiguous slab owned by m and
+// returns them, zeroed, for the caller to fill in place: the way a
+// workload image is built, without a store per word or a staging buffer.
+// Words of the last block past n read zero. addr must be block-aligned
+// (512 bytes) and every block the words span unmapped and below farLimit.
+// Images are built before they are forked, so Map also refuses a leaf
+// shared with a fork: one m reads through from its base, or any leaf m
+// already has once m has been forked. Map panics on each of these.
+func (m *Memory) Map(addr uint64, n int) []uint64 {
+	const blockBytes = 1 << blockShift
+	nb := (n + blockWords - 1) / blockWords
+	end := addr + uint64(nb)*blockBytes
+	if addr%blockBytes != 0 || end > farLimit || end < addr {
+		panic(fmt.Sprintf("interp: Map of %d words at %#x: want a %d-byte aligned address and words below %#x", n, addr, blockBytes, uint64(farLimit)))
+	}
+	forked := m.forked.Load()
+	for a := addr; a < end; a += blockBytes {
+		li := a >> leafShift
+		if li >= uint64(len(m.dir)) || m.dir[li] == nil {
+			continue
+		}
+		if l := m.dir[li]; l.owner != m || forked {
+			panic(fmt.Sprintf("interp: Map at %#x: the leaf is shared with a fork", a))
+		} else if l.blocks[a>>blockShift&leafMask] != nil {
+			panic(fmt.Sprintf("interp: Map at %#x: the block is already mapped", a))
+		}
+	}
+	slab := make([]uint64, nb*blockWords)
+	m.mapSlab(addr, slab)
+	return slab[:n:n]
+}
+
 // StoreSlice writes vals as consecutive 64-bit words starting at addr, a
-// block at a time.
+// block at a time. A run of blocks nothing maps yet is mapped as one slab.
 func (m *Memory) StoreSlice(addr uint64, vals []uint64) {
 	for len(vals) > 0 {
 		first := int(addr >> 3 & blockMask)
-		m.run = (first + len(vals) + blockWords - 1) / blockWords
-		n := copy(m.ownBlock(addr)[first:], vals)
+		var dst []uint64
+		if m.block(addr) == nil && addr < farLimit {
+			base := addr &^ (1<<blockShift - 1)
+			nb, span := 1, (first+len(vals)+blockWords-1)/blockWords
+			for ; nb < span; nb++ {
+				if a := base + uint64(nb)<<blockShift; a >= farLimit || m.block(a) != nil {
+					break
+				}
+			}
+			dst = make([]uint64, nb*blockWords)
+			m.mapSlab(base, dst)
+		} else {
+			dst = m.ownBlock(addr)[:]
+		}
+		n := copy(dst[first:], vals)
 		vals = vals[n:]
 		addr += uint64(n) * 8
 	}
-	// A run that met blocks m already owned leaves slab unused; drop it.
-	m.run, m.spare = 0, nil
 }
 
 // Footprint returns the number of bytes of memory touched, in 4 KiB pages

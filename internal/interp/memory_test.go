@@ -3,6 +3,7 @@ package interp
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -62,9 +63,50 @@ func modelAddr(rng *rand.Rand, full bool) uint64 {
 	return a
 }
 
+// mappable reports whether Map may map n words at addr in m: every block
+// they span is below farLimit, unmapped, and in no leaf m shares.
+func mappable(m *Memory, addr uint64, n int) bool {
+	if addr >= farLimit {
+		return false
+	}
+	for a := addr; a < addr+uint64(n)*8; a += 1 << blockShift {
+		if a >= farLimit || m.block(a) != nil {
+			return false
+		}
+		if li := a >> leafShift; li < uint64(len(m.dir)) && m.dir[li] != nil && (m.dir[li].owner != m || m.forked.Load()) {
+			return false
+		}
+	}
+	return true
+}
+
+// mapRandom maps a random array at a random block-aligned address of p, if
+// Map may map it there, fills it with random words in place and writes the
+// same words to the reference with StoreSlice. It reports whether it
+// mapped.
+func mapRandom(rng *rand.Rand, p *modelPair, touched *[]uint64) bool {
+	// Within a leaf of an anchor, so that the blocks are often still fresh
+	// and stores near the anchor land in mapped ones.
+	a := modelAnchors[rng.Intn(len(modelAnchors))] + uint64(rng.Intn(leafBlocks))<<blockShift
+	n := 1 + rng.Intn(3*pageWords)
+	if !mappable(p.m, a, n) {
+		return false
+	}
+	words := p.m.Map(a, n)
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	p.r.StoreSlice(a, words)
+	for i := 0; i < n; i += 1 + rng.Intn(blockWords) {
+		*touched = append(*touched, a+uint64(i)*8)
+	}
+	*touched = append(*touched, a+uint64(n)*8-8, a+uint64(n)*8)
+	return true
+}
+
 // TestMemoryMatchesReferenceModel drives the radix table and the
 // map-and-chain memory it replaced with the same random sequences of
-// stores, slice stores, forks (chains to depth 20, with siblings),
+// maps, stores, slice stores, forks (chains to depth 20, with siblings),
 // snapshots and restores, and wants every load, every PageDelta byte and
 // every Footprint equal. Only memories that have not been forked are
 // written: what a fork sees of its parent's later stores is the one place
@@ -97,8 +139,20 @@ func TestMemoryMatchesReferenceModel(t *testing.T) {
 			}
 		}
 		tip := pairs[0] // the end of the longest chain
+		// The root starts as an image does, mapped a few arrays at a time,
+		// so every fork reads a base built through Map.
+		maps := 0
+		for maps < 4 {
+			if mapRandom(rng, pairs[0], &touched) {
+				maps++
+			}
+		}
 		for op := 0; op < 1500; op++ {
 			switch k := rng.Intn(100); {
+			case k < 5:
+				if mapRandom(rng, writable(), &touched) {
+					maps++
+				}
 			case k < 45:
 				p, a, v := writable(), modelAddr(rng, full), rng.Uint64()>>uint(rng.Intn(64))
 				p.m.Store64(a, v)
@@ -166,9 +220,58 @@ func TestMemoryMatchesReferenceModel(t *testing.T) {
 		if tip.depth < 15 {
 			t.Errorf("seed %d: deepest chain is %d forks, want the sequence to reach at least 15", seed, tip.depth)
 		}
+		if maps < 15 {
+			t.Errorf("seed %d: %d arrays mapped, want the sequence to map at least 15", seed, maps)
+		}
 		for _, p := range pairs {
 			compare("final", p, true)
 		}
+	}
+}
+
+// mustPanic runs f and wants a panic whose message contains want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+func TestMapPanicsOnUnalignedAddress(t *testing.T) {
+	m := NewMemory()
+	mustPanic(t, "aligned", func() { m.Map(1<<20+8, 4) })
+	mustPanic(t, "aligned", func() { m.Map(farLimit-1<<blockShift, 2*blockWords) })
+	if fp := m.Footprint(); fp != 0 {
+		t.Errorf("a refused Map mapped %d bytes", fp)
+	}
+}
+
+func TestMapPanicsOnMappedBlock(t *testing.T) {
+	m := NewMemory()
+	m.Store64(1<<20+3*blockWords*8+16, 1)
+	mustPanic(t, "already mapped", func() { m.Map(1<<20, 4*blockWords) })
+	if got := m.Load64(1<<20 + 3*blockWords*8 + 16); got != 1 {
+		t.Errorf("a refused Map changed a mapped word to %d", got)
+	}
+}
+
+func TestMapPanicsOnLeafSharedWithFork(t *testing.T) {
+	base := NewMemory()
+	base.Map(1<<20, blockWords)
+	f := base.Fork()
+	// The fork reads the leaf through from its base; the base's leaf now
+	// sits in the fork's directory.
+	mustPanic(t, "shared with a fork", func() { f.Map(1<<20+1<<blockShift, 1) })
+	mustPanic(t, "shared with a fork", func() { base.Map(1<<20+1<<blockShift, 1) })
+	// A leaf neither has yet is the fork's own to map.
+	f.Map(8<<leafShift, 1)[0] = 5
+	if f.Load64(8<<leafShift) != 5 || base.Load64(8<<leafShift) != 0 {
+		t.Error("a fork's Map into a fresh leaf is not its own")
 	}
 }
 

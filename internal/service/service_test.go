@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,6 +223,37 @@ func TestMalformedRequestsReturn400(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/sim", req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %s, want 400: %s", i, resp.Status, body)
+		}
+	}
+}
+
+// TestOversizedGraphReturns400 sends graphs beyond graphgen's bounds: each
+// is refused as a bad request before any of its arrays is allocated, where
+// generating it would ask for gigabytes (a fatal out-of-memory for dvrd at
+// 4 G edges).
+func TestOversizedGraphReturns400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, g := range []string{
+		`{"gen":"uniform","n":1,"m":4000000000}`,
+		fmt.Sprintf(`{"gen":"uniform","n":1000,"m":%d}`, graphgen.MaxEdges+1),
+		fmt.Sprintf(`{"gen":"powerlaw","n":%d,"m":10,"alpha":2}`, graphgen.MaxVertices+1),
+		`{"gen":"kronecker","scale":20,"edge_factor":1000000}`,
+	} {
+		body := `{"workload":{"kernel":"cc","graph":` + g + `},"technique":"ooo"}`
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %s, want 400: %s", g, resp.Status, msg)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
+			t.Errorf("%s: refusing the request allocated %d bytes", g, grown)
 		}
 	}
 }

@@ -176,16 +176,16 @@ func CC(g *graphgen.Graph) *Workload {
 	srcA := a.alloc(mEdges)
 	dstA := a.alloc(mEdges)
 	comp := a.alloc(g.N)
-	i := 0
+	src := m.Map(srcA, mEdges)
 	for v := 0; v < g.N; v++ {
 		for e := g.Offsets[v]; e < g.Offsets[v+1]; e++ {
-			m.Store64(srcA+uint64(i)*8, uint64(v))
-			m.Store64(dstA+uint64(i)*8, g.Edges[e])
-			i++
+			src[e] = uint64(v)
 		}
 	}
-	for v := 0; v < g.N; v++ {
-		m.Store64(comp+uint64(v)*8, uint64(v))
+	copy(m.Map(dstA, mEdges), g.Edges)
+	labels := m.Map(comp, g.N)
+	for v := range labels {
+		labels[v] = uint64(v)
 	}
 
 	b := isa.NewBuilder("cc")
@@ -276,15 +276,16 @@ func SSSP(g *graphgen.Graph) *Workload {
 	m := interp.NewMemory()
 	a := newArena()
 	off := a.alloc(g.N + 1)
-	m.StoreSlice(off, g.Offsets)
+	copy(m.Map(off, g.N+1), g.Offsets)
 	mEdges := g.M()
 	edges := a.alloc(2 * mEdges) // edges[0..m), then weights[0..m)
-	m.StoreSlice(edges, g.Edges)
+	ew := m.Map(edges, 2*mEdges)
+	copy(ew, g.Edges)
 	weightsOff := int64(mEdges) * 8
 	s := uint64(77)
-	for j := 0; j < mEdges; j++ {
+	for j := range ew[mEdges:] {
 		s = isa.Mix64(s)
-		m.Store64(edges+uint64(weightsOff)+uint64(j)*8, 1+s%16)
+		ew[mEdges+j] = 1 + s%16
 	}
 	dist := a.alloc(g.N)
 	const inf = int64(1) << 40

@@ -46,8 +46,7 @@ func Camel() *Workload {
 	keys := a.alloc(n)
 	bTbl := a.alloc(tbl)
 	cTbl := a.alloc(tbl)
-	randWords(m, keys, n, 101, 1<<32)
-	randWords(m, bTbl, tbl, 102, 1<<32)
+	randWords(m, randArray{keys, n, 101, 1 << 32}, randArray{bTbl, tbl, 102, 1 << 32})
 
 	b := isa.NewBuilder("camel")
 	b.Li(R1, 0)
@@ -151,8 +150,10 @@ func hashJoin(name string, depth int) *Workload {
 	a := newArena()
 	keys := a.alloc(n)
 	ht := a.alloc(tbl)
-	randWords(m, keys, n, 201, 1<<32)
-	randWords(m, ht, tbl, 202, tbl) // table entries index back into the table
+	randWords(m,
+		randArray{keys, n, 201, 1 << 32},
+		randArray{ht, tbl, 202, tbl}, // table entries index back into the table
+	)
 
 	b := isa.NewBuilder(name)
 	b.Li(R1, 0)
@@ -201,10 +202,12 @@ func Kangaroo() *Workload {
 	n2 := a.alloc(tbl)
 	cd := a.alloc(2 * pay) // C then D
 	dOff := int64(pay) * 8
-	randWords(m, keys, n, 301, tbl)
-	randWords(m, n1, tbl, 302, tbl)
-	randWords(m, n2, tbl, 303, pay)
-	randWords(m, cd, 2*pay, 304, 1<<32)
+	randWords(m,
+		randArray{keys, n, 301, tbl},
+		randArray{n1, tbl, 302, tbl},
+		randArray{n2, tbl, 303, pay},
+		randArray{cd, 2 * pay, 304, 1 << 32},
+	)
 
 	b := isa.NewBuilder("kangaroo")
 	b.Li(R1, 0)
@@ -250,12 +253,15 @@ func NASCG() *Workload {
 	col := a.alloc(2 * nnz) // col[0..nnz) then aval[0..nnz)
 	avOff := int64(nnz) * 8
 	x := a.alloc(xn)
-	for r := 0; r <= rows; r++ {
-		m.Store64(rp+uint64(r)*8, uint64(r*rowLen))
+	rowPtr := m.Map(rp, rows+1)
+	for r := range rowPtr {
+		rowPtr[r] = uint64(r * rowLen)
 	}
-	randWords(m, col, nnz, 401, xn)
-	randWords(m, col+uint64(avOff), nnz, 402, 1<<16)
-	randWords(m, x, xn, 403, 1<<16)
+	randWords(m,
+		randArray{col, nnz, 401, xn},
+		randArray{col + uint64(avOff), nnz, 402, 1 << 16},
+		randArray{x, xn, 403, 1 << 16},
+	)
 
 	b := isa.NewBuilder("nas-cg")
 	b.Li(R1, 0)
@@ -300,7 +306,7 @@ func NASIS() *Workload {
 	a := newArena()
 	keys := a.alloc(n)
 	count := a.alloc(buckets)
-	randWords(m, keys, n, 501, buckets)
+	randWords(m, randArray{keys, n, 501, buckets})
 
 	b := isa.NewBuilder("nas-is")
 	b.Li(R1, 0)
@@ -331,8 +337,7 @@ func RandomAccess() *Workload {
 	a := newArena()
 	ran := a.alloc(n)
 	t := a.alloc(tbl)
-	randWords(m, ran, n, 601, 0)
-	randWords(m, t, tbl, 602, 0)
+	randWords(m, randArray{ran, n, 601, 0}, randArray{t, tbl, 602, 0})
 
 	b := isa.NewBuilder("randomaccess")
 	b.Li(R1, 0)

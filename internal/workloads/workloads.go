@@ -8,6 +8,8 @@
 package workloads
 
 import (
+	"sync"
+
 	"dvr/internal/graphgen"
 	"dvr/internal/interp"
 	"dvr/internal/isa"
@@ -108,9 +110,9 @@ func (a *arena) alloc(n int) uint64 {
 // storeGraph writes g's CSR arrays into memory and returns their bases.
 func storeGraph(m *interp.Memory, a *arena, g *graphgen.Graph) (offBase, edgeBase uint64) {
 	offBase = a.alloc(g.N + 1)
-	m.StoreSlice(offBase, g.Offsets)
+	copy(m.Map(offBase, g.N+1), g.Offsets)
 	edgeBase = a.alloc(len(g.Edges))
-	m.StoreSlice(edgeBase, g.Edges)
+	copy(m.Map(edgeBase, len(g.Edges)), g.Edges)
 	return offBase, edgeBase
 }
 
@@ -128,34 +130,56 @@ func maxDegreeVertex(g *graphgen.Graph) int {
 
 // fill writes n words of val starting at base.
 func fill(m *interp.Memory, base uint64, n int, val uint64) {
-	for i := 0; i < n; i++ {
-		m.Store64(base+uint64(i)*8, val)
+	words := m.Map(base, n)
+	for i := range words {
+		words[i] = val
 	}
 }
 
-// randWords fills n words with deterministic pseudo-random values, reduced
-// modulo mod when mod is nonzero. Values go through a stack buffer into
-// StoreSlice, so an image build never holds an n-word temporary, and a
-// power-of-two mod (most callers) is a mask instead of a division.
-func randWords(m *interp.Memory, base uint64, n int, seed uint64, mod uint64) {
-	mask := ^uint64(0)
+// randArray is one array of deterministic pseudo-random words: n words at
+// base, word i the next value of the chain s = Mix64(s+i) from s = seed,
+// reduced modulo mod when mod is nonzero.
+type randArray struct {
+	base uint64
+	n    int
+	seed uint64
+	mod  uint64
+}
+
+// randWords maps each array, in order, and fills them all at once, one
+// goroutine per array. Each array's chain is serial and its own, so the
+// image does not depend on scheduling or GOMAXPROCS.
+func randWords(m *interp.Memory, arrays ...randArray) {
+	words := make([][]uint64, len(arrays))
+	for i, ra := range arrays {
+		words[i] = m.Map(ra.base, ra.n)
+	}
+	var wg sync.WaitGroup
+	for i, ra := range arrays {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ra.fill(words[i])
+		}()
+	}
+	wg.Wait()
+}
+
+// fill writes the array's chain into words. A power-of-two mod (most
+// arrays) is a mask instead of a division.
+func (ra randArray) fill(words []uint64) {
+	mask, mod := ^uint64(0), ra.mod
 	if mod&(mod-1) == 0 { // power of two, or 0: no reduction
 		mask, mod = mod-1, 0
 	}
-	var buf [512]uint64
-	s := seed
-	for i := 0; i < n; {
-		k := 0
-		for ; k < len(buf) && i < n; k, i = k+1, i+1 {
-			s = isa.Mix64(s + uint64(i))
-			v := s & mask
-			if mod != 0 {
-				v %= mod
-			}
-			buf[k] = v
+	s := ra.seed
+	for i := range words {
+		s = isa.Mix64(s + uint64(i))
+		v := s & mask
+		if mod != 0 {
+			v %= mod
 		}
-		m.StoreSlice(base, buf[:k])
-		base += uint64(k) * 8
+		words[i] = v
 	}
 }
 

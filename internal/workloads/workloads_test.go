@@ -394,9 +394,10 @@ func imageHash(w *Workload) string {
 }
 
 // TestHPCDBImagesUnchanged pins the HPC/DB memory images word for word:
-// randWords generates them through a block buffer and masks power-of-two
-// moduli, and must produce exactly what the n-word, DIV-per-word version
-// did. The digests were taken at commit f63f945, before that change.
+// randWords fills mapped arrays in place, concurrently, and masks
+// power-of-two moduli, and must produce exactly what the n-word,
+// DIV-per-word version did. The digests were taken at commit f63f945,
+// before those changes.
 func TestHPCDBImagesUnchanged(t *testing.T) {
 	want := map[string]string{
 		"camel":        "65a8a381557fa048",
