@@ -2,38 +2,52 @@
 //
 // Usage:
 //
-//	dvrbench table1|table2|fig2|fig7|fig8|fig9|fig10|fig11|fig12|intervals|ablation|fidelity|all [-quick]
+//	dvrbench [flags] name...
 //
-// With -quick, a scaled-down suite runs in seconds; without it, the full
-// Table 2 inputs and the paper's ROIs are used (minutes).
+// A name is a registered figure (experiments.Figures, then
+// experiments.Studies), "all" for every figure of the paper, or one of
+// the intervals and fidelity reports; `dvrbench -h` lists them. Flags may
+// come before, between or after the names. With -quick, a scaled-down
+// suite runs in seconds; without it, the full Table 2 inputs and the
+// paper's ROIs are used (minutes).
 //
-// The intervals subcommand runs the suite under ooo, vr and dvr with the
+// Every figure runs its jobs through one runner the flags pick: RunAll in
+// process (the default), sampled (-sampled), one job at a time with its
+// own journal (-checkpoint-dir) or its own event recorder (-trace, one
+// Perfetto JSON per job), or through a dvrd server (-server). Traced and
+// journalled per-job files are named <bench>-<tech>, suffixed with the
+// job's index in its figure when the figure runs that pair under several
+// configs. Results, and so the tables, are bit-identical whichever runner
+// ran them. Output is the figures' tables as text, or with -json one JSON
+// document per name: the list of its tables.
+//
+// The intervals report runs the suite under ooo, vr and dvr with the
 // interval sampler attached and prints per-cell IPC/MLP sparklines plus a
 // consistency line asserting the sampled series sums back to the
-// end-of-run Result. With -trace DIR, fig7 and fig8 run each cell
-// sequentially with the event recorder attached and write one Perfetto
-// JSON per cell to <dir>/<bench>-<tech>.json; the rendered figure is
-// bit-identical to the untraced one (tracing is observational).
-// -cpuprofile/-memprofile write pprof profiles of whatever experiment ran.
+// end-of-run Result. -cpuprofile/-memprofile write pprof profiles of
+// whatever ran.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
 	"dvr/internal/experiments"
 	"dvr/internal/faults"
-	"dvr/internal/graphgen"
 	"dvr/internal/service/api"
 	"dvr/internal/service/client"
 	"dvr/internal/stats"
@@ -43,11 +57,11 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run the scaled-down suite")
-	jsonOut := flag.Bool("json", false, "emit raw result rows as JSON instead of tables")
-	server := flag.String("server", "", "run matrix experiments (fig7, fig8) against this dvrd server instead of in-process")
-	ckptDir := flag.String("checkpoint-dir", "", "journal matrix cells (fig7, fig8) to this directory so a killed run resumes instead of restarting")
-	traceDir := flag.String("trace", "", "write one Perfetto trace-event JSON per matrix cell (fig7, fig8) to this directory")
-	sampled := flag.Bool("sampled", false, "fig7/fig8: project results from phase-representative windows instead of timing full ROIs")
+	jsonOut := flag.Bool("json", false, "emit each name's tables as one JSON document instead of text")
+	server := flag.String("server", "", "run the figures' jobs against this dvrd server instead of in-process")
+	ckptDir := flag.String("checkpoint-dir", "", "journal every job to this directory so a killed run resumes instead of restarting")
+	traceDir := flag.String("trace", "", "write one Perfetto trace-event JSON per job to this directory")
+	sampled := flag.Bool("sampled", false, "project results from phase-representative windows instead of timing full ROIs")
 	sWindow := flag.Uint64("sample-window", 0, "with -sampled, profiling window length in instructions (0 = auto from ROI)")
 	sWarmup := flag.Uint64("warmup", 0, "with -sampled, timed-but-discarded warmup per measured window (0 = one window)")
 	sPhases := flag.Int("sample-phases", 0, "with -sampled, maximum phase clusters (0 = default)")
@@ -56,17 +70,45 @@ func main() {
 	fidTol := flag.Float64("fidelity-tol", 0.02, "fidelity: max mean per-technique h-mean speedup error")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	flag.Usage = usage
+	names, _ := parseArgs(flag.CommandLine, os.Args[1:]) // exits on a bad flag
+	if len(names) == 0 {
+		names = []string{"all"}
+	}
+
+	cfg := cpu.DefaultConfig()
+	suite := experiments.FullSuite
+	if *quick {
+		suite = experiments.QuickSuite
+	}
+	so := experiments.SampleOptions{
+		WindowInsts: *sWindow,
+		WarmupInsts: *sWarmup,
+		MaxPhases:   *sPhases,
+		Replicates:  *sReps,
+	}
+	reports := map[string]func() error{
+		"intervals": func() error { return intervalsReport(os.Stdout, suite(), cfg) },
+		"fidelity":  func() error { return fidelityReport(os.Stdout, *fidROI, so, *fidTol, cfg) },
+	}
+	for _, name := range names {
+		if figures(name) == nil && reports[name] == nil {
+			fmt.Fprintf(os.Stderr, "dvrbench: unknown experiment %q\n", name)
+			os.Exit(2)
+		}
+	}
+	run, err := pickRunner(*server, *ckptDir, *traceDir, *sampled, so)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvrbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "dvrbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -84,228 +126,212 @@ func main() {
 			}
 		}()
 	}
-	var args []string
-	for _, a := range flag.Args() {
-		// Accept -quick in any position.
-		if a == "-quick" || a == "--quick" {
-			*quick = true
+
+	// The timing lines go to stderr under -json, so stdout is JSON only.
+	timings := io.Writer(os.Stdout)
+	if *jsonOut {
+		timings = os.Stderr
+	}
+	took := func(name string, start time.Time) {
+		fmt.Fprintf(timings, "[%s took %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	for _, name := range names {
+		if report := reports[name]; report != nil {
+			start := time.Now()
+			if err := report(); err != nil {
+				fatal(err)
+			}
+			took(name, start)
 			continue
 		}
-		args = append(args, a)
-	}
-	if len(args) == 0 {
-		args = []string{"all"}
-	}
-
-	cfg := cpu.DefaultConfig()
-	suite := experiments.FullSuite
-	if *quick {
-		suite = experiments.QuickSuite
-	}
-	so := experiments.SampleOptions{
-		WindowInsts: *sWindow,
-		WarmupInsts: *sWarmup,
-		MaxPhases:   *sPhases,
-		Replicates:  *sReps,
-	}
-	if *sampled && (*server != "" || *ckptDir != "" || *traceDir != "") {
-		// Sampling replaces the exact single-run path those modes wrap; the
-		// dvrd server takes sampling via the API instead (SimRequest.Sampling).
-		fmt.Fprintln(os.Stderr, "dvrbench: -sampled cannot be combined with -server, -checkpoint-dir or -trace")
-		os.Exit(1)
-	}
-
-	// figMatrix runs a figure's matrix, the OoO baseline plus techs, the
-	// way the flags ask: through a dvrd server, journalled, traced, sampled
-	// or plainly in-process.
-	figMatrix := func(specs []workloads.Spec, techs []experiments.Technique) map[string]map[experiments.Technique]cpu.Result {
-		techs = append([]experiments.Technique{experiments.TechOoO}, techs...)
-		var m map[string]map[experiments.Technique]cpu.Result
-		var err error
-		switch {
-		case *server != "" || *ckptDir != "" || *traceDir != "":
-			m, err = matrixVia(*server, *ckptDir, *traceDir, specs, techs, cfg)
-		case *sampled:
-			m, err = experiments.MatrixSampled(context.Background(), specs, techs, cfg, so)
-		default:
-			m, err = experiments.MatrixE(context.Background(), specs, techs, cfg)
+		var doc []experiments.Table
+		for _, f := range figures(name) {
+			start := time.Now()
+			jobs := f.Jobs(suite(), cfg)
+			var res []cpu.Result
+			if len(jobs) > 0 {
+				if res, err = run(context.Background(), jobs); err != nil {
+					fatal(err)
+				}
+			}
+			tables := f.Tables(jobs, res)
+			doc = append(doc, tables...)
+			if !*jsonOut {
+				text := make([]string, len(tables))
+				for i, t := range tables {
+					text[i] = t.String()
+				}
+				fmt.Println(strings.Join(text, "\n"))
+			}
+			took(f.Name, start)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvrbench:", err)
-			os.Exit(1)
-		}
-		return m
-	}
-
-	emit := func(rows interface{}, render func() string) {
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(rows); err != nil {
-				fmt.Fprintln(os.Stderr, "dvrbench:", err)
-				os.Exit(1)
+			if err := enc.Encode(doc); err != nil {
+				fatal(err)
 			}
-			return
 		}
-		fmt.Println(render())
-	}
-
-	run := func(name string) {
-		start := time.Now()
-		switch name {
-		case "table1":
-			fmt.Println(experiments.Table1(cfg))
-		case "table2":
-			roi := uint64(0)
-			if *quick {
-				roi = 60_000
-			}
-			rows, render := experiments.Table2(cfg, roi)
-			emit(rows, render)
-		case "fig2":
-			s := gapSuite(*quick)
-			ooo, vr, render := experiments.Fig2(s.GAP, cfg)
-			emit(map[string]interface{}{"ooo": ooo, "vr": vr}, render)
-		case "fig7":
-			specs := suite().All()
-			rows, render := experiments.Fig7FromMatrix(specs, figMatrix(specs, experiments.AllTechniques))
-			emit(rows, render)
-		case "fig8":
-			specs := suite().All()
-			rows, render := experiments.Fig8FromMatrix(specs, figMatrix(specs, experiments.Fig8Variants))
-			emit(rows, render)
-		case "fig9":
-			rows, render := experiments.Fig9(suite().All(), cfg)
-			emit(rows, render)
-		case "fig10":
-			rows, render := experiments.Fig10(suite().All(), cfg)
-			emit(rows, render)
-		case "fig11":
-			rows, render := experiments.Fig11(suite().All(), cfg)
-			emit(rows, render)
-		case "intervals":
-			if err := intervalsReport(os.Stdout, suite(), cfg); err != nil {
-				fmt.Fprintln(os.Stderr, "dvrbench:", err)
-				os.Exit(1)
-			}
-		case "fig12":
-			s := gapSuite(*quick)
-			specs := append(s.GAP, suite().HPCDB...)
-			rows, render := experiments.Fig12(specs, cfg)
-			emit(rows, render)
-		case "fidelity":
-			if err := fidelityReport(os.Stdout, *fidROI, so, *fidTol, cfg); err != nil {
-				fmt.Fprintln(os.Stderr, "dvrbench:", err)
-				os.Exit(1)
-			}
-		case "ablation":
-			specs := suite().All()
-			if *quick {
-				specs = specs[:4]
-			}
-			for _, ablate := range []func([]workloads.Spec, cpu.Config) ([]experiments.AblationRow, func() string){
-				experiments.AblationLanes, experiments.AblationReconvergence, experiments.AblationTimeout,
-				experiments.AblationMSHR, experiments.AblationBandwidth,
-			} {
-				_, render := ablate(specs, cfg)
-				fmt.Println(render())
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "dvrbench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-		out := os.Stdout
-		if *jsonOut {
-			out = os.Stderr // keep -json stdout parseable
-		}
-		fmt.Fprintf(out, "[%s took %s]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	for _, a := range args {
-		if a == "all" {
-			for _, n := range []string{"table1", "table2", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
-				run(n)
-			}
-			continue
-		}
-		run(a)
 	}
 }
 
-// matrixVia routes a benchmark × technique matrix through whichever
-// special path the flags picked: a dvrd server (-server), a local
-// checkpoint directory (-checkpoint-dir), or per-cell Perfetto tracing
-// (-trace). The three are mutually exclusive — the server has its own
-// checkpoint directory, and tracing forces sequential in-process runs.
-func matrixVia(server, ckptDir, traceDir string, specs []workloads.Spec, techs []experiments.Technique, cfg cpu.Config) (map[string]map[experiments.Technique]cpu.Result, error) {
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "dvrbench:", err)
+	os.Exit(1)
+}
+
+// figures resolves a name to the registered figures it runs: "all" to the
+// paper's, a figure's name to that figure, anything else to nil.
+func figures(name string) []experiments.Figure {
+	if name == "all" {
+		return experiments.Figures
+	}
+	for _, f := range slices.Concat(experiments.Figures, experiments.Studies) {
+		if f.Name == name {
+			return []experiments.Figure{f}
+		}
+	}
+	return nil
+}
+
+func usage() {
+	var names []string
+	for _, f := range slices.Concat(experiments.Figures, experiments.Studies) {
+		names = append(names, f.Name)
+	}
+	fmt.Fprintf(flag.CommandLine.Output(), "usage: dvrbench [flags] %s|all|intervals|fidelity ...\n",
+		strings.Join(names, "|"))
+	flag.PrintDefaults()
+}
+
+// parseArgs parses fs's flags wherever they appear among args, re-parsing
+// after each positional argument, and returns the positional arguments in
+// order.
+func parseArgs(fs *flag.FlagSet, args []string) ([]string, error) {
+	var names []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() == 0 {
+			return names, nil
+		}
+		names = append(names, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+}
+
+// runner runs a figure's jobs and returns their results in job order.
+type runner func(ctx context.Context, jobs []experiments.Job) ([]cpu.Result, error)
+
+// pickRunner returns the runner the flags ask for. -server, -checkpoint-dir
+// and -trace are mutually exclusive (the server has its own checkpoint
+// directory, and tracing runs jobs one at a time in-process), and sampling
+// replaces the single continuous run they wrap.
+func pickRunner(server, ckptDir, traceDir string, sampled bool, so experiments.SampleOptions) (runner, error) {
 	set := 0
 	for _, f := range []string{server, ckptDir, traceDir} {
 		if f != "" {
 			set++
 		}
 	}
-	if set > 1 {
-		return nil, fmt.Errorf("-server, -checkpoint-dir and -trace are mutually exclusive")
-	}
 	switch {
+	case sampled && set > 0:
+		return nil, errors.New("-sampled cannot be combined with -server, -checkpoint-dir or -trace")
+	case set > 1:
+		return nil, errors.New("-server, -checkpoint-dir and -trace are mutually exclusive")
 	case server != "":
-		return serverMatrix(server, specs, techs, cfg)
+		return serverRunner(server), nil
+	case ckptDir != "":
+		return journalled(ckptDir), nil
 	case traceDir != "":
-		return tracedMatrix(traceDir, specs, techs, cfg)
-	}
-	return durableMatrix(ckptDir, specs, techs, cfg)
-}
-
-// eachCell runs the matrix in-process one cell at a time, spec-major,
-// through run, and returns results[benchmark][technique].
-func eachCell(specs []workloads.Spec, techs []experiments.Technique, run func(workloads.Spec, experiments.Technique) (cpu.Result, error)) (map[string]map[experiments.Technique]cpu.Result, error) {
-	m := make(map[string]map[experiments.Technique]cpu.Result, len(specs))
-	for _, sp := range specs {
-		row := make(map[experiments.Technique]cpu.Result, len(techs))
-		for _, tech := range techs {
-			res, err := run(sp, tech)
-			if err != nil {
-				return nil, fmt.Errorf("cell %s-%s: %w", sp.Name, tech, err)
+		return traced(traceDir), nil
+	case sampled:
+		return func(ctx context.Context, jobs []experiments.Job) ([]cpu.Result, error) {
+			for i := range jobs {
+				jobs[i].Sample = &so
 			}
-			row[tech] = res
-		}
-		m[sp.Name] = row
+			return experiments.RunAll(ctx, jobs)
+		}, nil
 	}
-	return m, nil
+	return experiments.RunAll, nil
 }
 
-// tracedMatrix runs the matrix in-process, one cell at a time, each with
-// an event recorder attached, and writes one Perfetto trace-event JSON
-// per cell to <dir>/<bench>-<tech>.json. Cells run sequentially so each
-// recording reflects one undisturbed run. Tracing is observational: the
-// returned matrix is bit-identical to an untraced run's.
-func tracedMatrix(dir string, specs []workloads.Spec, techs []experiments.Technique, cfg cpu.Config) (map[string]map[experiments.Technique]cpu.Result, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+// cellNames names each job's per-job files <bench>-<tech>, suffixed with
+// -<index> when another job of the list runs the same benchmark and
+// technique (ROB sweeps and ablations run one pair under several configs,
+// and may repeat a job).
+func cellNames(jobs []experiments.Job) []string {
+	names := make([]string, len(jobs))
+	count := make(map[string]int)
+	for i, j := range jobs {
+		names[i] = fmt.Sprintf("%s-%s", j.Spec.Name, j.Tech)
+		count[names[i]]++
 	}
-	m, err := eachCell(specs, techs, func(sp workloads.Spec, tech experiments.Technique) (cpu.Result, error) {
-		job := experiments.Job{Spec: sp, Tech: tech, Cfg: cfg}
-		job.Trace = trace.New(trace.Config{Events: 65536})
-		res, err := experiments.Run(context.Background(), job)
-		if err != nil {
-			return res, err
+	for i, n := range names {
+		if count[n] > 1 {
+			names[i] = fmt.Sprintf("%s-%d", n, i)
 		}
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%s.json", sp.Name, tech)))
-		if err != nil {
-			return res, err
-		}
-		err = job.Trace.WritePerfetto(f, fmt.Sprintf("%s (%s)", sp.Name, tech))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return res, err
-	})
-	if err != nil {
-		return nil, err
 	}
-	// To stderr so -json output stays parseable.
-	fmt.Fprintf(os.Stderr, "[trace: wrote %d Perfetto files to %s]\n", len(specs)*len(techs), dir)
-	return m, nil
+	return names
+}
+
+// eachJob runs the jobs in-process one at a time, in order, through run,
+// which is handed each job's cell name.
+func eachJob(jobs []experiments.Job, run func(j experiments.Job, name string) (cpu.Result, error)) ([]cpu.Result, error) {
+	names := cellNames(jobs)
+	res := make([]cpu.Result, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if res[i], err = run(j, names[i]); err != nil {
+			return nil, fmt.Errorf("cell %s: %w", names[i], err)
+		}
+	}
+	return res, nil
+}
+
+// refOf returns the declarative ref a journal or a dvrd server needs for
+// a job's benchmark (the built-in suites all carry one).
+func refOf(sp workloads.Spec) (workloads.Ref, error) {
+	if sp.Ref.Kernel == "" {
+		return workloads.Ref{}, fmt.Errorf("benchmark %q has no declarative ref", sp.Name)
+	}
+	ref := sp.Ref
+	ref.ROI = sp.ROI
+	return ref, nil
+}
+
+// traced runs each job with an event recorder attached and writes one
+// Perfetto trace-event JSON per job to <dir>/<cell name>.json. Jobs run one
+// at a time so each recording reflects one undisturbed run. Tracing is
+// observational: the results are bit-identical to untraced runs.
+func traced(dir string) runner {
+	return func(ctx context.Context, jobs []experiments.Job) ([]cpu.Result, error) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		res, err := eachJob(jobs, func(j experiments.Job, name string) (cpu.Result, error) {
+			j.Trace = trace.New(trace.Config{Events: 65536})
+			res, err := experiments.Run(ctx, j)
+			if err != nil {
+				return res, err
+			}
+			f, err := os.Create(filepath.Join(dir, name+".json"))
+			if err != nil {
+				return res, err
+			}
+			err = j.Trace.WritePerfetto(f, fmt.Sprintf("%s (%s)", j.Spec.Name, j.Tech))
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return res, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "[trace: wrote %d Perfetto files to %s]\n", len(jobs), dir)
+		return res, nil
+	}
 }
 
 // intervalTechs are the techniques the intervals subcommand samples: the
@@ -372,130 +398,114 @@ func intervalsReport(w io.Writer, s experiments.Suite, cfg cpu.Config) error {
 	return nil
 }
 
-// durableMatrix runs the matrix in-process, one cell at a time, with each
-// cell journaling its state to <dir>/<bench>-<tech>.ckpt. A killed
-// dvrbench rerun with the same flags resumes every interrupted cell from
-// its journal (completed cells' journals are deleted; their work is lost
-// only if the figure never rendered) and finishes bit-identically to an
-// uninterrupted run.
-func durableMatrix(dir string, specs []workloads.Spec, techs []experiments.Technique, cfg cpu.Config) (map[string]map[experiments.Technique]cpu.Result, error) {
-	store, err := checkpoint.NewStore(dir, faults.OS())
-	if err != nil {
-		return nil, err
-	}
-	resumed := 0
-	m, err := eachCell(specs, techs, func(sp workloads.Spec, tech experiments.Technique) (cpu.Result, error) {
-		if sp.Ref.Kernel == "" {
-			return cpu.Result{}, fmt.Errorf("benchmark %q has no declarative ref; cannot journal it", sp.Name)
+// journalled runs each job in-process, one at a time, journalling its
+// state to <dir>/<cell name>.ckpt. A killed dvrbench rerun with the same
+// flags resumes every interrupted job from its journal (a finished job's
+// journal is deleted; its work is lost only if the figure never rendered)
+// and finishes bit-identically to an uninterrupted run.
+func journalled(dir string) runner {
+	return func(ctx context.Context, jobs []experiments.Job) ([]cpu.Result, error) {
+		store, err := checkpoint.NewStore(dir, faults.OS())
+		if err != nil {
+			return nil, err
 		}
-		ref := sp.Ref
-		ref.ROI = sp.ROI
-		key := fmt.Sprintf("%s-%s", sp.Name, tech)
-		job := experiments.Job{Spec: sp, Tech: tech, Cfg: cfg}
-		// Checkpoint a handful of times per cell whatever its length, but
-		// not so often that journal encoding dominates short runs.
-		roi := sp.ROI
-		if roi == 0 {
-			roi = 300_000
-		}
-		job.CheckpointEvery = min(max(roi/5, 10_000), 100_000)
-		if st, err := store.Load(key); err == nil {
-			if st.Matches(api.EngineVersion, ref, string(tech), cfg) == nil {
-				job.Resume = &st.Core
-				resumed++
-			} else {
-				// Journal from a different suite/config under the same
-				// name: useless for this run.
+		resumed := 0
+		res, err := eachJob(jobs, func(j experiments.Job, key string) (cpu.Result, error) {
+			ref, err := refOf(j.Spec)
+			if err != nil {
+				return cpu.Result{}, err
+			}
+			// Checkpoint a handful of times per job whatever its length, but
+			// not so often that journal encoding dominates short runs.
+			roi := j.Spec.ROI
+			if roi == 0 {
+				roi = 300_000
+			}
+			j.CheckpointEvery = min(max(roi/5, 10_000), 100_000)
+			if st, err := store.Load(key); err == nil {
+				if st.Matches(api.EngineVersion, ref, string(j.Tech), j.Cfg) == nil {
+					j.Resume = &st.Core
+					resumed++
+				} else {
+					// A journal of another job under the same name: useless here.
+					_ = store.Remove(key)
+				}
+			}
+			j.Checkpoint = func(snap *cpu.Snapshot) error {
+				return store.Save(key, &checkpoint.State{
+					Engine:    api.EngineVersion,
+					Ref:       ref,
+					Technique: string(j.Tech),
+					Config:    j.Cfg,
+					Core:      *snap,
+				})
+			}
+			res, err := experiments.Run(ctx, j)
+			if err == nil {
+				// Only a finished job's journal goes; an unfinished one stays
+				// behind for the rerun.
 				_ = store.Remove(key)
 			}
+			return res, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		job.Checkpoint = func(snap *cpu.Snapshot) error {
-			return store.Save(key, &checkpoint.State{
-				Engine:    api.EngineVersion,
-				Ref:       ref,
-				Technique: string(tech),
-				Config:    cfg,
-				Core:      *snap,
-			})
+		if resumed > 0 {
+			fmt.Fprintf(os.Stderr, "[durable: resumed %d interrupted cell(s) from %s]\n", resumed, dir)
 		}
-		res, err := experiments.Run(context.Background(), job)
-		if err == nil {
-			// Only a finished cell's journal goes; an unfinished one stays
-			// behind for the rerun.
-			_ = store.Remove(key)
-		}
-		return res, err
-	})
-	if err != nil {
-		return nil, err
+		return res, nil
 	}
-	if resumed > 0 {
-		// To stderr so -json output stays parseable.
-		fmt.Fprintf(os.Stderr, "[durable: resumed %d interrupted cell(s) from %s]\n", resumed, dir)
-	}
-	return m, nil
 }
 
-// serverMatrix runs a benchmark × technique matrix against a dvrd server
-// via one POST /v1/batch and reshapes the response into the map the
-// figure renderers consume. Every spec must carry a declarative Ref (the
-// built-in suites all do). The cache-hit line it prints is what the CI
-// smoke job greps to assert the second batch was served from cache.
-func serverMatrix(base string, specs []workloads.Spec, techs []experiments.Technique, cfg cpu.Config) (map[string]map[experiments.Technique]cpu.Result, error) {
-	refs := make([]workloads.Ref, len(specs))
-	for i, sp := range specs {
-		if sp.Ref.Kernel == "" {
-			return nil, fmt.Errorf("benchmark %q has no declarative ref; cannot run via server", sp.Name)
-		}
-		ref := sp.Ref
-		ref.ROI = sp.ROI
-		refs[i] = ref
-	}
-	techNames := make([]string, len(techs))
-	for i, t := range techs {
-		techNames[i] = string(t)
-	}
+// serverRunner runs the jobs against a dvrd server: one explicit-cells
+// POST /v1/batch per distinct config, in order of first appearance. The
+// cache-hit line it prints is what the CI smoke jobs grep to assert a
+// repeated figure was served from cache.
+func serverRunner(base string) runner {
 	cli := client.New(base)
-	resp, err := cli.Batch(context.Background(), api.BatchRequest{
-		Workloads:  refs,
-		Techniques: techNames,
-		Config:     &cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Cells) != len(specs)*len(techs) {
-		return nil, fmt.Errorf("server returned %d cells, want %d", len(resp.Cells), len(specs)*len(techs))
-	}
-	// A cell-level failure (a recovered worker panic, reported in place so
-	// the rest of the batch completed) still fails the figure: a matrix
-	// with a hole cannot be rendered.
-	for i, c := range resp.Cells {
-		if c.Error != nil {
-			return nil, fmt.Errorf("server cell %d failed (%s): %s", i, c.Error.Code, c.Error.Error)
+	return func(ctx context.Context, jobs []experiments.Job) ([]cpu.Result, error) {
+		var batches [][]int // job indices per distinct config
+		for i, j := range jobs {
+			b := slices.IndexFunc(batches, func(b []int) bool { return reflect.DeepEqual(jobs[b[0]].Cfg, j.Cfg) })
+			if b < 0 {
+				b, batches = len(batches), append(batches, nil)
+			}
+			batches[b] = append(batches[b], i)
 		}
-	}
-	// To stderr so -json output stays parseable.
-	fmt.Fprintf(os.Stderr, "[server: %d/%d cells from cache]\n", resp.CacheHits, len(resp.Cells))
-	m := make(map[string]map[experiments.Technique]cpu.Result, len(specs))
-	for wi, sp := range specs {
-		row := make(map[experiments.Technique]cpu.Result, len(techs))
-		for ti, tech := range techs {
-			row[tech] = resp.Cells[wi*len(techs)+ti].Result
+		res := make([]cpu.Result, len(jobs))
+		hits := 0
+		for _, b := range batches {
+			cfg := jobs[b[0]].Cfg
+			req := api.BatchRequest{Config: &cfg}
+			for _, i := range b {
+				ref, err := refOf(jobs[i].Spec)
+				if err != nil {
+					return nil, fmt.Errorf("%w; cannot run via server", err)
+				}
+				req.Cells = append(req.Cells, api.CellRequest{Workload: ref, Technique: string(jobs[i].Tech)})
+			}
+			resp, err := cli.Batch(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			if len(resp.Cells) != len(b) {
+				return nil, fmt.Errorf("server returned %d cells, want %d", len(resp.Cells), len(b))
+			}
+			// A cell-level failure (a recovered worker panic, reported in
+			// place so the rest of the batch completed) still fails the
+			// figure: a table with a hole cannot be rendered.
+			for k, c := range resp.Cells {
+				if c.Error != nil {
+					return nil, fmt.Errorf("server cell %d failed (%s): %s", b[k], c.Error.Code, c.Error.Error)
+				}
+				res[b[k]] = c.Result
+			}
+			hits += resp.CacheHits
 		}
-		m[sp.Name] = row
+		fmt.Fprintf(os.Stderr, "[server: %d/%d cells from cache]\n", hits, len(jobs))
+		return res, nil
 	}
-	return m, nil
-}
-
-// gapSuite returns the GAP kernels for the ROB sweeps: over the KR input
-// at full scale (the paper's headline callouts are on the GAP set), or the
-// small Kronecker input with -quick.
-func gapSuite(quick bool) experiments.Suite {
-	if quick {
-		return experiments.QuickSuite()
-	}
-	return experiments.GAPOnly(graphgen.Table2Inputs()[0])
 }
 
 // fidelityMaxTimedFrac bounds the share of profiled instructions a sampled

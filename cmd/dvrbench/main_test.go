@@ -2,51 +2,112 @@ package main
 
 import (
 	"context"
+	"flag"
+	"io"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dvr/internal/cpu"
 	"dvr/internal/experiments"
 )
 
-// matrixVia's two in-process paths run the cells one at a time, journalled
-// (-checkpoint-dir) or traced (-trace); both must return the matrix MatrixE
-// computes, leave no journal behind, and write one trace per cell.
+// The two per-job in-process runners, journalled (-checkpoint-dir) and
+// traced (-trace), must return what RunAll computes, leave no journal
+// behind, and write one trace per job, on a Figure 7-style matrix and on a
+// ROB sweep, which runs one (benchmark, technique) pair under several
+// configs.
 func TestMatrixViaMatchesMatrixE(t *testing.T) {
-	specs := experiments.QuickSuite().All()[:2]
-	techs := []experiments.Technique{experiments.TechOoO, experiments.TechVR, experiments.TechDVR}
+	quick := experiments.QuickSuite()
 	cfg := cpu.DefaultConfig()
-	want, err := experiments.MatrixE(context.Background(), specs, techs, cfg)
+	var matrix []experiments.Job
+	for _, sp := range quick.All()[:2] {
+		for _, tech := range []experiments.Technique{experiments.TechOoO, experiments.TechVR, experiments.TechDVR} {
+			matrix = append(matrix, experiments.Job{Spec: sp, Tech: tech, Cfg: cfg})
+		}
+	}
+	i := slices.IndexFunc(experiments.Figures, func(f experiments.Figure) bool { return f.Name == "fig12" })
+	sweep := experiments.Figures[i].Jobs(experiments.Suite{GAP: quick.GAP[:1]}, cfg)
+	sets := []struct {
+		jobs []experiments.Job
+		want []cpu.Result
+	}{{jobs: matrix}, {jobs: sweep}}
+	for i := range sets {
+		var err error
+		if sets[i].want, err = experiments.RunAll(context.Background(), sets[i].jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		run      func(dir string) runner
+		leftover string
+		perJob   int // leftover files per job
+	}{
+		{"checkpoint-dir", journalled, "*.ckpt", 0},
+		{"trace", traced, "*.json", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, set := range sets {
+				dir := t.TempDir()
+				got, err := tc.run(dir)(context.Background(), set.jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, j := range set.jobs {
+					if g, w := got[k].Canonical(), set.want[k].Canonical(); !reflect.DeepEqual(g, w) {
+						t.Errorf("%s/%s at ROB %d differs from RunAll:\n got %+v\nwant %+v", j.Spec.Name, j.Tech, j.Cfg.ROBSize, g, w)
+					}
+				}
+				files, err := filepath.Glob(filepath.Join(dir, tc.leftover))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := tc.perJob * len(set.jobs); len(files) != want {
+					t.Errorf("%d %s files in %s, want %d", len(files), tc.leftover, dir, want)
+				}
+			}
+		})
+	}
+}
+
+// Flags parse wherever they stand: before, between and after the names.
+func TestParseArgsAnywhere(t *testing.T) {
+	fs := flag.NewFlagSet("dvrbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	quick := fs.Bool("quick", false, "")
+	jsonOut := fs.Bool("json", false, "")
+	server := fs.String("server", "", "")
+	names, err := parseArgs(fs, []string{"-quick", "fig7", "-json", "ablation", "-server", "http://127.0.0.1:1", "fig2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name, ckptDir, traceDir, leftover string
-		files                             int
-	}{
-		{"checkpoint-dir", t.TempDir(), "", "*.ckpt", 0},
-		{"trace", "", t.TempDir(), "*.json", len(specs) * len(techs)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := matrixVia("", tc.ckptDir, tc.traceDir, specs, techs, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sp := range specs {
-				for _, tech := range techs {
-					if g, w := got[sp.Name][tech].Canonical(), want[sp.Name][tech].Canonical(); !reflect.DeepEqual(g, w) {
-						t.Errorf("%s/%s differs from MatrixE:\n got %+v\nwant %+v", sp.Name, tech, g, w)
-					}
-				}
-			}
-			files, err := filepath.Glob(filepath.Join(tc.ckptDir+tc.traceDir, tc.leftover))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(files) != tc.files {
-				t.Errorf("%d %s files in %s, want %d", len(files), tc.leftover, tc.ckptDir+tc.traceDir, tc.files)
-			}
-		})
+	if want := []string{"fig7", "ablation", "fig2"}; !slices.Equal(names, want) {
+		t.Errorf("names = %q, want %q", names, want)
+	}
+	if !*quick || !*jsonOut || *server != "http://127.0.0.1:1" {
+		t.Errorf("flags: quick=%v json=%v server=%q", *quick, *jsonOut, *server)
+	}
+	if _, err := parseArgs(fs, []string{"fig7", "-bogus"}); err == nil {
+		t.Error("an unknown flag after a name parsed")
+	}
+}
+
+// Per-job file names are <bench>-<tech> where that is unique, so the
+// trace-smoke job's traces/*-dvr.json glob keeps matching Figure 7, and
+// carry the job's index where a figure repeats the pair.
+func TestCellNames(t *testing.T) {
+	quick := experiments.QuickSuite()
+	cfg := cpu.DefaultConfig()
+	sp := quick.GAP[0]
+	jobs := []experiments.Job{
+		{Spec: sp, Tech: experiments.TechOoO, Cfg: cfg},
+		{Spec: sp, Tech: experiments.TechDVR, Cfg: cfg.WithROB(128)},
+		{Spec: sp, Tech: experiments.TechDVR, Cfg: cfg.WithROB(512)},
+	}
+	want := []string{sp.Name + "-ooo", sp.Name + "-dvr-1", sp.Name + "-dvr-2"}
+	if got := cellNames(jobs); !slices.Equal(got, want) {
+		t.Errorf("cellNames = %q, want %q", got, want)
 	}
 }

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"dvr/internal/cpu"
 	"dvr/internal/experiments"
@@ -24,17 +26,24 @@ func main() {
 
 	fmt.Println("h-mean speedup vs OoO/350 (GAP kernels):")
 	fmt.Printf("%-6s %8s %8s %10s\n", "ROB", "VR", "DVR", "full-ROB%")
-	vr := experiments.ROBSweep(specs, experiments.TechVR, cfg, false)
-	dvr := experiments.ROBSweep(specs, experiments.TechDVR, cfg, true)
-	ooo := experiments.ROBSweep(specs, experiments.TechOoO, cfg, false)
-	for _, rob := range experiments.ROBSizes {
-		var v, d, s float64
-		for i := range specs {
-			v += 1 / vr[i].Speedup[rob]
-			d += 1 / dvr[i].Speedup[rob]
-			s += ooo[i].StallFrac[rob]
+	// The registered Figures 2 and 12 over these specs: their tables' last
+	// rows are the h-means (and Figure 2a's mean stall %) per ROB size.
+	var hmean [][]any // Figure 2a, 2b, 12
+	for _, f := range experiments.Figures {
+		if f.Name != "fig2" && f.Name != "fig12" {
+			continue
 		}
-		n := float64(len(specs))
-		fmt.Printf("%-6d %8.2f %8.2f %9.1f%%\n", rob, n/v, n/d, 100*s/n)
+		jobs := f.Jobs(experiments.Suite{GAP: specs}, cfg)
+		res, err := experiments.RunAll(context.Background(), jobs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, t := range f.Tables(jobs, res) {
+			hmean = append(hmean, t.Rows[len(t.Rows)-1])
+		}
+	}
+	n := len(experiments.ROBSizes)
+	for i, rob := range experiments.ROBSizes {
+		fmt.Printf("%-6d %8.2f %8.2f %9.1f%%\n", rob, hmean[1][1+i], hmean[2][1+i], hmean[0][1+n+i])
 	}
 }

@@ -14,7 +14,16 @@ import (
 type Suite struct {
 	GAP   []workloads.Spec // 5 kernels x graph inputs
 	HPCDB []workloads.Spec
+	// quick marks QuickSuite, for the figures that trim more than the
+	// suite's own graphs and ROIs (Table 2, the ablations).
+	quick bool
 }
+
+// gapKernels is the number of GAP kernels per graph input.
+const gapKernels = 5
+
+// quickROI is the timed budget of every QuickSuite benchmark.
+const quickROI = 60_000
 
 // All returns every benchmark in the suite.
 func (s Suite) All() []workloads.Spec {
@@ -49,10 +58,18 @@ func memoSpecs(specs []workloads.Spec) []workloads.Spec {
 	return out
 }
 
+// kr returns the GAP kernels over the suite's first input (KR at full
+// scale), the set the paper reports its ROB sweeps on. Appending to it
+// leaves the suite alone.
+func (s Suite) kr() []workloads.Spec {
+	return slices.Clip(s.GAP[:min(len(s.GAP), gapKernels)])
+}
+
 // clone returns a suite with fresh spec slices (callers may adjust ROIs in
 // place) that still share the memoized Build closures.
 func (s Suite) clone() Suite {
-	return Suite{GAP: slices.Clone(s.GAP), HPCDB: slices.Clone(s.HPCDB)}
+	s.GAP, s.HPCDB = slices.Clone(s.GAP), slices.Clone(s.HPCDB)
+	return s
 }
 
 var (
@@ -78,26 +95,18 @@ func FullSuite() Suite {
 	return fullSuiteVal.clone()
 }
 
-// GAPOnly builds the five GAP kernels over a single input (used by the
-// ROB-sweep figures, which the paper reports for the GAP set). The returned
-// specs memoize their built images, so a sweep that runs each spec at many
-// ROB sizes builds the input graph once.
-func GAPOnly(in graphgen.Input) Suite {
-	return Suite{GAP: memoSpecs(workloads.GAPSpecs(in))}
-}
-
 // QuickSuite is a scaled-down suite for unit tests and examples: one small
 // Kronecker input for the GAP kernels and shortened ROIs. Like FullSuite,
 // built images are memoized per process.
 func QuickSuite() Suite {
 	quickSuiteOnce.Do(func() {
 		in := graphgen.Params{Gen: graphgen.GenKronecker, Scale: 13, EdgeFactor: 8, Seed: 7, Name: "KR-S"}.Input()
-		var s Suite
+		s := Suite{quick: true}
 		for _, spec := range workloads.GAPSpecs(in) {
-			s.GAP = append(s.GAP, memoSpec(spec.WithROI(60_000)))
+			s.GAP = append(s.GAP, memoSpec(spec.WithROI(quickROI)))
 		}
 		for _, spec := range workloads.HPCDBSpecs() {
-			s.HPCDB = append(s.HPCDB, memoSpec(spec.WithROI(60_000)))
+			s.HPCDB = append(s.HPCDB, memoSpec(spec.WithROI(quickROI)))
 		}
 		quickSuiteVal = s
 	})

@@ -93,7 +93,7 @@ func TestSpeedup(t *testing.T) {
 }
 
 func TestTable1ContainsKeyRows(t *testing.T) {
-	out := Table1(cpu.DefaultConfig())
+	out := table1(nil, nil)[0].String()
 	for _, want := range []string{"ROB size          350", "5-wide", "24 MSHRs", "1139 bytes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing %q", want)
@@ -105,19 +105,28 @@ func TestTable2Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds all five inputs")
 	}
-	rows, render := Table2(cpu.DefaultConfig(), 20_000)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	f := figure(t, "table2")
+	jobs := f.Jobs(QuickSuite(), cpu.DefaultConfig())
+	for i := range jobs {
+		jobs[i].Spec = jobs[i].Spec.WithROI(20_000)
 	}
-	for _, r := range rows {
-		if r.NodesK <= 0 || r.EdgesK <= 0 {
-			t.Errorf("%s: empty graph", r.Input)
+	res, err := RunAll(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := f.Tables(jobs, res)[0]
+	if len(tab.Rows) != 5 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	for _, r := range tab.Rows {
+		if r[1] == "0.0" || r[2] == "0.0" {
+			t.Errorf("%s: empty graph", r[0])
 		}
-		if r.LLCMPKI <= 1 {
-			t.Errorf("%s: LLC MPKI %.2f; inputs must miss the LLC", r.Input, r.LLCMPKI)
+		if mpki := r[3].(float64); mpki <= 1 {
+			t.Errorf("%s: LLC MPKI %.2f; inputs must miss the LLC", r[0], mpki)
 		}
 	}
-	if !strings.Contains(render(), "Table 2") {
+	if !strings.Contains(tab.String(), "Table 2") {
 		t.Error("render missing title")
 	}
 }
@@ -136,36 +145,24 @@ func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several simulations")
 	}
-	specs := []workloads.Spec{quickSpec()}
-	cfg := cpu.DefaultConfig()
+	bfs, kang := quickSpec(), kangarooSpec()
+	tables := render(t, figure(t, "ablation"), Suite{GAP: []workloads.Spec{bfs, kang}}, cpu.DefaultConfig())
 
-	rows, render := AblationLanes(specs, cfg)
-	t.Log("\n" + render())
-	if rows[0].Speedups["dvr-128"] < rows[0].Speedups["dvr-32"]*0.8 {
-		t.Errorf("128 lanes (%.2f) should not badly lose to 32 lanes (%.2f)",
-			rows[0].Speedups["dvr-128"], rows[0].Speedups["dvr-32"])
+	lanes := tables[0]
+	if l128, l32 := cell(t, lanes, bfs.Name, "dvr-128"), cell(t, lanes, bfs.Name, "dvr-32"); l128 < l32*0.8 {
+		t.Errorf("128 lanes (%.2f) should not badly lose to 32 lanes (%.2f)", l128, l32)
 	}
 
 	// Reconvergence pays off on kernels with loads down divergent paths
 	// (kangaroo loads from one of two arrays); on bfs the divergent paths
 	// hold only stores, so first-lane is cheaper there (see EXPERIMENTS.md).
-	kang := []workloads.Spec{kangarooSpec()}
-	rrows, rrender := AblationReconvergence(kang, cfg)
-	t.Log("\n" + rrender())
 	// Reconvergence serializes the divergent paths (the SIMT cost), so it
 	// may trail first-lane slightly when episodes are plentiful; it must
 	// not collapse.
-	if rrows[0].Speedups["reconverge"] < rrows[0].Speedups["first-lane"]*0.85 {
-		t.Errorf("reconvergence (%.2f) badly loses to first-lane (%.2f) on a divergent-load kernel",
-			rrows[0].Speedups["reconverge"], rrows[0].Speedups["first-lane"])
+	div := tables[1]
+	if re, fl := cell(t, div, kang.Name, "reconverge"), cell(t, div, kang.Name, "first-lane"); re < fl*0.85 {
+		t.Errorf("reconvergence (%.2f) badly loses to first-lane (%.2f) on a divergent-load kernel", re, fl)
 	}
-
-	_, trender := AblationTimeout(specs, cfg)
-	t.Log("\n" + trender())
-	_, mrender := AblationMSHR(specs, cfg)
-	t.Log("\n" + mrender())
-	_, brender := AblationBandwidth(specs, cfg)
-	t.Log("\n" + brender())
 }
 
 // kangarooSpec is the divergent-load kernel of the reconvergence ablation.
@@ -181,27 +178,20 @@ func TestAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several simulations")
 	}
-	cfg := cpu.DefaultConfig()
 	bfs, kang := []workloads.Spec{quickSpec()}, []workloads.Spec{kangarooSpec()}
 	var cells []goldenCell
-	for _, a := range []struct {
-		name  string
-		specs []workloads.Spec
-		cols  []ablationCol
-	}{
-		{"lanes", bfs, laneCols(cfg)},
-		{"reconvergence", kang, reconvergenceCols(cfg)},
-		{"timeout", bfs, timeoutCols(cfg)},
-		{"mshr", bfs, mshrCols(cfg)},
-		{"bandwidth", bfs, bandwidthCols(cfg)},
-	} {
-		jobs := ablationJobs(a.specs, a.cols)
+	for i, name := range []string{"lanes", "reconvergence", "timeout", "mshr", "bandwidth"} {
+		specs := bfs
+		if name == "reconvergence" {
+			specs = kang
+		}
+		jobs := ablationJobs(specs, ablations[i].cols, cpu.DefaultConfig())
 		res, err := RunAll(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, j := range jobs {
-			cells = append(cells, goldenCell{a.name + " " + cfgLabel(j.Spec.Name, j.Tech, j.Cfg), res[i]})
+		for k, j := range jobs {
+			cells = append(cells, goldenCell{name + " " + cfgLabel(j.Spec.Name, j.Tech, j.Cfg), res[k]})
 		}
 	}
 	checkGolden(t, "ablation", "ablation "+cellLabels, cells)

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dvr/internal/cpu"
 	"dvr/internal/graphgen"
-	"dvr/internal/stats"
 	"dvr/internal/workloads"
 )
 
@@ -59,90 +59,104 @@ func checkGolden(t *testing.T, name, header string, cells []goldenCell) {
 	}
 }
 
-// matrixCells lists a matrix's cells spec-major, labelled "bench technique".
-func matrixCells(specs []workloads.Spec, techs []Technique, m map[string]map[Technique]cpu.Result) []goldenCell {
-	var cells []goldenCell
-	for _, sp := range specs {
-		for _, tech := range techs {
-			cells = append(cells, goldenCell{sp.Name + " " + string(tech), m[sp.Name][tech]})
+// figure returns the registered figure called name.
+func figure(t testing.TB, name string) Figure {
+	t.Helper()
+	for _, f := range slices.Concat(Figures, Studies) {
+		if f.Name == name {
+			return f
 		}
 	}
-	return cells
+	t.Fatalf("no figure %q registered", name)
+	return Figure{}
 }
 
-// TestFiguresQuick runs every figure harness at quick scale and checks the
-// paper's qualitative claims hold: DVR beats VR and the baseline, VR's
-// advantage shrinks with ROB size while DVR's holds, DVR's MLP exceeds the
-// baseline's, and DVR's DRAM over-fetch stays below VR's.
+// render runs f's jobs on s under cfg and returns its tables.
+func render(t testing.TB, f Figure, s Suite, cfg cpu.Config) []Table {
+	t.Helper()
+	jobs := f.Jobs(s, cfg)
+	res, err := RunAll(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := f.Tables(jobs, res)
+	for _, tab := range tables {
+		t.Log("\n" + tab.String())
+	}
+	return tables
+}
+
+// cell returns the number in tab's row labelled row and column col.
+func cell(t testing.TB, tab Table, row, col string) float64 {
+	t.Helper()
+	if c := slices.Index(tab.Columns, col); c > 0 {
+		for _, r := range tab.Rows {
+			if r[0] == row {
+				return r[c].(float64)
+			}
+		}
+	}
+	t.Fatalf("%s: no cell (%s, %s)", tab.Title, row, col)
+	return 0
+}
+
+// TestFiguresQuick renders every registered figure at quick scale, pins
+// the Figure 7 and 8 cells in goldens, and checks the paper's qualitative
+// claims hold: DVR beats VR and the baseline, and VR's advantage shrinks
+// with ROB size while DVR's holds.
 func TestFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute at full scale; quick scale still heavy for -short")
 	}
-	suite := QuickSuite()
-	cfg := cpu.DefaultConfig()
+	suite, cfg := QuickSuite(), cpu.DefaultConfig()
 
-	// Figure 7 over a representative subset.
-	specs := suite.All()
-	techs := append([]Technique{TechOoO}, AllTechniques...)
-	m, err := MatrixE(context.Background(), specs, techs, cfg)
+	// One RunAll over every figure's jobs, so the figures share built images.
+	figs := slices.Concat(Figures, Studies)
+	jobs := make([][]Job, len(figs))
+	var all []Job
+	for i, f := range figs {
+		jobs[i] = f.Jobs(suite, cfg)
+		all = append(all, jobs[i]...)
+	}
+	res, err := RunAll(context.Background(), all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fig7", "bench technique", matrixCells(specs, techs, m))
-	rows, render := Fig7FromMatrix(specs, m)
-	t.Log("\n" + render())
-	var dvr, vr []float64
-	for _, r := range rows {
-		dvr = append(dvr, r.Speedups[TechDVR])
-		vr = append(vr, r.Speedups[TechVR])
+	tables := make(map[string][]Table)
+	for i, f := range figs {
+		r := res[:len(jobs[i])]
+		res = res[len(jobs[i]):]
+		tables[f.Name] = f.Tables(jobs[i], r)
+		for _, tab := range tables[f.Name] {
+			t.Log("\n" + tab.String())
+		}
+		if f.Name == "fig7" || f.Name == "fig8" {
+			cells := make([]goldenCell, len(r))
+			for k, j := range jobs[i] {
+				cells[k] = goldenCell{j.Spec.Name + " " + string(j.Tech), r[k]}
+			}
+			checkGolden(t, f.Name, "bench technique", cells)
+		}
 	}
-	dvrHM, vrHM := stats.HarmonicMean(dvr), stats.HarmonicMean(vr)
+
+	fig7 := tables["fig7"][0]
+	dvrHM, vrHM := cell(t, fig7, "h-mean", "dvr"), cell(t, fig7, "h-mean", "vr")
 	if dvrHM <= 1.2 {
 		t.Errorf("DVR h-mean speedup %.2f, want > 1.2", dvrHM)
 	}
 	if dvrHM <= vrHM {
 		t.Errorf("DVR h-mean %.2f not above VR h-mean %.2f", dvrHM, vrHM)
 	}
-
-	// Figure 8's breakdown variants run Options toggles Figure 7 never
-	// enters.
-	techs8 := append([]Technique{TechOoO}, Fig8Variants...)
-	m8, err := MatrixE(context.Background(), specs, techs8, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Figure 2's claim: a larger ROB makes VR's full-ROB trigger rarer, so
+	// its gain decays.
+	vr := tables["fig2"][1]
+	if v128, v512 := cell(t, vr, "h-mean", "ROB128"), cell(t, vr, "h-mean", "ROB512"); v128 <= v512 {
+		t.Errorf("VR speedup does not decay with ROB growth: %.3f@128 vs %.3f@512", v128, v512)
 	}
-	checkGolden(t, "fig8", "bench technique", matrixCells(specs, techs8, m8))
-	_, render8 := Fig8FromMatrix(specs, m8)
-	t.Log("\n" + render8())
-
-	// Figure 2 / 12 on the GAP subset.
-	gap := suite.GAP
-	_, vrSweep, render2 := Fig2(gap, cfg)
-	t.Log("\n" + render2())
-	dvrSweep, render12 := Fig12(gap, cfg)
-	t.Log("\n" + render12())
-	meanAt := func(rows []ROBSweepResult, rob int) float64 {
-		var xs []float64
-		for _, r := range rows {
-			xs = append(xs, r.Speedup[rob])
-		}
-		return stats.HarmonicMean(xs)
-	}
-	if d512, d128 := meanAt(dvrSweep, 512), meanAt(dvrSweep, 128); d512 < d128*0.9 {
+	dvr := tables["fig12"][0]
+	if d128, d512 := cell(t, dvr, "h-mean", "ROB128"), cell(t, dvr, "h-mean", "ROB512"); d512 < d128*0.9 {
 		t.Errorf("DVR speedup collapses with ROB growth: %.2f@128 vs %.2f@512", d128, d512)
 	}
-	_ = vrSweep
-
-	// Figures 9-11.
-	_, render9 := Fig9(specs[:4], cfg)
-	t.Log("\n" + render9())
-	_, render10 := Fig10(specs[:4], cfg)
-	t.Log("\n" + render10())
-	_, render11 := Fig11(specs[:4], cfg)
-	t.Log("\n" + render11())
-
-	// Tables.
-	t.Log("\n" + Table1(cfg))
 }
 
 // robSweeps are the sweeps of Figure 2 (OoO and VR, back end fixed) and

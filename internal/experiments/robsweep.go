@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 
 	"dvr/internal/cpu"
 	"dvr/internal/stats"
@@ -14,46 +14,9 @@ var ROBSizes = []int{128, 192, 224, 350, 512}
 // BaselineROB is the paper's baseline reorder-buffer size.
 const BaselineROB = 350
 
-// ROBSweepResult is one benchmark's row across the ROB sweep.
-type ROBSweepResult struct {
-	Bench string
-	// Speedup[robSize] = IPC normalized to the same benchmark on the
-	// 350-entry-ROB OoO baseline.
-	Speedup map[int]float64
-	// StallFrac[robSize] = fraction of cycles dispatch was blocked on a
-	// full ROB.
-	StallFrac map[int]float64
-}
-
-// ROBSweep runs one technique across the ROB sizes for every benchmark and
-// normalizes to the OoO baseline at 350 entries. scaleBackend also grows
-// the issue/load/store queues in proportion (the paper's back-end-scaling
-// sensitivity variant).
-func ROBSweep(specs []workloads.Spec, tech Technique, cfg cpu.Config, scaleBackend bool) []ROBSweepResult {
-	res := must(RunAll(context.Background(), robSweepJobs(specs, tech, cfg, scaleBackend)))
-	out := make([]ROBSweepResult, 0, len(specs))
-	i := 0
-	for _, sp := range specs {
-		base := res[i]
-		i++
-		row := ROBSweepResult{
-			Bench:     sp.Name,
-			Speedup:   make(map[int]float64, len(ROBSizes)),
-			StallFrac: make(map[int]float64, len(ROBSizes)),
-		}
-		for _, rob := range ROBSizes {
-			r := res[i]
-			i++
-			row.Speedup[rob] = Speedup(base, r)
-			row.StallFrac[rob] = r.ROBStallFrac()
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
 // robSweepJobs lists, per spec, the OoO baseline at BaselineROB and then
-// tech at each ROBSizes entry.
+// tech at each ROBSizes entry. scaleBackend also grows the issue/load/store
+// queues in proportion (the paper's back-end-scaling sensitivity variant).
 func robSweepJobs(specs []workloads.Spec, tech Technique, cfg cpu.Config, scaleBackend bool) []Job {
 	var jobs []Job
 	for _, sp := range specs {
@@ -69,88 +32,69 @@ func robSweepJobs(specs []workloads.Spec, tech Technique, cfg cpu.Config, scaleB
 	return jobs
 }
 
-// sweepTable renders a sweep as a table with one speedup column per ROB
-// size plus the h-mean row.
-func sweepTable(title string, rows []ROBSweepResult, stalls bool) *stats.Table {
-	cols := []string{"bench"}
+// sweepTable renders a sweep laid out as robSweepJobs lists it: one
+// speedup column per ROB size, normalized to the OoO baseline at 350
+// entries, with stalls also the fraction of cycles dispatch was blocked on
+// a full ROB, in percent; then the h-mean row (stall columns: their mean).
+func sweepTable(title string, jobs []Job, res []cpu.Result, stalls bool) Table {
+	n := len(ROBSizes)
+	t := Table{Title: title, Columns: []string{"bench"}}
 	for _, rob := range ROBSizes {
-		cols = append(cols, sprintROB(rob))
+		t.Columns = append(t.Columns, fmt.Sprintf("ROB%d", rob))
 	}
 	if stalls {
 		for _, rob := range ROBSizes {
-			cols = append(cols, "stall%"+sprintROB(rob))
+			t.Columns = append(t.Columns, fmt.Sprintf("stall%%ROB%d", rob))
 		}
 	}
-	t := stats.NewTable(title, cols...)
-	perROB := make(map[int][]float64)
-	for _, r := range rows {
-		cells := []interface{}{r.Bench}
-		for _, rob := range ROBSizes {
-			cells = append(cells, r.Speedup[rob])
-			perROB[rob] = append(perROB[rob], r.Speedup[rob])
+	for i := 0; i < len(res); i += 1 + n {
+		r := []any{jobs[i].Spec.Name}
+		for _, tr := range res[i+1 : i+1+n] {
+			r = append(r, Speedup(res[i], tr))
 		}
 		if stalls {
-			for _, rob := range ROBSizes {
-				cells = append(cells, 100*r.StallFrac[rob])
+			for _, tr := range res[i+1 : i+1+n] {
+				r = append(r, 100*tr.ROBStallFrac())
 			}
 		}
-		t.AddRow(cells...)
+		t.Rows = append(t.Rows, r)
 	}
-	hm := []interface{}{"h-mean"}
-	for _, rob := range ROBSizes {
-		hm = append(hm, stats.HarmonicMean(perROB[rob]))
-	}
+	hm := summary("h-mean", over(t.Rows, 1, 1+n, stats.HarmonicMean)...)
 	if stalls {
-		for _, rob := range ROBSizes {
-			var fs []float64
-			for _, r := range rows {
-				fs = append(fs, 100*r.StallFrac[rob])
-			}
-			hm = append(hm, stats.Mean(fs))
-		}
+		hm = append(hm, over(t.Rows, 1+n, 1+2*n, stats.Mean)...)
 	}
-	t.AddRow(hm...)
+	t.Rows = append(t.Rows, hm)
 	return t
 }
 
-func sprintROB(rob int) string {
-	switch rob {
-	case 128:
-		return "ROB128"
-	case 192:
-		return "ROB192"
-	case 224:
-		return "ROB224"
-	case 350:
-		return "ROB350"
-	case 512:
-		return "ROB512"
-	}
-	return "ROB?"
+// fig2Jobs sweeps OoO and then VR over the GAP kernels of the suite's
+// first input, back end fixed.
+func fig2Jobs(s Suite, cfg cpu.Config) []Job {
+	return append(robSweepJobs(s.kr(), TechOoO, cfg, false), robSweepJobs(s.kr(), TechVR, cfg, false)...)
 }
 
-// Fig2 reproduces Figure 2: OoO and VR performance normalized to the
+// fig2 reproduces Figure 2: OoO and VR performance normalized to the
 // 350-entry-ROB OoO baseline, and the full-ROB stall fraction, as a
 // function of ROB size. The paper's headline: the stall fraction collapses
 // as the ROB grows (51% -> 5% from 128 to 512 in the paper), and with it
 // VR's trigger opportunity and speedup.
-func Fig2(specs []workloads.Spec, cfg cpu.Config) (ooo, vr []ROBSweepResult, render func() string) {
-	ooo = ROBSweep(specs, TechOoO, cfg, false)
-	vr = ROBSweep(specs, TechVR, cfg, false)
-	render = func() string {
-		return sweepTable("Figure 2a: OoO IPC vs ROB size (normalized to OoO/350), with full-ROB stall %", ooo, true).String() +
-			"\n" + sweepTable("Figure 2b: VR IPC vs ROB size (normalized to OoO/350)", vr, false).String()
+func fig2(jobs []Job, res []cpu.Result) []Table {
+	h := len(jobs) / 2
+	return []Table{
+		sweepTable("Figure 2a: OoO IPC vs ROB size (normalized to OoO/350), with full-ROB stall %", jobs[:h], res[:h], true),
+		sweepTable("Figure 2b: VR IPC vs ROB size (normalized to OoO/350)", jobs[h:], res[h:], false),
 	}
-	return ooo, vr, render
 }
 
-// Fig12 reproduces Figure 12: DVR's speedup as a function of ROB size,
+// fig12Jobs sweeps DVR, back end scaled, over the GAP kernels of the
+// suite's first input and the hpc-db benchmarks.
+func fig12Jobs(s Suite, cfg cpu.Config) []Job {
+	return robSweepJobs(append(s.kr(), s.HPCDB...), TechDVR, cfg, true)
+}
+
+// fig12 reproduces Figure 12: DVR's speedup as a function of ROB size,
 // which unlike VR's holds up (the paper reports 1.9/2.2/2.2/2.4/2.5x for
 // 128/192/224/350/512 with back-end scaling).
-func Fig12(specs []workloads.Spec, cfg cpu.Config) (rows []ROBSweepResult, render func() string) {
-	rows = ROBSweep(specs, TechDVR, cfg, true)
-	render = func() string {
-		return sweepTable("Figure 12: DVR IPC vs ROB size (normalized to OoO/350, back-end scaled)", rows, false).String()
-	}
-	return rows, render
+func fig12(jobs []Job, res []cpu.Result) []Table {
+	return []Table{sweepTable("Figure 12: DVR IPC vs ROB size (normalized to OoO/350, back-end scaled)", jobs, res, false)}
 }

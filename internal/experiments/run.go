@@ -215,16 +215,6 @@ func buildWorkload(spec workloads.Spec) (w *workloads.Workload, err error) {
 	return spec.Build(), nil
 }
 
-// must is how the figure builders, whose inputs are in-process and
-// trusted, run their jobs: a failure is a programming error and panics.
-// No exported run function panics.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // matrix runs every benchmark under every technique with one config,
 // sampled under so when it is non-nil, and returns
 // results[benchmark][technique].

@@ -236,7 +236,6 @@ const (
 // Validate checks that the parameters describe a generatable graph, within
 // MaxVertices and MaxEdges, without generating it.
 func (p Params) Validate() error {
-	var n, m int
 	switch p.Gen {
 	case GenKronecker:
 		if p.Scale <= 0 || p.Scale > maxScale || p.EdgeFactor <= 0 {
@@ -245,24 +244,31 @@ func (p Params) Validate() error {
 		if p.EdgeFactor > MaxEdges>>p.Scale {
 			return fmt.Errorf("graphgen: kronecker scale %d at edge_factor %d exceeds the limit of %d edges", p.Scale, p.EdgeFactor, MaxEdges)
 		}
-		n, m = 1<<p.Scale, p.EdgeFactor<<p.Scale
 	case GenUniform:
 		if p.N <= 0 || p.M <= 0 {
 			return fmt.Errorf("graphgen: uniform needs n > 0 and m > 0 (got n=%d m=%d)", p.N, p.M)
 		}
-		n, m = p.N, p.M
 	case GenPowerLaw:
 		if p.N <= 0 || p.M <= 0 || p.Alpha <= 1 {
 			return fmt.Errorf("graphgen: powerlaw needs n > 0, m > 0 and alpha > 1 (got n=%d m=%d alpha=%g)", p.N, p.M, p.Alpha)
 		}
-		n, m = p.N, p.M
 	default:
 		return fmt.Errorf("graphgen: unknown generator %q", p.Gen)
 	}
-	if n > MaxVertices || m > MaxEdges {
+	if n, m := p.Size(); n > MaxVertices || m > MaxEdges {
 		return fmt.Errorf("graphgen: %s graph of %d vertices and %d edges exceeds the limit of %d vertices and %d edges", p.Gen, n, m, MaxVertices, MaxEdges)
 	}
 	return nil
+}
+
+// Size returns the vertex and edge counts of the described graph without
+// generating it. Valid parameters only: a Kronecker scale beyond the
+// limits Validate enforces overflows.
+func (p Params) Size() (n, m int) {
+	if p.Gen == GenKronecker {
+		return 1 << p.Scale, p.EdgeFactor << p.Scale
+	}
+	return p.N, p.M
 }
 
 // Generate validates and builds the described graph.

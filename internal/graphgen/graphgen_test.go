@@ -219,6 +219,24 @@ func TestTable2Inputs(t *testing.T) {
 	}
 }
 
+// Size is what Table 2 prints for an input it does not regenerate; it must
+// be what the generator builds.
+func TestSizeMatchesGenerated(t *testing.T) {
+	for _, p := range []Params{
+		{Gen: GenKronecker, Scale: 10, EdgeFactor: 8, Seed: 1},
+		{Gen: GenUniform, N: 1000, M: 7000, Seed: 2},
+		{Gen: GenPowerLaw, N: 1000, M: 9000, Alpha: 2.3, Seed: 3},
+	} {
+		g, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, m := p.Size(); n != g.N || m != g.M() {
+			t.Errorf("%s: Size() = %d, %d; generated %d vertices, %d edges", p.Gen, n, m, g.N, g.M())
+		}
+	}
+}
+
 func TestDegreeAccessor(t *testing.T) {
 	g := &Graph{N: 2, Offsets: []uint64{0, 3, 5}, Edges: []uint64{1, 1, 0, 0, 1}}
 	if g.Degree(0) != 3 || g.Degree(1) != 2 {
