@@ -153,29 +153,55 @@ func main() {
 
 	startPprof(*pprofAddr)
 
+	common := service.Common{
+		DefaultTimeout:  *timeout,
+		StreamReplay:    *strReplay,
+		StreamBuffer:    *strBuffer,
+		StreamTTL:       *strTTL,
+		StreamHeartbeat: *strHB,
+		Logger:          logger,
+		TraceSpans:      *spans,
+		ProcName:        *role + "@" + *addr,
+	}
+	var (
+		proc   process
+		banner string        // the role part of the "listening" line
+		grace  time.Duration // how long /readyz reads draining before the listener closes
+	)
 	switch *role {
 	case "single", "worker":
-		runServer(*role, *addr, service.Config{
+		srv := service.New(service.Config{
+			Common:             common,
 			Workers:            *workers,
 			QueueDepth:         *queue,
 			CacheEntries:       *cacheN,
 			CacheDir:           *cacheDir,
 			CheckpointEvery:    *ckptN,
 			WatchdogCycles:     *watchdog,
-			DefaultTimeout:     *timeout,
-			Logger:             logger,
 			TraceIntervalEvery: *traceIvl,
-			StreamReplay:       *strReplay,
-			StreamBuffer:       *strBuffer,
-			StreamTTL:          *strTTL,
-			StreamHeartbeat:    *strHB,
-			TraceSpans:         *spans,
-			ProcName:           *role + "@" + *addr,
-		}, *drain, *drainGrace)
+		})
+		if *cacheDir != "" {
+			h := srv.SpillHealth()
+			fmt.Printf("dvrd: spill scan: %d entries, %d healthy, %d quarantined\n",
+				h.Scanned, h.Healthy, h.Quarantined)
+		}
+		if *ckptN > 0 {
+			ch := srv.CheckpointHealth()
+			fmt.Printf("dvrd: checkpoint scan: %d journals, %d healthy, %d quarantined, %d dropped\n",
+				ch.Scanned, ch.Healthy, ch.Quarantined, ch.Dropped)
+			if len(ch.Pending) > 0 {
+				fmt.Printf("dvrd: resuming %d interrupted job(s) in the background\n", len(ch.Pending))
+			}
+		}
+		proc, banner = srv, fmt.Sprintf("role %s, %d kernels registered", *role, len(workloads.Kernels()))
+		if *role == "worker" {
+			// A worker gives its frontends' probers a window to see it
+			// draining before connections start being refused.
+			grace = *drainGrace
+		}
 	case "frontend":
-		reps := strings.Split(*replicas, ",")
 		var clean []string
-		for _, r := range reps {
+		for _, r := range strings.Split(*replicas, ",") {
 			if r = strings.TrimSpace(r); r != "" {
 				clean = append(clean, r)
 			}
@@ -184,27 +210,34 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dvrd: -role=frontend requires -replicas URL[,URL...]")
 			os.Exit(2)
 		}
-		runFrontend(*addr, service.FrontendConfig{
+		fe, err := service.NewFrontend(service.FrontendConfig{
+			Common:           common,
 			Replicas:         clean,
 			ProbeInterval:    *probeIvl,
 			FailThreshold:    *failThresh,
-			DefaultTimeout:   *timeout,
-			StreamReplay:     *strReplay,
-			StreamBuffer:     *strBuffer,
-			StreamTTL:        *strTTL,
-			StreamHeartbeat:  *strHB,
 			LedgerDir:        *ledgerDir,
 			HedgeAfter:       *hedgeAfter,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
-			Logger:           logger,
-			TraceSpans:       *spans,
-			ProcName:         "frontend@" + *addr,
-		}, *drain)
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dvrd:", err)
+			os.Exit(2)
+		}
+		if *ledgerDir != "" {
+			lh := fe.LedgerHealth()
+			fmt.Printf("dvrd: ledger scan: %d journals, %d healthy, %d quarantined, %d dropped, %d torn repaired\n",
+				lh.Scanned, lh.Healthy, lh.Quarantined, lh.Dropped, lh.Torn)
+			if len(lh.Pending) > 0 {
+				fmt.Printf("dvrd: recovering %d interrupted job(s) in the background\n", len(lh.Pending))
+			}
+		}
+		proc, banner = fe, fmt.Sprintf("role frontend, %d replicas", len(clean))
 	default:
 		fmt.Fprintf(os.Stderr, "dvrd: unknown -role %q (single, worker, frontend)\n", *role)
 		os.Exit(2)
 	}
+	run(proc, *addr, banner, *drain, grace)
 }
 
 // startPprof serves net/http/pprof on its own listener when addr is set.
@@ -229,31 +262,23 @@ func startPprof(addr string) {
 	}()
 }
 
-// runServer runs the single/worker role: the full simulation service. A
-// worker differs only in its shutdown choreography — it announces the
-// drain on /readyz and keeps serving for drainGrace so its frontend stops
-// routing new cells here before the listener closes.
-func runServer(role, addr string, cfg service.Config, drain, drainGrace time.Duration) {
-	srv := service.New(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+// process is the lifecycle both roles expose.
+type process interface {
+	Handler() http.Handler
+	DumpFlight(reason string) string
+	BeginDrain()
+	Shutdown(context.Context) error
+}
 
-	if cfg.CacheDir != "" {
-		h := srv.SpillHealth()
-		fmt.Printf("dvrd: spill scan: %d entries, %d healthy, %d quarantined\n",
-			h.Scanned, h.Healthy, h.Quarantined)
-	}
-	if cfg.CheckpointEvery > 0 {
-		ch := srv.CheckpointHealth()
-		fmt.Printf("dvrd: checkpoint scan: %d journals, %d healthy, %d quarantined, %d dropped\n",
-			ch.Scanned, ch.Healthy, ch.Quarantined, ch.Dropped)
-		if len(ch.Pending) > 0 {
-			fmt.Printf("dvrd: resuming %d interrupted job(s) in the background\n", len(ch.Pending))
-		}
-	}
-
+// run serves p on addr until SIGINT/SIGTERM, then drains: it seals the
+// flight record, flips /readyz to draining and keeps the listener open
+// for grace so routers stop sending work here, closes the listener, and
+// waits up to drain for in-flight requests and async jobs.
+func run(p process, addr, banner string, drain, grace time.Duration) {
+	httpSrv := &http.Server{Addr: addr, Handler: p.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("dvrd: listening on %s (role %s, %d kernels registered)\n", addr, role, len(workloads.Kernels()))
+		fmt.Printf("dvrd: listening on %s (%s)\n", addr, banner)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -266,7 +291,7 @@ func runServer(role, addr string, cfg service.Config, drain, drainGrace time.Dur
 		// Seal the flight record first — what the process was doing when
 		// the operator (or orchestrator) pulled the plug — while the span
 		// ring still holds the final requests.
-		if path := srv.DumpFlight("sigterm"); path != "" {
+		if path := p.DumpFlight("sigterm"); path != "" {
 			fmt.Printf("dvrd: flight record sealed at %s\n", path)
 		}
 	case err := <-errCh:
@@ -274,71 +299,14 @@ func runServer(role, addr string, cfg service.Config, drain, drainGrace time.Dur
 		os.Exit(1)
 	}
 
-	if role == "worker" && drainGrace > 0 {
-		// Flip /readyz first and give the frontend's prober a window to
-		// notice before connections start being refused; work already
-		// queued here still finishes below.
-		srv.BeginDrain()
-		time.Sleep(drainGrace)
-	}
-
+	p.BeginDrain()
+	time.Sleep(grace)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "dvrd: http shutdown:", err)
 	}
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "dvrd: drain:", err)
-		os.Exit(1)
-	}
-	fmt.Println("dvrd: clean shutdown")
-}
-
-// runFrontend runs the cluster router.
-func runFrontend(addr string, cfg service.FrontendConfig, drain time.Duration) {
-	fe, err := service.NewFrontend(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dvrd:", err)
-		os.Exit(2)
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: fe.Handler()}
-
-	if cfg.LedgerDir != "" {
-		lh := fe.LedgerHealth()
-		fmt.Printf("dvrd: ledger scan: %d journals, %d healthy, %d quarantined, %d dropped, %d torn repaired\n",
-			lh.Scanned, lh.Healthy, lh.Quarantined, lh.Dropped, lh.Torn)
-		if len(lh.Pending) > 0 {
-			fmt.Printf("dvrd: recovering %d interrupted job(s) in the background\n", len(lh.Pending))
-		}
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("dvrd: listening on %s (role frontend, %d replicas)\n", addr, len(cfg.Replicas))
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("dvrd: %s, draining\n", sig)
-		if path := fe.DumpFlight("sigterm"); path != "" {
-			fmt.Printf("dvrd: flight record sealed at %s\n", path)
-		}
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "dvrd:", err)
-		os.Exit(1)
-	}
-
-	fe.BeginDrain()
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "dvrd: http shutdown:", err)
-	}
-	if err := fe.Shutdown(ctx); err != nil {
+	if err := p.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "dvrd: drain:", err)
 		os.Exit(1)
 	}

@@ -66,8 +66,8 @@ func (o *SamplingOptions) Validate() error {
 const (
 	// HeaderIdempotencyKey carries the client's idempotency key; it takes
 	// effect exactly like the body's idempotency_key field (the header
-	// wins when both are set). Retried submissions carrying the same key
-	// return the original job instead of re-executing.
+	// wins when both are set). Retried batch submissions carrying the same
+	// key return the original job instead of re-executing.
 	HeaderIdempotencyKey = "Idempotency-Key"
 	// HeaderDeadlineMS carries the client's remaining deadline budget in
 	// milliseconds at send time. Each hop shrinks it before forwarding
@@ -103,11 +103,12 @@ type SimRequest struct {
 	// TimeoutMS bounds the request; 0 means the server default. A request
 	// that exceeds its deadline is cancelled in-flight and answered 504.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// IdempotencyKey deduplicates retried submissions: two requests with
-	// the same key are the same request, and the second returns the first
-	// one's outcome instead of re-executing. Empty means no dedup beyond
-	// the content-addressed cache. The Idempotency-Key header is the
-	// equivalent transport form.
+	// IdempotencyKey is carried for symmetry with BatchRequest (the Go
+	// client stamps it as the Idempotency-Key header on every retry), but
+	// no server keys /v1/sim on it: a cell is already deduplicated by its
+	// content address — a repeat is a cache hit and a concurrent duplicate
+	// joins the in-flight simulation — so a retried cell never simulates
+	// twice, with or without a key.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
@@ -173,10 +174,13 @@ type BatchRequest struct {
 	// TimeoutMS bounds the whole batch; 0 means the server default for
 	// synchronous batches and no deadline for async ones.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// IdempotencyKey deduplicates retried batch submissions: an async
-	// resubmission with the same key returns the original job id (and on
-	// a ledger-backed frontend survives frontend restarts); a synchronous
-	// resubmission joins the in-flight batch. See SimRequest.IdempotencyKey.
+	// IdempotencyKey deduplicates retried batch submissions, on a single
+	// dvrd, a worker and a frontend alike: an async resubmission with the
+	// same key returns the original job id (and on a ledger-backed frontend
+	// survives frontend restarts); a synchronous resubmission waits for the
+	// job that owns the key, or joins the in-flight synchronous batch, and
+	// answers deduped. The Idempotency-Key header is the equivalent
+	// transport form.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 

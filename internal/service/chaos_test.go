@@ -91,7 +91,7 @@ func runChaos(t *testing.T, seed uint64, jobs []api.SimRequest, baseline map[str
 		Workers:    2,
 		QueueDepth: 2, // small enough that shedding fires under the storm
 		CacheDir:   dir,
-		Faults:     &faults.Injector{FS: ffs, BeforeSim: sim.BeforeSim},
+		Common:     Common{Faults: &faults.Injector{FS: ffs, BeforeSim: sim.BeforeSim}},
 	})
 
 	cli := client.New(ts.URL, client.WithRetryPolicy(client.RetryPolicy{

@@ -69,7 +69,7 @@ func newTestCluster(t *testing.T, n int, wcfg Config, tune func(*FrontendConfig)
 		FailThreshold: 2,
 		Seed:          7,
 		RetryPolicy:   fastRetry(),
-		Faults:        &faults.Injector{Net: c.nf},
+		Common:        Common{Faults: &faults.Injector{Net: c.nf}},
 	}
 	if tune != nil {
 		tune(&fcfg)
@@ -646,7 +646,7 @@ func TestClusterTraceSpanTreeSurvivesFailover(t *testing.T) {
 
 	dir := t.TempDir()
 	c := newTestCluster(t, 2,
-		Config{CacheDir: dir, CheckpointEvery: 5_000, Workers: 2, TraceSpans: 4096},
+		Config{CacheDir: dir, CheckpointEvery: 5_000, Workers: 2, Common: Common{TraceSpans: 4096}},
 		func(fc *FrontendConfig) { fc.TraceSpans = 4096 })
 	slowKey := keyFor(t, slow, "ooo")
 	victim := c.ownerOf(t, slowKey)
@@ -739,7 +739,7 @@ func TestClusterTraceSpanTreeSurvivesFailover(t *testing.T) {
 // and the owning worker's span slice for the caller's trace id contains
 // the worker-side request span still carrying that same request id.
 func TestClusterTraceAndRequestIDPropagation(t *testing.T) {
-	c := newTestCluster(t, 2, Config{TraceSpans: 256},
+	c := newTestCluster(t, 2, Config{Common: Common{TraceSpans: 256}},
 		func(fc *FrontendConfig) { fc.TraceSpans = 256 })
 	ref := loopRef(25_000)
 	key := keyFor(t, ref, "ooo")

@@ -148,12 +148,12 @@ func TestWatchdogTripsAndPoolStaysHealthy(t *testing.T) {
 		CacheDir:        dir,
 		CheckpointEvery: 4_000,
 		WatchdogCycles:  50_000,
-		Faults: &faults.Injector{SimLivelock: func(key string) uint64 {
+		Common: Common{Faults: &faults.Injector{SimLivelock: func(key string) uint64 {
 			if key == badKey {
 				return 2_000
 			}
 			return 0
-		}},
+		}}},
 	})
 
 	resp, body := postJSON(t, ts.URL+"/v1/sim", api.SimRequest{Workload: ref, Technique: "dvr"})

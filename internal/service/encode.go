@@ -30,10 +30,10 @@ func encodeJSON(w io.Writer, v any) error {
 // encodeBatch encodes a synchronous batch's response: the
 // api.BatchResponse of these cells and counts, which has no job id and is
 // never a deduplicated answer (TestBatchEnvelopeCoversResponse holds the
-// fields written here to the struct's). bodies[i], when non-nil, is the
-// stored encoding of cells[i] as a /v1/sim response and is copied line by
-// line behind cellPrefix; any other cell (freshly simulated, or failed) is
-// encoded here.
+// fields written here to the struct's). bodies[i], when present and
+// non-nil, is the stored encoding of cells[i] as a /v1/sim response and is
+// copied line by line behind cellPrefix; any other cell (freshly
+// simulated, routed, or failed) is encoded here.
 func encodeBatch(cells []api.SimResponse, bodies [][]byte, hits, failed int) ([]byte, error) {
 	size := 128
 	for _, b := range bodies {
@@ -48,8 +48,8 @@ func encodeBatch(cells []api.SimResponse, bodies [][]byte, hits, failed int) ([]
 			if i > 0 {
 				dst = append(dst, ",\n"...)
 			}
-			if body := bodies[i]; body != nil {
-				dst = appendPrefixed(dst, bytes.TrimSuffix(body, []byte("\n")))
+			if i < len(bodies) && bodies[i] != nil {
+				dst = appendPrefixed(dst, bytes.TrimSuffix(bodies[i], []byte("\n")))
 				continue
 			}
 			fresh, err := json.MarshalIndent(&cells[i], cellPrefix, "  ")

@@ -39,7 +39,7 @@ func TestWorkerPanicIsIsolated(t *testing.T) {
 			panic("injected simulator crash")
 		}
 	}}
-	srv, ts := newTestServer(t, Config{Workers: 2, Faults: inj})
+	srv, ts := newTestServer(t, Config{Workers: 2, Common: Common{Faults: inj}})
 
 	req := api.SimRequest{Workload: loopRef(3_100), Technique: "ooo"}
 	resp, body := postJSON(t, ts.URL+"/v1/sim", req)
@@ -77,7 +77,7 @@ func TestBatchIsolatesPanickedCell(t *testing.T) {
 			panic("injected cell crash")
 		}
 	}}
-	_, ts := newTestServer(t, Config{Workers: 2, Faults: inj})
+	_, ts := newTestServer(t, Config{Workers: 2, Common: Common{Faults: inj}})
 
 	resp, body := postJSON(t, ts.URL+"/v1/batch", api.BatchRequest{
 		Workloads:  []workloads.Ref{loopRef(3_200), loopRef(3_300)},
@@ -124,7 +124,7 @@ func TestLoadShedReturns429AndClientRetries(t *testing.T) {
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
 	inj := &faults.Injector{BeforeSim: func(string) { <-release }}
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Faults: inj})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Common: Common{Faults: inj}})
 
 	// Occupy the one worker and the one queue slot with distinct jobs
 	// (distinct keys — identical jobs would collapse via single-flight).
@@ -214,7 +214,7 @@ func TestSingleFlightFollowerRetriesOnLeaderError(t *testing.T) {
 			panic("injected leader crash")
 		}
 	}}
-	srv, ts := newTestServer(t, Config{Workers: 2, Faults: inj})
+	srv, ts := newTestServer(t, Config{Workers: 2, Common: Common{Faults: inj}})
 
 	req := api.SimRequest{Workload: loopRef(3_700), Technique: "ooo"}
 	leaderStatus := make(chan int, 1)

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -16,12 +14,10 @@ import (
 	"time"
 
 	"dvr/internal/cluster"
-	"dvr/internal/faults"
 	"dvr/internal/ledger"
 	"dvr/internal/obs"
 	"dvr/internal/service/api"
 	"dvr/internal/service/client"
-	"dvr/internal/stream"
 )
 
 // The cluster frontend: a stateless router that terminates client
@@ -46,6 +42,7 @@ var errNoReplica = errors.New("service: no live replica")
 
 // FrontendConfig sizes the frontend.
 type FrontendConfig struct {
+	Common
 	// Replicas are the worker base URLs (e.g. "http://10.0.0.2:8377").
 	// Required, at least one. The set is fixed for the frontend's lifetime;
 	// membership changes are a restart (the ring is deterministic in the
@@ -63,20 +60,10 @@ type FrontendConfig struct {
 	FailThreshold int
 	// Seed seeds the probe jitter; 0 means 1.
 	Seed uint64
-	// DefaultTimeout bounds requests that do not set timeout_ms; 0 means
-	// 5 minutes.
-	DefaultTimeout time.Duration
 	// RetryPolicy shapes the per-replica transport retry loop; nil means
 	// client.DefaultRetryPolicy(). The budget is per attempt against one
 	// replica — failover to the next candidate starts after it is spent.
 	RetryPolicy *client.RetryPolicy
-	// StreamReplay/StreamBuffer/StreamTTL/StreamHeartbeat size the
-	// frontend's own stream layer exactly as Config's fields size the
-	// worker's.
-	StreamReplay    int
-	StreamBuffer    int
-	StreamTTL       time.Duration
-	StreamHeartbeat time.Duration
 	// LedgerDir, when set, makes accepted async jobs durable: each gets an
 	// append-only sealed journal under this directory, and a restarted
 	// frontend replays the directory to recover every accepted-but-
@@ -97,110 +84,49 @@ type FrontendConfig struct {
 	// probe request is allowed through (0 means 2s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Faults injects scripted failures — Net wraps the frontend→replica
-	// transport, FS the ledger, Crash the ledger-write crash points (chaos
-	// tests); nil means none.
-	Faults *faults.Injector
-	// Logger receives one structured line per request; nil discards them.
-	Logger *slog.Logger
-	// TraceSpans, when nonzero, enables distributed tracing on the
-	// frontend: every request roots (or continues) a trace propagated to
-	// workers via X-Trace-Ctx, spans collect in a bounded ring of this
-	// capacity, and GET /v1/jobs/{id}/trace?view=cluster merges the fleet's
-	// slices into one trace. 0 disables at zero request-path cost.
-	TraceSpans int
-	// ProcName labels this process's spans in fleet trace views (e.g.
-	// "frontend@127.0.0.1:8380"); "" means "frontend".
-	ProcName string
 }
 
-func (c FrontendConfig) withDefaults() FrontendConfig {
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Minute
-	}
-	if c.StreamHeartbeat <= 0 {
-		c.StreamHeartbeat = 15 * time.Second
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
-	}
-	return c
-}
-
-// Frontend is the cluster router. Construct with NewFrontend, mount
-// Handler, and call Shutdown to drain.
+// Frontend is the cluster router. Its core serves the HTTP routes; the
+// frontend answers cells by routing them to its workers. Construct with
+// NewFrontend, mount Handler, and call Shutdown to drain.
 type Frontend struct {
-	cfg         FrontendConfig
-	ring        *cluster.Ring
-	prober      *cluster.Prober
-	breakers    *cluster.Breakers
-	clients     map[string]*client.Client
-	flight      *flightGroup[api.SimResponse]
-	batchFlight *flightGroup[*api.BatchResponse]
-	jobs        *jobStore
-	streams     *stream.Registry
+	core
+	cfg      FrontendConfig
+	ring     *cluster.Ring
+	prober   *cluster.Prober
+	breakers *cluster.Breakers
+	clients  map[string]*client.Client
+	flight   *flightGroup[api.SimResponse]
 
-	// ledger is the durable journal of accepted async jobs (nil when
-	// LedgerDir is empty); ledgerHealth is the boot-time scan verdict.
-	ledger       *ledger.Store
+	// ledgerHealth is the boot-time scan verdict of the ledger.
 	ledgerHealth ledger.Health
 
-	// rootCtx parents every async job, so jobs survive their accepting
-	// request but die with the frontend (Abort cancels it).
-	rootCtx    context.Context
-	rootCancel context.CancelFunc
-
-	logger   *slog.Logger
-	reqSeq   atomic.Uint64
-	reqTotal atomic.Uint64
-	reqHist  *histogram
-
-	// tracer is the distributed-tracing span collector (nil when
-	// disabled); dispatchHist is the per-outcome latency of one
-	// frontend→worker dispatch attempt (dvrd_dispatch_attempt_seconds).
-	tracer       *obs.Tracer
+	// dispatchHist is the per-outcome latency of one frontend→worker
+	// dispatch attempt (dvrd_dispatch_attempt_seconds).
 	dispatchHist map[string]*histogram
-
-	start    time.Time
-	draining atomic.Bool
 
 	routed            atomic.Uint64 // cells routed to a replica and answered
 	failovers         atomic.Uint64 // cells re-routed off a failed replica
 	failoverExhausted atomic.Uint64 // cells that ran out of candidates
-	idemHits          atomic.Uint64 // submissions answered by an existing job
 	recovered         atomic.Uint64 // jobs replayed from the ledger at boot
 	hedgesLaunched    atomic.Uint64 // backup dispatches actually sent
 	hedgesWon         atomic.Uint64 // hedges where the backup answered first
-	deadlineRejected  atomic.Uint64 // requests refused for exhausted budget
 }
 
 // NewFrontend builds a frontend over the configured replica fleet and
 // starts its health prober.
 func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
-	cfg = cfg.withDefaults()
 	ring, err := cluster.New(cfg.Replicas, cfg.VNodes)
 	if err != nil {
 		return nil, err
 	}
 	f := &Frontend{
-		cfg:         cfg,
-		ring:        ring,
-		clients:     make(map[string]*client.Client, len(cfg.Replicas)),
-		flight:      newFlightGroup[api.SimResponse](),
-		batchFlight: newFlightGroup[*api.BatchResponse](),
-		jobs:        newJobStore(),
-		logger:      cfg.Logger,
-		reqHist:     newHistogram(latencyBounds),
-		start:       time.Now(),
+		cfg:     cfg,
+		ring:    ring,
+		clients: make(map[string]*client.Client, len(cfg.Replicas)),
+		flight:  newFlightGroup[api.SimResponse](),
 	}
-	f.rootCtx, f.rootCancel = context.WithCancel(context.Background())
-	if cfg.TraceSpans > 0 {
-		proc := cfg.ProcName
-		if proc == "" {
-			proc = "frontend"
-		}
-		f.tracer = obs.New(proc, cfg.TraceSpans)
-	}
+	f.core.init(f, "frontend", cfg.Common, cfg.LedgerDir)
 	f.dispatchHist = make(map[string]*histogram, len(dispatchOutcomes))
 	for _, o := range dispatchOutcomes {
 		f.dispatchHist[o] = newHistogram(latencyBounds)
@@ -208,11 +134,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f.breakers = cluster.NewBreakers(cfg.Replicas, cluster.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
 		Cooldown:  cfg.BreakerCooldown,
-	})
-	f.streams = stream.NewRegistry(stream.Config{
-		ReplayEntries: cfg.StreamReplay,
-		SessionBuffer: cfg.StreamBuffer,
-		SessionTTL:    cfg.StreamTTL,
 	})
 	// One transport (and fault schedule) shared by every replica client:
 	// a partition of one host must not disturb the others' connections,
@@ -273,12 +194,19 @@ func (f *Frontend) recoverLedger() {
 		epoch := (uint64(lj.Recoveries) + 1) << 32
 		bc := f.streams.CreateAt(lj.ID, epoch)
 		j := f.jobs.restore(lj.ID, lj.Accepted.Total, lj.Accepted.Key, bc)
-		if lj.Accepted.Request == nil {
-			// A journal whose accepted record lost its payload cannot be
-			// re-run; settle it as failed rather than recover a ghost.
-			err := errors.New("service: recovered job has no request payload")
-			j.finish(nil, err)
-			f.settleJob(j, nil, err)
+		var (
+			cells []cell
+			sc    simConfig
+		)
+		err := errors.New("service: recovered job has no request payload")
+		if lj.Accepted.Request != nil {
+			cells, sc, err = resolveBatch(*lj.Accepted.Request)
+		}
+		if err != nil {
+			// A journal that cannot be re-run (its accepted record lost its
+			// payload, or names a cell this build cannot resolve) settles as
+			// failed rather than recover a ghost.
+			f.settle(j, nil, err)
 			continue
 		}
 		if err := f.ledger.Append(lj.ID, ledger.Record{Kind: ledger.KindRecovered, JobID: lj.ID, TraceID: lj.Accepted.TraceID}); err != nil {
@@ -291,7 +219,7 @@ func (f *Frontend) recoverLedger() {
 		// with no recorded id (pre-tracing journal) this roots a fresh one.
 		jsp := f.tracer.StartLinked(lj.Accepted.TraceID, "frontend.recover").Attr("job_id", lj.ID)
 		j.setTrace(jsp.TraceID())
-		f.launchJob(j, *lj.Accepted.Request, jsp, "")
+		f.launchJob(j, *lj.Accepted.Request, cells, sc, jsp, "")
 	}
 }
 
@@ -308,59 +236,15 @@ func (f *Frontend) probe(ctx context.Context, replica string) cluster.Status {
 	return cluster.Status{Err: err}
 }
 
-// Handler returns the routed HTTP handler. The route set mirrors the
-// worker's so clients need not know which role they are talking to; the
-// one asymmetry is /v1/jobs/{id}/trace, which the frontend does not
-// aggregate for interval telemetry (each worker holds only its own cells'
-// series) and answers with a typed 404 — unless ?view=cluster asks for
-// the distributed span trace, which the frontend does merge fleet-wide.
-func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /"+api.Version+"/sim", f.handleSim)
-	mux.HandleFunc("POST /"+api.Version+"/batch", f.handleBatch)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}", f.handleJob)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}/trace", f.handleJobTrace)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}/stream", f.handleJobStream)
-	mux.HandleFunc("GET /"+api.Version+"/spans", func(w http.ResponseWriter, r *http.Request) {
-		serveSpans(w, r, f.tracer)
-	})
-	mux.HandleFunc("GET /healthz", f.handleHealthz)
-	mux.HandleFunc("GET /readyz", f.handleReadyz)
-	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	return instrumentWith(normalizeErrors(mux), f.logger, &f.reqSeq, &f.reqTotal, f.reqHist, f.tracer)
+func (f *Frontend) snapshot() any { return f.Metrics() }
+
+func (f *Frontend) prometheus(w io.Writer, om bool) {
+	writeClusterPrometheus(w, f.Metrics(), f.reqHist, f.dispatchHist, om)
 }
 
-// BeginDrain flips /readyz unready (a frontend fleet behind a load
-// balancer drains the same way workers drain behind the frontend).
-func (f *Frontend) BeginDrain() { f.draining.Store(true) }
-
-// Shutdown stops the prober and waits for async jobs to finish
-// coordinating. Worker-side simulation keeps running — the workers own it.
-func (f *Frontend) Shutdown(ctx context.Context) error {
-	f.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		f.prober.Stop()
-		f.jobs.wg.Wait()
-		f.streams.Close()
-		f.rootCancel()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Abort hard-cancels every in-flight async job without draining — the
-// in-process stand-in for kill -9 in crash tests. The ledger keeps its
-// accepted records, so the next incarnation recovers what this one drops.
-func (f *Frontend) Abort() {
-	f.draining.Store(true)
-	f.rootCancel()
-}
+// stop stops the prober. Worker-side simulation keeps running — the
+// workers own it.
+func (f *Frontend) stop() { f.prober.Stop() }
 
 // ---- routing ----
 
@@ -393,13 +277,15 @@ func (f *Frontend) candidates(key string) []string {
 	return out
 }
 
-// routeCell routes one cell to its preferred live replica, failing over
-// down the candidate list on transport errors. Typed API errors pass
-// through — the replica is alive and its answer (400, 429, 504, ...) is
-// the answer. Identical concurrent cells collapse on the frontend's own
-// single-flight so one network round trip serves them all (the worker's
-// flight would collapse them anyway; this saves the duplicate hop).
-func (f *Frontend) routeCell(ctx context.Context, key string, req api.SimRequest) (api.SimResponse, error) {
+// answerCell routes one /v1/sim cell to its preferred live replica,
+// failing over down the candidate list on transport errors. Typed API
+// errors pass through — the replica is alive and its answer (400, 429,
+// 504, ...) is the answer. Identical concurrent cells collapse on the
+// frontend's own single-flight so one network round trip serves them all
+// (the worker's flight would collapse them anyway; this saves the
+// duplicate hop). A routed cell has no stored encoding: body is nil.
+func (f *Frontend) answerCell(ctx context.Context, req api.SimRequest, c cell, _ simConfig) (api.SimResponse, []byte, error) {
+	key := c.key
 	resp, _, err := f.flight.Do(ctx, key, func() (api.SimResponse, error) {
 		cands := f.candidates(key)
 		tid := obs.FromContext(ctx).TraceID()
@@ -468,7 +354,7 @@ func (f *Frontend) routeCell(ctx context.Context, key string, req api.SimRequest
 		}
 		return api.SimResponse{}, fmt.Errorf("%w for %s", errNoReplica, key)
 	})
-	return resp, err
+	return resp, nil, err
 }
 
 // isAPIError reports whether err is a replica's typed verdict — an
@@ -551,8 +437,7 @@ func (f *Frontend) dispatchHedged(ctx context.Context, key string, req api.SimRe
 			return api.SimResponse{}, primary, hedged, ctx.Err()
 		case a := <-ch:
 			pending--
-			var ae *client.APIError
-			if a.err == nil || errors.As(a.err, &ae) {
+			if a.err == nil || isAPIError(a.err) {
 				if hedged {
 					loser := backup
 					if a.rep == backup {
@@ -598,25 +483,17 @@ func (f *Frontend) recordHedge(key, winner, loser string) {
 
 // ---- batch coordination ----
 
-// runClusterBatch answers a batch by sharding its cells over the fleet:
-// cells group by ring owner, each group runs as one sub-batch on its
-// replica, and groups whose replica fails are re-grouped onto the next
-// candidate until every cell completes or runs out of replicas. With j
-// non-nil the groups run as async worker jobs whose event streams are
-// republished (remapped to frontend cell indices) into j's broadcaster.
-func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j *job) (*api.BatchResponse, error) {
+// answerBatch answers a batch by sharding its cells over the fleet: cells
+// group by ring owner, each group runs as one sub-batch on its replica,
+// and groups whose replica fails are re-grouped onto the next candidate
+// until every cell completes or runs out of replicas. With j non-nil the
+// groups run as async worker jobs whose event streams are republished
+// (remapped to frontend cell indices) into j's broadcaster. Each cell
+// routes by its resolved content address, computed exactly as the worker
+// computes it, which is what keeps routing aligned with the workers'
+// caches. Routed cells have no stored encodings: bodies is nil.
+func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolved []cell, _ simConfig, j *job) (*api.BatchResponse, [][]byte, error) {
 	list := req.CellList()
-	keys := make([]string, len(list))
-	sc := newSimConfig(req.Config, req.Sampling)
-	for i, c := range list {
-		// The content address exactly as the worker computes it, which is
-		// what keeps routing aligned with the workers' caches.
-		rc, err := resolveCell(c.Workload, c.Technique, sc)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = rc.key
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -640,7 +517,7 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 				continue
 			}
 			next := ""
-			for _, rep := range f.candidates(keys[i]) {
+			for _, rep := range f.candidates(resolved[i].key) {
 				if !tried[i][rep] {
 					next = rep
 					break
@@ -650,10 +527,10 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 				// Out of candidates: the cell fails in isolation, exactly
 				// like a worker-side panic cell — the batch completes.
 				f.failoverExhausted.Add(1)
-				cells[i] = api.SimResponse{Key: keys[i],
-					Error: &api.Error{Code: api.CodeShuttingDown, Error: errNoReplica.Error() + " for " + keys[i]}}
+				cells[i] = api.SimResponse{Key: resolved[i].key,
+					Error: &api.Error{Code: api.CodeShuttingDown, Error: errNoReplica.Error() + " for " + resolved[i].key}}
 				done[i] = true
-				f.finishCell(j, i, list[i], cells[i])
+				jobCell(j, i, list[i]).done(cells[i])
 				continue
 			}
 			groups[next] = append(groups[next], i)
@@ -684,8 +561,7 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 						mu.Unlock()
 						return
 					}
-					var ae *client.APIError
-					if !errors.As(err, &ae) {
+					if !isAPIError(err) {
 						// Transport death mid-group: the whole unfinished
 						// group re-routes. Cells the dead worker already
 						// completed land in the shared spill, so the
@@ -709,7 +585,7 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 				for n, i := range idxs {
 					cells[i] = results[n]
 					done[i] = true
-					f.finishCell(j, i, list[i], results[n])
+					jobCell(j, i, list[i]).done(results[n])
 				}
 			}()
 		}
@@ -718,35 +594,21 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 		err := firstErr
 		mu.Unlock()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	out := &api.BatchResponse{Cells: cells}
-	for _, c := range cells {
-		if c.Cached {
-			out.CacheHits++
-		}
-		if c.Error != nil {
-			out.Failed++
-		}
-	}
-	return out, nil
+	return tally(cells), nil, nil
 }
 
-// finishCell records one finalized cell on the frontend job and publishes
-// its cell-done (the frontend, not the worker, is the authority on when a
-// cell is done — a re-routed group's first attempt must not count).
-func (f *Frontend) finishCell(j *job, idx int, c api.CellRequest, resp api.SimResponse) {
+// jobCell is cell idx's streaming identity on the frontend job j, nil
+// without a job. The frontend, not the worker, publishes a cell's
+// cell-done, once the cell is final: a re-routed group's first attempt
+// must not count.
+func jobCell(j *job, idx int, c api.CellRequest) *cellPub {
 	if j == nil {
-		return
+		return nil
 	}
-	pub := &cellPub{j: j, cell: idx, bench: c.Workload.Kernel, tech: c.Technique}
-	d := j.cellDone()
-	ev := api.Event{Kind: api.EventCellDone, Key: resp.Key, Cached: resp.Cached, Done: d, Total: j.total}
-	if resp.Error != nil {
-		ev.Error = resp.Error.Error
-	}
-	pub.publish(ev)
+	return &cellPub{j: j, cell: idx, bench: c.Workload.Kernel, tech: c.Technique}
 }
 
 // runGroup runs one replica's share of a batch. Synchronous batches (j ==
@@ -755,7 +617,7 @@ func (f *Frontend) finishCell(j *job, idx int, c api.CellRequest, resp api.SimRe
 // frontend job's broadcaster with the cell index remapped from sub-batch
 // to frontend coordinates, and poll the worker job for the final results.
 // Worker cell-done/job-done events are not forwarded: the frontend emits
-// its own when a cell is truly final (finishCell) and when the whole
+// its own when a cell is truly final (jobCell) and when the whole
 // cross-replica batch ends.
 func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, j *job) (_ []api.SimResponse, retErr error) {
 	// One span per replica-group dispatch: which worker got how many cells,
@@ -830,7 +692,7 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 			continue
 		}
 		idx := idxs[ev.Cell]
-		pub := &cellPub{j: j, cell: idx, bench: list[idx].Workload.Kernel, tech: list[idx].Technique}
+		pub := jobCell(j, idx, list[idx])
 		// Rebuild the event so worker-local identity (ID, JobID, progress
 		// counts) never leaks into the frontend stream; the broadcaster
 		// assigns fresh IDs in frontend sequence.
@@ -854,269 +716,9 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 	return js.Batch.Cells, nil
 }
 
-// ---- handlers ----
-
-func (f *Frontend) timeout(ms int64) time.Duration {
-	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return f.cfg.DefaultTimeout
-}
-
 // hopMargin is the slice of deadline budget the frontend keeps for itself
 // when forwarding to a worker: response decode, re-route bookkeeping.
 const hopMargin = 50 * time.Millisecond
-
-// requestBudget resolves one request's effective timeout: the explicit
-// timeout_ms (or the configured default) shrunk to the client's propagated
-// X-Deadline-Ms budget. A budget too small to do any work is rejected up
-// front (504) instead of spending fleet capacity on a request whose
-// client has already given up.
-func (f *Frontend) requestBudget(r *http.Request, ms int64) (time.Duration, error) {
-	d := f.timeout(ms)
-	if budget, ok := deadlineBudget(r); ok {
-		if budget < minDeadlineBudget {
-			f.deadlineRejected.Add(1)
-			return 0, errDeadlineBudget
-		}
-		if budget < d {
-			d = budget
-		}
-	}
-	return d, nil
-}
-
-// writeRoutedError answers a routing failure: replica verdicts (typed API
-// errors) pass through with their original status, code and Retry-After —
-// the frontend is transparent — and everything else goes through the
-// worker's own error taxonomy.
-func writeRoutedError(w http.ResponseWriter, err error) {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		if ae.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(ae.RetryAfter/time.Second)))
-		}
-		writeJSON(w, ae.Status, api.Error{Code: ae.Code, Error: ae.Message})
-		return
-	}
-	if errors.Is(err, errNoReplica) {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, api.Error{Code: api.CodeShuttingDown, Error: err.Error()})
-		return
-	}
-	writeError(w, err)
-}
-
-func (f *Frontend) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req api.SimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("service: bad request body: %w", err)))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	c, err := resolveCell(req.Workload, req.Technique, newSimConfig(req.Config, req.Sampling))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	d, err := f.requestBudget(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	resp, err := f.routeCell(ctx, c.key, req)
-	if err != nil {
-		writeRoutedError(w, err)
-		return
-	}
-	writeJSONTimed(r.Context(), w, http.StatusOK, resp)
-}
-
-func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("service: bad request body: %w", err)))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	if h := r.Header.Get(api.HeaderIdempotencyKey); h != "" {
-		req.IdempotencyKey = h
-	}
-	if req.Async {
-		f.acceptAsync(w, r, req)
-		return
-	}
-	d, err := f.requestBudget(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if req.IdempotencyKey != "" {
-		// A synchronous duplicate of a key some job already owns waits for
-		// that job and serves its outcome — the same exactly-once answer,
-		// without a second execution.
-		if j, ok := f.jobs.getIdem(req.IdempotencyKey); ok {
-			f.idemHits.Add(1)
-			f.serveJobOutcome(ctx, w, r, j)
-			return
-		}
-		// Concurrent synchronous duplicates collapse on a single flight.
-		batch, shared, err := f.batchFlight.Do(ctx, req.IdempotencyKey, func() (*api.BatchResponse, error) {
-			return f.runClusterBatch(ctx, req, nil)
-		})
-		if err != nil {
-			writeRoutedError(w, err)
-			return
-		}
-		out := *batch
-		if shared {
-			f.idemHits.Add(1)
-			out.Deduped = true
-		}
-		writeJSONTimed(r.Context(), w, http.StatusOK, out)
-		return
-	}
-	batch, err := f.runClusterBatch(ctx, req, nil)
-	if err != nil {
-		writeRoutedError(w, err)
-		return
-	}
-	writeJSONTimed(r.Context(), w, http.StatusOK, *batch)
-}
-
-// acceptAsync admits an async batch: idempotency-key dedup, durable
-// ledger append, then the 202. The two crash points bracket the append so
-// the chaos suite can pin both halves of the exactly-once argument — die
-// before the append and the job never existed (the client's retry re-runs
-// it from scratch); die after and a rebooted frontend recovers it under
-// the same identity.
-func (f *Frontend) acceptAsync(w http.ResponseWriter, r *http.Request, req api.BatchRequest) {
-	if f.cfg.Faults.CrashAt(faults.FrontendCrashBeforeLedgerWrite) {
-		panic(http.ErrAbortHandler)
-	}
-	j, created := f.jobs.create(len(req.CellList()), req.IdempotencyKey, f.streams)
-	if !created {
-		if j.total != len(req.CellList()) {
-			writeError(w, badRequest(fmt.Errorf(
-				"service: idempotency key %q was used for a different batch (%d cells, resubmission has %d)",
-				req.IdempotencyKey, j.total, len(req.CellList()))))
-			return
-		}
-		f.idemHits.Add(1)
-		writeJSON(w, http.StatusAccepted, api.BatchResponse{JobID: j.id, Deduped: true})
-		return
-	}
-	// The job span is a child of the accepting request's span, so the whole
-	// async batch — admission, every dispatch, the workers' cells — hangs
-	// off the submitter's trace. The trace id rides the accepted ledger
-	// record so a post-crash recovery can link its re-dispatch spans back.
-	jsp := obs.FromContext(r.Context()).StartChild("frontend.job").Attr("job_id", j.id)
-	j.setTrace(jsp.TraceID())
-	if f.ledger != nil {
-		rec := ledger.Record{Kind: ledger.KindAccepted, JobID: j.id,
-			Key: req.IdempotencyKey, Total: j.total, Request: &req, TraceID: jsp.TraceID()}
-		if err := f.ledger.Append(j.id, rec); err != nil {
-			f.logger.Warn("ledger accepted-record append failed", "job", j.id, "err", err)
-		}
-	}
-	if f.cfg.Faults.CrashAt(faults.FrontendCrashAfterLedgerWrite) {
-		panic(http.ErrAbortHandler)
-	}
-	f.launchJob(j, req, jsp, obs.RequestIDFrom(r.Context()))
-	writeJSON(w, http.StatusAccepted, api.BatchResponse{JobID: j.id})
-}
-
-// launchJob runs an accepted async batch in the background under the
-// frontend's root context — not the accepting request's, which dies with
-// the 202. The job span and request id are copied over explicitly so the
-// batch's coordination spans stay in the submitter's trace.
-func (f *Frontend) launchJob(j *job, req api.BatchRequest, jsp *obs.Span, reqID string) {
-	ctx := obs.ContextWithSpan(obs.ContextWithRequestID(f.rootCtx, reqID), jsp)
-	var cancel context.CancelFunc = func() {}
-	if req.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.timeout(req.TimeoutMS))
-	}
-	f.jobs.wg.Add(1)
-	go func() {
-		defer f.jobs.wg.Done()
-		defer cancel()
-		batch, err := f.runClusterBatch(ctx, req, j)
-		jsp.Fail(err).End()
-		if err != nil && f.rootCtx.Err() != nil {
-			// The frontend is dying (Abort), not the job: a real kill -9
-			// would write nothing either. Leave the journal pending so the
-			// next incarnation recovers the job under its own identity.
-			return
-		}
-		j.finish(batch, err)
-		f.settleJob(j, batch, err)
-	}()
-}
-
-// settleJob seals a finished job: the durable done record first (so a
-// crash after this point dedups rather than re-runs), then the job-done
-// event and stream close.
-func (f *Frontend) settleJob(j *job, batch *api.BatchResponse, err error) {
-	if f.ledger != nil {
-		rec := ledger.Record{Kind: ledger.KindDone, JobID: j.id}
-		if err != nil {
-			rec.Error = err.Error()
-		} else {
-			rec.Batch = batch
-		}
-		if aerr := f.ledger.Append(j.id, rec); aerr != nil {
-			f.logger.Warn("ledger done-record append failed", "job", j.id, "err", aerr)
-		}
-	}
-	if j.bc != nil {
-		ev := api.Event{Kind: api.EventJobDone, Done: j.doneCount(), Total: j.total, Cell: -1}
-		if err != nil {
-			ev.Error = err.Error()
-		}
-		j.bc.Publish(ev)
-		j.bc.Close()
-	}
-}
-
-// serveJobOutcome answers a synchronous request with an existing job's
-// outcome, waiting (bounded by ctx) if the job is still running — the
-// synchronous view of an asynchronous original.
-func (f *Frontend) serveJobOutcome(ctx context.Context, w http.ResponseWriter, r *http.Request, j *job) {
-	select {
-	case <-ctx.Done():
-		writeError(w, ctx.Err())
-		return
-	case <-j.doneCh:
-	}
-	batch, err := j.outcome()
-	if err != nil {
-		writeRoutedError(w, err)
-		return
-	}
-	out := *batch
-	out.JobID = j.id
-	out.Deduped = true
-	writeJSONTimed(r.Context(), w, http.StatusOK, out)
-}
-
-func (f *Frontend) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := f.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", r.PathValue("id"))})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
 
 // handleJobTrace: the frontend keeps no interval-trace store — each
 // worker holds only its own cells' series, and stitching them would
@@ -1181,32 +783,6 @@ func (f *Frontend) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSONTimed(r.Context(), w, http.StatusOK, out)
 }
 
-// DumpFlight seals the frontend's flight record beside its ledger
-// (<LedgerDir>/forensics/) and returns the path; "" when tracing or the
-// ledger is disabled. cmd/dvrd calls this on SIGTERM.
-func (f *Frontend) DumpFlight(reason string) string {
-	return dumpFlight(f.tracer, f.cfg.Faults.Filesystem(), f.cfg.LedgerDir, reason, f.logger)
-}
-
-func (f *Frontend) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	streamJob(w, r, f.jobs, f.cfg.StreamHeartbeat)
-}
-
-func (f *Frontend) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (f *Frontend) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if f.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, api.Error{Code: api.CodeShuttingDown, Error: "service: draining"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ready")
-}
-
 // Metrics snapshots the frontend's routing counters and the fleet's
 // per-replica health.
 func (f *Frontend) Metrics() api.ClusterMetrics {
@@ -1265,15 +841,4 @@ func (f *Frontend) Metrics() api.ClusterMetrics {
 		m.Replicas = append(m.Replicas, rs)
 	}
 	return m
-}
-
-func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := f.Metrics()
-	if accept := r.Header.Get("Accept"); wantsPrometheus(accept) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		writeClusterPrometheus(w, m, f.reqHist, f.dispatchHist, wantsExemplars(accept))
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
 }

@@ -16,7 +16,7 @@ import (
 // DefaultTimeout bounds the rare fuzz input that decodes into a real,
 // runnable job.
 func FuzzDecodeSimRequest(f *testing.F) {
-	srv := New(Config{Workers: 1, DefaultTimeout: 50 * time.Millisecond})
+	srv := New(Config{Workers: 1, Common: Common{DefaultTimeout: 50 * time.Millisecond}})
 	handler := srv.Handler()
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

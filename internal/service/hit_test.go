@@ -78,11 +78,11 @@ func TestSpliceMatchesEncoder(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%d-%s", tc.cells, tc.kinds), func(t *testing.T) {
 			poisoned := map[string]bool{}
-			srv := New(Config{Faults: &faults.Injector{BeforeSim: func(key string) {
+			srv := New(Config{Common: Common{Faults: &faults.Injector{BeforeSim: func(key string) {
 				if poisoned[key] {
 					panic("injected cell crash\n\twith a stack-like second line")
 				}
-			}}})
+			}}}})
 			defer shutdown(t, srv)
 			sc := newSimConfig(nil, nil)
 			req := api.BatchRequest{Techniques: []string{"ooo"}}
@@ -347,7 +347,7 @@ func frameIDs(t *testing.T, body string) []uint64 {
 // once the queue is empty the stream still heartbeats.
 func TestStreamBurstFlushesOnce(t *testing.T) {
 	const events = 300
-	srv := New(Config{StreamHeartbeat: 20 * time.Millisecond})
+	srv := New(Config{Common: Common{StreamHeartbeat: 20 * time.Millisecond}})
 	defer shutdown(t, srv)
 	h := srv.Handler()
 

@@ -20,8 +20,8 @@ type job struct {
 	// submission can wait for the original instead of racing it.
 	doneCh chan struct{}
 
-	// bc is the job's event broadcaster (nil only for jobs created before
-	// a registry existed, which does not happen in a running server);
+	// bc is the job's event broadcaster (nil for a finished job restored
+	// from the ledger, whose stream died with the previous process);
 	// intervals counts interval events published so far — the live
 	// progress JobStatus reports.
 	bc        *stream.Broadcaster
@@ -86,9 +86,7 @@ func (j *job) finish(batch *api.BatchResponse, err error) {
 		j.state = api.JobDone
 		j.batch = batch
 	}
-	if j.doneCh != nil {
-		close(j.doneCh)
-	}
+	close(j.doneCh)
 }
 
 // outcome returns the finished job's result (nil, nil while running).
@@ -118,8 +116,8 @@ func (j *job) status() api.JobStatus {
 }
 
 // jobStore tracks async batch jobs. The WaitGroup covers every job
-// goroutine, which is what graceful shutdown drains: Server.Shutdown waits
-// for it, so a SIGTERM never abandons a job a client was polling.
+// goroutine, which is what graceful shutdown drains: the core's Shutdown
+// waits for it, so a SIGTERM never abandons a job a client was polling.
 type jobStore struct {
 	mu     sync.Mutex
 	seq    uint64
@@ -141,22 +139,12 @@ func newJobStore() *jobStore {
 func (s *jobStore) create(total int, idem string, streams *stream.Registry) (j *job, created bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if idem != "" {
-		if j, ok := s.byIdem[idem]; ok {
-			return j, false
-		}
+	if j, ok := s.byIdem[idem]; ok {
+		return j, false
 	}
 	s.seq++
-	j = &job{id: fmt.Sprintf("job-%d", s.seq), total: total, idem: idem,
-		state: api.JobRunning, doneCh: make(chan struct{})}
-	if streams != nil {
-		j.bc = streams.Create(j.id)
-	}
-	s.jobs[j.id] = j
-	if idem != "" {
-		s.byIdem[idem] = j
-	}
-	return j, true
+	id := fmt.Sprintf("job-%d", s.seq)
+	return s.add(id, total, idem, streams.Create(id)), true
 }
 
 // restore re-registers a job replayed from the frontend ledger under its
@@ -173,8 +161,12 @@ func (s *jobStore) restore(id string, total int, idem string, bc *stream.Broadca
 	if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > s.seq {
 		s.seq = n
 	}
-	j := &job{id: id, total: total, idem: idem, state: api.JobRunning,
-		doneCh: make(chan struct{}), bc: bc}
+	return s.add(id, total, idem, bc)
+}
+
+// add registers a running job; the caller holds s.mu.
+func (s *jobStore) add(id string, total int, idem string, bc *stream.Broadcaster) *job {
+	j := &job{id: id, total: total, idem: idem, state: api.JobRunning, doneCh: make(chan struct{}), bc: bc}
 	s.jobs[id] = j
 	if idem != "" {
 		s.byIdem[idem] = j

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dvr/internal/obs"
@@ -71,13 +70,6 @@ type ctxKey int
 
 const ctxKeySpans ctxKey = iota
 
-// RequestID returns the request ID threaded through ctx ("" outside an
-// instrumented request). The id is propagated across hops (the client
-// stamps it on outbound requests), so frontend and worker share one.
-func RequestID(ctx context.Context) string {
-	return obs.RequestIDFrom(ctx)
-}
-
 func spansFrom(ctx context.Context) *spans {
 	sp, _ := ctx.Value(ctxKeySpans).(*spans)
 	return sp
@@ -104,23 +96,16 @@ func (r *statusRecorder) Flush() {
 
 // instrument wraps the routed handler with per-request observability:
 // ID assignment, span accumulation, the duration histogram, the request
-// counter, and one structured log line per request.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return instrumentWith(next, s.logger, &s.reqSeq, &s.reqTotal, s.reqHist, s.tracer)
-}
-
-// instrumentWith is the role-agnostic request observability middleware,
-// shared by the worker Server and the cluster Frontend (each passes its
-// own counters, histogram, and span collector; tracer may be nil —
-// tracing disabled — at zero cost on this path).
-func instrumentWith(next http.Handler, logger *slog.Logger, reqSeq, reqTotal *atomic.Uint64, reqHist *histogram, tracer *obs.Tracer) http.Handler {
+// counter, and one structured log line per request. The span collector
+// may be nil — tracing disabled — at zero cost on this path.
+func (co *core) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Reuse a propagated request id so the frontend's and the worker's
 		// log lines for the same hop carry the same id; mint one only at
 		// the edge (no inbound id).
 		reqID := r.Header.Get(api.HeaderRequestID)
 		if reqID == "" {
-			reqID = fmt.Sprintf("req-%06d", reqSeq.Add(1))
+			reqID = fmt.Sprintf("req-%06d", co.reqSeq.Add(1))
 		}
 		w.Header().Set(api.HeaderRequestID, reqID)
 		ctx := obs.ContextWithRequestID(r.Context(), reqID)
@@ -129,22 +114,22 @@ func instrumentWith(next http.Handler, logger *slog.Logger, reqSeq, reqTotal *at
 		// The server span continues a propagated X-Trace-Ctx context (a
 		// frontend hop) or roots a fresh trace (an edge request). With
 		// tracing disabled span is nil and every call below is a no-op.
-		span := tracer.StartRemote(obs.Extract(r.Header), r.Method+" "+r.URL.Path)
+		span := co.tracer.StartRemote(obs.Extract(r.Header), r.Method+" "+r.URL.Path)
 		span.Attr("request_id", reqID)
 		ctx = obs.ContextWithSpan(ctx, span)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(rec, r.WithContext(ctx))
 		dur := time.Since(start)
-		reqTotal.Add(1)
-		reqHist.observeTraced(dur, span.TraceID())
+		co.reqTotal.Add(1)
+		co.reqHist.observeTraced(dur, span.TraceID())
 		span.Attr("status", fmt.Sprintf("%d", rec.code))
 		span.End()
-		if !logger.Enabled(ctx, slog.LevelInfo) {
+		if !co.logger.Enabled(ctx, slog.LevelInfo) {
 			return
 		}
 		qw, sim, enc := sp.snapshot()
-		logger.Info("request",
+		co.logger.Info("request",
 			"id", reqID,
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -201,22 +186,11 @@ func wantsExemplars(accept string) bool {
 	return strings.Contains(accept, "application/openmetrics-text")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.Metrics()
-	if accept := r.Header.Get("Accept"); wantsPrometheus(accept) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		writePrometheus(w, m, s.reqHist, s.queueHist, wantsExemplars(accept))
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// serveSpans answers GET /v1/spans?trace={id} on either role: the
+// handleSpans answers GET /v1/spans?trace={id} on either role: the
 // process's collected span slice for one trace, in canonical order. The
 // frontend's cluster trace view is assembled from these.
-func serveSpans(w http.ResponseWriter, r *http.Request, tracer *obs.Tracer) {
-	if tracer == nil {
+func (co *core) handleSpans(w http.ResponseWriter, r *http.Request) {
+	if co.tracer == nil {
 		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound,
 			Error: "service: span tracing is disabled (start dvrd with -trace-spans)"})
 		return
@@ -227,11 +201,11 @@ func serveSpans(w http.ResponseWriter, r *http.Request, tracer *obs.Tracer) {
 			Error: "service: /v1/spans requires ?trace=<trace id>"})
 		return
 	}
-	spans := tracer.Slice(tid)
+	spans := co.tracer.Slice(tid)
 	if spans == nil {
 		spans = []obs.SpanRecord{}
 	}
-	writeJSON(w, http.StatusOK, api.SpanSlice{Proc: tracer.Proc(), TraceID: tid, Spans: spans})
+	writeJSON(w, http.StatusOK, api.SpanSlice{Proc: co.tracer.Proc(), TraceID: tid, Spans: spans})
 }
 
 // handleJobTrace serves the interval telemetry of a finished async job:

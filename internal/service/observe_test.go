@@ -161,7 +161,7 @@ func TestRequestIDs(t *testing.T) {
 // attributes and their order, which log pipelines parse positionally.
 func TestRequestLogLine(t *testing.T) {
 	var buf bytes.Buffer
-	srv := New(Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	srv := New(Config{Common: Common{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}})
 	defer shutdown(t, srv)
 	if rec := serve(srv.Handler(), http.MethodGet, "/healthz", nil); rec.Code != http.StatusOK {
 		t.Fatalf("healthz: status %d", rec.Code)
@@ -199,8 +199,8 @@ func TestRequestLogLine(t *testing.T) {
 // request middleware skip building them.
 func TestDefaultLoggerDisabled(t *testing.T) {
 	for role, logger := range map[string]*slog.Logger{
-		"worker":   Config{}.withDefaults().Logger,
-		"frontend": FrontendConfig{}.withDefaults().Logger,
+		"worker":   Config{}.Common.withDefaults("worker").Logger,
+		"frontend": FrontendConfig{}.Common.withDefaults("frontend").Logger,
 	} {
 		for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelError} {
 			if logger.Enabled(context.Background(), level) {

@@ -52,10 +52,8 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-func (h *histogram) observe(d time.Duration) { h.observeTraced(d, "") }
-
-// observeTraced is observe plus exemplar capture when the observation
-// belongs to a trace.
+// observeTraced records one duration, capturing it as the bucket's
+// exemplar when the observation belongs to a trace.
 func (h *histogram) observeTraced(d time.Duration, traceID string) {
 	if d < 0 {
 		d = 0

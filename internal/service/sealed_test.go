@@ -202,7 +202,7 @@ func TestResumeDecodesEachCheckpointOnce(t *testing.T) {
 	shutdown(t, srv1)
 
 	rec := newRecordingFS()
-	srv2 := New(Config{CacheDir: dir, CheckpointEvery: 2_000, Workers: 2, Faults: &faults.Injector{FS: rec}})
+	srv2 := New(Config{CacheDir: dir, CheckpointEvery: 2_000, Workers: 2, Common: Common{Faults: &faults.Injector{FS: rec}}})
 	if got := srv2.CheckpointHealth(); len(got.Pending) != 1 || got.States != nil {
 		t.Fatalf("startup scan = %d pending, states retained = %v; want 1 pending, states released", len(got.Pending), got.States != nil)
 	}
@@ -238,13 +238,12 @@ func TestForensicsPublishedAtomically(t *testing.T) {
 	srv := New(Config{
 		CacheDir:       dir,
 		WatchdogCycles: 50_000,
-		TraceSpans:     64,
-		Faults: &faults.Injector{FS: rec, SimLivelock: func(key string) uint64 {
+		Common: Common{TraceSpans: 64, Faults: &faults.Injector{FS: rec, SimLivelock: func(key string) uint64 {
 			if key == badKey {
 				return 2_000
 			}
 			return 0
-		}},
+		}}},
 	})
 	defer shutdown(t, srv)
 	var le *cpu.LivelockError
@@ -304,7 +303,7 @@ func TestFlightDumpObeysDiskFaults(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faults.NewFaultyFS(nil, 1)
 	ffs.FailWriteEvery = 1
-	srv := New(Config{CacheDir: dir, TraceSpans: 16, Faults: &faults.Injector{FS: ffs}})
+	srv := New(Config{CacheDir: dir, Common: Common{TraceSpans: 16, Faults: &faults.Injector{FS: ffs}}})
 	defer shutdown(t, srv)
 	if path := srv.DumpFlight("test"); path != "" {
 		t.Errorf("DumpFlight over a failing disk = %q, want \"\"", path)

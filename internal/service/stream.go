@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"dvr/internal/service/api"
 	"dvr/internal/stream"
@@ -57,6 +56,19 @@ func (p *cellPub) publish(ev api.Event) {
 		p.j.intervals.Add(1)
 	}
 	p.j.bc.Publish(ev)
+}
+
+// done records the cell's answer on its job's progress and publishes its
+// cell-done event.
+func (p *cellPub) done(resp api.SimResponse) {
+	if p == nil {
+		return
+	}
+	ev := api.Event{Kind: api.EventCellDone, Key: resp.Key, Cached: resp.Cached, Done: p.j.cellDone(), Total: p.j.total}
+	if resp.Error != nil {
+		ev.Error = resp.Error.Error
+	}
+	p.publish(ev)
 }
 
 // traceHooks returns the live OnInterval/OnEvent hooks for one cell, or
@@ -173,23 +185,18 @@ func filterFor(opts api.StreamOptions) func(api.Event) bool {
 }
 
 // handleJobStream serves GET /v1/jobs/{id}/stream: the job's event feed
-// as Server-Sent Events. Each frame carries the event's id (the SSE
-// resume cursor — reconnecting with Last-Event-ID picks up from the
-// replay window), its kind as the SSE event name, and the api.Event JSON
-// as data. Idle periods are bridged with comment heartbeats so proxies
-// do not reap the connection. The stream ends after the job's terminal
-// event (job-done) has been delivered and the broadcaster closed.
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	streamJob(w, r, s.jobs, s.cfg.StreamHeartbeat)
-}
-
-// streamJob is the role-agnostic SSE serving loop, shared by the worker
-// Server and the cluster Frontend (the frontend republishes its workers'
-// events into its own jobs' broadcasters, so subscribers see one stream
-// regardless of which replica simulates which cell).
-func streamJob(w http.ResponseWriter, r *http.Request, jobs *jobStore, hb time.Duration) {
+// as Server-Sent Events, on either role (a frontend republishes its
+// workers' events into its own jobs' broadcasters, so subscribers see one
+// stream regardless of which replica simulates which cell). Each frame
+// carries the event's id (the SSE resume cursor — reconnecting with
+// Last-Event-ID picks up from the replay window), its kind as the SSE
+// event name, and the api.Event JSON as data. Idle periods are bridged
+// with comment heartbeats so proxies do not reap the connection. The
+// stream ends after the job's terminal event (job-done) has been
+// delivered and the broadcaster closed.
+func (co *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := jobs.get(id)
+	j, ok := co.jobs.get(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", id)})
 		return
@@ -245,7 +252,7 @@ func streamJob(w http.ResponseWriter, r *http.Request, jobs *jobStore, hb time.D
 			// Nothing queued: put the burst on the wire, then wait. Only a
 			// wait arms the heartbeat timeout.
 			flush()
-			ctx, cancel := context.WithTimeout(r.Context(), hb)
+			ctx, cancel := context.WithTimeout(r.Context(), co.opts.StreamHeartbeat)
 			ev, err = sess.Next(ctx)
 			cancel()
 		}
