@@ -502,7 +502,9 @@ const (
 	CodeNotFound     = "not_found"
 )
 
-// Metrics is the GET /metrics snapshot.
+// Metrics is the GET /metrics snapshot. Each number in it is also a series
+// of the Prometheus text form, named after its JSON key (internal/service,
+// metrics.go), so a field added here is exposed in both.
 type Metrics struct {
 	// UptimeSeconds is the time since server start.
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -596,7 +598,8 @@ type Metrics struct {
 	StreamEventsDropped   uint64 `json:"stream_events_dropped"`
 	// StreamSessions lists the currently attached sessions with their
 	// per-session delivery and drop counters (the JSON face of the
-	// per-session dvrd_stream_session_dropped_total Prometheus series).
+	// per-session dvrd_stream_session_dropped and _delivered Prometheus
+	// series).
 	StreamSessions []StreamSession `json:"stream_sessions,omitempty"`
 
 	// ObsSpans is how many finished spans the distributed-tracing
@@ -610,7 +613,8 @@ type Metrics struct {
 
 // ClusterMetrics is the GET /metrics snapshot of a frontend: routing and
 // failover counters plus per-replica health gauges. Workers serve the
-// plain Metrics shape; the two are distinguished by the "role" field.
+// plain Metrics shape; the two are distinguished by the "role" field. Its
+// numbers are Prometheus series too, as Metrics' are.
 type ClusterMetrics struct {
 	// Role is "frontend" (workers report plain Metrics with no role field).
 	Role string `json:"role"`

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -107,10 +106,9 @@ type dispatcher interface {
 	// job the batch runs as, nil for a synchronous request. bodies[i], when
 	// non-nil, is cell i's stored encoding (encodeBatch).
 	answerBatch(ctx context.Context, req api.BatchRequest, cells []cell, sc simConfig, j *job) (out *api.BatchResponse, bodies [][]byte, err error)
-	// snapshot is the role's /metrics JSON body; prometheus writes the
-	// same snapshot as Prometheus text (om adds OpenMetrics exemplars).
+	// snapshot is the role's /metrics JSON body; the core writes it as
+	// Prometheus text through the exposition the role was built with.
 	snapshot() any
-	prometheus(w io.Writer, om bool)
 	// handleJobTrace serves GET /v1/jobs/{id}/trace.
 	handleJobTrace(w http.ResponseWriter, r *http.Request)
 	// stop releases the role's own machinery once every job has drained.
@@ -145,6 +143,9 @@ type core struct {
 	reqSeq   atomic.Uint64
 	reqTotal atomic.Uint64
 	reqHist  *histogram
+	// expo is what the role's /metrics text adds to its snapshot's
+	// numbers, every histogram the process observes included (metrics.go).
+	expo exposition
 
 	start time.Time
 	// draining flips when graceful shutdown begins: /readyz answers 503 so
@@ -178,9 +179,10 @@ func (c Common) withDefaults(name string) Common {
 	return c
 }
 
-// init readies the core of the role named name. Flight records go under
-// forensics ("" disables them).
-func (co *core) init(role dispatcher, name string, opts Common, forensics string) {
+// init readies the core of the role named name, whose /metrics text adds
+// expo to its snapshot. Flight records go under forensics ("" disables
+// them).
+func (co *core) init(role dispatcher, name string, expo exposition, opts Common, forensics string) {
 	opts = opts.withDefaults(name)
 	co.role, co.name, co.opts, co.forensics = role, name, opts, forensics
 	co.jobs = newJobStore()
@@ -194,9 +196,19 @@ func (co *core) init(role dispatcher, name string, opts Common, forensics string
 		co.tracer = obs.New(opts.ProcName, opts.TraceSpans)
 	}
 	co.logger = opts.Logger
-	co.reqHist = newHistogram(latencyBounds)
+	co.expo = expo
+	co.reqHist = co.histogram("dvrd_request_duration_seconds")
 	co.start = time.Now()
 	co.rootCtx, co.rootCancel = context.WithCancel(context.Background())
+}
+
+// histogram adds a latency histogram to the /metrics text under name (with
+// its labels, if its family has several); a role adds its own while it is
+// built, before it serves.
+func (co *core) histogram(name string) *histogram {
+	h := newHistogram(latencyBounds)
+	co.expo.hists = append(co.expo.hists, hist{name, h})
+	return h
 }
 
 // Handler returns the routed HTTP handler, wrapped in the request
@@ -621,7 +633,7 @@ func (co *core) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	co.role.prometheus(w, wantsExemplars(accept))
+	co.expo.write(w, co.role.snapshot(), wantsExemplars(accept))
 }
 
 // ---- responses and the error taxonomy ----

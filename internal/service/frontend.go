@@ -126,10 +126,10 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		clients: make(map[string]*client.Client, len(cfg.Replicas)),
 		flight:  newFlightGroup[api.SimResponse](),
 	}
-	f.core.init(f, "frontend", cfg.Common, cfg.LedgerDir)
+	f.core.init(f, "frontend", frontendExposition, cfg.Common, cfg.LedgerDir)
 	f.dispatchHist = make(map[string]*histogram, len(dispatchOutcomes))
 	for _, o := range dispatchOutcomes {
-		f.dispatchHist[o] = newHistogram(latencyBounds)
+		f.dispatchHist[o] = f.histogram(fmt.Sprintf("dvrd_dispatch_attempt_seconds{outcome=%q}", o))
 	}
 	f.breakers = cluster.NewBreakers(cfg.Replicas, cluster.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
@@ -237,10 +237,6 @@ func (f *Frontend) probe(ctx context.Context, replica string) cluster.Status {
 }
 
 func (f *Frontend) snapshot() any { return f.Metrics() }
-
-func (f *Frontend) prometheus(w io.Writer, om bool) {
-	writeClusterPrometheus(w, f.Metrics(), f.reqHist, f.dispatchHist, om)
-}
 
 // stop stops the prober. Worker-side simulation keeps running — the
 // workers own it.

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -131,11 +130,11 @@ func New(cfg Config) *Server {
 		flight:     newFlightGroup[cpu.Result](),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
 		bases:      &baseCache{entries: newLRU[*baseEntry](cfg.BaseEntries)},
-		queueHist:  newHistogram(latencyBounds),
 		startInsts: experiments.SimInstructions(),
 		adm:        newAIMD(cfg.Workers, cfg.Workers+cfg.QueueDepth),
 	}
-	s.core.init(s, "worker", cfg.Common, cfg.CacheDir)
+	s.core.init(s, "worker", workerExposition, cfg.Common, cfg.CacheDir)
+	s.queueHist = s.histogram("dvrd_queue_wait_seconds")
 	traceDir := ""
 	if cfg.TraceIntervalEvery > 0 && cfg.CacheDir != "" {
 		traceDir = filepath.Join(cfg.CacheDir, "traces")
@@ -216,10 +215,6 @@ func (s *Server) gated(run func() error) error {
 }
 
 func (s *Server) snapshot() any { return s.Metrics() }
-
-func (s *Server) prometheus(w io.Writer, om bool) {
-	writePrometheus(w, s.Metrics(), s.reqHist, s.queueHist, om)
-}
 
 // stop closes the worker pool, draining any queued tasks.
 func (s *Server) stop() { s.pool.Close() }
