@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,9 +18,7 @@ import (
 // through the context), a distributed-tracing span continuing any
 // propagated X-Trace-Ctx context, a structured slog line with span
 // timings (queue wait → simulate → encode) and trace_id/span_id fields,
-// and a sample in the request-duration histogram. GET /metrics serves
-// the same snapshot as JSON (default; the CI smoke pipes it through a
-// JSON parser) or Prometheus text exposition under "Accept: text/plain".
+// and a sample in the request-duration histogram (metrics.go).
 
 // spans accumulates the phase timings of one request. Batch requests fan
 // out to many cells, so the adders take a lock and sum: the logged
@@ -169,21 +166,6 @@ func writeJSONTimed(ctx context.Context, w http.ResponseWriter, code int, v any)
 func encodeDone(ctx context.Context, start time.Time) {
 	spansFrom(ctx).addEncode(time.Since(start))
 	obs.FromContext(ctx).StartChildAt("encode", start).End()
-}
-
-// wantsPrometheus decides the /metrics representation: Prometheus text
-// only when the client explicitly asks for text (a scraper's
-// "Accept: text/plain"); everything else — no header, */*, JSON — gets
-// the JSON snapshot, which existing tooling parses.
-func wantsPrometheus(accept string) bool {
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "application/openmetrics-text")
-}
-
-// wantsExemplars gates the OpenMetrics-only exemplar syntax: classic
-// text-format parsers reject the trailing "# {...}" clause, so exemplars
-// only render when the scraper negotiates openmetrics explicitly.
-func wantsExemplars(accept string) bool {
-	return strings.Contains(accept, "application/openmetrics-text")
 }
 
 // handleSpans answers GET /v1/spans?trace={id} on either role: the
