@@ -533,23 +533,32 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol f
 		sp.Build()
 	}
 	techs := append([]experiments.Technique{experiments.TechOoO}, experiments.AllTechniques...)
+	var exact, sampled []experiments.Job
+	for _, sp := range specs {
+		for _, tech := range techs {
+			exact = append(exact, experiments.Job{Spec: sp, Tech: tech, Cfg: cfg})
+			sampled = append(sampled, experiments.Job{Spec: sp, Tech: tech, Cfg: cfg, Sample: &so})
+		}
+	}
 	t0 := time.Now()
-	sm, err := experiments.MatrixSampled(context.Background(), specs, techs, cfg, so)
+	sm, err := experiments.RunAll(context.Background(), sampled)
 	if err != nil {
 		return err
 	}
 	sampDur := time.Since(t0)
 	t1 := time.Now()
-	em, err := experiments.MatrixE(context.Background(), specs, techs, cfg)
+	em, err := experiments.RunAll(context.Background(), exact)
 	if err != nil {
 		return err
 	}
 	exactDur := time.Since(t1)
 
-	hmean := func(m map[string]map[experiments.Technique]cpu.Result, tech experiments.Technique) float64 {
+	// hmean is tech's h-mean speedup over the OoO baseline, techs[0].
+	hmean := func(res []cpu.Result, tech experiments.Technique) float64 {
+		k := slices.Index(techs, tech)
 		var sp []float64
-		for _, s := range specs {
-			sp = append(sp, experiments.Speedup(m[s.Name][experiments.TechOoO], m[s.Name][tech]))
+		for i := 0; i < len(res); i += len(techs) {
+			sp = append(sp, experiments.Speedup(res[i], res[i+k]))
 		}
 		return stats.HarmonicMean(sp)
 	}
@@ -567,20 +576,16 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol f
 	}
 	meanErr := sumErr / float64(len(experiments.AllTechniques))
 	var timed, profiled uint64
-	for _, row := range sm {
-		for _, res := range row {
-			timed += res.Sampled.SimulatedInsts
-			profiled += res.Sampled.ProfiledInsts
-		}
+	for _, res := range sm {
+		timed += res.Sampled.SimulatedInsts
+		profiled += res.Sampled.ProfiledInsts
 	}
 	timedFrac := float64(timed) / float64(profiled)
 	// Where the sampled matrix's host time goes. A cell's HostNS covers its
-	// replay only; what a lone RunSampled takes beyond that is its plan.
+	// replay only; what a lone sampled Run takes beyond that is its plan.
 	var planDur, replayDur time.Duration
-	for _, row := range sm {
-		for _, res := range row {
-			replayDur += time.Duration(res.HostNS)
-		}
+	for _, res := range sm {
+		replayDur += time.Duration(res.HostNS)
 	}
 	for _, sp := range specs {
 		t2 := time.Now()

@@ -30,15 +30,19 @@ func main() {
 		for i := range specs {
 			specs[i].ROI = 100_000
 		}
-		m, err := experiments.MatrixE(context.Background(), specs, techs, cfg)
+		var jobs []experiments.Job
+		for _, sp := range specs {
+			for _, t := range techs {
+				jobs = append(jobs, experiments.Job{Spec: sp, Tech: t, Cfg: cfg})
+			}
+		}
+		res, err := experiments.RunAll(context.Background(), jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s %8s %8s %8s %14s %8s\n", "kernel", "OoO", "VRx", "DVRx", "DVR episodes", "nested")
-		for _, sp := range specs {
-			base := m[sp.Name][experiments.TechOoO]
-			vr := m[sp.Name][experiments.TechVR]
-			dvr := m[sp.Name][experiments.TechDVR]
+		for i, sp := range specs {
+			base, vr, dvr := res[3*i], res[3*i+1], res[3*i+2] // techs' order
 			fmt.Printf("%-12s %8.3f %8.2f %8.2f %14d %8d\n",
 				sp.Name, base.IPC(),
 				experiments.Speedup(base, vr), experiments.Speedup(base, dvr),

@@ -25,8 +25,13 @@ func main() {
 		experiments.TechOoO, experiments.TechPRE, experiments.TechIMP,
 		experiments.TechVR, experiments.TechDVR, experiments.TechOracle,
 	}
-	cfg := cpu.DefaultConfig()
-	m, err := experiments.MatrixE(context.Background(), specs, techs, cfg)
+	var jobs []experiments.Job
+	for _, sp := range specs {
+		for _, t := range techs {
+			jobs = append(jobs, experiments.Job{Spec: sp, Tech: t, Cfg: cpu.DefaultConfig()})
+		}
+	}
+	res, err := experiments.RunAll(context.Background(), jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,11 +41,11 @@ func main() {
 		fmt.Printf(" %9s", t)
 	}
 	fmt.Println(" (speedup vs OoO)")
-	for _, sp := range specs {
-		base := m[sp.Name][experiments.TechOoO]
+	for i, sp := range specs {
+		row := res[i*len(techs) : (i+1)*len(techs)] // row[0] is the OoO baseline
 		fmt.Printf("%-8s", sp.Name)
-		for _, t := range techs[1:] {
-			fmt.Printf(" %9.2f", experiments.Speedup(base, m[sp.Name][t]))
+		for _, r := range row[1:] {
+			fmt.Printf(" %9.2f", experiments.Speedup(row[0], r))
 		}
 		fmt.Println()
 	}

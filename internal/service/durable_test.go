@@ -27,7 +27,7 @@ func runUninterrupted(t *testing.T, ref workloads.Ref, tech string, cfg cpu.Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.RunJob(context.Background(), spec, experiments.Technique(tech), cfg, experiments.JobOpts{})
+	res, err := experiments.Run(context.Background(), experiments.Job{Spec: spec, Tech: experiments.Technique(tech), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

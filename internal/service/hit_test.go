@@ -440,12 +440,14 @@ func TestSampledPlanPerWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := experiments.RunSampled(context.Background(), spec, experiments.Technique(tech), cpu.DefaultConfig(), experiments.SampleOptions{})
+		want, err := experiments.Run(context.Background(), experiments.Job{
+			Spec: spec, Tech: experiments.Technique(tech), Cfg: cpu.DefaultConfig(), Sample: &experiments.SampleOptions{},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(c.Result, want.Canonical()) {
-			t.Errorf("%s/%s through the shared plan:\n%+v\nRunSampled alone:\n%+v", ref.Kernel, tech, c.Result, want.Canonical())
+			t.Errorf("%s/%s through the shared plan:\n%+v\nsampled alone:\n%+v", ref.Kernel, tech, c.Result, want.Canonical())
 		}
 	}
 	// The cells are cached now; a lone sampled cell builds its own plan.

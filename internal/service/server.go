@@ -447,8 +447,8 @@ func (s *Server) runBatch(ctx context.Context, resolved []cell, sc simConfig, j 
 	// batch (a plan is tens of MB at full ROIs). A group's first cell, which
 	// builds the plan, runs alone, so the group's other cells queue once
 	// the plan is there to replay and no worker parks behind the build
-	// while another group has work for it (experiments.MatrixSampled
-	// schedules the same way).
+	// while another group has work for it (experiments.RunAll schedules
+	// the same way).
 	live := make(chan struct{}, s.cfg.Workers)
 	for _, group := range groups {
 		wg.Add(1)
