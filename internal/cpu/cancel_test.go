@@ -2,11 +2,13 @@ package cpu
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
 	"dvr/internal/interp"
 	"dvr/internal/isa"
+	"dvr/internal/trace"
 )
 
 // cancelAtEngine cancels a context from inside the commit stream at an
@@ -29,6 +31,13 @@ func (e *cancelAtEngine) OnROBStall(from, to uint64) {}
 func (e *cancelAtEngine) Advance(now uint64)         {}
 func (e *cancelAtEngine) CommitBlockedUntil() uint64 { return 0 }
 func (e *cancelAtEngine) Stats() EngineStats         { return EngineStats{} }
+func (e *cancelAtEngine) SnapshotState() (json.RawMessage, error) {
+	return json.Marshal(e.commits)
+}
+func (e *cancelAtEngine) RestoreState(raw json.RawMessage) error {
+	return json.Unmarshal(raw, &e.commits)
+}
+func (e *cancelAtEngine) SetTracer(*trace.Recorder) {}
 
 // TestCancellationLatency pins the documented cancellation bound of
 // RunContext: once ctx is cancelled, the loop commits at most

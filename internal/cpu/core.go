@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"context"
+	"encoding/json"
 	"time"
 
 	"dvr/internal/bpred"
@@ -10,14 +11,6 @@ import (
 	"dvr/internal/mem"
 	"dvr/internal/trace"
 )
-
-// Frontend supplies the dynamic instruction stream and can be forked to
-// pre-execute the future stream speculatively (runahead). *interp.Interp
-// satisfies it.
-type Frontend interface {
-	StepInto(*interp.DynInst) bool
-	Clone() *interp.Interp
-}
 
 // EngineStats summarizes what an attached runahead engine or prefetcher did.
 type EngineStats struct {
@@ -48,6 +41,17 @@ type Engine interface {
 	CommitBlockedUntil() uint64
 	// Stats returns the engine's counters.
 	Stats() EngineStats
+
+	// SnapshotState serializes the engine's state. The core calls it only
+	// at committed-instruction boundaries, where every engine is between
+	// episodes (episodes run synchronously inside OnCommit/OnROBStall), so
+	// the state is compact.
+	SnapshotState() (json.RawMessage, error)
+	// RestoreState loads what SnapshotState produced into an engine freshly
+	// built over the already-restored frontend and hierarchy.
+	RestoreState(json.RawMessage) error
+	// SetTracer attaches the run's trace recorder (nil detaches it).
+	SetTracer(*trace.Recorder)
 }
 
 // ResultSchemaVersion identifies the JSON encoding of Result. Bump it when
@@ -177,7 +181,7 @@ type Core struct {
 	hier   *mem.Hierarchy
 	bp     *bpred.Predictor
 	engine Engine
-	fe     Frontend
+	fe     *interp.Interp
 
 	// traceFn, when set, receives per-instruction pipeline timing for the
 	// first traceN instructions (debugging aid).
@@ -191,28 +195,21 @@ type Core struct {
 	traceEvery uint64
 }
 
-// Traceable is implemented by engines (and engine wrappers) that accept a
-// trace recorder. Instrument uses it to thread one Recorder through every
-// instrumented layer.
-type Traceable interface {
-	SetTracer(*trace.Recorder)
-}
-
 // Instrument attaches a trace recorder to the core, its memory hierarchy,
-// and the attached engine (when the engine is Traceable). Call after
-// Attach and before Run; a nil recorder detaches everything.
+// and the attached engine. Call after Attach and before Run; a nil
+// recorder detaches everything.
 func (c *Core) Instrument(r *trace.Recorder) {
 	c.trace = r
 	c.traceEvery = r.IntervalEvery()
 	c.hier.SetTracer(r)
-	if t, ok := c.engine.(Traceable); ok {
-		t.SetTracer(r)
+	if c.engine != nil {
+		c.engine.SetTracer(r)
 	}
 }
 
 // NewCore builds a core over the given frontend with a fresh memory
 // hierarchy and branch predictor.
-func NewCore(cfg Config, fe Frontend) *Core {
+func NewCore(cfg Config, fe *interp.Interp) *Core {
 	return &Core{
 		cfg:  cfg,
 		hier: mem.NewHierarchy(cfg.Mem),
@@ -227,7 +224,7 @@ func NewCore(cfg Config, fe Frontend) *Core {
 // trace-driven warming, then mem.Hierarchy.BeginSegment before each timed
 // segment — because constructing the Table 1 L3 dominates the cost of a
 // short replay; behavior is otherwise identical to NewCore.
-func NewCoreWith(cfg Config, fe Frontend, h *mem.Hierarchy, bp *bpred.Predictor) *Core {
+func NewCoreWith(cfg Config, fe *interp.Interp, h *mem.Hierarchy, bp *bpred.Predictor) *Core {
 	return &Core{cfg: cfg, hier: h, bp: bp, fe: fe}
 }
 
@@ -295,11 +292,18 @@ type RunOptions struct {
 	// pipeline.
 	WatchdogBudget uint64
 
+	// LivelockAfter, when nonzero, is a scripted fault: from this many
+	// committed instructions on, commit is held at an unreachable cycle,
+	// so the watchdog trips as it would on a stuck engine hold. The wedge
+	// depends only on the committed count, so a resumed run wedges where
+	// an uninterrupted one would.
+	LivelockAfter uint64
+
 	// StatsBoundaryAt, when nonzero, calls StatsBoundaryFn once at the
 	// committed-instruction boundary before instruction StatsBoundaryAt,
 	// passing the same fully populated stats view of the run so far that a
 	// Snapshot's Res carries. Unlike checkpointing it copies no
-	// architectural state and works with any frontend or engine; the
+	// architectural state, so it costs nothing between boundaries; the
 	// sampled-simulation replayer (internal/sampling) subtracts the
 	// boundary stats from the final Result to isolate a measurement window
 	// from its warmup prefix.
@@ -401,11 +405,6 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 	if opts.Resume != nil {
 		var err error
 		if startSeq, err = c.restore(rs, opts.Resume); err != nil {
-			return Result{}, err
-		}
-	}
-	if opts.CheckpointEvery > 0 {
-		if err := c.checkpointable(); err != nil {
 			return Result{}, err
 		}
 	}
@@ -549,13 +548,17 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 		}
 		var hold uint64
 		if c.engine != nil {
-			if hold = c.engine.CommitBlockedUntil(); hold > cc {
-				rs.res.CommitHoldCycles += hold - cc
-				if c.trace != nil {
-					c.trace.Emit(trace.EvCommitHold, cc, hold, di.PC, 0, 0)
-				}
-				cc = hold
+			hold = c.engine.CommitBlockedUntil()
+		}
+		if opts.LivelockAfter > 0 && seq >= opts.LivelockAfter {
+			hold = livelockHold
+		}
+		if hold > cc {
+			rs.res.CommitHoldCycles += hold - cc
+			if c.trace != nil {
+				c.trace.Emit(trace.EvCommitHold, cc, hold, di.PC, 0, 0)
 			}
+			cc = hold
 		}
 		cc = rs.commitLim.next(cc)
 		// Retirement watchdog: a commit-to-commit gap beyond the budget

@@ -12,39 +12,11 @@ import (
 	"dvr/internal/mem"
 )
 
-// Snapshot-related errors. Callers (the checkpoint store, the service)
-// distinguish "this snapshot cannot be used here" (mismatch — recompute
-// from scratch) from "this run cannot checkpoint at all" (unsupported —
-// reject the options).
-var (
-	// ErrSnapshotMismatch means the snapshot does not fit the core it is
-	// being restored into: different configuration shapes, a different
-	// technique, or inconsistent internal dimensions.
-	ErrSnapshotMismatch = errors.New("cpu: snapshot does not match core")
-	// ErrCheckpointUnsupported means the attached frontend or engine does
-	// not implement snapshot capture/restore.
-	ErrCheckpointUnsupported = errors.New("cpu: frontend or engine does not support checkpointing")
-)
-
-// FrontendState is the snapshot surface of a checkpointable frontend.
-// *interp.Interp satisfies it.
-type FrontendState interface {
-	Frontend
-	Snapshot() interp.Snapshot
-	Restore(interp.Snapshot) error
-}
-
-// EngineState is implemented by engines that support checkpoint/restore.
-// SnapshotState is called only at committed-instruction boundaries, where
-// every engine in this repo is between episodes (episodes run synchronously
-// inside OnCommit/OnROBStall), so the state is compact. RestoreState is
-// called on a freshly constructed engine attached to the already-restored
-// frontend and hierarchy.
-type EngineState interface {
-	Engine
-	SnapshotState() (json.RawMessage, error)
-	RestoreState(json.RawMessage) error
-}
+// ErrSnapshotMismatch means the snapshot does not fit the core it is being
+// restored into: different configuration shapes, a different technique,
+// or inconsistent internal dimensions. Callers (the checkpoint store, the
+// service) recompute from scratch on it.
+var ErrSnapshotMismatch = errors.New("cpu: snapshot does not match core")
 
 // EngineSnapshot carries an engine's serialized state plus its name, so a
 // resume under a different technique is rejected instead of silently
@@ -105,10 +77,6 @@ type Snapshot struct {
 // simulation engine depends on it to delta a window's contribution out of
 // a warmup-prefixed replay (final Result minus boundary Res).
 func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
-	fs, ok := c.fe.(FrontendState)
-	if !ok {
-		return nil, fmt.Errorf("%w: frontend %T", ErrCheckpointUnsupported, c.fe)
-	}
 	// Release first, so the calendars export only what a continuation can
 	// still reach and a straight and a resumed run snapshot alike.
 	rs.releaseFUs()
@@ -133,16 +101,12 @@ func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
 		NStores:    rs.nStores,
 		StallCur:   rs.stallCursor,
 		LastPCs:    rs.lastPCs(seq),
-		Frontend:   fs.Snapshot(),
+		Frontend:   c.fe.Snapshot(),
 		Hier:       c.hier.Snapshot(),
 		Bpred:      c.bp.Snapshot(),
 	}
 	if c.engine != nil {
-		es, ok := c.engine.(EngineState)
-		if !ok {
-			return nil, fmt.Errorf("%w: engine %s", ErrCheckpointUnsupported, c.engine.Name())
-		}
-		raw, err := es.SnapshotState()
+		raw, err := c.engine.SnapshotState()
 		if err != nil {
 			return nil, fmt.Errorf("cpu: snapshot engine %s: %w", c.engine.Name(), err)
 		}
@@ -168,21 +132,6 @@ func (c *Core) boundaryRes(rs *runState) Result {
 	return bres
 }
 
-// checkpointable reports whether the core as currently assembled can
-// produce snapshots, so an impossible checkpointing request fails up front
-// rather than mid-run.
-func (c *Core) checkpointable() error {
-	if _, ok := c.fe.(FrontendState); !ok {
-		return fmt.Errorf("%w: frontend %T", ErrCheckpointUnsupported, c.fe)
-	}
-	if c.engine != nil {
-		if _, ok := c.engine.(EngineState); !ok {
-			return fmt.Errorf("%w: engine %s", ErrCheckpointUnsupported, c.engine.Name())
-		}
-	}
-	return nil
-}
-
 // restore loads s into the run state and the core's components. The core
 // must have been built with the same Config (and the same engine attached)
 // the snapshot was taken under; every shape is checked and a mismatch
@@ -205,16 +154,12 @@ func (c *Core) restore(rs *runState, s *Snapshot) (uint64, error) {
 	case len(s.LastPCs) > livelockPCWindow:
 		return 0, fmt.Errorf("%w: %d trailing PCs, window is %d", ErrSnapshotMismatch, len(s.LastPCs), livelockPCWindow)
 	}
-	fs, ok := c.fe.(FrontendState)
-	if !ok {
-		return 0, fmt.Errorf("%w: frontend %T", ErrCheckpointUnsupported, c.fe)
-	}
 	// The frontend is restored before the engine, and must stay so: memory
 	// deltas are words that differ from the base chain, and an engine's
 	// cloned interpreter (the Oracle's look-ahead view) forks the
 	// frontend's memory, so its delta only means what it did at snapshot
 	// time once the frontend underneath reads as it did then.
-	if err := fs.Restore(s.Frontend); err != nil {
+	if err := c.fe.Restore(s.Frontend); err != nil {
 		return 0, fmt.Errorf("%w: frontend: %v", ErrSnapshotMismatch, err)
 	}
 	if err := c.hier.Restore(s.Hier); err != nil {
@@ -232,11 +177,7 @@ func (c *Core) restore(rs *runState, s *Snapshot) (uint64, error) {
 		if c.engine.Name() != s.Engine.Name {
 			return 0, fmt.Errorf("%w: snapshot has engine %s, core has %s", ErrSnapshotMismatch, s.Engine.Name, c.engine.Name())
 		}
-		es, ok := c.engine.(EngineState)
-		if !ok {
-			return 0, fmt.Errorf("%w: engine %s", ErrCheckpointUnsupported, c.engine.Name())
-		}
-		if err := es.RestoreState(s.Engine.State); err != nil {
+		if err := c.engine.RestoreState(s.Engine.State); err != nil {
 			return 0, fmt.Errorf("%w: engine %s: %v", ErrSnapshotMismatch, s.Engine.Name, err)
 		}
 	}

@@ -11,6 +11,11 @@ import (
 // forensics dumps and checkpoints.
 const livelockPCWindow = 32
 
+// livelockHold is the commit hold RunOptions.LivelockAfter imposes: far
+// beyond any reachable commit cycle, so the very next commit attempt
+// exceeds any watchdog budget.
+const livelockHold = uint64(1) << 62
+
 // ForensicsDump is the machine-readable picture of a livelocked pipeline
 // at the moment the retirement watchdog fired: where the stuck instruction
 // is in the pipeline, what is occupying the backend structures, which

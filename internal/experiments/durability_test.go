@@ -241,16 +241,15 @@ func TestResumeRejectsMismatchedCore(t *testing.T) {
 // TestWatchdogLivelock seeds a scripted livelock (the commit stream wedges
 // after N instructions) and verifies the retirement watchdog converts it
 // into a typed error with a populated forensics dump instead of a
-// runaway simulation.
+// runaway simulation, and that a run resumed from a checkpoint taken
+// before the wedge point wedges at the same instruction.
 func TestWatchdogLivelock(t *testing.T) {
 	spec := QuickSuite().HPCDB[0]
 	cfg := cpu.DefaultConfig()
+	fault := JobOpts{WatchdogBudget: 50_000, LivelockAfter: 2_000}
 	for _, tech := range []Technique{TechOoO, TechDVR} {
 		t.Run(string(tech), func(t *testing.T) {
-			_, err := RunJob(context.Background(), spec, tech, cfg, JobOpts{
-				WatchdogBudget: 50_000,
-				LivelockAfter:  2_000,
-			})
+			_, err := RunJob(context.Background(), spec, tech, cfg, fault)
 			var le *cpu.LivelockError
 			if !errors.As(err, &le) {
 				t.Fatalf("livelocked run returned %v, want *cpu.LivelockError", err)
@@ -273,6 +272,28 @@ func TestWatchdogLivelock(t *testing.T) {
 			}
 			if le.Error() == "" {
 				t.Error("empty error string")
+			}
+
+			early := fault
+			early.CheckpointEvery = 1_000
+			var snap *cpu.Snapshot
+			early.Checkpoint = func(s *cpu.Snapshot) error {
+				snap = s
+				return errKilled
+			}
+			if _, err := RunJob(context.Background(), spec, tech, cfg, early); !errors.Is(err, errKilled) {
+				t.Fatalf("donor run returned %v, want scripted kill", err)
+			}
+			resumed := fault
+			resumed.Resume = snap
+			_, err = RunJob(context.Background(), spec, tech, cfg, resumed)
+			var rle *cpu.LivelockError
+			if !errors.As(err, &rle) {
+				t.Fatalf("run resumed at %d returned %v, want *cpu.LivelockError", snap.Seq, err)
+			}
+			if rle.Dump.Seq != d.Seq || rle.Dump.EngineHold == 0 {
+				t.Errorf("run resumed at %d wedged at seq %d with hold %d, want seq %d with a hold",
+					snap.Seq, rle.Dump.Seq, rle.Dump.EngineHold, d.Seq)
 			}
 		})
 	}

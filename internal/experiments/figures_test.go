@@ -32,14 +32,21 @@ type goldenCell struct {
 // `go test ./internal/experiments -update` and says why in its description.
 func checkGolden(t *testing.T, name, header string, cells []goldenCell) {
 	t.Helper()
-	path := filepath.Join("testdata", name+"_quick.golden")
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s instructions cycles\n", header)
 	for _, c := range cells {
 		fmt.Fprintf(&b, "%s %d %d\n", c.label, c.res.Instructions, c.res.Cycles)
 	}
+	matchGolden(t, name+"_quick.golden", b.String())
+}
+
+// matchGolden compares got line by line against testdata/<file>, or
+// rewrites the file under -update.
+func matchGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *update {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -48,13 +55,13 @@ func checkGolden(t *testing.T, name, header string, cells []goldenCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, golden := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	if len(got) != len(golden) {
-		t.Fatalf("%s: this run has %d lines, the golden %d", path, len(got), len(golden))
+	gotLines, golden := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(golden) {
+		t.Fatalf("%s: this run has %d lines, the golden %d", path, len(gotLines), len(golden))
 	}
-	for i := range got {
-		if got[i] != golden[i] {
-			t.Errorf("quick %s cell moved: got %q, golden has %q", name, got[i], golden[i])
+	for i := range gotLines {
+		if gotLines[i] != golden[i] {
+			t.Errorf("%s line %d moved:\n got %s\nwant %s", path, i+1, gotLines[i], golden[i])
 		}
 	}
 }

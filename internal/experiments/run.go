@@ -180,11 +180,7 @@ func (j *Job) run(ctx context.Context, w *workloads.Workload, build Build) (cpu.
 		fe = w.Frontend()
 	}
 	core := cpu.NewCore(j.Cfg, fe)
-	eng := build(fe, w, core.Hierarchy(), j.Cfg)
-	if j.LivelockAfter > 0 {
-		eng = &livelockEngine{inner: eng, after: j.LivelockAfter}
-	}
-	if eng != nil {
+	if eng := build(fe, w, core.Hierarchy(), j.Cfg); eng != nil {
 		core.Attach(eng)
 	}
 	if j.Trace != nil {
@@ -195,6 +191,7 @@ func (j *Job) run(ctx context.Context, w *workloads.Workload, build Build) (cpu.
 		CheckpointEvery: j.CheckpointEvery,
 		CheckpointFn:    j.Checkpoint,
 		WatchdogBudget:  j.WatchdogBudget,
+		LivelockAfter:   j.LivelockAfter,
 	})
 	res.Name = j.Spec.Name
 	res.Technique = string(j.Tech)

@@ -43,30 +43,34 @@ type IMP struct {
 	tr    *trace.Recorder
 }
 
-// SetTracer implements cpu.Traceable. Issue/late/useless events flow
+// SetTracer implements cpu.Engine. Issue/late/useless events flow
 // through the hierarchy's tracer; IMP itself reports pattern confirmations.
 func (p *IMP) SetTracer(r *trace.Recorder) { p.tr = r }
 
+// The four types below are IMP's live state; their JSON encoding is the
+// checkpoint form.
+
 type impLastVal struct {
-	pc  int
-	val uint64
+	PC  int    `json:"pc"`
+	Val uint64 `json:"val"`
 }
 
 type impKey struct {
-	stridePC int
-	indirPC  int
-	coeff    int64
+	StridePC int   `json:"stride_pc"`
+	IndirPC  int   `json:"indir_pc"`
+	Coeff    int64 `json:"coeff"`
 }
 
 type impPattern struct {
-	base      uint64
-	conf      int
-	confirmed bool
+	Base      uint64 `json:"base"`
+	Conf      int    `json:"conf"`
+	Confirmed bool   `json:"confirmed,omitempty"`
 }
 
+// impEntry encodes flat: the key's fields, then the pattern's.
 type impEntry struct {
-	key impKey
-	pat *impPattern
+	impKey
+	*impPattern
 }
 
 // impCoeffs are the candidate index-to-address scale factors IMP tests.
@@ -122,39 +126,39 @@ func (p *IMP) observe(pc int, addr uint64, cycle uint64) {
 	// Candidate indirect load: correlate its address against recent
 	// striding-load values.
 	for _, lv := range p.lastVal {
-		if lv.pc == pc {
+		if lv.PC == pc {
 			continue
 		}
 		for _, c := range impCoeffs {
-			base := addr - lv.val*uint64(c)
-			k := impKey{stridePC: lv.pc, indirPC: pc, coeff: c}
+			base := addr - lv.Val*uint64(c)
+			k := impKey{StridePC: lv.PC, IndirPC: pc, Coeff: c}
 			pat, ok := p.pats[k]
 			if !ok {
 				if len(p.pats) < 256 {
-					pat = &impPattern{base: base, conf: 1}
+					pat = &impPattern{Base: base, Conf: 1}
 					p.pats[k] = pat
 					p.order = append(p.order, impEntry{k, pat})
 				}
 				continue
 			}
-			if pat.base == base {
-				pat.conf++
-				if pat.conf >= 3 && !pat.confirmed {
-					pat.confirmed = true
-					coeff := k.coeff
+			if pat.Base == base {
+				pat.Conf++
+				if pat.Conf >= 3 && !pat.Confirmed {
+					pat.Confirmed = true
+					coeff := k.Coeff
 					if coeff < 0 {
 						coeff = -coeff
 					}
 					p.tr.Emit(trace.EvPatternConfirm, cycle, 0, pc, uint64(coeff), 0)
 				}
-			} else if !pat.confirmed {
-				pat.base = base
-				pat.conf = 1
+			} else if !pat.Confirmed {
+				pat.Base = base
+				pat.Conf = 1
 			} else {
-				pat.conf--
-				if pat.conf <= 0 {
+				pat.Conf--
+				if pat.Conf <= 0 {
 					delete(p.pats, k)
-					p.order = slices.DeleteFunc(p.order, func(e impEntry) bool { return e.pat == pat })
+					p.order = slices.DeleteFunc(p.order, func(e impEntry) bool { return e.impPattern == pat })
 				}
 			}
 		}
@@ -166,12 +170,12 @@ func (p *IMP) observe(pc int, addr uint64, cycle uint64) {
 // striding load PC in the program — so a linear scan beats map hashing).
 func (p *IMP) setLastVal(pc int, val uint64) {
 	for i := range p.lastVal {
-		if p.lastVal[i].pc == pc {
-			p.lastVal[i].val = val
+		if p.lastVal[i].PC == pc {
+			p.lastVal[i].Val = val
 			return
 		}
 	}
-	p.lastVal = append(p.lastVal, impLastVal{pc: pc, val: val})
+	p.lastVal = append(p.lastVal, impLastVal{PC: pc, Val: val})
 }
 
 // trigger fires the confirmed patterns anchored at a striding load: the
@@ -179,14 +183,14 @@ func (p *IMP) setLastVal(pc int, val uint64) {
 // the stride prefetcher) are translated and their targets prefetched.
 func (p *IMP) trigger(pc int, addr uint64, e *runahead.RPTEntry, cycle uint64) {
 	for _, en := range p.order {
-		k, pat := en.key, en.pat
-		if !pat.confirmed || k.stridePC != pc {
+		k, pat := en.impKey, en.impPattern
+		if !pat.Confirmed || k.StridePC != pc {
 			continue
 		}
 		for d := 1; d <= p.degree; d++ {
 			idxAddr := uint64(int64(addr) + int64(d)*e.Stride)
 			idx := p.fmem.Load64(idxAddr)
-			target := pat.base + idx*uint64(k.coeff)
+			target := pat.Base + idx*uint64(k.Coeff)
 			res := p.hier.Prefetch(target, cycle, mem.SrcIMP)
 			if !res.Rejected {
 				p.stats.Prefetches++

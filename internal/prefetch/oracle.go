@@ -21,13 +21,13 @@ type Oracle struct {
 	tr        *trace.Recorder
 }
 
-// SetTracer implements cpu.Traceable. The Oracle's activity is visible via
+// SetTracer implements cpu.Engine. The Oracle's activity is visible via
 // the hierarchy's prefetch-issue events; nothing extra to emit here.
 func (o *Oracle) SetTracer(r *trace.Recorder) { o.tr = r }
 
 // NewOracle clones the frontend at its current state and keeps the clone
 // `lookahead` instructions ahead of the main thread's commit point.
-func NewOracle(fe cpu.Frontend, hier *mem.Hierarchy, lookahead uint64) *Oracle {
+func NewOracle(fe *interp.Interp, hier *mem.Hierarchy, lookahead uint64) *Oracle {
 	ahead := fe.Clone()
 	// The frontend may already be fast-forwarded; count commits from its
 	// current position.

@@ -65,7 +65,7 @@ func TestIMPDetectsSimpleIndirection(t *testing.T) {
 	// Confirmed pattern must carry the right base and coefficient.
 	found := false
 	for k, pat := range p.pats {
-		if pat.confirmed && k.coeff == 8 && pat.base == 0x900000 {
+		if pat.Confirmed && k.Coeff == 8 && pat.Base == 0x900000 {
 			found = true
 		}
 	}
@@ -113,7 +113,7 @@ func TestIMPIgnoresHashedIndirection(t *testing.T) {
 	it := interp.New(b.MustBuild(), m)
 	driveIMP(t, p, it, h, 3000)
 	for k, pat := range p.pats {
-		if pat.confirmed {
+		if pat.Confirmed {
 			t.Errorf("spurious confirmed pattern %+v", k)
 		}
 	}

@@ -9,52 +9,36 @@ import (
 	"dvr/internal/runahead"
 )
 
-// impLastValSnapshot is one striding-PC value entry; order matters (it is
-// the training-scan order) and is preserved.
-type impLastValSnapshot struct {
-	PC  int    `json:"pc"`
-	Val uint64 `json:"val"`
-}
-
-// impPatternSnapshot is one pattern-table entry together with its key,
-// serialized in insertion (order-slice) order so a restored IMP iterates
-// identically.
-type impPatternSnapshot struct {
-	StridePC  int    `json:"stride_pc"`
-	IndirPC   int    `json:"indir_pc"`
-	Coeff     int64  `json:"coeff"`
-	Base      uint64 `json:"base"`
-	Conf      int    `json:"conf"`
-	Confirmed bool   `json:"confirmed,omitempty"`
-}
-
+// impSnapshot is IMP's state: the live stride table, last-value entries
+// and pattern entries, the latter in insertion (order-slice) order so a
+// restored IMP iterates identically.
 type impSnapshot struct {
-	RPT     runahead.RPTSnapshot `json:"rpt"`
-	LastVal []impLastValSnapshot `json:"last_val,omitempty"`
-	Pats    []impPatternSnapshot `json:"pats,omitempty"`
-	Stats   cpu.EngineStats      `json:"stats"`
+	RPT     runahead.RPT    `json:"rpt"`
+	LastVal []impLastVal    `json:"last_val,omitempty"`
+	Pats    []impEntry      `json:"pats,omitempty"`
+	Stats   cpu.EngineStats `json:"stats"`
 }
 
-// SnapshotState implements cpu.EngineState.
+// UnmarshalJSON decodes a checkpointed entry into a fresh pattern.
+func (e *impEntry) UnmarshalJSON(b []byte) error {
+	var v struct {
+		impKey
+		impPattern
+	}
+	err := json.Unmarshal(b, &v)
+	e.impKey, e.impPattern = v.impKey, &v.impPattern
+	return err
+}
+
+// SnapshotState implements cpu.Engine.
 func (p *IMP) SnapshotState() (json.RawMessage, error) {
-	s := impSnapshot{RPT: p.rpt.Snapshot(), Stats: p.stats}
-	for _, lv := range p.lastVal {
-		s.LastVal = append(s.LastVal, impLastValSnapshot{PC: lv.pc, Val: lv.val})
-	}
-	for _, en := range p.order {
-		k, pat := en.key, en.pat
-		s.Pats = append(s.Pats, impPatternSnapshot{
-			StridePC: k.stridePC, IndirPC: k.indirPC, Coeff: k.coeff,
-			Base: pat.base, Conf: pat.conf, Confirmed: pat.confirmed,
-		})
-	}
-	return json.Marshal(s)
+	return json.Marshal(impSnapshot{RPT: *p.rpt, LastVal: p.lastVal, Pats: p.order, Stats: p.stats})
 }
 
-// RestoreState implements cpu.EngineState. The IMP must be freshly
-// constructed over the already-restored hierarchy and functional memory
-// (NewIMP re-registers the L1-D observer, which hierarchy restore
-// preserves).
+// RestoreState implements cpu.Engine. The IMP must be freshly constructed
+// over the already-restored hierarchy and functional memory (NewIMP
+// re-registers the L1-D observer, which hierarchy restore preserves). The
+// pattern map is rebuilt from the order slice.
 func (p *IMP) RestoreState(raw json.RawMessage) error {
 	var s impSnapshot
 	if err := json.Unmarshal(raw, &s); err != nil {
@@ -63,22 +47,14 @@ func (p *IMP) RestoreState(raw json.RawMessage) error {
 	if err := p.rpt.Restore(s.RPT); err != nil {
 		return err
 	}
-	p.lastVal = p.lastVal[:0]
-	for _, lv := range s.LastVal {
-		p.lastVal = append(p.lastVal, impLastVal{pc: lv.PC, val: lv.Val})
-	}
 	p.pats = make(map[impKey]*impPattern, len(s.Pats))
-	p.order = p.order[:0]
-	for _, ps := range s.Pats {
-		k := impKey{stridePC: ps.StridePC, indirPC: ps.IndirPC, coeff: ps.Coeff}
-		if _, dup := p.pats[k]; dup {
-			return fmt.Errorf("prefetch: imp state has duplicate pattern key %+v", k)
+	for _, en := range s.Pats {
+		if _, dup := p.pats[en.impKey]; dup {
+			return fmt.Errorf("prefetch: imp state has duplicate pattern key %+v", en.impKey)
 		}
-		pat := &impPattern{base: ps.Base, conf: ps.Conf, confirmed: ps.Confirmed}
-		p.pats[k] = pat
-		p.order = append(p.order, impEntry{k, pat})
+		p.pats[en.impKey] = en.impPattern
 	}
-	p.stats = s.Stats
+	p.lastVal, p.order, p.stats = s.LastVal, s.Pats, s.Stats
 	return nil
 }
 
@@ -93,7 +69,7 @@ type oracleSnapshot struct {
 	Stats     cpu.EngineStats `json:"stats"`
 }
 
-// SnapshotState implements cpu.EngineState.
+// SnapshotState implements cpu.Engine.
 func (o *Oracle) SnapshotState() (json.RawMessage, error) {
 	return json.Marshal(oracleSnapshot{
 		Ahead:     o.ahead.Snapshot(),
@@ -103,7 +79,7 @@ func (o *Oracle) SnapshotState() (json.RawMessage, error) {
 	})
 }
 
-// RestoreState implements cpu.EngineState. The Oracle must be freshly
+// RestoreState implements cpu.Engine. The Oracle must be freshly
 // constructed over the already-restored frontend: NewOracle clones it, so
 // o.ahead's memory is a fork whose base is the frontend's (restored)
 // memory object, and applying the snapshot's word delta on top of what the
@@ -121,8 +97,3 @@ func (o *Oracle) RestoreState(raw json.RawMessage) error {
 	o.stats = s.Stats
 	return nil
 }
-
-var (
-	_ cpu.EngineState = (*IMP)(nil)
-	_ cpu.EngineState = (*Oracle)(nil)
-)

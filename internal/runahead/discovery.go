@@ -1,6 +1,8 @@
 package runahead
 
 import (
+	"slices"
+
 	"dvr/internal/interp"
 	"dvr/internal/isa"
 )
@@ -20,68 +22,68 @@ const DefaultLanes = 128
 // (iii) the remaining loop iterations (via the Last-Compare Register,
 // Seen-Branch Bit, and register-file checkpoints).
 type discovery struct {
-	targetPC int
-	stride   int64
+	TargetPC int   `json:"target_pc"`
+	Stride   int64 `json:"stride"`
 
-	vtt     uint16 // Vector Taint Tracker: one bit per architectural register
-	flrPC   int    // Final-Load Register: last tainted load's PC (-1: none)
-	steps   int
-	started bool
+	VTT     uint16 `json:"vtt"`    // Vector Taint Tracker: one bit per architectural register
+	FLRPC   int    `json:"flr_pc"` // Final-Load Register: last tainted load's PC (-1: none)
+	Steps   int    `json:"steps"`
+	Started bool   `json:"started,omitempty"`
 
 	// Loop-bound inference.
-	lcrValid   bool
-	lcrSrc1    isa.Reg
-	lcrSrc2    isa.Reg
-	lcrUseImm  bool
-	lcrImm     int64
-	lcrDst     isa.Reg
-	sbb        bool // Seen-Branch Bit
-	backBranch int  // PC of the backward branch closing the loop (-1: none)
+	LCRValid   bool    `json:"lcr_valid,omitempty"`
+	LCRSrc1    isa.Reg `json:"lcr_src1,omitempty"`
+	LCRSrc2    isa.Reg `json:"lcr_src2,omitempty"`
+	LCRUseImm  bool    `json:"lcr_use_imm,omitempty"`
+	LCRImm     int64   `json:"lcr_imm,omitempty"`
+	LCRDst     isa.Reg `json:"lcr_dst,omitempty"`
+	SBB        bool    `json:"sbb,omitempty"` // Seen-Branch Bit
+	BackBranch int     `json:"back_branch"`   // PC of the backward branch closing the loop (-1: none)
 
-	// Innermost-stride switching: per-RPT-entry seen bits (§4.1.1).
-	seenStride map[int]bool
+	// Innermost-stride switching (§4.1.1): the confident striding-load PCs
+	// seen once so far, sorted.
+	SeenStride []int `json:"seen_stride,omitempty"`
 
 	// Register-file checkpoint at Discovery Mode entry.
-	enter [isa.NumRegs]uint64
+	Enter [isa.NumRegs]uint64 `json:"enter"`
 
-	branchesAfterFLR bool // footnote 1: branches between FLR and loop close
+	BranchesAfterFLR bool `json:"branches_after_flr,omitempty"` // footnote 1: branches between FLR and loop close
 }
 
 // discoveryResult is what Discovery Mode hands to the subthread spawn.
 type discoveryResult struct {
-	stridePC   int
-	stride     int64
-	flrPC      int // -1 when no dependent chain was found
-	lanes      int // remaining loop iterations, capped at DefaultLanes
-	boundKnown bool
-	boundReg   isa.Reg // loop-bound register (constant across the iteration)
-	boundIsImm bool    // the loop bound is an immediate in the compare
-	boundImm   int64
-	ivReg      isa.Reg // induction-variable register
-	incr       int64   // loop increment (the IR for nested mode)
-	backBranch int     // backward branch PC (-1 if none seen)
-	divergent  bool    // branches seen between FLR and loop close (footnote 1)
+	StridePC   int     `json:"stride_pc"`
+	Stride     int64   `json:"stride"`
+	FLRPC      int     `json:"flr_pc"` // -1 when no dependent chain was found
+	Lanes      int     `json:"lanes"`  // remaining loop iterations, capped at DefaultLanes
+	BoundKnown bool    `json:"bound_known,omitempty"`
+	BoundReg   isa.Reg `json:"bound_reg,omitempty"`    // loop-bound register (constant across the iteration)
+	BoundIsImm bool    `json:"bound_is_imm,omitempty"` // the loop bound is an immediate in the compare
+	BoundImm   int64   `json:"bound_imm,omitempty"`
+	IVReg      isa.Reg `json:"iv_reg,omitempty"`    // induction-variable register
+	Incr       int64   `json:"incr,omitempty"`      // loop increment (the IR for nested mode)
+	BackBranch int     `json:"back_branch"`         // backward branch PC (-1 if none seen)
+	Divergent  bool    `json:"divergent,omitempty"` // branches seen between FLR and loop close (footnote 1)
 }
 
 // hasChain reports whether a dependent load chain was found; DVR is only
 // worth triggering when there is one (§4.1.2).
-func (r discoveryResult) hasChain() bool { return r.flrPC >= 0 }
+func (r discoveryResult) hasChain() bool { return r.FLRPC >= 0 }
 
 func newDiscovery(targetPC int, stride int64, regs [isa.NumRegs]uint64) *discovery {
 	return &discovery{
-		targetPC:   targetPC,
-		stride:     stride,
-		flrPC:      -1,
-		backBranch: -1,
-		seenStride: make(map[int]bool),
-		enter:      regs,
+		TargetPC:   targetPC,
+		Stride:     stride,
+		FLRPC:      -1,
+		BackBranch: -1,
+		Enter:      regs,
 	}
 }
 
 // seedTaint marks the striding load's destination register tainted.
-func (d *discovery) seedTaint(dst isa.Reg) { d.vtt = 1 << uint(dst) }
+func (d *discovery) seedTaint(dst isa.Reg) { d.VTT = 1 << uint(dst) }
 
-func (d *discovery) tainted(r isa.Reg) bool { return d.vtt&(1<<uint(r)) != 0 }
+func (d *discovery) tainted(r isa.Reg) bool { return d.VTT&(1<<uint(r)) != 0 }
 
 // observe feeds one committed instruction. It returns (result, true) when
 // Discovery Mode completes (the striding load commits again), and aborts by
@@ -89,28 +91,29 @@ func (d *discovery) tainted(r isa.Reg) bool { return d.vtt&(1<<uint(r)) != 0 }
 func (d *discovery) observe(di interp.DynInst, rpt *RPT, regs [isa.NumRegs]uint64) (discoveryResult, bool) {
 	in := di.Inst
 
-	if di.PC == d.targetPC && d.started {
+	if di.PC == d.TargetPC && d.Started {
 		return d.finish(regs), true
 	}
-	d.started = true
-	d.steps++
-	if d.steps > discoveryBudget {
-		return discoveryResult{stridePC: d.targetPC, flrPC: -1}, true
+	d.Started = true
+	d.Steps++
+	if d.Steps > discoveryBudget {
+		return discoveryResult{StridePC: d.TargetPC, FLRPC: -1}, true
 	}
 
 	// Innermost striding-load detection (§4.1.1): seeing another confident
 	// striding load twice before returning to the target means that load is
 	// more inner; switch Discovery Mode to it.
 	if in.Op.IsLoad() {
-		if e := rpt.Lookup(di.PC); e != nil && e.Confident() && di.PC != d.targetPC {
-			if d.seenStride[di.PC] {
+		if e := rpt.Lookup(di.PC); e != nil && e.Confident() && di.PC != d.TargetPC {
+			i, seen := slices.BinarySearch(d.SeenStride, di.PC)
+			if seen {
 				nd := newDiscovery(di.PC, e.Stride, regs)
 				nd.seedTaint(in.Dst)
 				*d = *nd
-				d.started = true
+				d.Started = true
 				return discoveryResult{}, false
 			}
-			d.seenStride[di.PC] = true
+			d.SeenStride = slices.Insert(d.SeenStride, i, di.PC)
 		}
 	}
 
@@ -126,38 +129,38 @@ func (d *discovery) observe(di interp.DynInst, rpt *RPT, regs [isa.NumRegs]uint6
 	if in.Op.IsLoad() && anySrcTainted {
 		// A load whose address depends on the striding load: update the FLR
 		// and zero the LCR/SBB.
-		d.flrPC = di.PC
-		d.lcrValid = false
-		d.sbb = false
-		d.branchesAfterFLR = false
+		d.FLRPC = di.PC
+		d.LCRValid = false
+		d.SBB = false
+		d.BranchesAfterFLR = false
 	}
 	if in.Op.WritesDst() {
 		if anySrcTainted {
-			d.vtt |= 1 << uint(in.Dst)
+			d.VTT |= 1 << uint(in.Dst)
 		} else {
-			d.vtt &^= 1 << uint(in.Dst)
+			d.VTT &^= 1 << uint(in.Dst)
 		}
 	}
 
 	// Loop-bound inference (§4.1.3).
-	if in.Op == isa.Cmp && !d.sbb {
-		d.lcrValid = true
-		d.lcrSrc1 = in.Src1
-		d.lcrSrc2 = in.Src2
-		d.lcrUseImm = in.UseImm
-		d.lcrImm = in.Imm
-		d.lcrDst = in.Dst
+	if in.Op == isa.Cmp && !d.SBB {
+		d.LCRValid = true
+		d.LCRSrc1 = in.Src1
+		d.LCRSrc2 = in.Src2
+		d.LCRUseImm = in.UseImm
+		d.LCRImm = in.Imm
+		d.LCRDst = in.Dst
 	}
 	if in.Op == isa.Br && in.Cond != isa.Always {
 		switch {
-		case d.lcrValid && in.Src1 == d.lcrDst && in.Target <= d.targetPC:
+		case d.LCRValid && in.Src1 == d.LCRDst && in.Target <= d.TargetPC:
 			// The loop-closing backward branch.
-			d.sbb = true
-			d.backBranch = di.PC
-		case d.flrPC >= 0 && !d.sbb:
+			d.SBB = true
+			d.BackBranch = di.PC
+		case d.FLRPC >= 0 && !d.SBB:
 			// Some other branch between the FLR and the loop close
 			// (footnote 1): lanes may diverge after the final load.
-			d.branchesAfterFLR = true
+			d.BranchesAfterFLR = true
 		}
 	}
 	return discoveryResult{}, false
@@ -167,14 +170,14 @@ func (d *discovery) observe(di interp.DynInst, rpt *RPT, regs [isa.NumRegs]uint6
 // LCR to infer the loop bound and increment, then packages the result.
 func (d *discovery) finish(exit [isa.NumRegs]uint64) discoveryResult {
 	res := discoveryResult{
-		stridePC:   d.targetPC,
-		stride:     d.stride,
-		flrPC:      d.flrPC,
-		lanes:      DefaultLanes,
-		backBranch: d.backBranch,
-		divergent:  d.branchesAfterFLR,
+		StridePC:   d.TargetPC,
+		Stride:     d.Stride,
+		FLRPC:      d.FLRPC,
+		Lanes:      DefaultLanes,
+		BackBranch: d.BackBranch,
+		Divergent:  d.BranchesAfterFLR,
 	}
-	if !d.lcrValid || !d.sbb {
+	if !d.LCRValid || !d.SBB {
 		return res
 	}
 	type operand struct {
@@ -183,12 +186,12 @@ func (d *discovery) finish(exit [isa.NumRegs]uint64) discoveryResult {
 		enter uint64
 		exit  uint64
 	}
-	a := operand{reg: d.lcrSrc1, isReg: true, enter: d.enter[d.lcrSrc1], exit: exit[d.lcrSrc1]}
-	b := operand{reg: d.lcrSrc2, isReg: !d.lcrUseImm}
+	a := operand{reg: d.LCRSrc1, isReg: true, enter: d.Enter[d.LCRSrc1], exit: exit[d.LCRSrc1]}
+	b := operand{reg: d.LCRSrc2, isReg: !d.LCRUseImm}
 	if b.isReg {
-		b.enter, b.exit = d.enter[d.lcrSrc2], exit[d.lcrSrc2]
+		b.enter, b.exit = d.Enter[d.LCRSrc2], exit[d.LCRSrc2]
 	} else {
-		b.enter, b.exit = uint64(d.lcrImm), uint64(d.lcrImm)
+		b.enter, b.exit = uint64(d.LCRImm), uint64(d.LCRImm)
 	}
 
 	var iv, bound operand
@@ -212,12 +215,12 @@ func (d *discovery) finish(exit [isa.NumRegs]uint64) discoveryResult {
 	case remaining > MaxLanes:
 		remaining = MaxLanes
 	}
-	res.lanes = int(remaining)
-	res.boundKnown = true
-	res.boundReg = bound.reg
-	res.boundIsImm = !bound.isReg
-	res.boundImm = int64(bound.exit)
-	res.ivReg = iv.reg
-	res.incr = incr
+	res.Lanes = int(remaining)
+	res.BoundKnown = true
+	res.BoundReg = bound.reg
+	res.BoundIsImm = !bound.isReg
+	res.BoundImm = int64(bound.exit)
+	res.IVReg = iv.reg
+	res.Incr = incr
 	return res
 }

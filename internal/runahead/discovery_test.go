@@ -36,7 +36,7 @@ func discover(t *testing.T, prog *isa.Program, m *interp.Memory, stridePC int, w
 			if i >= warm && di.PC == stridePC && e.Confident() {
 				d = newDiscovery(di.PC, e.Stride, it.St.Regs)
 				d.seedTaint(di.Inst.Dst)
-				d.started = true
+				d.Started = true
 			}
 		}
 	}
@@ -72,25 +72,25 @@ func chainProgram() (*isa.Program, *interp.Memory, int) {
 func TestDiscoveryFindsChainAndBound(t *testing.T) {
 	prog, m, stride := chainProgram()
 	res := discover(t, prog, m, stride, 30)
-	if res.stridePC != stride {
-		t.Errorf("stridePC = %d, want %d", res.stridePC, stride)
+	if res.StridePC != stride {
+		t.Errorf("stridePC = %d, want %d", res.StridePC, stride)
 	}
-	if res.flrPC != stride+2 {
-		t.Errorf("FLR = %d, want %d (the C load)", res.flrPC, stride+2)
+	if res.FLRPC != stride+2 {
+		t.Errorf("FLR = %d, want %d (the C load)", res.FLRPC, stride+2)
 	}
-	if !res.boundKnown {
+	if !res.BoundKnown {
 		t.Fatal("loop bound not inferred")
 	}
-	if res.incr != 1 {
-		t.Errorf("increment = %d, want 1", res.incr)
+	if res.Incr != 1 {
+		t.Errorf("increment = %d, want 1", res.Incr)
 	}
-	if res.lanes != MaxLanes {
-		t.Errorf("lanes = %d, want %d (remaining iterations cap)", res.lanes, MaxLanes)
+	if res.Lanes != MaxLanes {
+		t.Errorf("lanes = %d, want %d (remaining iterations cap)", res.Lanes, MaxLanes)
 	}
-	if res.backBranch != stride+5 {
-		t.Errorf("back branch = %d, want %d", res.backBranch, stride+5)
+	if res.BackBranch != stride+5 {
+		t.Errorf("back branch = %d, want %d", res.BackBranch, stride+5)
 	}
-	if res.divergent {
+	if res.Divergent {
 		t.Error("chain without intervening branches flagged divergent")
 	}
 }
@@ -101,11 +101,11 @@ func TestDiscoveryLanesNearLoopEnd(t *testing.T) {
 	// dynamic instructions after the 5-instruction preamble).
 	warm := 5 + 6*(4096-40)
 	res := discover(t, prog, m, stride, warm)
-	if !res.boundKnown {
+	if !res.BoundKnown {
 		t.Fatal("bound not inferred")
 	}
-	if res.lanes > 45 || res.lanes < 30 {
-		t.Errorf("remaining lanes = %d, want ~40", res.lanes)
+	if res.Lanes > 45 || res.Lanes < 30 {
+		t.Errorf("remaining lanes = %d, want ~40", res.Lanes)
 	}
 }
 
@@ -124,11 +124,11 @@ func TestDiscoveryImmediateBound(t *testing.T) {
 	b.Br(isa.LT, 7, "top")
 	b.Halt()
 	res := discover(t, b.MustBuild(), m, stride, 30)
-	if !res.boundKnown || !res.boundIsImm {
+	if !res.BoundKnown || !res.BoundIsImm {
 		t.Fatalf("immediate bound not inferred: %+v", res)
 	}
-	if res.lanes != MaxLanes {
-		t.Errorf("lanes = %d, want cap", res.lanes)
+	if res.Lanes != MaxLanes {
+		t.Errorf("lanes = %d, want cap", res.Lanes)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestDiscoveryNoChain(t *testing.T) {
 	b.Halt()
 	res := discover(t, b.MustBuild(), m, stride, 30)
 	if res.hasChain() {
-		t.Errorf("chain reported for a stride with no dependent loads (flr=%d)", res.flrPC)
+		t.Errorf("chain reported for a stride with no dependent loads (flr=%d)", res.FLRPC)
 	}
 }
 
@@ -184,11 +184,11 @@ func TestDiscoverySwitchesToInnermostStride(t *testing.T) {
 	b.Br(isa.LT, 7, "outer")
 	b.Halt()
 	res := discover(t, b.MustBuild(), m, outerStride, 200)
-	if res.stridePC != innerStride {
-		t.Errorf("discovery ended on pc %d, want the inner striding load %d", res.stridePC, innerStride)
+	if res.StridePC != innerStride {
+		t.Errorf("discovery ended on pc %d, want the inner striding load %d", res.StridePC, innerStride)
 	}
-	if res.flrPC != innerStride+1 {
-		t.Errorf("FLR = %d, want %d", res.flrPC, innerStride+1)
+	if res.FLRPC != innerStride+1 {
+		t.Errorf("FLR = %d, want %d", res.FLRPC, innerStride+1)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestDiscoveryDivergentFlag(t *testing.T) {
 	if !res.hasChain() {
 		t.Fatal("chain not found")
 	}
-	if !res.divergent {
+	if !res.Divergent {
 		t.Error("branch between FLR and loop close not flagged divergent")
 	}
 }
@@ -247,7 +247,7 @@ func TestDiscoveryBudgetAbort(t *testing.T) {
 	}
 	d := newDiscovery(stride, 8, it.St.Regs)
 	d.seedTaint(8)
-	d.started = true
+	d.Started = true
 	for i := 0; i < discoveryBudget+100; i++ {
 		di, ok := it.Step()
 		if !ok {

@@ -93,7 +93,7 @@ type Vector struct {
 	tr *trace.Recorder
 }
 
-// SetTracer implements cpu.Traceable.
+// SetTracer implements cpu.Engine.
 func (v *Vector) SetTracer(r *trace.Recorder) { v.tr = r }
 
 // noteEpisode accounts one finished episode: subthread occupancy for the
@@ -161,7 +161,7 @@ func (v *Vector) OnROBStall(from, to uint64) {
 	if e == nil {
 		return
 	}
-	res := discoveryResult{stridePC: e.PC, stride: e.Stride, flrPC: -1, lanes: v.opt.Lanes, backBranch: -1}
+	res := discoveryResult{StridePC: e.PC, Stride: e.Stride, FLRPC: -1, Lanes: v.opt.Lanes, BackBranch: -1}
 	end := v.spawn(res, e.PrevAddr, from, trace.ReasonStall)
 	v.busyUntil = end
 	// Delayed termination: the core stays in runahead mode until the
@@ -198,11 +198,11 @@ func (v *Vector) OnCommit(di interp.DynInst, cycle uint64) {
 			v.disc = nil
 			v.stats.DiscoveryModes++
 			var spawnable uint64
-			if res.hasChain() && res.lanes > 0 {
+			if res.hasChain() && res.Lanes > 0 {
 				v.pending = &res
 				spawnable = 1
 			}
-			v.tr.Emit(trace.EvDiscoveryEnd, cycle, 0, res.stridePC, uint64(res.lanes), spawnable)
+			v.tr.Emit(trace.EvDiscoveryEnd, cycle, 0, res.StridePC, uint64(res.Lanes), spawnable)
 		}
 		return
 	}
@@ -210,7 +210,7 @@ func (v *Vector) OnCommit(di interp.DynInst, cycle uint64) {
 	// A completed discovery waits for the main thread to reach the striding
 	// load again, then spawns the subthread (§4.2).
 	if v.pending != nil {
-		if di.PC == v.pending.stridePC && in.Op.IsLoad() {
+		if di.PC == v.pending.StridePC && in.Op.IsLoad() {
 			res := *v.pending
 			v.pending = nil
 			v.busyUntil = v.spawn(res, di.Addr, cycle, trace.ReasonStride)
@@ -225,13 +225,13 @@ func (v *Vector) OnCommit(di interp.DynInst, cycle uint64) {
 	if v.opt.Discovery {
 		v.disc = newDiscovery(di.PC, rptEntry.Stride, v.regs)
 		v.disc.seedTaint(in.Dst)
-		v.disc.started = true
+		v.disc.Started = true
 		v.tr.Emit(trace.EvDiscoveryStart, cycle, 0, di.PC, 0, 0)
 		return
 	}
 	// No Discovery Mode (offload variant): vectorize immediately from this
 	// striding load by the full degree.
-	res := discoveryResult{stridePC: di.PC, stride: rptEntry.Stride, flrPC: -1, lanes: v.opt.Lanes, backBranch: -1}
+	res := discoveryResult{StridePC: di.PC, Stride: rptEntry.Stride, FLRPC: -1, Lanes: v.opt.Lanes, BackBranch: -1}
 	v.busyUntil = v.spawn(res, di.Addr, cycle, trace.ReasonStride)
 }
 
@@ -239,7 +239,7 @@ func (v *Vector) OnCommit(di interp.DynInst, cycle uint64) {
 // baseAddr and returns the cycle at which the subthread finishes. reason
 // records what triggered it (trace.ReasonStall / trace.ReasonStride).
 func (v *Vector) spawn(res discoveryResult, baseAddr uint64, cycle uint64, reason uint64) uint64 {
-	lanes := res.lanes
+	lanes := res.Lanes
 	if lanes > v.opt.Lanes {
 		lanes = v.opt.Lanes
 	}
@@ -248,9 +248,9 @@ func (v *Vector) spawn(res discoveryResult, baseAddr uint64, cycle uint64, reaso
 	}
 	v.stats.Episodes++
 
-	if v.opt.Nested && res.lanes < v.opt.NestedThreshold && res.backBranch >= 0 {
+	if v.opt.Nested && res.Lanes < v.opt.NestedThreshold && res.BackBranch >= 0 {
 		if end, ok := v.nestedSpawn(res, cycle); ok {
-			v.noteEpisode(res.stridePC, cycle, end, lanes, trace.ReasonNested)
+			v.noteEpisode(res.StridePC, cycle, end, lanes, trace.ReasonNested)
 			return end
 		}
 	}
@@ -261,23 +261,23 @@ func (v *Vector) spawn(res discoveryResult, baseAddr uint64, cycle uint64, reaso
 	run.laneOffset = 1
 	override := new(laneVec)
 	for k := 0; k < lanes; k++ {
-		override[k] = uint64(int64(baseAddr) + int64(k+1)*res.stride)
+		override[k] = uint64(int64(baseAddr) + int64(k+1)*res.Stride)
 	}
-	flr := res.flrPC
-	if res.divergent {
+	flr := res.FLRPC
+	if res.Divergent {
 		// Footnote 1: branches between the FLR and the loop close; ignore
 		// the FLR and let lanes run to the next stride iteration.
 		flr = -1
 	}
 	run.exec(execOpts{
-		startPC:      res.stridePC,
+		startPC:      res.StridePC,
 		addrOverride: override,
-		stridePC:     res.stridePC,
+		stridePC:     res.StridePC,
 		flrPC:        flr,
 		stopBefore:   -1,
 	})
 	v.collect(run, lanes)
-	v.noteEpisode(res.stridePC, cycle, run.cursor, lanes, reason)
+	v.noteEpisode(res.StridePC, cycle, run.cursor, lanes, reason)
 	return run.cursor
 }
 
@@ -292,7 +292,7 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 		outerLanes = 1
 	}
 
-	innerPC := res.stridePC // the ILR
+	innerPC := res.StridePC // the ILR
 	innerEntry := v.rpt.Lookup(innerPC)
 	if innerEntry == nil || !innerEntry.Confident() {
 		return 0, false
@@ -307,7 +307,7 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 	run.tr = v.tr
 	run.rpt = v.rpt
 	run.laneOffset = 0
-	outerPC := run.scalarSkip(res.backBranch+1, v.rpt, innerPC)
+	outerPC := run.scalarSkip(res.BackBranch+1, v.rpt, innerPC)
 	if outerPC < 0 {
 		// No outer striding load within the budget: fall back to the
 		// loop-bound degree (§4.3.1).
@@ -353,17 +353,17 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 		return a
 	}
 	tripOf := func(k int) int {
-		if !res.boundKnown || res.incr == 0 {
-			return res.lanes
+		if !res.BoundKnown || res.Incr == 0 {
+			return res.Lanes
 		}
 		var bound int64
-		if res.boundIsImm {
-			bound = res.boundImm
+		if res.BoundIsImm {
+			bound = res.BoundImm
 		} else {
-			bound = int64(run.st.get(res.boundReg, k))
+			bound = int64(run.st.get(res.BoundReg, k))
 		}
-		iv := int64(run.st.get(res.ivReg, k))
-		t := (bound - iv + res.incr - 1) / res.incr
+		iv := int64(run.st.get(res.IVReg, k))
+		t := (bound - iv + res.Incr - 1) / res.Incr
 		if t < 0 {
 			return 0
 		}
@@ -385,13 +385,13 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 			continue
 		}
 		base := baseOf(k)
-		iv0 := run.st.get(res.ivReg, k)
+		iv0 := run.st.get(res.IVReg, k)
 		trips := tripOf(k)
 		for j := 0; j < trips && len(lanes) < maxExpand; j++ {
 			lanes = append(lanes, expanded{
 				outer: k,
 				addr:  uint64(int64(base) + int64(j)*innerStride),
-				iv:    uint64(int64(iv0) + int64(j)*res.incr),
+				iv:    uint64(int64(iv0) + int64(j)*res.Incr),
 			})
 		}
 	}
@@ -412,7 +412,7 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 			lv[i] = run.st.vec[r][e.outer]
 		}
 	}
-	if lv := st.vectorize(res.ivReg); true {
+	if lv := st.vectorize(res.IVReg); true {
 		for i, e := range lanes {
 			lv[i] = e.iv
 		}
@@ -425,8 +425,8 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 	inner := newVecRun(v.prog, v.fmem, v.hier, v.vecConfig(), st, run.cursor)
 	inner.tr = v.tr
 	inner.steps = run.steps
-	flr := res.flrPC
-	if res.divergent {
+	flr := res.FLRPC
+	if res.Divergent {
 		flr = -1
 	}
 	inner.exec(execOpts{

@@ -94,7 +94,7 @@ func TestDiscoverySurvivesRandomStreams(t *testing.T) {
 		rpt := NewRPT(8)
 		d := newDiscovery(0, 8, it.St.Regs)
 		d.seedTaint(isa.Reg(seed % 16))
-		d.started = true
+		d.Started = true
 		for i := 0; i < discoveryBudget*3; i++ {
 			di, ok := it.Step()
 			if !ok {

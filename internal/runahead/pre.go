@@ -16,7 +16,7 @@ import (
 // in flight, which is why it cannot prefetch past the first level of
 // indirection (§2.2).
 type PRE struct {
-	fe    cpu.Frontend
+	fe    *interp.Interp
 	hier  *mem.Hierarchy
 	width int
 	// maxUops caps one episode (register/issue-queue recycling limits).
@@ -26,11 +26,11 @@ type PRE struct {
 	tr    *trace.Recorder
 }
 
-// SetTracer implements cpu.Traceable.
+// SetTracer implements cpu.Engine.
 func (p *PRE) SetTracer(r *trace.Recorder) { p.tr = r }
 
 // NewPRE builds a PRE engine over the core's frontend and hierarchy.
-func NewPRE(fe cpu.Frontend, hier *mem.Hierarchy, width int) *PRE {
+func NewPRE(fe *interp.Interp, hier *mem.Hierarchy, width int) *PRE {
 	return &PRE{fe: fe, hier: hier, width: width, maxUops: 768}
 }
 

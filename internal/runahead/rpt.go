@@ -1,16 +1,18 @@
 package runahead
 
+import "fmt"
+
 // RPTEntry is one entry of the Reference Prediction Table (stride
 // detector): per §4.4 it holds the load PC, the previous address, the
 // stride, a 2-bit saturating confidence counter and an innermost bit.
 type RPTEntry struct {
-	PC        int
-	Valid     bool
-	PrevAddr  uint64
-	Stride    int64
-	Conf      uint8 // 2-bit saturating
-	Innermost bool
-	lastUse   uint64
+	PC        int    `json:"pc"`
+	Valid     bool   `json:"v,omitempty"`
+	PrevAddr  uint64 `json:"a"`
+	Stride    int64  `json:"st"`
+	Conf      uint8  `json:"c"` // 2-bit saturating
+	Innermost bool   `json:"in,omitempty"`
+	LastUse   uint64 `json:"u"` // Clock at the last access: the LRU stamp
 }
 
 // Confident reports whether the entry has a stable non-zero stride.
@@ -19,39 +21,50 @@ func (e *RPTEntry) Confident() bool { return e.Valid && e.Conf >= 2 && e.Stride 
 // RPT is the 32-entry stride detector, trained on the committed load
 // stream; it identifies striding loads and their strides, the trigger for
 // Discovery Mode and for Vector Runahead's speculative vectorization.
+// Its JSON encoding is the checkpoint form.
 type RPT struct {
-	entries []RPTEntry
-	clock   uint64
+	Entries []RPTEntry `json:"entries"`
+	Clock   uint64     `json:"clock"`
 }
 
 // NewRPT returns a stride detector with n entries (the paper uses 32).
 func NewRPT(n int) *RPT {
-	return &RPT{entries: make([]RPTEntry, n)}
+	return &RPT{Entries: make([]RPTEntry, n)}
+}
+
+// Restore overwrites the table with a checkpointed one, which must have
+// the table's configured size.
+func (t *RPT) Restore(s RPT) error {
+	if len(s.Entries) != len(t.Entries) {
+		return fmt.Errorf("runahead: snapshot has %d RPT entries, table has %d", len(s.Entries), len(t.Entries))
+	}
+	*t = s
+	return nil
 }
 
 // Observe trains the detector with a committed load (pc, addr). It returns
 // the entry for pc after training, which is Confident once the same stride
 // repeats.
 func (t *RPT) Observe(pc int, addr uint64) *RPTEntry {
-	t.clock++
+	t.Clock++
 	var e *RPTEntry
 	victim := 0
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].PC == pc {
-			e = &t.entries[i]
+	for i := range t.Entries {
+		if t.Entries[i].Valid && t.Entries[i].PC == pc {
+			e = &t.Entries[i]
 			break
 		}
-		if !t.entries[i].Valid {
+		if !t.Entries[i].Valid {
 			victim = i
-		} else if t.entries[victim].Valid && t.entries[i].lastUse < t.entries[victim].lastUse {
+		} else if t.Entries[victim].Valid && t.Entries[i].LastUse < t.Entries[victim].LastUse {
 			victim = i
 		}
 	}
 	if e == nil {
-		t.entries[victim] = RPTEntry{PC: pc, Valid: true, PrevAddr: addr, lastUse: t.clock}
-		return &t.entries[victim]
+		t.Entries[victim] = RPTEntry{PC: pc, Valid: true, PrevAddr: addr, LastUse: t.Clock}
+		return &t.Entries[victim]
 	}
-	e.lastUse = t.clock
+	e.LastUse = t.Clock
 	stride := int64(addr) - int64(e.PrevAddr)
 	e.PrevAddr = addr
 	switch {
@@ -73,9 +86,9 @@ func (t *RPT) Observe(pc int, addr uint64) *RPTEntry {
 
 // Lookup returns the entry for pc, or nil.
 func (t *RPT) Lookup(pc int) *RPTEntry {
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].PC == pc {
-			return &t.entries[i]
+	for i := range t.Entries {
+		if t.Entries[i].Valid && t.Entries[i].PC == pc {
+			return &t.Entries[i]
 		}
 	}
 	return nil
@@ -84,9 +97,9 @@ func (t *RPT) Lookup(pc int) *RPTEntry {
 // LastConfident returns the most recently used confident entry, or nil.
 func (t *RPT) LastConfident() *RPTEntry {
 	var best *RPTEntry
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.Confident() && (best == nil || e.lastUse > best.lastUse) {
+	for i := range t.Entries {
+		e := &t.Entries[i]
+		if e.Confident() && (best == nil || e.LastUse > best.LastUse) {
 			best = e
 		}
 	}

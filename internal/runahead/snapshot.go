@@ -3,188 +3,34 @@ package runahead
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"dvr/internal/cpu"
 	"dvr/internal/isa"
 )
 
-// RPTEntrySnapshot is one stride-detector entry in serializable form.
-type RPTEntrySnapshot struct {
-	PC        int    `json:"pc"`
-	Valid     bool   `json:"v,omitempty"`
-	PrevAddr  uint64 `json:"a"`
-	Stride    int64  `json:"st"`
-	Conf      uint8  `json:"c"`
-	Innermost bool   `json:"in,omitempty"`
-	LastUse   uint64 `json:"u"`
-}
-
-// RPTSnapshot captures a Reference Prediction Table, including the LRU
-// clock and per-entry use stamps that decide victim selection.
-type RPTSnapshot struct {
-	Entries []RPTEntrySnapshot `json:"entries"`
-	Clock   uint64             `json:"clock"`
-}
-
-// Snapshot captures the table state.
-func (t *RPT) Snapshot() RPTSnapshot {
-	s := RPTSnapshot{Clock: t.clock, Entries: make([]RPTEntrySnapshot, len(t.entries))}
-	for i, e := range t.entries {
-		s.Entries[i] = RPTEntrySnapshot{
-			PC: e.PC, Valid: e.Valid, PrevAddr: e.PrevAddr,
-			Stride: e.Stride, Conf: e.Conf, Innermost: e.Innermost, LastUse: e.lastUse,
-		}
-	}
-	return s
-}
-
-// Restore overwrites the table from s; the entry count must match the
-// table's configured size.
-func (t *RPT) Restore(s RPTSnapshot) error {
-	if len(s.Entries) != len(t.entries) {
-		return fmt.Errorf("runahead: snapshot has %d RPT entries, table has %d", len(s.Entries), len(t.entries))
-	}
-	for i, e := range s.Entries {
-		t.entries[i] = RPTEntry{
-			PC: e.PC, Valid: e.Valid, PrevAddr: e.PrevAddr,
-			Stride: e.Stride, Conf: e.Conf, Innermost: e.Innermost, lastUse: e.LastUse,
-		}
-	}
-	t.clock = s.Clock
-	return nil
-}
-
-// discoveryResultSnapshot mirrors discoveryResult with exported fields.
-type discoveryResultSnapshot struct {
-	StridePC   int     `json:"stride_pc"`
-	Stride     int64   `json:"stride"`
-	FLRPC      int     `json:"flr_pc"`
-	Lanes      int     `json:"lanes"`
-	BoundKnown bool    `json:"bound_known,omitempty"`
-	BoundReg   isa.Reg `json:"bound_reg,omitempty"`
-	BoundIsImm bool    `json:"bound_is_imm,omitempty"`
-	BoundImm   int64   `json:"bound_imm,omitempty"`
-	IVReg      isa.Reg `json:"iv_reg,omitempty"`
-	Incr       int64   `json:"incr,omitempty"`
-	BackBranch int     `json:"back_branch"`
-	Divergent  bool    `json:"divergent,omitempty"`
-}
-
-func snapResult(r discoveryResult) discoveryResultSnapshot {
-	return discoveryResultSnapshot{
-		StridePC: r.stridePC, Stride: r.stride, FLRPC: r.flrPC, Lanes: r.lanes,
-		BoundKnown: r.boundKnown, BoundReg: r.boundReg, BoundIsImm: r.boundIsImm,
-		BoundImm: r.boundImm, IVReg: r.ivReg, Incr: r.incr,
-		BackBranch: r.backBranch, Divergent: r.divergent,
-	}
-}
-
-func (s discoveryResultSnapshot) restore() discoveryResult {
-	return discoveryResult{
-		stridePC: s.StridePC, stride: s.Stride, flrPC: s.FLRPC, lanes: s.Lanes,
-		boundKnown: s.BoundKnown, boundReg: s.BoundReg, boundIsImm: s.BoundIsImm,
-		boundImm: s.BoundImm, ivReg: s.IVReg, incr: s.Incr,
-		backBranch: s.BackBranch, divergent: s.Divergent,
-	}
-}
-
-// discoverySnapshot mirrors an in-progress Discovery Mode. SeenStride is a
-// sorted PC list (the map only ever holds true values).
-type discoverySnapshot struct {
-	TargetPC int   `json:"target_pc"`
-	Stride   int64 `json:"stride"`
-
-	VTT     uint16 `json:"vtt"`
-	FLRPC   int    `json:"flr_pc"`
-	Steps   int    `json:"steps"`
-	Started bool   `json:"started,omitempty"`
-
-	LCRValid   bool    `json:"lcr_valid,omitempty"`
-	LCRSrc1    isa.Reg `json:"lcr_src1,omitempty"`
-	LCRSrc2    isa.Reg `json:"lcr_src2,omitempty"`
-	LCRUseImm  bool    `json:"lcr_use_imm,omitempty"`
-	LCRImm     int64   `json:"lcr_imm,omitempty"`
-	LCRDst     isa.Reg `json:"lcr_dst,omitempty"`
-	SBB        bool    `json:"sbb,omitempty"`
-	BackBranch int     `json:"back_branch"`
-
-	SeenStride []int `json:"seen_stride,omitempty"`
-
-	Enter [isa.NumRegs]uint64 `json:"enter"`
-
-	BranchesAfterFLR bool `json:"branches_after_flr,omitempty"`
-}
-
-func snapDiscovery(d *discovery) *discoverySnapshot {
-	s := &discoverySnapshot{
-		TargetPC: d.targetPC, Stride: d.stride,
-		VTT: d.vtt, FLRPC: d.flrPC, Steps: d.steps, Started: d.started,
-		LCRValid: d.lcrValid, LCRSrc1: d.lcrSrc1, LCRSrc2: d.lcrSrc2,
-		LCRUseImm: d.lcrUseImm, LCRImm: d.lcrImm, LCRDst: d.lcrDst,
-		SBB: d.sbb, BackBranch: d.backBranch,
-		Enter: d.enter, BranchesAfterFLR: d.branchesAfterFLR,
-	}
-	for pc, seen := range d.seenStride {
-		if seen {
-			s.SeenStride = append(s.SeenStride, pc)
-		}
-	}
-	sort.Ints(s.SeenStride)
-	return s
-}
-
-func (s *discoverySnapshot) restore() *discovery {
-	d := &discovery{
-		targetPC: s.TargetPC, stride: s.Stride,
-		vtt: s.VTT, flrPC: s.FLRPC, steps: s.Steps, started: s.Started,
-		lcrValid: s.LCRValid, lcrSrc1: s.LCRSrc1, lcrSrc2: s.LCRSrc2,
-		lcrUseImm: s.LCRUseImm, lcrImm: s.LCRImm, lcrDst: s.LCRDst,
-		sbb: s.SBB, backBranch: s.BackBranch,
-		seenStride: make(map[int]bool, len(s.SeenStride)),
-		enter:      s.Enter, branchesAfterFLR: s.BranchesAfterFLR,
-	}
-	for _, pc := range s.SeenStride {
-		d.seenStride[pc] = true
-	}
-	return d
-}
-
 // vectorSnapshot is the complete engine state of Vector between committed
 // instructions. Episodes run synchronously inside OnCommit/OnROBStall, so
 // there is never an in-flight vecRun to capture.
 type vectorSnapshot struct {
-	RPT       RPTSnapshot              `json:"rpt"`
-	Regs      [isa.NumRegs]uint64      `json:"regs"`
-	Disc      *discoverySnapshot       `json:"disc,omitempty"`
-	Pending   *discoveryResultSnapshot `json:"pending,omitempty"`
-	BusyUntil uint64                   `json:"busy_until"`
-	HoldUntil uint64                   `json:"hold_until"`
-	Stats     cpu.EngineStats          `json:"stats"`
-	LanesSum  uint64                   `json:"lanes_sum"`
+	RPT       RPT                 `json:"rpt"`
+	Regs      [isa.NumRegs]uint64 `json:"regs"`
+	Disc      *discovery          `json:"disc,omitempty"`
+	Pending   *discoveryResult    `json:"pending,omitempty"`
+	BusyUntil uint64              `json:"busy_until"`
+	HoldUntil uint64              `json:"hold_until"`
+	Stats     cpu.EngineStats     `json:"stats"`
+	LanesSum  uint64              `json:"lanes_sum"`
 }
 
-// SnapshotState implements cpu.EngineState.
+// SnapshotState implements cpu.Engine.
 func (v *Vector) SnapshotState() (json.RawMessage, error) {
-	s := vectorSnapshot{
-		RPT:       v.rpt.Snapshot(),
-		Regs:      v.regs,
-		BusyUntil: v.busyUntil,
-		HoldUntil: v.holdUntil,
-		Stats:     v.stats,
-		LanesSum:  v.lanesSum,
-	}
-	if v.disc != nil {
-		s.Disc = snapDiscovery(v.disc)
-	}
-	if v.pending != nil {
-		p := snapResult(*v.pending)
-		s.Pending = &p
-	}
-	return json.Marshal(s)
+	return json.Marshal(vectorSnapshot{
+		RPT: *v.rpt, Regs: v.regs, Disc: v.disc, Pending: v.pending,
+		BusyUntil: v.busyUntil, HoldUntil: v.holdUntil, Stats: v.stats, LanesSum: v.lanesSum,
+	})
 }
 
-// RestoreState implements cpu.EngineState. The engine must be freshly
+// RestoreState implements cpu.Engine. The engine must be freshly
 // constructed over the already-restored frontend and hierarchy.
 func (v *Vector) RestoreState(raw json.RawMessage) error {
 	var s vectorSnapshot
@@ -194,20 +40,8 @@ func (v *Vector) RestoreState(raw json.RawMessage) error {
 	if err := v.rpt.Restore(s.RPT); err != nil {
 		return err
 	}
-	v.regs = s.Regs
-	v.disc = nil
-	if s.Disc != nil {
-		v.disc = s.Disc.restore()
-	}
-	v.pending = nil
-	if s.Pending != nil {
-		r := s.Pending.restore()
-		v.pending = &r
-	}
-	v.busyUntil = s.BusyUntil
-	v.holdUntil = s.HoldUntil
-	v.stats = s.Stats
-	v.lanesSum = s.LanesSum
+	v.regs, v.disc, v.pending = s.Regs, s.Disc, s.Pending
+	v.busyUntil, v.holdUntil, v.stats, v.lanesSum = s.BusyUntil, s.HoldUntil, s.Stats, s.LanesSum
 	return nil
 }
 
@@ -217,12 +51,12 @@ type preSnapshot struct {
 	Stats cpu.EngineStats `json:"stats"`
 }
 
-// SnapshotState implements cpu.EngineState.
+// SnapshotState implements cpu.Engine.
 func (p *PRE) SnapshotState() (json.RawMessage, error) {
 	return json.Marshal(preSnapshot{Stats: p.stats})
 }
 
-// RestoreState implements cpu.EngineState.
+// RestoreState implements cpu.Engine.
 func (p *PRE) RestoreState(raw json.RawMessage) error {
 	var s preSnapshot
 	if err := json.Unmarshal(raw, &s); err != nil {
@@ -231,8 +65,3 @@ func (p *PRE) RestoreState(raw json.RawMessage) error {
 	p.stats = s.Stats
 	return nil
 }
-
-var (
-	_ cpu.EngineState = (*Vector)(nil)
-	_ cpu.EngineState = (*PRE)(nil)
-)

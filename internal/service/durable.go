@@ -80,7 +80,7 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 		}
 	}
 	res, err := experiments.Run(ctx, job)
-	if job.Resume != nil && (errors.Is(err, cpu.ErrSnapshotMismatch) || errors.Is(err, cpu.ErrCheckpointUnsupported)) {
+	if job.Resume != nil && errors.Is(err, cpu.ErrSnapshotMismatch) {
 		// The checkpoint verified and matched but still would not restore
 		// (shape drift the digest cannot see). Resume is an optimization,
 		// never a correctness requirement: drop it and run from scratch.
