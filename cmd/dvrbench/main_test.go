@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"path/filepath"
@@ -9,16 +10,20 @@ import (
 	"slices"
 	"testing"
 
+	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
 	"dvr/internal/experiments"
+	"dvr/internal/service/api"
 )
 
 // The two per-job in-process runners, journalled (-checkpoint-dir) and
 // traced (-trace), must return what RunAll computes, leave no journal
 // behind, and write one trace per job, on a Figure 7-style matrix and on a
 // ROB sweep, which runs one (benchmark, technique) pair under several
-// configs.
-func TestMatrixViaMatchesMatrixE(t *testing.T) {
+// configs. The journalled runner also meets the matrix with its first
+// cell's journal seeded by one that names the job but will not restore:
+// it must drop that journal and run the cell from scratch.
+func TestPerJobRunnersMatchRunAll(t *testing.T) {
 	quick := experiments.QuickSuite()
 	cfg := cpu.DefaultConfig()
 	var matrix []experiments.Job
@@ -29,16 +34,19 @@ func TestMatrixViaMatchesMatrixE(t *testing.T) {
 	}
 	i := slices.IndexFunc(experiments.Figures, func(f experiments.Figure) bool { return f.Name == "fig12" })
 	sweep := experiments.Figures[i].Jobs(experiments.Suite{GAP: quick.GAP[:1]}, cfg)
-	sets := []struct {
+	type input struct {
 		jobs []experiments.Job
 		want []cpu.Result
-	}{{jobs: matrix}, {jobs: sweep}}
+		seed bool // seed the first cell's journal with an unrestorable one
+	}
+	sets := []input{{jobs: matrix}, {jobs: sweep}}
 	for i := range sets {
 		var err error
 		if sets[i].want, err = experiments.RunAll(context.Background(), sets[i].jobs); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sets = append(sets, input{jobs: matrix, want: sets[0].want, seed: true})
 	for _, tc := range []struct {
 		name     string
 		run      func(dir string) runner
@@ -51,6 +59,12 @@ func TestMatrixViaMatchesMatrixE(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, set := range sets {
 				dir := t.TempDir()
+				if set.seed {
+					if tc.leftover != "*.ckpt" {
+						continue
+					}
+					seedUnrestorable(t, dir, set.jobs[0], cellNames(set.jobs)[0])
+				}
 				got, err := tc.run(dir)(context.Background(), set.jobs)
 				if err != nil {
 					t.Fatal(err)
@@ -69,6 +83,34 @@ func TestMatrixViaMatchesMatrixE(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// seedUnrestorable files a journal for job under name in dir that names
+// the job (engine, ref, technique, config) but whose snapshot has its
+// commit ring cut to one entry, so restoring it fails with
+// cpu.ErrSnapshotMismatch.
+func seedUnrestorable(t *testing.T, dir string, job experiments.Job, name string) {
+	t.Helper()
+	errStop := errors.New("first checkpoint taken")
+	var snap *cpu.Snapshot
+	job.CheckpointEvery = 10_000
+	job.Checkpoint = func(s *cpu.Snapshot) error { snap = s; return errStop }
+	if _, err := experiments.Run(context.Background(), job); !errors.Is(err, errStop) {
+		t.Fatalf("seeding run returned %v", err)
+	}
+	snap.CommitRing = snap.CommitRing[:1]
+	ref, err := refOf(job.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.NewStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &checkpoint.State{Engine: api.EngineVersion, Ref: ref, Technique: string(job.Tech), Config: job.Cfg, Core: *snap}
+	if err := store.Save(name, st); err != nil {
+		t.Fatal(err)
 	}
 }
 
