@@ -409,50 +409,23 @@ func journalled(dir string) runner {
 		if err != nil {
 			return nil, err
 		}
-		resumed := 0
 		res, err := eachJob(jobs, func(j experiments.Job, key string) (cpu.Result, error) {
 			ref, err := refOf(j.Spec)
 			if err != nil {
 				return cpu.Result{}, err
 			}
-			// Checkpoint a handful of times per job whatever its length, but
-			// not so often that journal encoding dominates short runs.
-			roi := j.Spec.ROI
-			if roi == 0 {
-				roi = 300_000
-			}
-			j.CheckpointEvery = min(max(roi/5, 10_000), 100_000)
-			if st, err := store.Load(key); err == nil {
-				if st.Matches(api.EngineVersion, ref, string(j.Tech), j.Cfg) == nil {
-					j.Resume = &st.Core
-					resumed++
-				} else {
-					// A journal of another job under the same name: useless here.
-					_ = store.Remove(key)
-				}
-			}
-			j.Checkpoint = func(snap *cpu.Snapshot) error {
-				return store.Save(key, &checkpoint.State{
-					Engine:    api.EngineVersion,
-					Ref:       ref,
-					Technique: string(j.Tech),
-					Config:    j.Cfg,
-					Core:      *snap,
+			j.CheckpointEvery = checkpoint.Cadence(j.Spec.ROI)
+			return store.Journal(key, api.EngineVersion, ref, string(j.Tech), j.Cfg).Run(
+				func(resume *cpu.Snapshot, save func(*cpu.Snapshot) error) (cpu.Result, error) {
+					j.Resume, j.Checkpoint = resume, save
+					return experiments.Run(ctx, j)
 				})
-			}
-			res, err := experiments.Run(ctx, j)
-			if err == nil {
-				// Only a finished job's journal goes; an unfinished one stays
-				// behind for the rerun.
-				_ = store.Remove(key)
-			}
-			return res, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		if resumed > 0 {
-			fmt.Fprintf(os.Stderr, "[durable: resumed %d interrupted cell(s) from %s]\n", resumed, dir)
+		if n := store.Resumed(); n > 0 {
+			fmt.Fprintf(os.Stderr, "[durable: resumed %d interrupted cell(s) from %s]\n", n, dir)
 		}
 		return res, nil
 	}

@@ -4,15 +4,15 @@
 // Usage:
 //
 //	dvrsim -bench bfs -input KR -tech dvr [-rob 350] [-roi 300000]
-//	dvrsim -bench bfs -tech dvr -checkpoint bfs.ckpt -resume [-watchdog 2000000]
+//	dvrsim -bench bfs -tech dvr -checkpoint bfs.ckpt [-watchdog 2000000]
 //	dvrsim -bench bfs -tech dvr -trace bfs.json -interval 10000 [-interval-out ivs.csv]
 //	dvrsim -list
 //
-// -checkpoint journals the run's full state every -checkpoint-every
-// committed instructions; after a kill, the same command line with
-// -resume picks the run back up from the journal and finishes with
-// results bit-identical to an uninterrupted run. -watchdog aborts a run
-// that commits nothing for N cycles and dumps pipeline forensics.
+// -checkpoint journals the run's full state to a .ckpt file a few times
+// per run (checkpoint.Cadence of the ROI); after a kill, the same command
+// line picks the run back up from the journal and finishes with results
+// bit-identical to an uninterrupted run. -watchdog aborts a run that
+// commits nothing for N cycles and dumps pipeline forensics.
 //
 // -trace writes a Perfetto / chrome://tracing JSON of the run (main
 // pipeline, runahead subthread and memory hierarchy as separate tracks);
@@ -29,8 +29,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -66,9 +66,7 @@ func main() {
 		sPhases   = flag.Int("sample-phases", 0, "with -sampled, maximum phase clusters (0 = default)")
 		sReps     = flag.Int("sample-reps", 0, "with -sampled, representative windows timed per phase (0 = one)")
 		list      = flag.Bool("list", false, "list benchmarks and techniques")
-		ckptFile  = flag.String("checkpoint", "", "journal the run's state to this file so it can be resumed after a kill")
-		ckptEvery = flag.Uint64("checkpoint-every", 100_000, "committed instructions between checkpoints (with -checkpoint)")
-		resume    = flag.Bool("resume", false, "resume from the -checkpoint file if it holds a valid journal for this exact run")
+		ckptFile  = flag.String("checkpoint", "", "journal the run's state to this .ckpt file; a rerun resumes from it after a kill")
 		watchdog  = flag.Uint64("watchdog", 0, "abort if nothing commits for N cycles, with a livelock forensics dump (0 = off)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -143,7 +141,7 @@ func main() {
 			Replicates:  *sReps,
 		}
 	}
-	res := runJob(job, *ckptFile, *ckptEvery, *resume)
+	res := runJob(job, *ckptFile)
 
 	fmt.Printf("benchmark    %s\n", res.Name)
 	fmt.Printf("technique    %s\n", res.Technique)
@@ -247,53 +245,34 @@ func emitTrace(rec *trace.Recorder, res cpu.Result, traceFile string, interval u
 	}
 }
 
-// runJob runs the job, journalled to ckptFile when one is named (resumable
-// with -resume after a kill, deleted on success). A watchdog trip prints
-// the typed livelock error plus its forensics dump and exits 3.
-func runJob(job experiments.Job, ckptFile string, every uint64, resume bool) cpu.Result {
+// runJob runs the job, journalled to ckptFile when one is named: the
+// <name>.ckpt file of a checkpoint store in its directory. After a kill,
+// the same command line resumes from the journal when it names this run;
+// the journal goes once the run completes or livelocks. A watchdog trip
+// prints the typed livelock error plus its forensics dump and exits 3.
+func runJob(job experiments.Job, ckptFile string) cpu.Result {
+	var journal *checkpoint.Journal
 	if ckptFile != "" {
-		spec, tech, cfg := job.Spec, string(job.Tech), job.Cfg
-		job.CheckpointEvery = every
-		// Journal against a fork of the image: a checkpoint holds the words
-		// that differ from the memory's base, which for the image itself is
-		// every word in it.
-		job.Spec.Build = func() *workloads.Workload { return spec.Build().Fork() }
-		if resume {
-			if data, err := os.ReadFile(ckptFile); err == nil {
-				st, derr := checkpoint.Decode(data)
-				if derr == nil {
-					derr = st.Matches(api.EngineVersion, spec.Ref, tech, cfg)
-				}
-				if derr != nil {
-					fmt.Fprintf(os.Stderr, "dvrsim: ignoring checkpoint %s: %v\n", ckptFile, derr)
-				} else {
-					fmt.Fprintf(os.Stderr, "dvrsim: resuming at instruction %d\n", st.Seq())
-					job.Resume = &st.Core
-				}
-			} else if !errors.Is(err, fs.ErrNotExist) {
-				fmt.Fprintln(os.Stderr, "dvrsim:", err)
-				os.Exit(1)
-			}
+		var store *checkpoint.Store
+		key, ok := strings.CutSuffix(filepath.Base(ckptFile), ".ckpt")
+		err := fmt.Errorf("-checkpoint %q must name a .ckpt file", ckptFile)
+		if ok && key != "" {
+			store, err = checkpoint.NewStore(filepath.Dir(ckptFile), nil)
 		}
-		job.Checkpoint = func(snap *cpu.Snapshot) error {
-			data, err := checkpoint.Encode(&checkpoint.State{
-				Engine:    api.EngineVersion,
-				Ref:       spec.Ref,
-				Technique: tech,
-				Config:    cfg,
-				Core:      *snap,
-			})
-			if err != nil {
-				return err
-			}
-			tmp := ckptFile + ".tmp"
-			if err := os.WriteFile(tmp, data, 0o644); err != nil {
-				return err
-			}
-			return os.Rename(tmp, ckptFile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dvrsim:", err)
+			os.Exit(1)
 		}
+		journal = store.Journal(key, api.EngineVersion, job.Spec.Ref, string(job.Tech), job.Cfg)
+		job.CheckpointEvery = checkpoint.Cadence(job.Spec.ROI)
 	}
-	res, err := experiments.Run(context.Background(), job)
+	res, err := journal.Run(func(resume *cpu.Snapshot, save func(*cpu.Snapshot) error) (cpu.Result, error) {
+		if resume != nil {
+			fmt.Fprintf(os.Stderr, "dvrsim: resuming at instruction %d\n", resume.Seq)
+		}
+		job.Resume, job.Checkpoint = resume, save
+		return experiments.Run(context.Background(), job)
+	})
 	if err != nil {
 		var le *cpu.LivelockError
 		if errors.As(err, &le) {
@@ -305,10 +284,6 @@ func runJob(job experiments.Job, ckptFile string, every uint64, resume bool) cpu
 		}
 		fmt.Fprintln(os.Stderr, "dvrsim:", err)
 		os.Exit(1)
-	}
-	if ckptFile != "" {
-		// The run completed; the journal has nothing left to resume.
-		_ = os.Remove(ckptFile)
 	}
 	return res
 }

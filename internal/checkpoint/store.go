@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"dvr/internal/faults"
 	"dvr/internal/sealed"
@@ -14,10 +15,18 @@ const ext = ".ckpt"
 // Store keeps checkpoints as <dir>/<key>.ckpt, one per job key: the
 // Encode/Decode codec over the embedded sealed.Store, which provides Path,
 // Quarantined and Remove (a completed job no longer needs its resume
-// point) and decides what happens to corrupt and version-skewed files.
+// point) and decides what happens to corrupt and version-skewed files. It
+// counts what its Journals did beside Quarantined.
 type Store struct {
 	*sealed.Store
+	written, resumed, writeErrors atomic.Uint64
 }
+
+// Written counts the checkpoints its Journals saved, Resumed the runs they
+// resumed, and WriteErrors the saves that failed (the runs went on).
+func (s *Store) Written() uint64     { return s.written.Load() }
+func (s *Store) Resumed() uint64     { return s.resumed.Load() }
+func (s *Store) WriteErrors() uint64 { return s.writeErrors.Load() }
 
 // NewStore opens (creating if needed) a checkpoint directory. A nil fsys
 // means the real filesystem.
@@ -26,7 +35,7 @@ func NewStore(dir string, fsys faults.FS) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Store{files}, nil
+	return &Store{Store: files}, nil
 }
 
 // Save atomically writes the checkpoint for key, replacing any previous

@@ -28,7 +28,6 @@ func (e *cancelAtEngine) OnCommit(di interp.DynInst, cycle uint64) {
 	}
 }
 func (e *cancelAtEngine) OnROBStall(from, to uint64) {}
-func (e *cancelAtEngine) Advance(now uint64)         {}
 func (e *cancelAtEngine) CommitBlockedUntil() uint64 { return 0 }
 func (e *cancelAtEngine) Stats() EngineStats         { return EngineStats{} }
 func (e *cancelAtEngine) SnapshotState() (json.RawMessage, error) {

@@ -34,8 +34,6 @@ type Engine interface {
 	// OnROBStall reports that dispatch stalled on a full ROB during
 	// [from, to). Classic runahead techniques trigger here.
 	OnROBStall(from, to uint64)
-	// Advance runs the engine's decoupled timeline up to cycle now.
-	Advance(now uint64)
 	// CommitBlockedUntil returns the cycle before which the main thread may
 	// not commit (VR's delayed termination), or 0 when commit is free.
 	CommitBlockedUntil() uint64
@@ -589,7 +587,6 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 
 		if c.engine != nil {
 			c.engine.OnCommit(di, cc)
-			c.engine.Advance(cc)
 		}
 		if c.traceFn != nil && seq < c.traceN {
 			c.traceFn(seq, di.PC, disp, ready, issue, done, cc)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +16,9 @@ import (
 	"dvr/internal/calendar"
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
+	"dvr/internal/faults"
 	"dvr/internal/interp"
+	"dvr/internal/trace"
 	"dvr/internal/workloads"
 )
 
@@ -453,5 +456,122 @@ func TestCheckpointSizeTracksChangedWords(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestJournalProtocol drives checkpoint.Journal, the protocol every durable
+// front end runs a job under, through each of its verdicts: which attempts
+// run from where, what the store counts, whether the journal survives, and
+// that a run the protocol completes equals a fresh traced run, result,
+// intervals and events alike.
+func TestJournalProtocol(t *testing.T) {
+	spec := QuickSuite().GAP[0]
+	cfg := cpu.DefaultConfig()
+	const key, engine, every = "cell", "test-engine", 10_000
+	newRec := func() *trace.Recorder { return trace.New(trace.Config{IntervalEvery: 5_000, Events: 1 << 12}) }
+	freshRec := newRec()
+	fresh, err := Run(context.Background(), Job{Spec: spec, Tech: TechDVR, Cfg: cfg, JobOpts: JobOpts{Trace: freshRec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seed files tech's snapshot at commit `every` under key, its commit
+	// ring cut to ring entries when ring > 0 (it then will not restore).
+	seed := func(t *testing.T, store *checkpoint.Store, tech Technique, ring int) {
+		var snap *cpu.Snapshot
+		_, err := Run(context.Background(), Job{Spec: spec, Tech: tech, Cfg: cfg, JobOpts: JobOpts{CheckpointEvery: every,
+			Checkpoint: func(s *cpu.Snapshot) error { snap = s; return errKilled }}})
+		if !errors.Is(err, errKilled) {
+			t.Fatalf("seeding run returned %v", err)
+		}
+		if ring > 0 {
+			snap.CommitRing = snap.CommitRing[:ring]
+		}
+		st := &checkpoint.State{Engine: engine, Ref: spec.Ref, Technique: string(tech), Config: cfg, Core: *snap}
+		if err := store.Save(key, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	isLivelock := func(err error) bool { var le *cpu.LivelockError; return errors.As(err, &le) }
+	isCanceled := func(err error) bool { return errors.Is(err, context.Canceled) }
+	for _, tc := range []struct {
+		name       string
+		seed       Technique // file this technique's journal first ("" = none)
+		ring       int       // with its commit ring cut to this many entries
+		failWrites bool
+		opts       JobOpts // the fault and watchdog knobs
+		cancel     bool    // cancel the run after its first save
+		resumes    []bool  // per attempt: handed a resume point?
+		resumed    uint64
+		wantErr    func(error) bool // nil: the run completes
+		kept       bool             // the journal survives the run
+	}{
+		{name: "no journal", resumes: []bool{false}},
+		{name: "another technique's journal", seed: TechVR, resumes: []bool{false}},
+		{name: "unrestorable journal", seed: TechDVR, ring: 1, resumes: []bool{true, false}, resumed: 1},
+		{name: "livelock", opts: JobOpts{LivelockAfter: 25_000, WatchdogBudget: 50_000}, resumes: []bool{false}, wantErr: isLivelock},
+		{name: "failing saves", failWrites: true, resumes: []bool{false}},
+		{name: "cancelled", cancel: true, resumes: []bool{false}, wantErr: isCanceled, kept: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fsys faults.FS = faults.OS()
+			if tc.failWrites {
+				ffs := faults.NewFaultyFS(nil, 1)
+				ffs.FailWriteEvery = 1
+				fsys = ffs
+			}
+			store, err := checkpoint.NewStore(t.TempDir(), fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.seed != "" {
+				seed(t, store, tc.seed, tc.ring)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			job := Job{Spec: spec, Tech: TechDVR, Cfg: cfg, JobOpts: tc.opts}
+			job.CheckpointEvery, job.Trace = every, newRec()
+			var resumes []bool
+			res, err := store.Journal(key, engine, spec.Ref, string(TechDVR), cfg).Run(
+				func(resume *cpu.Snapshot, save func(*cpu.Snapshot) error) (cpu.Result, error) {
+					resumes = append(resumes, resume != nil)
+					if _, serr := os.Stat(store.Path(key)); resume == nil && serr == nil {
+						t.Error("an attempt started fresh beside a stale journal")
+					}
+					job.Resume, job.Checkpoint = resume, save
+					if tc.cancel {
+						job.Checkpoint = func(s *cpu.Snapshot) error { err := save(s); cancel(); return err }
+					}
+					return Run(ctx, job)
+				})
+			if !slices.Equal(resumes, tc.resumes) {
+				t.Errorf("attempts resumed %v, want %v", resumes, tc.resumes)
+			}
+			if got := store.Resumed(); got != tc.resumed {
+				t.Errorf("Resumed() = %d, want %d", got, tc.resumed)
+			}
+			if tc.failWrites && (store.WriteErrors() == 0 || store.Written() != 0) {
+				t.Errorf("failing saves: WriteErrors() = %d, Written() = %d", store.WriteErrors(), store.Written())
+			} else if !tc.failWrites && store.Written() == 0 {
+				t.Error("the run saved no checkpoint")
+			}
+			if _, serr := os.Stat(store.Path(key)); (serr == nil) != tc.kept {
+				t.Errorf("journal present = %v, want %v", serr == nil, tc.kept)
+			}
+			if tc.wantErr != nil {
+				if !tc.wantErr(err) {
+					t.Errorf("run returned %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Canonical(), fresh.Canonical(); got != want {
+				t.Errorf("result differs from a fresh run:\n got %+v\nwant %+v", got, want)
+			}
+			if !reflect.DeepEqual(job.Trace.Intervals(), freshRec.Intervals()) || !reflect.DeepEqual(job.Trace.Events(), freshRec.Events()) {
+				t.Error("trace differs from a fresh traced run's")
+			}
+		})
 	}
 }

@@ -10,9 +10,9 @@ import (
 type JobOpts struct {
 	// Resume restores the run from a snapshot instead of starting at
 	// instruction zero. The snapshot must have been taken by the same
-	// engine build for the same (workload ref, technique, config) — the
-	// checkpoint package's State.Matches checks that — and the resumed run
-	// is bit-identical to an uninterrupted one.
+	// engine build for the same (workload ref, technique, config) — a
+	// checkpoint.Journal hands out only such a snapshot — and the resumed
+	// run is bit-identical to an uninterrupted one.
 	Resume *cpu.Snapshot
 
 	// CheckpointEvery captures a snapshot every N committed instructions

@@ -81,7 +81,9 @@ func (j *Job) check() (Build, error) {
 // degenerate config (the wire-reachable construction panics: zero ROB,
 // zero functional units, a predictor allocation bomb), sampling combined
 // with resume, checkpoints or tracing, a workload whose build panics.
-// Cancelling ctx stops the run early with ctx.Err().
+// Cancelling ctx stops the run early with ctx.Err(). An exact job runs on
+// a Fork of its built image, as under RunAll, so a checkpoint holds only
+// the words the run changed whatever Spec.Build returns.
 func Run(ctx context.Context, j Job) (cpu.Result, error) {
 	build, err := j.check()
 	if err != nil {
@@ -94,7 +96,7 @@ func Run(ctx context.Context, j Job) (cpu.Result, error) {
 	if j.sampled() {
 		return s.plan.replay(ctx, &j, build)
 	}
-	return j.run(ctx, s.w, build)
+	return j.run(ctx, s.w.Fork(), build)
 }
 
 // shared is what a job needs built before it runs, and what the jobs of

@@ -119,7 +119,7 @@ func init() {
 	}
 	firstLane := runahead.DVROptions()
 	firstLane.Name = "dvr-first-lane"
-	firstLane.Reconverge, firstLane.Vec.Reconverge = false, false
+	firstLane.Vec.Reconverge = false
 	registerVector(firstLane)
 	for _, steps := range []int{50, 800} {
 		o := runahead.DVROptions()

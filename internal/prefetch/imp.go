@@ -99,9 +99,6 @@ func (p *IMP) Name() string { return "imp" }
 // OnROBStall implements cpu.Engine.
 func (p *IMP) OnROBStall(from, to uint64) {}
 
-// Advance implements cpu.Engine.
-func (p *IMP) Advance(now uint64) {}
-
 // CommitBlockedUntil implements cpu.Engine.
 func (p *IMP) CommitBlockedUntil() uint64 { return 0 }
 

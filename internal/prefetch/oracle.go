@@ -63,13 +63,13 @@ func (o *Oracle) OnCommit(di interp.DynInst, cycle uint64) {
 			}
 		}
 	}
-	o.Advance(cycle)
+	o.issue(cycle)
 }
 
-// Advance implements cpu.Engine: issue queued prefetches. The Oracle is
-// the hypothetical upper bound: it pays DRAM bandwidth but is not bounded
-// by the MSHR file.
-func (o *Oracle) Advance(now uint64) {
+// issue sends the queued prefetches at cycle now. The Oracle is the
+// hypothetical upper bound: it pays DRAM bandwidth but is not bounded by
+// the MSHR file.
+func (o *Oracle) issue(now uint64) {
 	for _, addr := range o.queue {
 		if o.hier.Resident(addr) {
 			continue

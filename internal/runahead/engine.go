@@ -14,16 +14,19 @@ import (
 type Options struct {
 	Name string
 
-	TriggerOnStall bool // VR: trigger on a full-ROB stall; else on stride detection
-	Decoupled      bool // subthread runs alongside the main pipeline (no commit hold)
+	// TriggerOnStall is VR: trigger on a full-ROB stall and hold commit
+	// until the chain completes; else the decoupled subthread, triggered on
+	// stride detection, runs alongside the main pipeline.
+	TriggerOnStall bool
 	Discovery      bool // Discovery Mode: innermost-stride + chain + loop bound
 	Nested         bool // Nested Vector Runahead for short inner loops
-	Reconverge     bool // GPU-style divergence/reconvergence (else first-lane)
 
 	Lanes           int    // maximum vectorization degree (128)
 	NestedThreshold int    // enter NDM when fewer upcoming iterations than this (64)
 	MinStallCycles  uint64 // minimum ROB-stall length that triggers VR
-	Vec             VecConfig
+	// Vec parameterizes the subthread's runs; Vec.Reconverge selects
+	// GPU-style divergence/reconvergence (else VR's first-lane).
+	Vec VecConfig
 }
 
 // VROptions configures Vector Runahead (Naithani et al., ISCA '21): full-ROB
@@ -46,7 +49,6 @@ func OffloadOptions() Options {
 	o := VROptions()
 	o.Name = "dvr-offload"
 	o.TriggerOnStall = false
-	o.Decoupled = true
 	return o
 }
 
@@ -65,7 +67,6 @@ func DVROptions() Options {
 	o := DiscoveryOptions()
 	o.Name = "dvr"
 	o.Nested = true
-	o.Reconverge = true
 	o.Vec.Reconverge = true
 	return o
 }
@@ -144,10 +145,6 @@ func (v *Vector) Stats() cpu.EngineStats {
 
 // CommitBlockedUntil implements cpu.Engine (VR's delayed termination).
 func (v *Vector) CommitBlockedUntil() uint64 { return v.holdUntil }
-
-// Advance implements cpu.Engine. The subthread's timeline is computed at
-// spawn (it extends into the future); nothing to do incrementally.
-func (v *Vector) Advance(now uint64) {}
 
 // OnROBStall implements cpu.Engine: the Vector Runahead trigger.
 func (v *Vector) OnROBStall(from, to uint64) {
@@ -255,7 +252,7 @@ func (v *Vector) spawn(res discoveryResult, baseAddr uint64, cycle uint64, reaso
 		}
 	}
 
-	run := newVecRun(v.prog, v.fmem, v.hier, v.vecConfig(), newVecState(v.regs, lanes), cycle)
+	run := newVecRun(v.prog, v.fmem, v.hier, v.opt.Vec, newVecState(v.regs, lanes), cycle)
 	run.tr = v.tr
 	run.rpt = v.rpt
 	run.laneOffset = 1
@@ -301,7 +298,7 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 
 	// Phase A: Nested Discovery Mode. Scalar execution from the altered
 	// branch (not-taken path), skipping the remaining inner iterations.
-	cfg := v.vecConfig()
+	cfg := v.opt.Vec
 	cfg.Reconverge = false
 	run := newVecRun(v.prog, v.fmem, v.hier, cfg, newVecState(v.regs, outerLanes), cycle)
 	run.tr = v.tr
@@ -422,7 +419,7 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 		override128[i] = e.addr
 	}
 
-	inner := newVecRun(v.prog, v.fmem, v.hier, v.vecConfig(), st, run.cursor)
+	inner := newVecRun(v.prog, v.fmem, v.hier, v.opt.Vec, st, run.cursor)
 	inner.tr = v.tr
 	inner.steps = run.steps
 	flr := res.FLRPC
@@ -439,12 +436,6 @@ func (v *Vector) nestedSpawn(res discoveryResult, cycle uint64) (uint64, bool) {
 	v.collect(run, 0)
 	v.collect(inner, len(lanes))
 	return inner.cursor, true
-}
-
-func (v *Vector) vecConfig() VecConfig {
-	cfg := v.opt.Vec
-	cfg.Reconverge = v.opt.Reconverge
-	return cfg
 }
 
 // collect folds one vecRun's counters into the engine statistics.

@@ -293,16 +293,16 @@ func TestPRERespectsWidthBudget(t *testing.T) {
 
 func TestEngineVariantOptions(t *testing.T) {
 	vr, off, disc, dvr := VROptions(), OffloadOptions(), DiscoveryOptions(), DVROptions()
-	if !vr.TriggerOnStall || vr.Decoupled || vr.Discovery || vr.Nested || vr.Reconverge {
+	if !vr.TriggerOnStall || vr.Discovery || vr.Nested || vr.Vec.Reconverge {
 		t.Errorf("VR options wrong: %+v", vr)
 	}
-	if off.TriggerOnStall || !off.Decoupled || off.Discovery {
+	if off.TriggerOnStall || off.Discovery {
 		t.Errorf("offload options wrong: %+v", off)
 	}
 	if !disc.Discovery || disc.Nested {
 		t.Errorf("discovery options wrong: %+v", disc)
 	}
-	if !dvr.Discovery || !dvr.Nested || !dvr.Reconverge {
+	if !dvr.Discovery || !dvr.Nested || !dvr.Vec.Reconverge {
 		t.Errorf("DVR options wrong: %+v", dvr)
 	}
 	names := map[string]bool{vr.Name: true, off.Name: true, disc.Name: true, dvr.Name: true}

@@ -40,9 +40,6 @@ func (p *PRE) Name() string { return "pre" }
 // OnCommit implements cpu.Engine.
 func (p *PRE) OnCommit(di interp.DynInst, cycle uint64) {}
 
-// Advance implements cpu.Engine.
-func (p *PRE) Advance(now uint64) {}
-
 // CommitBlockedUntil implements cpu.Engine: PRE never stalls commit.
 func (p *PRE) CommitBlockedUntil() uint64 { return 0 }
 

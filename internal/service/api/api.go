@@ -305,8 +305,8 @@ const (
 	EventRunahead = "runahead-episode"
 	// EventCellStarted: a cell entered simulation (or began replaying a
 	// cached series). A repeated cell-started for the same cell means
-	// the cell restarted from scratch (e.g. an unusable checkpoint was
-	// dropped); consumers must reset that cell's series.
+	// the cell restarted from scratch (the frontend re-dispatched it);
+	// consumers must reset that cell's series.
 	EventCellStarted = "cell-started"
 	// EventCellDone: a cell finished; Event.Cached distinguishes cache
 	// hits, Event.Error carries an isolated cell failure.

@@ -28,76 +28,33 @@ import (
 // entries; the job restarts from scratch.
 
 // simulate runs one cell inside a pool worker, with whatever durability
-// the server is configured for: resume from a valid checkpoint, periodic
-// checkpointing, the retirement watchdog, and scripted livelock faults.
-// A live pub additionally wires the recorder's OnInterval/OnEvent hooks
-// into the job's broadcaster, so subscribers see each interval the moment
-// its closing sample lands. The hooks publish without ever blocking, and
-// they observe only — the result stays bit-identical under streaming.
+// the server is configured for: the checkpoint journal (resume, periodic
+// saves, cleanup; see checkpoint.Journal), the retirement watchdog, and
+// scripted livelock faults. A live pub additionally wires the recorder's
+// OnInterval/OnEvent hooks into the job's broadcaster, so subscribers see
+// each interval the moment its closing sample lands. The hooks publish
+// without ever blocking, and they observe only — the result stays
+// bit-identical under streaming.
 func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, tech string, cfg cpu.Config, pub *cellPub) (cpu.Result, error) {
 	job := experiments.Job{Spec: spec, Tech: experiments.Technique(tech), Cfg: cfg}
 	job.WatchdogBudget = s.cfg.WatchdogCycles
 	job.LivelockAfter = s.cfg.Faults.LivelockAfter(key)
-	onInterval, onEvent := pub.traceHooks()
-	var rec *trace.Recorder
 	if s.cfg.TraceIntervalEvery > 0 {
 		// Interval-only recorder (no event ring): per-cell telemetry for
 		// GET /v1/jobs/{id}/trace. Observational — the result is
 		// bit-identical with or without it.
-		rec = trace.New(trace.Config{IntervalEvery: s.cfg.TraceIntervalEvery,
+		onInterval, onEvent := pub.traceHooks()
+		job.Trace = trace.New(trace.Config{IntervalEvery: s.cfg.TraceIntervalEvery,
 			OnInterval: onInterval, OnEvent: onEvent})
-		job.Trace = rec
 	}
 	if s.ckpts != nil {
-		if st, err := s.ckpts.Load(key); err == nil {
-			if merr := st.Matches(api.EngineVersion, spec.Ref, tech, cfg); merr == nil {
-				job.Resume = &st.Core
-				s.ckptResumed.Add(1)
-			} else {
-				// The key matched but the journal names a different job
-				// (an engine upgrade, a renamed file): useless, drop it.
-				_ = s.ckpts.Remove(key)
-			}
-		}
 		job.CheckpointEvery = s.cfg.CheckpointEvery
-		job.Checkpoint = func(snap *cpu.Snapshot) error {
-			err := s.ckpts.Save(key, &checkpoint.State{
-				Engine:    api.EngineVersion,
-				Ref:       spec.Ref,
-				Technique: tech,
-				Config:    cfg,
-				Core:      *snap,
-			})
-			if err != nil {
-				// Losing the safety net must not kill the job: the run
-				// continues and, if the process dies, restarts from an
-				// older checkpoint or from scratch.
-				s.ckptErrors.Add(1)
-				return nil
-			}
-			s.ckptWritten.Add(1)
-			return nil
-		}
 	}
-	res, err := experiments.Run(ctx, job)
-	if job.Resume != nil && errors.Is(err, cpu.ErrSnapshotMismatch) {
-		// The checkpoint verified and matched but still would not restore
-		// (shape drift the digest cannot see). Resume is an optimization,
-		// never a correctness requirement: drop it and run from scratch.
-		_ = s.ckpts.Remove(key)
-		job.Resume = nil
-		if rec != nil {
-			// Fresh recorder: the aborted attempt must not pollute the
-			// from-scratch run's series. Subscribers get a repeated
-			// cell-started — the documented "reset this cell's series"
-			// signal — before the fresh intervals arrive.
-			pub.publish(api.Event{Kind: api.EventCellStarted, Key: key})
-			rec = trace.New(trace.Config{IntervalEvery: s.cfg.TraceIntervalEvery,
-				OnInterval: onInterval, OnEvent: onEvent})
-			job.Trace = rec
-		}
-		res, err = experiments.Run(ctx, job)
-	}
+	res, err := s.ckpts.Journal(key, api.EngineVersion, spec.Ref, tech, cfg).Run(
+		func(resume *cpu.Snapshot, save func(*cpu.Snapshot) error) (cpu.Result, error) {
+			job.Resume, job.Checkpoint = resume, save
+			return experiments.Run(ctx, job)
+		})
 	var le *cpu.LivelockError
 	if errors.As(err, &le) {
 		s.watchdogTrips.Add(1)
@@ -112,19 +69,10 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 		// forensics so the dump shows what the fleet was doing around it.
 		s.tracer.Event(obs.FromContext(ctx).TraceID(), "livelock", le.Error())
 		s.DumpFlight("livelock")
-		if s.ckpts != nil {
-			// The wedge is deterministic; resuming near it would only trip
-			// the watchdog again at the same instruction.
-			_ = s.ckpts.Remove(key)
-		}
 		return cpu.Result{}, err
 	}
-	if err == nil && s.ckpts != nil {
-		// Job complete; the result is the cache's to keep now.
-		_ = s.ckpts.Remove(key)
-	}
-	if err == nil && rec != nil {
-		s.traces.Put(key, rec.Intervals())
+	if err == nil && job.Trace != nil {
+		s.traces.Put(key, job.Trace.Intervals())
 	}
 	return res, err
 }

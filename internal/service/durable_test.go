@@ -73,7 +73,7 @@ func TestServerResumesInterruptedJobAcrossRestart(t *testing.T) {
 		done <- err
 	}()
 	deadline := time.Now().Add(30 * time.Second)
-	for srv1.ckptWritten.Load() == 0 {
+	for srv1.ckpts.Written() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint written before deadline")
 		}
@@ -95,7 +95,7 @@ func TestServerResumesInterruptedJobAcrossRestart(t *testing.T) {
 		t.Fatalf("startup scan found %d pending jobs, want 1", got)
 	}
 	shutdown(t, srv2)
-	if srv2.ckptResumed.Load() == 0 {
+	if srv2.ckpts.Resumed() == 0 {
 		t.Error("interrupted job was not resumed from its checkpoint")
 	}
 	got, ok := srv2.cache.Peek(key)
@@ -293,7 +293,7 @@ func TestCorruptCheckpointQuarantinedAcrossRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv1.ckptResumed.Load() != 0 {
+	if srv1.ckpts.Resumed() != 0 {
 		t.Error("job resumed from a quarantined checkpoint")
 	}
 	if want := runUninterrupted(t, ref, "dvr", cfg); res.Result != want {

@@ -189,7 +189,7 @@ func TestResumeDecodesEachCheckpointOnce(t *testing.T) {
 		_, err := runRef(ctx, srv1, ref, "dvr", cfg)
 		done <- err
 	}()
-	for deadline := time.Now().Add(30 * time.Second); srv1.ckptWritten.Load() == 0; {
+	for deadline := time.Now().Add(30 * time.Second); srv1.ckpts.Written() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint written before deadline")
 		}
@@ -207,8 +207,8 @@ func TestResumeDecodesEachCheckpointOnce(t *testing.T) {
 		t.Fatalf("startup scan = %d pending, states retained = %v; want 1 pending, states released", len(got.Pending), got.States != nil)
 	}
 	shutdown(t, srv2)
-	if srv2.ckptResumed.Load() != 1 {
-		t.Errorf("checkpoints resumed = %d, want 1", srv2.ckptResumed.Load())
+	if srv2.ckpts.Resumed() != 1 {
+		t.Errorf("checkpoints resumed = %d, want 1", srv2.ckpts.Resumed())
 	}
 	if got, ok := srv2.cache.Peek(key); !ok || got != runUninterrupted(t, ref, "dvr", cfg) {
 		t.Errorf("resumed result missing or different from an uninterrupted run (ok=%v)", ok)

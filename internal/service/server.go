@@ -113,9 +113,6 @@ type Server struct {
 	// adm is the AIMD admission controller gating interactive requests.
 	adm *aimd
 
-	ckptWritten   atomic.Uint64 // checkpoints persisted
-	ckptResumed   atomic.Uint64 // runs resumed from a checkpoint
-	ckptErrors    atomic.Uint64 // checkpoint writes that failed (run continued)
 	watchdogTrips atomic.Uint64 // simulations aborted by the retirement watchdog
 }
 
@@ -503,9 +500,9 @@ func (s *Server) Metrics() api.Metrics {
 	active, finished := s.jobs.counts()
 	sm := s.streams.Snapshot()
 	admLimit, admInflight, admRejected := s.adm.Snapshot()
-	var ckptQuarantined uint64
-	if s.ckpts != nil {
-		ckptQuarantined = s.ckpts.Quarantined()
+	var ckptWritten, ckptResumed, ckptErrors, ckptQuarantined uint64
+	if c := s.ckpts; c != nil {
+		ckptWritten, ckptResumed, ckptErrors, ckptQuarantined = c.Written(), c.Resumed(), c.WriteErrors(), c.Quarantined()
 	}
 	return api.Metrics{
 		UptimeSeconds:      uptime,
@@ -533,9 +530,9 @@ func (s *Server) Metrics() api.Metrics {
 		SingleFlightRetries: s.sfRetries.Load(),
 		SpillQuarantined:    s.cache.Quarantined(),
 
-		CheckpointsWritten:     s.ckptWritten.Load(),
-		CheckpointsResumed:     s.ckptResumed.Load(),
-		CheckpointWriteErrors:  s.ckptErrors.Load(),
+		CheckpointsWritten:     ckptWritten,
+		CheckpointsResumed:     ckptResumed,
+		CheckpointWriteErrors:  ckptErrors,
 		CheckpointsQuarantined: ckptQuarantined,
 		WatchdogTrips:          s.watchdogTrips.Load(),
 
