@@ -165,3 +165,29 @@ func TestRunSampledNearExact(t *testing.T) {
 		t.Errorf("projected cycles %d off exact %d by %.1f%%", sampled.Cycles, exact.Cycles, 100*rel)
 	}
 }
+
+// TestSampledFig7Golden pins the projected cycles of every quick Figure 7
+// cell under default SampleOptions, the sampled twin of the Figure 7
+// golden. At the quick ROI the plans hold both kinds of segment: ones after
+// a gap, which restore the plan's cache and predictor states and fork a
+// frozen boundary, and ones directly after the previous timed window, which
+// keep running on the state they carry. A change to how a plan is built
+// that is meant to leave sampled results alone proves it here.
+func TestSampledFig7Golden(t *testing.T) {
+	jobs := figure(t, "fig7").Jobs(QuickSuite(), cpu.DefaultConfig())
+	for i := range jobs {
+		jobs[i].Sample = &SampleOptions{}
+	}
+	res, err := RunAll(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]goldenCell, len(res))
+	for i, j := range jobs {
+		if res[i].Sampled == nil {
+			t.Fatalf("%s/%s: no sampled provenance", j.Spec.Name, j.Tech)
+		}
+		cells[i] = goldenCell{j.Spec.Name + " " + string(j.Tech), res[i]}
+	}
+	checkGolden(t, "fig7sampled", "bench technique", cells)
+}
