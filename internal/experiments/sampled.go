@@ -35,12 +35,13 @@ func (o SampleOptions) options(roi uint64) sampling.Options {
 // SampledPlan is everything about a benchmark's sampled projection that
 // does not depend on the technique: the built workload image and its
 // sampling.Plan (profile, phases, boundary snapshots, and the predictor
-// and cache states of cfg at every segment start). The profile pass and
-// the boundary-capture and warming pass are the bulk of one projection's
-// cost, so a caller with several techniques to project (RunAll, a dvrd
-// batch) builds the plan once and runs one Job per technique with it as
-// Job.Plan. A plan holds one cache state per segment, tens of MB at full
-// ROIs. Jobs may replay one plan concurrently.
+// and cache states of cfg at every segment start). Building it — one
+// functional pass over the ROI and a warming walk over that pass's record
+// of the stream — is the bulk of one projection's cost, so a caller with
+// several techniques to project (RunAll, a dvrd batch) builds the plan
+// once and runs one Job per technique with it as Job.Plan. A plan holds
+// one cache state per segment, tens of MB at full ROIs; the stream record
+// is gone once the plan is built. Jobs may replay one plan concurrently.
 type SampledPlan struct {
 	plan *sampling.Plan
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -150,13 +151,19 @@ func TestSchedContextCancel(t *testing.T) {
 	setProcs(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var err error
+	var (
+		err     error
+		started atomic.Int32
+	)
 	within(t, func() {
 		err = runGrouped(ctx, 12,
 			func(i int) string { return strconv.Itoa(i / 3) },
 			func(first int) (int, error) { return first, nil },
 			func(ctx context.Context, i, _ int) error {
-				if i == 1 {
+				// The second task to start cancels while the first waits.
+				// Which tasks those are depends on which of the first two
+				// preps finishes first (0 and 1, or 3 and 0, ...).
+				if started.Add(1) == 2 {
 					cancel()
 				}
 				<-ctx.Done()

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dvr/internal/bpred"
 	"dvr/internal/cpu"
@@ -82,7 +83,7 @@ func TestKmeansDegenerate(t *testing.T) {
 func TestProfileWindowsTile(t *testing.T) {
 	sp := testSpec(t, 10_500) // deliberately not a multiple of the window
 	const winLen = 1_000
-	wins, tot := profile(sp.Build(), sp.ROI, winLen)
+	wins, tot, _ := profile(sp.Build(), sp.ROI, winLen)
 	if tot.insts != sp.ROI {
 		t.Fatalf("profiled %d insts, want ROI %d", tot.insts, sp.ROI)
 	}
@@ -123,7 +124,7 @@ func TestProfileSignaturesMatchReference(t *testing.T) {
 	} {
 		const winLen = 1_000
 		base := sp.Build()
-		wins, _ := profile(base, sp.ROI, winLen)
+		wins, _, _ := profile(base, sp.ROI, winLen)
 
 		it := base.Fork().Frontend()
 		seen := make(map[uint64]struct{})
@@ -368,9 +369,13 @@ func recencyOrder(t *testing.T, ways []byte) [][wayRecBytes - 8]byte {
 // values may differ). A segment that directly follows the previous timed
 // one has no state of its own, and those states are all the plan keeps of
 // the memory stream: one memo entry, at most one state per segment, no
-// recorded events.
+// recorded events (the stream record NewPlan walks is not reachable from
+// a Plan).
 func TestPlanCacheStatesMatchFunctionalWarm(t *testing.T) {
 	cfg := cpu.DefaultConfig()
+	if reaches(reflect.TypeOf(Plan{}), reflect.TypeOf(stream{}), map[reflect.Type]bool{}) {
+		t.Error("a Plan can keep a stream record")
+	}
 	for name, p := range twoKernels(t, cfg) {
 		if len(p.warmed) != 1 {
 			t.Errorf("%s: %d warmed configs after NewPlan, want 1", name, len(p.warmed))
@@ -416,6 +421,124 @@ func TestPlanCacheStatesMatchFunctionalWarm(t *testing.T) {
 		}
 		if gaps == 0 || gaps == len(p.segs) {
 			t.Errorf("%s: %d of %d segments follow a gap; the test wants both kinds", name, gaps, len(p.segs))
+		}
+	}
+}
+
+// reaches reports whether a value of type t can hold a value of type want,
+// through fields, elements, pointers or (conservatively) an interface or a
+// closure. It follows this package's types and the containers around
+// them; other packages' types cannot name a sampling type.
+func reaches(t, want reflect.Type, seen map[reflect.Type]bool) bool {
+	if t == want {
+		return true
+	}
+	if seen[t] || t.Name() != "" && t.PkgPath() != want.PkgPath() {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+		return reaches(t.Elem(), want, seen)
+	case reflect.Map:
+		return reaches(t.Key(), want, seen) || reaches(t.Elem(), want, seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if reaches(t.Field(i).Type, want, seen) {
+				return true
+			}
+		}
+	case reflect.Interface, reflect.Func:
+		return true
+	}
+	return false
+}
+
+// The boundary a segment forks must be the architectural state a fresh
+// functional run reaches at that window start: the registers, the dynamic
+// instruction number, and every memory word the program stores to, from
+// the skip to the end of the ROI (so a store the walk applied after a
+// boundary froze would show through it). nas-is joins the two kernels for
+// a store log of one store in twenty instructions.
+func TestPlanBoundariesMatchFunctionalRun(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	plans := twoKernels(t, cfg)
+	p, err := NewPlan(workloads.NASIS(), cfg, Options{ROI: 60_000, WindowInsts: 2_000, Replicates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans["nas-is"] = p
+	storing := 0
+	for name, p := range plans {
+		// Every word the program stores to through the end of the ROI.
+		var stored []uint64
+		wk := p.base.Fork()
+		all := interp.New(wk.Prog, wk.Mem)
+		all.RunWith(wk.Skip+p.opts.ROI, func(di interp.DynInst) {
+			if di.Inst.Op.IsStore() {
+				stored = append(stored, di.Addr)
+			}
+		})
+		if len(stored) > 0 {
+			storing++
+		}
+
+		starts := make([]int, 0, len(p.caps))
+		for w := range p.caps {
+			starts = append(starts, w)
+		}
+		sort.Ints(starts)
+		if len(starts) != len(p.segs) {
+			t.Errorf("%s: %d boundaries for %d segments", name, len(starts), len(p.segs))
+		}
+		ref := p.base.Fork().Frontend()
+		next := 0
+		for _, w := range starts {
+			for ; next < w; next++ {
+				ref.Run(p.wins[next].insts)
+			}
+			b := p.caps[w]
+			if b.st != ref.St || b.seq != ref.Seq {
+				t.Errorf("%s: window %d: boundary registers/PC/seq %v/%d, functional run %v/%d", name, w, b.st, b.seq, ref.St, ref.Seq)
+			}
+			for _, a := range stored {
+				if got, want := b.mem.Load64(a), ref.Mem.Load64(a); got != want {
+					t.Fatalf("%s: window %d: boundary memory holds %#x at %#x, functional run %#x", name, w, got, a, want)
+				}
+			}
+		}
+	}
+	if storing == 0 {
+		t.Error("no kernel stores anything; the memory check would prove nothing")
+	}
+}
+
+// A chunked record hands back exactly what was appended, over any range,
+// across chunk seams.
+func TestPlanRecordChunks(t *testing.T) {
+	var c chunked[uint64]
+	const n = 3*chunkLen + 5
+	for i := uint64(0); i < n; i++ {
+		c.add(i * 3)
+	}
+	if c.len() != n {
+		t.Fatalf("len %d after %d adds", c.len(), n)
+	}
+	for _, r := range [][2]int{{0, n}, {0, 0}, {7, 7}, {chunkLen - 1, chunkLen + 1}, {5, 2*chunkLen + 3}, {3 * chunkLen, n}, {n - 1, n}} {
+		next := r[0]
+		c.each(r[0], r[1], func(vs []uint64) {
+			if len(vs) == 0 {
+				t.Errorf("range %v: empty span", r)
+			}
+			for _, v := range vs {
+				if v != uint64(next)*3 {
+					t.Fatalf("range %v: entry %d holds %d", r, next, v)
+				}
+				next++
+			}
+		})
+		if next != r[1] {
+			t.Errorf("range %v: spans ended at %d", r, next)
 		}
 	}
 }
@@ -525,4 +648,37 @@ func TestReplayUnderSecondMemConfig(t *testing.T) {
 	small := cpu.DefaultConfig()
 	small.Mem.L3.SizeBytes = 128 << 10
 	testReplayUnderSecondConfig(t, small)
+}
+
+// BenchmarkNewPlan builds the plan of one quick GAP kernel (bfs on the
+// scale-13 Kronecker graph of the quick suite) at a 2 M-instruction ROI,
+// the shape of one row of a sampled matrix, and reports the bytes per
+// profiled instruction that the transient stream record takes while the
+// plan is built.
+func BenchmarkNewPlan(b *testing.B) {
+	in := graphgen.Params{Gen: graphgen.GenKronecker, Scale: 13, EdgeFactor: 8, Seed: 7, Name: "KR-S"}.Input()
+	base := workloads.GAPSpecs(in)[1].Build()
+	cfg := cpu.DefaultConfig()
+	opts := Options{ROI: 2_000_000}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlan(base, cfg, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_, tot, rec := profile(base, opts.ROI, opts.withDefaults().WindowInsts)
+	b.ReportMetric(float64(recordBytes(rec))/float64(tot.insts), "record-B/inst")
+}
+
+// recordBytes is the memory a stream record holds, chunk capacity
+// included.
+func recordBytes(rec *stream) int {
+	return cap(rec.marks)*int(unsafe.Sizeof(mark{})) + chunkedBytes(&rec.branches) +
+		chunkedBytes(&rec.lines) + chunkedBytes(&rec.stores)
+}
+
+func chunkedBytes[T any](c *chunked[T]) int {
+	var v T
+	return (len(c.full)*chunkLen + cap(c.cur)) * int(unsafe.Sizeof(v))
 }

@@ -609,6 +609,10 @@ type Metrics struct {
 	// ring should be sized up.
 	ObsSpans        int    `json:"obs_spans"`
 	ObsSpansDropped uint64 `json:"obs_spans_dropped"`
+
+	// IdempotentHits counts submissions answered by an earlier job or an
+	// in-flight request with the same idempotency key instead of executing.
+	IdempotentHits uint64 `json:"idempotent_hits"`
 }
 
 // ClusterMetrics is the GET /metrics snapshot of a frontend: routing and

@@ -276,7 +276,7 @@ func TestWireCompatKeySets(t *testing.T) {
 		"admission_inflight", "admission_limit", "admission_rejected",
 		"busy_workers", "cache_entries", "cache_hit_rate", "cache_hits", "cache_misses",
 		"checkpoint_write_errors", "checkpoints_quarantined", "checkpoints_resumed", "checkpoints_written",
-		"deadline_rejected",
+		"deadline_rejected", "idempotent_hits",
 		"jobs_active", "jobs_done", "obs_spans", "obs_spans_dropped",
 		"panics_recovered", "queue_depth", "requests_total",
 		"shed_total", "sim_instructions", "sim_mips", "sims_completed", "single_flight_retries", "single_flight_shared",

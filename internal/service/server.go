@@ -540,6 +540,7 @@ func (s *Server) Metrics() api.Metrics {
 		TracesStored:    s.traces.Len(),
 		ObsSpans:        s.tracer.Len(),
 		ObsSpansDropped: s.tracer.Dropped(),
+		IdempotentHits:  s.idemHits.Load(),
 
 		StreamSessionsActive:  sm.SessionsActive,
 		StreamSessionsOpened:  sm.SessionsOpened,
