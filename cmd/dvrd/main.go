@@ -15,7 +15,6 @@
 //	     [-stream-ttl 60s] [-stream-heartbeat 15s] [-log]
 //	     [-replicas URL,URL,...] [-probe-interval 1s] [-fail-threshold 3]
 //	     [-drain-grace 5s] [-ledger-dir DIR] [-hedge-after 300ms]
-//	     [-breaker-threshold 3] [-breaker-cooldown 2s]
 //
 // Roles: the default single role is the standalone server. A cluster
 // splits into -role=worker replicas (same server, plus a drain-aware
@@ -45,17 +44,17 @@
 //
 // Distributed tracing: with -trace-spans N (on by default, N span-ring
 // entries per process) every request runs as a span tree propagated
-// across the frontend→worker hop via the X-Trace-Ctx header — admission,
-// routing decision, per-attempt dispatches with breaker state, hedge
-// winners/losers, worker queue-wait/sim/encode. Each process serves its
-// slice of a trace at GET /v1/spans?trace={id}; the frontend merges the
-// fleet's slices at GET /v1/jobs/{id}/trace?view=cluster (add
-// &format=perfetto for a Perfetto/Chrome trace document). On SIGTERM,
-// panic recovery, or a watchdog livelock trip the process seals a flight
-// record — the last N spans and error events — under its forensics
-// directory. -trace-spans 0 disables all of it at zero request-path cost.
-// -pprof-addr starts an optional net/http/pprof listener (both roles) on
-// a separate address, off by default.
+// across the frontend→worker hop via the X-Trace-Ctx header — routing
+// decision, per-attempt dispatches, hedge winners/losers, worker
+// queue-wait/sim/encode. Each process serves its slice of a trace at
+// GET /v1/spans?trace={id}; the frontend merges the fleet's slices at
+// GET /v1/jobs/{id}/trace?view=cluster (add &format=perfetto for a
+// Perfetto/Chrome trace document). On SIGTERM, panic recovery, or a
+// watchdog livelock trip the process seals a flight record — the last N
+// spans and error events — under its forensics directory. -trace-spans 0
+// disables all of it at zero request-path cost. -pprof-addr starts an
+// optional net/http/pprof listener (both roles) on a separate address,
+// off by default.
 //
 // Async batch jobs also stream live over SSE at GET /v1/jobs/{id}/stream:
 // cell lifecycle, per-interval telemetry as each sample lands, and
@@ -72,10 +71,9 @@
 // idempotency_key request field) with the original results. Clients may
 // also propagate their remaining deadline per hop via X-Deadline-Ms;
 // requests whose budget is already exhausted are refused up front with
-// 504. -hedge-after enables straggler hedging for single-cell requests,
-// and -breaker-threshold/-breaker-cooldown shape the per-replica circuit
-// breakers that demote failing replicas in routing order. See DESIGN.md,
-// "Exactly-once & overload control".
+// 504. -hedge-after enables straggler hedging for single-cell requests.
+// A worker whose -queue is full sheds interactive requests with 429 +
+// Retry-After. See DESIGN.md, "Exactly-once & overload control".
 //
 // With -cache-dir and -checkpoint-every, running simulations journal
 // their state to <dir>/checkpoints and a dvrd killed mid-job resumes the
@@ -113,7 +111,7 @@ func main() {
 		role      = flag.String("role", "single", "process role: single (standalone server), worker (cluster replica), frontend (cluster router)")
 		addr      = flag.String("addr", ":8377", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 256, "queued simulations before requests block")
+		queue     = flag.Int("queue", 256, "queued simulations; past it interactive requests are shed with 429 and batch cells wait")
 		cacheN    = flag.Int("cache", 4096, "in-memory result-cache entries")
 		cacheDir  = flag.String("cache-dir", "", "spill cached results to this directory (optional; share it across worker replicas for cross-replica failover)")
 		ckptN     = flag.Uint64("checkpoint-every", 0, "checkpoint running simulations every N committed instructions so a killed dvrd resumes them at restart (requires -cache-dir; 0 = off)")
@@ -136,8 +134,6 @@ func main() {
 
 		ledgerDir  = flag.String("ledger-dir", "", "frontend: journal accepted async jobs to this directory and recover them at restart (empty = stateless frontend)")
 		hedgeAfter = flag.Duration("hedge-after", 0, "frontend: launch a backup dispatch for a sim cell unanswered after this long (0 = off)")
-		brkThresh  = flag.Int("breaker-threshold", 0, "frontend: consecutive transport failures that trip a replica's circuit breaker (0 = 3)")
-		brkCool    = flag.Duration("breaker-cooldown", 0, "frontend: how long a tripped breaker demotes its replica in routing order (0 = 2s)")
 	)
 	flag.Parse()
 
@@ -211,14 +207,12 @@ func main() {
 			os.Exit(2)
 		}
 		fe, err := service.NewFrontend(service.FrontendConfig{
-			Common:           common,
-			Replicas:         clean,
-			ProbeInterval:    *probeIvl,
-			FailThreshold:    *failThresh,
-			LedgerDir:        *ledgerDir,
-			HedgeAfter:       *hedgeAfter,
-			BreakerThreshold: *brkThresh,
-			BreakerCooldown:  *brkCool,
+			Common:        common,
+			Replicas:      clean,
+			ProbeInterval: *probeIvl,
+			FailThreshold: *failThresh,
+			LedgerDir:     *ledgerDir,
+			HedgeAfter:    *hedgeAfter,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dvrd:", err)

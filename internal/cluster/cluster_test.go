@@ -180,7 +180,7 @@ func TestProberReportFailureKillsImmediately(t *testing.T) {
 	if p.State("w1") != StateUp {
 		t.Fatalf("initial state = %v, want up", p.State("w1"))
 	}
-	p.ReportFailure("w1", errors.New("dial tcp: connection refused"))
+	p.ReportFailure("w1", errors.New("dial tcp: connection refused"), "")
 	if p.State("w1") != StateDead {
 		t.Errorf("state after ReportFailure = %v, want dead (single decisive failure)", p.State("w1"))
 	}

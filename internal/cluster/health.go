@@ -208,16 +208,11 @@ func (p *Prober) probeOnce(replica string) {
 // ReportFailure records a decisive data-path transport failure (the
 // retrying client exhausted its budget against this replica) and marks it
 // dead immediately — new work routes around it now, not FailThreshold
-// heartbeats from now. A later successful probe restores it.
-func (p *Prober) ReportFailure(replica string, err error) {
-	p.ReportFailureTraced(replica, err, "")
-}
-
-// ReportFailureTraced is ReportFailure annotated with the
-// distributed-trace id of the failing exchange, so the replica's health
-// snapshot can point at the exact request that killed it. An empty id
-// keeps the previous annotation.
-func (p *Prober) ReportFailureTraced(replica string, err error, traceID string) {
+// heartbeats from now. A later successful probe restores it. traceID is
+// the distributed-trace id of the failing exchange, so the replica's
+// health snapshot can point at the exact request that killed it; an
+// empty id keeps the previous annotation.
+func (p *Prober) ReportFailure(replica string, err error, traceID string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r, ok := p.reps[replica]

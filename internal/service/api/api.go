@@ -536,20 +536,13 @@ type Metrics struct {
 	JobsActive int `json:"jobs_active"`
 	JobsDone   int `json:"jobs_done"`
 
-	// AdmissionLimit is the AIMD admission controller's current
-	// concurrency limit (it breathes between Workers and
-	// Workers+QueueDepth); AdmissionInflight is how many admitted
-	// requests currently hold a token; AdmissionRejected counts requests
-	// shed 429 by the controller (it subsumes the old fixed-queue shed);
 	// DeadlineRejected counts requests answered 504 on arrival because
 	// their propagated deadline budget could not fit any work.
-	AdmissionLimit    float64 `json:"admission_limit"`
-	AdmissionInflight int     `json:"admission_inflight"`
-	AdmissionRejected uint64  `json:"admission_rejected"`
-	DeadlineRejected  uint64  `json:"deadline_rejected"`
+	DeadlineRejected uint64 `json:"deadline_rejected"`
 
 	// PanicsRecovered counts worker panics recovered into per-job errors;
-	// ShedTotal counts requests rejected 429 on a full queue;
+	// ShedTotal is the worker's one 429 counter: interactive sims and
+	// synchronous batches shed because the pool's queue was full;
 	// SingleFlightRetries counts followers that re-ran a job after their
 	// leader failed; SpillQuarantined counts corrupt disk-spill entries
 	// moved to the quarantine directory (startup scan + runtime reads).
@@ -672,11 +665,6 @@ type ClusterMetrics struct {
 	HedgesLaunched uint64 `json:"hedges_launched"`
 	HedgesWon      uint64 `json:"hedges_won"`
 
-	// BreakerTrips counts per-replica circuit-breaker opens; BreakersOpen
-	// is how many replicas' breakers currently deprioritize them.
-	BreakerTrips uint64 `json:"breaker_trips"`
-	BreakersOpen int    `json:"breakers_open"`
-
 	// DeadlineRejected counts requests answered 504 on arrival because
 	// their propagated deadline budget was already exhausted.
 	DeadlineRejected uint64 `json:"deadline_rejected"`
@@ -704,13 +692,9 @@ type ReplicaStatus struct {
 	ProbeFailures uint64 `json:"probe_failures,omitempty"`
 	// LastError is the most recent probe or data-path failure, if any.
 	LastError string `json:"last_error,omitempty"`
-	// BreakerOpen reports whether the replica's circuit breaker currently
-	// deprioritizes it; BreakerTrips counts how many times it has opened.
-	BreakerOpen  bool   `json:"breaker_open,omitempty"`
-	BreakerTrips uint64 `json:"breaker_trips,omitempty"`
 	// LastTraceID is the trace id of the most recent data-path failure
-	// attributed to this replica (breaker/prober annotation) — the
-	// starting point for "why is this worker demoted" forensics.
+	// reported against this replica — the starting point for "why is
+	// this worker dead" forensics.
 	LastTraceID string `json:"last_trace_id,omitempty"`
 }
 

@@ -273,7 +273,6 @@ func TestWireCompatKeySets(t *testing.T) {
 		t.Errorf("SimResponse keys = %v, want %v", got, want)
 	}
 	wantMetrics := []string{
-		"admission_inflight", "admission_limit", "admission_rejected",
 		"busy_workers", "cache_entries", "cache_hit_rate", "cache_hits", "cache_misses",
 		"checkpoint_write_errors", "checkpoints_quarantined", "checkpoints_resumed", "checkpoints_written",
 		"deadline_rejected", "idempotent_hits",

@@ -547,6 +547,83 @@ func TestClusterDrainRouting(t *testing.T) {
 	}
 }
 
+// TestClusterFlappingReplicaRanksLast: a replica that passes its readiness
+// probe but drops every sim connection is demoted by its first data-path
+// failure alone. With no probe due during the test, every cell it owns
+// answers from the other worker, and only the first one fails over.
+func TestClusterFlappingReplicaRanksLast(t *testing.T) {
+	c := &testCluster{nf: &faults.NetFaults{}}
+	for i := 0; i < 2; i++ {
+		srv := New(Config{})
+		inner := srv.Handler()
+		h := inner
+		if i == 0 {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && r.URL.Path == "/v1/sim" {
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err == nil {
+						conn.Close()
+					}
+					return
+				}
+				inner.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() {
+			ts.Close()
+			shutdown(t, srv)
+		})
+		c.workers = append(c.workers, srv)
+		c.wTS = append(c.wTS, ts)
+	}
+	ring, err := cluster.New([]string{c.wTS[0].URL, c.wTS[1].URL}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ring = ring
+	fe, feTS := newFrontendOver(t, c, func(fc *FrontendConfig) { fc.ProbeInterval = time.Hour })
+
+	// Let the boot probes land first, so none can revive the replica
+	// after its data-path failure.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m := fe.Metrics()
+		if m.ReplicasUp == 2 && m.Replicas[0].ProbesTotal > 0 && m.Replicas[1].ProbesTotal > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("boot probes never landed: %+v", m)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	sent := 0
+	for roi := uint64(50_000); sent < 4; roi += 1_000 {
+		ref := loopRef(roi)
+		if c.ownerOf(t, keyFor(t, ref, "ooo")) != 0 {
+			continue
+		}
+		sent++
+		resp, body := postJSON(t, feTS.URL+"/v1/sim", api.SimRequest{Workload: ref, Technique: "ooo"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sim %d owned by the flapping replica: %s: %s", sent, resp.Status, body)
+		}
+	}
+	if got := c.workers[1].Metrics().SimsCompleted; got != 4 {
+		t.Errorf("healthy replica simulated %d cells, want 4", got)
+	}
+	m := fe.Metrics()
+	if m.Failovers != 1 {
+		t.Errorf("failovers = %d, want 1 (only the first cell tries the flapping replica)", m.Failovers)
+	}
+	for _, r := range m.Replicas {
+		if r.Name == c.wTS[0].URL && r.State != "dead" {
+			t.Errorf("flapping replica reads %q, want dead", r.State)
+		}
+	}
+}
+
 // TestClusterNetFaultStorm runs a batch through a transport that refuses,
 // resets mid-body, and delays on a schedule. The client retry budget and
 // failover machinery must absorb all of it: the batch completes with

@@ -201,6 +201,73 @@ func TestLoadShedReturns429AndClientRetries(t *testing.T) {
 	}
 }
 
+// TestLoadShedSparesCachedHits: the full queue is the worker's one
+// overload signal, so a saturated pool sheds only requests that need a
+// worker. A cached cell still answers 200 with its stored bytes; an
+// uncached one is shed, and shed_total counts only it.
+func TestLoadShedSparesCachedHits(t *testing.T) {
+	release := make(chan struct{})
+	var blocking atomic.Bool
+	inj := &faults.Injector{BeforeSim: func(string) {
+		if blocking.Load() {
+			<-release
+		}
+	}}
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Common: Common{Faults: inj}})
+	// Registered after newTestServer so it runs first: Shutdown waits on
+	// the blocked sims.
+	t.Cleanup(func() { close(release) })
+
+	warm := api.SimRequest{Workload: loopRef(3_300), Technique: "ooo"}
+	if resp, body := postJSON(t, ts.URL+"/v1/sim", warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming sim: %s: %s", resp.Status, body)
+	}
+	resp, warmBody := postJSON(t, ts.URL+"/v1/sim", warm)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm hit: %s: %s", resp.Status, warmBody)
+	}
+
+	blocking.Store(true)
+	for _, roi := range []uint64{3_400, 3_500} {
+		go func(roi uint64) {
+			data, _ := json.Marshal(api.SimRequest{Workload: loopRef(roi), Technique: "ooo"})
+			resp, err := http.Post(ts.URL+"/v1/sim", "application/json", bytes.NewReader(data))
+			if err == nil {
+				resp.Body.Close()
+			}
+		}(roi)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m := srv.Metrics()
+		if m.BusyWorkers == 1 && m.QueueDepth == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never saturated: %+v", srv.Metrics())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/sim", warm)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cached sim on a saturated pool: %s (want 200): %s", resp.Status, body)
+	}
+	if !bytes.Equal(body, warmBody) {
+		t.Errorf("cached sim on a saturated pool differs from the warm answer:\n got %s\nwant %s", body, warmBody)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/sim", api.SimRequest{Workload: loopRef(3_600), Technique: "ooo"})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("uncached sim on a saturated pool: %s (want 429): %s", resp.Status, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 response missing Retry-After header")
+	}
+	if got := srv.Metrics().ShedTotal; got != 1 {
+		t.Errorf("shed_total = %d, want 1 (the uncached sim only)", got)
+	}
+}
+
 // TestSingleFlightFollowerRetriesOnLeaderError: when the leader of a
 // flight dies (here: panics), a follower whose context is still live
 // re-runs the job once instead of parroting the leader's error.

@@ -78,12 +78,6 @@ type FrontendConfig struct {
 	// side content addressing keeps the twin from ever double-counting.
 	// 0 disables hedging.
 	HedgeAfter time.Duration
-	// BreakerThreshold is how many consecutive transport failures trip a
-	// replica's circuit breaker (0 means 3); BreakerCooldown is how long a
-	// tripped breaker demotes the replica in routing order before one
-	// probe request is allowed through (0 means 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 // Frontend is the cluster router. Its core serves the HTTP routes; the
@@ -91,12 +85,11 @@ type FrontendConfig struct {
 // NewFrontend, mount Handler, and call Shutdown to drain.
 type Frontend struct {
 	core
-	cfg      FrontendConfig
-	ring     *cluster.Ring
-	prober   *cluster.Prober
-	breakers *cluster.Breakers
-	clients  map[string]*client.Client
-	flight   *flightGroup[api.SimResponse]
+	cfg     FrontendConfig
+	ring    *cluster.Ring
+	prober  *cluster.Prober
+	clients map[string]*client.Client
+	flight  *flightGroup[api.SimResponse]
 
 	// ledgerHealth is the boot-time scan verdict of the ledger.
 	ledgerHealth ledger.Health
@@ -131,10 +124,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	for _, o := range dispatchOutcomes {
 		f.dispatchHist[o] = f.histogram(fmt.Sprintf("dvrd_dispatch_attempt_seconds{outcome=%q}", o))
 	}
-	f.breakers = cluster.NewBreakers(cfg.Replicas, cluster.BreakerConfig{
-		Threshold: cfg.BreakerThreshold,
-		Cooldown:  cfg.BreakerCooldown,
-	})
 	// One transport (and fault schedule) shared by every replica client:
 	// a partition of one host must not disturb the others' connections,
 	// which per-host http.Client state would make hard to reason about.
@@ -248,27 +237,17 @@ func (f *Frontend) stop() { f.prober.Stop() }
 // preference list re-sorted by probed state — up replicas first, draining
 // next (they still answer, they just should not get new work), dead last
 // (the probe may be wrong; a dead-listed replica is still worth one try
-// when nothing better exists). Within a state, replicas whose circuit
-// breaker is open sort behind closed ones — recently failing-fast is a
-// demotion, never an exclusion, so the breaker can never leave a key with
-// no candidate at all. Within each (state, breaker) tier, ring order is
-// kept, so two frontends with the same view produce the same order.
+// when nothing better exists). Within a state, ring order is kept, so two
+// frontends with the same view produce the same order.
 func (f *Frontend) candidates(key string) []string {
 	pref := f.ring.Prefer(key)
 	out := make([]string, 0, len(pref))
 	for _, want := range []cluster.State{cluster.StateUp, cluster.StateDraining, cluster.StateDead} {
-		var tripped []string
 		for _, rep := range pref {
-			if f.prober.State(rep) != want {
-				continue
+			if f.prober.State(rep) == want {
+				out = append(out, rep)
 			}
-			if f.breakers.Blocked(rep) {
-				tripped = append(tripped, rep)
-				continue
-			}
-			out = append(out, rep)
 		}
-		out = append(out, tripped...)
 	}
 	return out
 }
@@ -297,11 +276,7 @@ func (f *Frontend) answerCell(ctx context.Context, req api.SimRequest, c cell, _
 		var lastErr error
 		for i, rep := range cands {
 			tried = append(tried, rep)
-			breakerOpen := f.breakers.Blocked(rep)
 			dsp := rsp.StartChild("frontend.dispatch").Attr("replica", rep)
-			if breakerOpen {
-				dsp.Attr("breaker_open", "true")
-			}
 			dctx := obs.ContextWithSpan(ctx, dsp)
 			attempt := time.Now()
 			resp, winner, hedged, err := f.dispatchHedged(dctx, key, req, rep, f.hedgePeer(cands, i))
@@ -314,13 +289,10 @@ func (f *Frontend) answerCell(ctx context.Context, req api.SimRequest, c cell, _
 					outcome = "hedge-win"
 				case hedged:
 					outcome = "hedge-lose"
-				case breakerOpen:
-					outcome = "breaker-open"
 				}
 				f.observeDispatch(outcome, elapsed, tid)
 				dsp.Attr("outcome", outcome).Attr("winner", winner).Fail(err).End()
 				endRoute()
-				f.breakers.Success(winner)
 				f.routed.Add(1)
 				if err != nil {
 					return api.SimResponse{}, err
@@ -338,8 +310,7 @@ func (f *Frontend) answerCell(ctx context.Context, req api.SimRequest, c cell, _
 			// the shared durable directory.
 			f.observeDispatch("failover", elapsed, tid)
 			dsp.Attr("outcome", "failover").Fail(err).End()
-			f.prober.ReportFailureTraced(winner, err, tid)
-			f.breakers.FailureTraced(winner, tid)
+			f.prober.ReportFailure(winner, err, tid)
 			f.failovers.Add(1)
 			lastErr = err
 		}
@@ -369,14 +340,14 @@ func (f *Frontend) observeDispatch(outcome string, d time.Duration, traceID stri
 }
 
 // hedgePeer picks the backup replica for a hedged dispatch: the next
-// candidate after i whose breaker is closed. Hedging onto a replica that
-// is already failing fast would just burn the hedge; "" means no hedge.
+// candidate after i that the prober does not list as dead. Hedging onto a
+// dead replica would just burn the hedge; "" means no hedge.
 func (f *Frontend) hedgePeer(cands []string, i int) string {
 	if f.cfg.HedgeAfter <= 0 {
 		return ""
 	}
 	for _, rep := range cands[i+1:] {
-		if !f.breakers.Blocked(rep) {
+		if f.prober.State(rep) != cluster.StateDead {
 			return rep
 		}
 	}
@@ -392,7 +363,7 @@ func (f *Frontend) hedgePeer(cands []string, i int) string {
 // winner/loser) so an operator can audit which replica answered. With
 // hedging off or no backup candidate this is a plain single dispatch.
 // Returns the answering replica and whether the hedge actually fired,
-// so the caller's prober/breaker/histogram bookkeeping lands on the
+// so the caller's prober/histogram bookkeeping lands on the
 // right name and outcome.
 func (f *Frontend) dispatchHedged(ctx context.Context, key string, req api.SimRequest, primary, backup string) (api.SimResponse, string, bool, error) {
 	if f.cfg.HedgeAfter <= 0 || backup == "" {
@@ -452,11 +423,10 @@ func (f *Frontend) dispatchHedged(ctx context.Context, key string, req api.SimRe
 				return a.resp, a.rep, hedged, a.err
 			}
 			// Transport death of one arm. If the other arm is still out,
-			// let it finish; bookkeep this one now so the prober and breaker
-			// learn of it even though the caller only sees the final answer.
+			// let it finish; bookkeep this one now so the prober learns of
+			// it even though the caller only sees the final answer.
 			if pending > 0 {
-				f.prober.ReportFailureTraced(a.rep, a.err, tid)
-				f.breakers.FailureTraced(a.rep, tid)
+				f.prober.ReportFailure(a.rep, a.err, tid)
 				continue
 			}
 			return a.resp, a.rep, hedged, a.err
@@ -544,7 +514,6 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 			go func() {
 				defer wg.Done()
 				tid := obs.FromContext(ctx).TraceID()
-				breakerOpen := f.breakers.Blocked(rep)
 				attempt := time.Now()
 				results, err := f.runGroup(ctx, rep, idxs, list, req, j)
 				elapsed := time.Since(attempt)
@@ -564,19 +533,13 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 						// successor answers them as cache hits; its
 						// in-flight cell resumes from the journaled
 						// checkpoint instead of restarting.
-						f.prober.ReportFailureTraced(rep, err, tid)
-						f.breakers.FailureTraced(rep, tid)
+						f.prober.ReportFailure(rep, err, tid)
 					}
 					f.observeDispatch("failover", elapsed, tid)
 					f.failovers.Add(uint64(len(idxs)))
 					return
 				}
-				if breakerOpen {
-					f.observeDispatch("breaker-open", elapsed, tid)
-				} else {
-					f.observeDispatch("ok", elapsed, tid)
-				}
-				f.breakers.Success(rep)
+				f.observeDispatch("ok", elapsed, tid)
 				f.routed.Add(uint64(len(idxs)))
 				for n, i := range idxs {
 					cells[i] = results[n]
@@ -617,13 +580,9 @@ func jobCell(j *job, idx int, c api.CellRequest) *cellPub {
 // cross-replica batch ends.
 func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, j *job) (_ []api.SimResponse, retErr error) {
 	// One span per replica-group dispatch: which worker got how many cells,
-	// annotated with the breaker's view at dispatch time, failed on a
-	// transport death (the caller then re-routes the group).
+	// failed on a transport death (the caller then re-routes the group).
 	gsp := obs.FromContext(ctx).StartChild("frontend.dispatch").
 		Attr("replica", rep).Attr("cells", strconv.Itoa(len(idxs)))
-	if f.breakers.Blocked(rep) {
-		gsp.Attr("breaker_open", "true")
-	}
 	defer func() {
 		outcome := "ok"
 		if retErr != nil && !isAPIError(retErr) {
@@ -802,8 +761,6 @@ func (f *Frontend) Metrics() api.ClusterMetrics {
 		IdempotentHits:      f.idemHits.Load(),
 		HedgesLaunched:      f.hedgesLaunched.Load(),
 		HedgesWon:           f.hedgesWon.Load(),
-		BreakerTrips:        f.breakers.Trips(),
-		BreakersOpen:        f.breakers.Open(),
 		DeadlineRejected:    f.deadlineRejected.Load(),
 		ObsSpans:            f.tracer.Len(),
 		ObsSpansDropped:     f.tracer.Dropped(),
@@ -814,11 +771,10 @@ func (f *Frontend) Metrics() api.ClusterMetrics {
 		m.LedgerQuarantined = f.ledger.Quarantined()
 		m.LedgerTornRepaired = f.ledger.TornRepaired()
 	}
-	bsnap := f.breakers.Snapshot()
 	for _, r := range snap {
 		m.ProbesTotal += r.ProbesTotal
 		m.ProbeFailures += r.ProbeFailures
-		rs := api.ReplicaStatus{
+		m.Replicas = append(m.Replicas, api.ReplicaStatus{
 			Name:          r.Name,
 			State:         r.State.String(),
 			ConsecFails:   r.ConsecFails,
@@ -826,15 +782,7 @@ func (f *Frontend) Metrics() api.ClusterMetrics {
 			ProbeFailures: r.ProbeFailures,
 			LastError:     r.LastError,
 			LastTraceID:   r.LastTraceID,
-		}
-		if b, ok := bsnap[r.Name]; ok {
-			rs.BreakerOpen = b.Open
-			rs.BreakerTrips = b.Trips
-			if rs.LastTraceID == "" {
-				rs.LastTraceID = b.LastTraceID
-			}
-		}
-		m.Replicas = append(m.Replicas, rs)
+		})
 	}
 	return m
 }

@@ -104,7 +104,7 @@ var frontendExposition = exposition{lists: []listFamily{
 
 // dispatchOutcomes are the label values of dvrd_dispatch_attempt_seconds,
 // in exposition order: how one frontend→worker dispatch attempt resolved.
-var dispatchOutcomes = []string{"ok", "failover", "hedge-win", "hedge-lose", "breaker-open"}
+var dispatchOutcomes = []string{"ok", "failover", "hedge-win", "hedge-lose"}
 
 // write renders snap, a role's snapshot struct, as Prometheus text; om
 // appends OpenMetrics trace-id exemplars to histogram buckets.

@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -110,9 +109,6 @@ type Server struct {
 	simsDone   atomic.Uint64 // detailed simulations run to completion and committed
 	plansBuilt atomic.Uint64 // sampling plans built (simulateSampled)
 
-	// adm is the AIMD admission controller gating interactive requests.
-	adm *aimd
-
 	watchdogTrips atomic.Uint64 // simulations aborted by the retirement watchdog
 }
 
@@ -128,7 +124,6 @@ func New(cfg Config) *Server {
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
 		bases:      &baseCache{entries: newLRU[*baseEntry](cfg.BaseEntries)},
 		startInsts: experiments.SimInstructions(),
-		adm:        newAIMD(cfg.Workers, cfg.Workers+cfg.QueueDepth),
 	}
 	s.core.init(s, "worker", workerExposition, cfg.Common, cfg.CacheDir)
 	s.queueHist = s.histogram("dvrd_queue_wait_seconds")
@@ -161,54 +156,23 @@ func (s *Server) CheckpointHealth() checkpoint.Health { return s.ckptHealth }
 
 // ---- the worker's dispatch ----
 
-// answerCell answers an interactive /v1/sim cell behind the admission
-// gate; a full queue sheds it rather than parking the connection.
-func (s *Server) answerCell(ctx context.Context, _ api.SimRequest, c cell, sc simConfig) (resp api.SimResponse, body []byte, err error) {
-	err = s.gated(func() error {
-		resp, body, err = s.runCell(ctx, c, sc, admitShed, nil)
-		return err
-	})
-	return resp, body, err
+// answerCell answers an interactive /v1/sim cell: a cache hit needs no
+// worker, and a miss on a full queue is shed rather than parking the
+// connection.
+func (s *Server) answerCell(ctx context.Context, _ api.SimRequest, c cell, sc simConfig) (api.SimResponse, []byte, error) {
+	return s.runCell(ctx, c, sc, admitShed, nil)
 }
 
 // answerBatch runs an async job's batch as it is. A synchronous batch is
 // interactive: with the queue already full it is shed whole up front
-// instead of parking its every cell behind it, and otherwise it passes the
-// admission gate. (Async batches answer 202 at once; their cells queue in
-// the background by design.)
-func (s *Server) answerBatch(ctx context.Context, _ api.BatchRequest, cells []cell, sc simConfig, j *job) (out *api.BatchResponse, bodies [][]byte, err error) {
-	if j != nil {
-		return s.runBatch(ctx, cells, sc, j)
-	}
-	if s.pool.Saturated() {
+// instead of parking its every cell behind it. (Async batches answer 202
+// at once; their cells queue in the background by design.)
+func (s *Server) answerBatch(ctx context.Context, _ api.BatchRequest, cells []cell, sc simConfig, j *job) (*api.BatchResponse, [][]byte, error) {
+	if j == nil && s.pool.Saturated() {
 		s.pool.shed.Add(1)
-		s.adm.Overload()
 		return nil, nil, errOverloaded
 	}
-	err = s.gated(func() error {
-		out, bodies, err = s.runBatch(ctx, cells, sc, nil)
-		return err
-	})
-	return out, bodies, err
-}
-
-// gated runs one interactive request under an AIMD admission token. A
-// queue that filled behind the gate (errOverloaded) is the congestion
-// evidence the controller cuts on; a success nudges the limit up.
-func (s *Server) gated(run func() error) error {
-	if !s.adm.Acquire() {
-		s.pool.shed.Add(1)
-		return fmt.Errorf("%w (admission limit)", errOverloaded)
-	}
-	defer s.adm.Release()
-	err := run()
-	switch {
-	case err == nil:
-		s.adm.Success()
-	case errors.Is(err, errOverloaded):
-		s.adm.Overload()
-	}
-	return err
+	return s.runBatch(ctx, cells, sc, j)
 }
 
 func (s *Server) snapshot() any { return s.Metrics() }
@@ -499,7 +463,6 @@ func (s *Server) Metrics() api.Metrics {
 	}
 	active, finished := s.jobs.counts()
 	sm := s.streams.Snapshot()
-	admLimit, admInflight, admRejected := s.adm.Snapshot()
 	var ckptWritten, ckptResumed, ckptErrors, ckptQuarantined uint64
 	if c := s.ckpts; c != nil {
 		ckptWritten, ckptResumed, ckptErrors, ckptQuarantined = c.Written(), c.Resumed(), c.WriteErrors(), c.Quarantined()
@@ -520,10 +483,7 @@ func (s *Server) Metrics() api.Metrics {
 		SimInstructions:    insts,
 		SimMIPS:            mips,
 
-		AdmissionLimit:    admLimit,
-		AdmissionInflight: admInflight,
-		AdmissionRejected: admRejected,
-		DeadlineRejected:  s.deadlineRejected.Load(),
+		DeadlineRejected: s.deadlineRejected.Load(),
 
 		PanicsRecovered:     s.pool.Panics(),
 		ShedTotal:           s.pool.Shed(),
