@@ -11,8 +11,7 @@
 //	     [-workers N] [-queue N] [-cache N] [-cache-dir DIR]
 //	     [-checkpoint-every N] [-watchdog N] [-timeout 5m]
 //	     [-trace-interval N] [-trace-spans N] [-pprof-addr HOST:PORT]
-//	     [-stream-replay N] [-stream-buffer N]
-//	     [-stream-ttl 60s] [-stream-heartbeat 15s] [-log]
+//	     [-stream-replay N] [-stream-heartbeat 15s] [-log]
 //	     [-replicas URL,URL,...] [-probe-interval 1s] [-fail-threshold 3]
 //	     [-drain-grace 5s] [-ledger-dir DIR] [-hedge-after 300ms]
 //
@@ -58,8 +57,10 @@
 //
 // Async batch jobs also stream live over SSE at GET /v1/jobs/{id}/stream:
 // cell lifecycle, per-interval telemetry as each sample lands, and
-// runahead episodes, with Last-Event-ID resume from a bounded replay
-// window (-stream-replay events per job). The frontend serves the same
+// runahead episodes. Each job keeps one bounded event log (-stream-replay
+// events) that every subscriber reads as a cursor: it is both the
+// Last-Event-ID resume window and how far a reader may lag before it
+// loses its oldest unread telemetry. The frontend serves the same
 // stream for cluster batches, republishing each worker's events under its
 // own job's sequence. See DESIGN.md, "Streaming".
 //
@@ -119,9 +120,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "default per-request deadline")
 		drain     = flag.Duration("drain", 2*time.Minute, "graceful-shutdown deadline")
 		traceIvl  = flag.Uint64("trace-interval", 10_000, "sample interval telemetry every N committed instructions per simulation, served at /v1/jobs/{id}/trace (0 = off)")
-		strReplay = flag.Int("stream-replay", 0, "per-job replay-ring entries for SSE Last-Event-ID resume (0 = 4096)")
-		strBuffer = flag.Int("stream-buffer", 0, "per-subscriber event buffer; slower readers drop oldest (0 = 1024)")
-		strTTL    = flag.Duration("stream-ttl", 0, "reap stream sessions idle this long (0 = 60s)")
+		strReplay = flag.Int("stream-replay", 0, "per-job event-log entries: the SSE Last-Event-ID resume window and how far a subscriber may lag before it loses its oldest telemetry (0 = 4096)")
 		strHB     = flag.Duration("stream-heartbeat", 0, "SSE heartbeat interval on quiet streams (0 = 15s)")
 		logReqs   = flag.Bool("log", false, "log one structured JSON line per request to stderr")
 		spans     = flag.Int("trace-spans", 4096, "distributed-tracing span-ring entries per process; spans propagate via X-Trace-Ctx and serve at /v1/spans (0 = off)")
@@ -152,8 +151,6 @@ func main() {
 	common := service.Common{
 		DefaultTimeout:  *timeout,
 		StreamReplay:    *strReplay,
-		StreamBuffer:    *strBuffer,
-		StreamTTL:       *strTTL,
 		StreamHeartbeat: *strHB,
 		Logger:          logger,
 		TraceSpans:      *spans,

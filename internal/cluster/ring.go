@@ -68,9 +68,6 @@ func New(replicas []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Replicas returns the replica names the ring was built over.
-func (r *Ring) Replicas() []string { return append([]string(nil), r.replicas...) }
-
 // keyHash maps a job key onto the ring. Cache keys are hex SHA-256
 // digests, already uniform — take the leading 64 bits directly; anything
 // else (tests, foreign keys) is hashed first.

@@ -626,7 +626,7 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 
 // traceCounters composes the flat counter snapshot the interval sampler
 // diffs. Read-only: it must not perturb the simulation (in particular it
-// uses the non-mutating MSHR accessors, never FinishStats/MSHRInUse).
+// uses the non-mutating MSHR accessors, never FinishStats).
 func (c *Core) traceCounters(rs *runState) trace.Counters {
 	ms := &c.hier.Stats
 	cs := trace.Counters{

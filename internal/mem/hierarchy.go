@@ -124,12 +124,6 @@ func (h *Hierarchy) Resident(addr uint64) bool {
 // keeping headroom for demand misses.
 const prefetchReserve = 4
 
-// MSHRInUse returns the number of MSHRs occupied at cycle now.
-func (h *Hierarchy) MSHRInUse(now uint64) int { return h.mshr.inUse(now) }
-
-// MSHRFree reports whether a prefetch-usable MSHR is free at cycle now.
-func (h *Hierarchy) MSHRFree(now uint64) bool { return !h.mshr.full(now, prefetchReserve) }
-
 // Access performs a demand load or store issued by the main core at cycle
 // now from the given load/store PC (used to train the stride prefetcher).
 func (h *Hierarchy) Access(addr uint64, now uint64, write bool, pc int) Result {
@@ -186,12 +180,6 @@ func (h *Hierarchy) RunaheadAccess(addr uint64, now uint64, src Source) Result {
 		}
 	}
 	return res
-}
-
-// NextMSHRFree returns the first cycle >= now at which a prefetch-usable
-// MSHR is free.
-func (h *Hierarchy) NextMSHRFree(now uint64) uint64 {
-	return h.mshr.freeAt(now, prefetchReserve)
 }
 
 // access is the shared demand/prefetch path.
@@ -436,8 +424,5 @@ func (s Stats) DemandMisses() uint64 {
 
 // MSHRBusyCyclesAt returns the MLP occupancy integral through cycle now
 // without mutating the MSHR file — safe to call mid-run from trace
-// sampling, unlike FinishStats/MSHRInUse which retire entries.
+// sampling, unlike FinishStats, which retires entries.
 func (h *Hierarchy) MSHRBusyCyclesAt(now uint64) uint64 { return h.mshr.busyAt(now) }
-
-// MSHROccupancyAt counts misses in flight at cycle now, read-only.
-func (h *Hierarchy) MSHROccupancyAt(now uint64) int { return h.mshr.occupancyAt(now) }

@@ -116,12 +116,6 @@ func (m *mshrFile) allocate(line uint64, start, done uint64, src Source) {
 	m.set(line, mshrEntry{done: done, start: start, src: src})
 }
 
-// inUse returns the number of currently outstanding entries.
-func (m *mshrFile) inUse(now uint64) int {
-	m.retire(now)
-	return len(m.entries)
-}
-
 // occupancyAt counts entries still in flight at cycle now WITHOUT retiring
 // anything. Trace sampling must not call retire: lookup treats any resident
 // entry as pending regardless of its done cycle, and access timestamps can

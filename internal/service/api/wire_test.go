@@ -171,7 +171,7 @@ func TestWireCompat(t *testing.T) {
 		},
 		{
 			name:  "StreamOptions",
-			value: StreamOptions{Kinds: []string{EventInterval, EventJobDone}, Cell: &cell, Buffer: 64, LastEventID: 41},
+			value: StreamOptions{Kinds: []string{EventInterval, EventJobDone}, Cell: &cell, LastEventID: 41},
 			fresh: func() any { return &StreamOptions{} },
 			golden: `{
   "kinds": [
@@ -179,7 +179,6 @@ func TestWireCompat(t *testing.T) {
     "job-done"
   ],
   "cell": 2,
-  "buffer": 64,
   "last_event_id": 41
 }`,
 		},
@@ -280,7 +279,7 @@ func TestWireCompatKeySets(t *testing.T) {
 		"panics_recovered", "queue_depth", "requests_total",
 		"shed_total", "sim_instructions", "sim_mips", "sims_completed", "single_flight_retries", "single_flight_shared",
 		"spill_quarantined", "stream_events_dropped", "stream_events_published", "stream_sessions_active",
-		"stream_sessions_expired", "stream_sessions_opened", "traces_stored", "uptime_seconds",
+		"stream_sessions_opened", "traces_stored", "uptime_seconds",
 		"watchdog_trips", "workers",
 	}
 	if got := keysOf(Metrics{}); !reflect.DeepEqual(got, wantMetrics) {

@@ -122,9 +122,6 @@ func (s *Stream) connect() error {
 	if s.opts.Cell != nil {
 		q.Set("cell", strconv.Itoa(*s.opts.Cell))
 	}
-	if s.opts.Buffer > 0 {
-		q.Set("buffer", strconv.Itoa(s.opts.Buffer))
-	}
 	u := s.c.base + "/" + api.Version + "/jobs/" + s.jobID + "/stream"
 	if len(q) > 0 {
 		u += "?" + q.Encode()

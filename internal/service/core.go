@@ -62,16 +62,12 @@ type Common struct {
 	// DefaultTimeout bounds requests that do not set timeout_ms; 0 means
 	// 5 minutes.
 	DefaultTimeout time.Duration
-	// StreamReplay bounds each job's replay ring — the Last-Event-ID
-	// resume window of GET /v1/jobs/{id}/stream; 0 means 4096 events.
+	// StreamReplay bounds each job's event log behind GET
+	// /v1/jobs/{id}/stream; 0 means 4096 events. It is both the
+	// Last-Event-ID resume window and how far a subscriber may fall
+	// behind before it loses its oldest unread telemetry (counted at
+	// /metrics); cell-done and job-done events are kept past it.
 	StreamReplay int
-	// StreamBuffer is the default per-subscriber delivery buffer; 0 means
-	// 1024 events. A subscriber that falls further behind loses its oldest
-	// undelivered events (counted at /metrics).
-	StreamBuffer int
-	// StreamTTL reaps stream sessions not polled for this long (a wedged
-	// proxy, an abandoned connection); 0 means 60s.
-	StreamTTL time.Duration
 	// StreamHeartbeat is the SSE comment-keepalive interval on quiet
 	// streams; 0 means 15s.
 	StreamHeartbeat time.Duration
@@ -131,8 +127,8 @@ type core struct {
 
 	jobs        *jobStore
 	batchFlight *flightGroup[*api.BatchResponse]
-	// streams owns the per-job broadcasters behind GET
-	// /v1/jobs/{id}/stream and the TTL janitor reaping idle sessions.
+	// streams owns the per-job event logs behind GET
+	// /v1/jobs/{id}/stream.
 	streams *stream.Registry
 
 	// tracer is the distributed-tracing span collector (nil when
@@ -187,11 +183,7 @@ func (co *core) init(role dispatcher, name string, expo exposition, opts Common,
 	co.role, co.name, co.opts, co.forensics = role, name, opts, forensics
 	co.jobs = newJobStore()
 	co.batchFlight = newFlightGroup[*api.BatchResponse]()
-	co.streams = stream.NewRegistry(stream.Config{
-		ReplayEntries: opts.StreamReplay,
-		SessionBuffer: opts.StreamBuffer,
-		SessionTTL:    opts.StreamTTL,
-	})
+	co.streams = stream.NewRegistry(stream.Config{ReplayEntries: opts.StreamReplay})
 	if opts.TraceSpans > 0 {
 		co.tracer = obs.New(opts.ProcName, opts.TraceSpans)
 	}
@@ -567,8 +559,8 @@ func (co *core) launchJob(j *job, req api.BatchRequest, cells []cell, sc simConf
 
 // settle seals a finished job: its outcome, then the durable done record
 // (so a crash after this point dedups rather than re-runs), then the
-// job-done event and stream close — subscribers drain whatever is
-// buffered, ending with job-done, and see a clean stream end.
+// job-done event and stream close — subscribers read what is left past
+// their cursors, ending with job-done, and see a clean stream end.
 func (co *core) settle(j *job, batch *api.BatchResponse, err error) {
 	j.finish(batch, err)
 	if co.ledger != nil {

@@ -504,7 +504,6 @@ func (s *Server) Metrics() api.Metrics {
 
 		StreamSessionsActive:  sm.SessionsActive,
 		StreamSessionsOpened:  sm.SessionsOpened,
-		StreamSessionsExpired: sm.SessionsExpired,
 		StreamEventsPublished: sm.EventsPublished,
 		StreamEventsDropped:   sm.EventsDropped,
 		StreamSessions:        sm.Sessions,

@@ -20,9 +20,10 @@ import (
 // trace hooks (interval telemetry and runahead episodes, on the sim
 // goroutine), and the trace store (replayed series for cells answered
 // from the cache or another request's single-flight leader). Subscribers
-// attach over SSE at GET /v1/jobs/{id}/stream; the broadcaster's explicit
-// policies (publish never blocks, drop-oldest with counters, TTL reap)
-// are what let the simulation stay bit-identical under observation.
+// attach over SSE at GET /v1/jobs/{id}/stream as cursors into the job's
+// one bounded event log; its policies (publish never blocks, drop-oldest
+// telemetry with counters) are what let the simulation stay bit-identical
+// under observation.
 
 // cellPub carries one batch cell's streaming identity down through
 // runCell into the simulation's trace hooks. A nil *cellPub (interactive
@@ -134,13 +135,6 @@ func parseStreamOptions(r *http.Request) (api.StreamOptions, error) {
 		}
 		opts.Cell = &n
 	}
-	if raw := q.Get("buffer"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return opts, fmt.Errorf("service: bad buffer %q: %w", raw, err)
-		}
-		opts.Buffer = n
-	}
 	if raw := q.Get("last_event_id"); raw != "" {
 		n, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
@@ -189,7 +183,7 @@ func filterFor(opts api.StreamOptions) func(api.Event) bool {
 // workers' events into its own jobs' broadcasters, so subscribers see one
 // stream regardless of which replica simulates which cell). Each frame
 // carries the event's id (the SSE resume cursor — reconnecting with
-// Last-Event-ID picks up from the replay window), its kind as the SSE
+// Last-Event-ID picks up from the job's event log), its kind as the SSE
 // event name, and the api.Event JSON as data. Idle periods are bridged
 // with comment heartbeats so proxies do not reap the connection. The
 // stream ends after the job's terminal event (job-done) has been
@@ -217,11 +211,7 @@ func (co *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			Error: "service: response writer does not support streaming"})
 		return
 	}
-	sess := j.bc.Subscribe(stream.SubOptions{
-		After:  opts.LastEventID,
-		Buffer: opts.Buffer,
-		Filter: filterFor(opts),
-	})
+	sess := j.bc.Subscribe(stream.SubOptions{After: opts.LastEventID, Filter: filterFor(opts)})
 	defer sess.Close()
 
 	h := w.Header()
@@ -274,7 +264,7 @@ func (co *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		default:
 			// Clean end (stream.ErrClosed: the job finished and every
-			// buffered event is written), client gone, session reaped, or
+			// retained event past the cursor is written), client gone, or
 			// server shutdown.
 			flush()
 			return

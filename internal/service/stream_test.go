@@ -236,7 +236,7 @@ func TestStreamBitIdentityUnderSubscribers(t *testing.T) {
 // shows up in its per-session drop counter and at /metrics, and the job
 // itself is completely unaffected.
 func TestStalledSubscriberDropsOldestAccounted(t *testing.T) {
-	srv, ts := newTestServer(t, Config{TraceIntervalEvery: 500})
+	srv, ts := newTestServer(t, Config{TraceIntervalEvery: 500, Common: Common{StreamReplay: 2}})
 	jobID := startAsyncBatch(t, ts.URL, api.BatchRequest{
 		Workloads:  []workloads.Ref{loopRef(20_000)},
 		Techniques: []string{"ooo"},
@@ -245,9 +245,9 @@ func TestStalledSubscriberDropsOldestAccounted(t *testing.T) {
 	if !ok || j.bc == nil {
 		t.Fatalf("job %s has no broadcaster", jobID)
 	}
-	// Two-slot buffer, never polled: everything past the first two events
-	// is a drop (replayed history included — the policy is the policy).
-	sess := j.bc.Subscribe(stream.SubOptions{Buffer: 2})
+	// Two-event log, never polled: telemetry published past the first two
+	// events is evicted before the session reads it, and each is a drop.
+	sess := j.bc.Subscribe(stream.SubOptions{})
 	defer sess.Close()
 
 	st := waitJobDone(t, ts.URL, jobID)
@@ -287,6 +287,38 @@ func TestStalledSubscriberDropsOldestAccounted(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "dvrd_stream_events_dropped_total") {
 		t.Error("Prometheus exposition lacks the drop total")
+	}
+}
+
+// TestStreamBufferParamIgnored: a subscriber sizes nothing on the server.
+// A ?buffer= parameter asking for a billion-event buffer is served like
+// any unknown parameter: the stream runs to job-done and the server stays
+// up.
+func TestStreamBufferParamIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceIntervalEvery: 1000})
+	jobID := startAsyncBatch(t, ts.URL, api.BatchRequest{
+		Workloads:  []workloads.Ref{loopRef(10_000)},
+		Techniques: []string{"ooo"},
+	})
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + jobID + "/stream?buffer=1000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: %s", resp.Status)
+	}
+	sawDone := false
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for !sawDone && sc.Scan() {
+		sawDone = sc.Text() == "event: "+api.EventJobDone
+	}
+	if !sawDone {
+		t.Fatalf("stream ended without a job-done frame (scan error: %v)", sc.Err())
+	}
+	if hresp, body := getBody(t, ts.URL+"/healthz"); hresp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the stream: %s: %s", hresp.Status, body)
 	}
 }
 

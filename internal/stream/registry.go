@@ -12,78 +12,39 @@ import (
 
 // Config sizes a Registry. Zero values mean the documented defaults.
 type Config struct {
-	// ReplayEntries bounds each job's replay ring (the Last-Event-ID
-	// resume window); 0 means 4096.
+	// ReplayEntries bounds each job's event log: how far a session may
+	// fall behind before it loses telemetry, and how far back a
+	// Last-Event-ID resume reaches; 0 means 4096. Cell-done and job-done
+	// events are kept past the bound.
 	ReplayEntries int
-	// SessionBuffer is the default per-session delivery buffer; 0 means
-	// 1024. Subscribers may request less (never more) per session.
-	SessionBuffer int
-	// SessionTTL reaps sessions not polled for this long; 0 means 60s.
-	SessionTTL time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.ReplayEntries <= 0 {
-		c.ReplayEntries = 4096
-	}
-	if c.SessionBuffer <= 0 {
-		c.SessionBuffer = 1024
-	}
-	if c.SessionTTL <= 0 {
-		c.SessionTTL = 60 * time.Second
-	}
-	return c
-}
-
-// Registry owns the broadcasters of every job on one server plus the TTL
-// janitor that reaps abandoned sessions. Construct with NewRegistry; call
-// Close on server shutdown.
+// Registry owns the broadcasters of every job on one server. Construct
+// with NewRegistry; call Close on server shutdown.
 type Registry struct {
 	replayEntries int
-	sessionBuffer int
-	sessionTTL    time.Duration
 
-	mu       sync.Mutex
-	jobs     map[string]*Broadcaster
-	closed   bool
-	stopOnce sync.Once
-	stop     chan struct{}
+	mu     sync.Mutex
+	jobs   map[string]*Broadcaster
+	closed bool
 
 	seq          atomic.Uint64 // session id source
 	opened       atomic.Uint64
-	expired      atomic.Uint64
 	published    atomic.Uint64
 	droppedTotal atomic.Uint64
 }
 
-// NewRegistry builds a registry and starts its session janitor.
+// NewRegistry builds a registry.
 func NewRegistry(cfg Config) *Registry {
-	cfg = cfg.withDefaults()
-	r := &Registry{
-		replayEntries: cfg.ReplayEntries,
-		sessionBuffer: cfg.SessionBuffer,
-		sessionTTL:    cfg.SessionTTL,
-		jobs:          make(map[string]*Broadcaster),
-		stop:          make(chan struct{}),
+	if cfg.ReplayEntries <= 0 {
+		cfg.ReplayEntries = 4096
 	}
-	go r.janitor()
-	return r
+	return &Registry{replayEntries: cfg.ReplayEntries, jobs: make(map[string]*Broadcaster)}
 }
 
 // Create registers a broadcaster for jobID (idempotent: an existing one
 // is returned, so a job and its early subscribers cannot race).
-func (r *Registry) Create(jobID string) *Broadcaster {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b, ok := r.jobs[jobID]; ok {
-		return b
-	}
-	b := newBroadcaster(jobID, r.replayEntries, r)
-	if !r.closed {
-		r.jobs[jobID] = b
-	}
-	return b
-}
+func (r *Registry) Create(jobID string) *Broadcaster { return r.CreateAt(jobID, 1) }
 
 // CreateAt registers a broadcaster for jobID whose event ids start at
 // startID instead of 1 — how a recovered job keeps its SSE ids strictly
@@ -97,9 +58,11 @@ func (r *Registry) CreateAt(jobID string, startID uint64) *Broadcaster {
 	if b, ok := r.jobs[jobID]; ok {
 		return b
 	}
-	b := newBroadcaster(jobID, r.replayEntries, r)
-	if startID > 1 {
-		b.nextID = startID
+	b := &Broadcaster{
+		jobID:  jobID,
+		reg:    r,
+		limit:  r.replayEntries,
+		nextID: max(startID, 1),
 	}
 	if !r.closed {
 		r.jobs[jobID] = b
@@ -107,67 +70,20 @@ func (r *Registry) CreateAt(jobID string, startID uint64) *Broadcaster {
 	return b
 }
 
-// Get looks up the broadcaster of jobID.
-func (r *Registry) Get(jobID string) (*Broadcaster, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.jobs[jobID]
-	return b, ok
-}
-
-// Close shuts the registry down: every broadcaster closes (draining
-// subscribers), the janitor stops, and future Creates return detached
+// Close shuts the registry down: every broadcaster closes (its sessions
+// read what is left, then end), and future Creates return detached
 // broadcasters. Idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	r.closed = true
-	bs := make([]*Broadcaster, 0, len(r.jobs))
-	for _, b := range r.jobs {
-		bs = append(bs, b)
-	}
+	bs := r.broadcastersLocked()
 	r.mu.Unlock()
 	for _, b := range bs {
 		b.Close()
 	}
-	r.stopOnce.Do(func() { close(r.stop) })
 }
 
-// janitor reaps sessions that idled past the TTL. It wakes a few times
-// per TTL so a reap happens at most ~1.25 TTLs after the last poll.
-func (r *Registry) janitor() {
-	tick := r.sessionTTL / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-		}
-		cutoff := time.Now().Add(-r.sessionTTL)
-		for _, b := range r.broadcasters() {
-			b.mu.Lock()
-			var stale []*Session
-			for s := range b.sessions {
-				if s.idleSince().Before(cutoff) {
-					stale = append(stale, s)
-				}
-			}
-			b.mu.Unlock()
-			for _, s := range stale {
-				s.expire()
-				r.expired.Add(1)
-			}
-		}
-	}
-}
-
-func (r *Registry) broadcasters() []*Broadcaster {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *Registry) broadcastersLocked() []*Broadcaster {
 	out := make([]*Broadcaster, 0, len(r.jobs))
 	for _, b := range r.jobs {
 		out = append(out, b)
@@ -179,32 +95,26 @@ func (r *Registry) broadcasters() []*Broadcaster {
 type Metrics struct {
 	SessionsActive  int
 	SessionsOpened  uint64
-	SessionsExpired uint64
 	EventsPublished uint64
 	EventsDropped   uint64
 	Sessions        []api.StreamSession
 }
 
 // Snapshot collects the registry counters and the per-session accounting
-// of every attached session (sorted by session id via the id sequence —
-// map iteration order is hidden by the per-session ids themselves).
+// of every attached session, sorted by session id.
 func (r *Registry) Snapshot() Metrics {
 	m := Metrics{
 		SessionsOpened:  r.opened.Load(),
-		SessionsExpired: r.expired.Load(),
 		EventsPublished: r.published.Load(),
 		EventsDropped:   r.droppedTotal.Load(),
 	}
+	r.mu.Lock()
+	bs := r.broadcastersLocked()
+	r.mu.Unlock()
 	now := time.Now()
-	for _, b := range r.broadcasters() {
+	for _, b := range bs {
 		b.mu.Lock()
-		sessions := make([]*Session, 0, len(b.sessions))
-		for s := range b.sessions {
-			sessions = append(sessions, s)
-		}
-		b.mu.Unlock()
-		for _, s := range sessions {
-			s.mu.Lock()
+		for _, s := range b.sessions {
 			m.Sessions = append(m.Sessions, api.StreamSession{
 				ID:         fmt.Sprintf("sess-%d", s.id),
 				JobID:      b.jobID,
@@ -212,10 +122,10 @@ func (r *Registry) Snapshot() Metrics {
 				Dropped:    s.dropped,
 				AgeSeconds: now.Sub(s.opened).Seconds(),
 			})
-			s.mu.Unlock()
-			m.SessionsActive++
 		}
+		b.mu.Unlock()
 	}
+	m.SessionsActive = len(m.Sessions)
 	sort.Slice(m.Sessions, func(i, j int) bool { return m.Sessions[i].ID < m.Sessions[j].ID })
 	return m
 }
