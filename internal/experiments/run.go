@@ -14,6 +14,7 @@ import (
 
 	"dvr/internal/cpu"
 	"dvr/internal/interp"
+	"dvr/internal/sampling"
 	"dvr/internal/trace"
 	"dvr/internal/workloads"
 )
@@ -50,15 +51,9 @@ type Job struct {
 	JobOpts
 
 	// Sample projects the result from phase-representative windows instead
-	// of timing the whole ROI; Plan does the same over a plan already built
-	// for Spec and Cfg, shared with other jobs. A sampled result carries
-	// Sampled provenance and must never be cached under an exact run's key
-	// (see service.CacheKeySampled).
+	// of timing the whole ROI. A sampled result carries Sampled provenance.
 	Sample *SampleOptions
-	Plan   *SampledPlan
 }
-
-func (j *Job) sampled() bool { return j.Sample != nil || j.Plan != nil }
 
 // check validates a job and returns its technique's builder. It is the one
 // place a job is refused.
@@ -70,7 +65,7 @@ func (j *Job) check() (Build, error) {
 	if err := j.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if j.sampled() && (j.Resume != nil || j.CheckpointEvery > 0 || j.Checkpoint != nil || j.Trace != nil) {
+	if j.Sample != nil && (j.Resume != nil || j.CheckpointEvery > 0 || j.Checkpoint != nil || j.Trace != nil) {
 		return nil, errSampledDurable
 	}
 	return build, nil
@@ -93,8 +88,8 @@ func Run(ctx context.Context, j Job) (cpu.Result, error) {
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	if j.sampled() {
-		return s.plan.replay(ctx, &j, build)
+	if j.Sample != nil {
+		return replay(ctx, s.plan, &j, build)
 	}
 	return j.run(ctx, s.w.Fork(), build)
 }
@@ -104,16 +99,13 @@ func Run(ctx context.Context, j Job) (cpu.Result, error) {
 // sampling plan of sampled ones.
 type shared struct {
 	w    *workloads.Workload
-	plan *SampledPlan
+	plan *sampling.Plan
 }
 
 func (j *Job) prepare() (s shared, err error) {
-	switch {
-	case j.Plan != nil:
-		s.plan = j.Plan
-	case j.Sample != nil:
-		s.plan, err = NewSampledPlan(j.Spec, j.Cfg, *j.Sample)
-	default:
+	if j.Sample != nil {
+		s.plan, err = newPlan(j.Spec, j.Cfg, *j.Sample)
+	} else {
 		s.w, err = buildWorkload(j.Spec)
 	}
 	return s, err
@@ -141,12 +133,9 @@ func RunAll(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
 		if builds[i], err = j.check(); err != nil {
 			return nil, err
 		}
-		switch {
-		case j.Plan != nil:
-			keys[i] = fmt.Sprintf("plan %p", j.Plan)
-		case j.Sample != nil:
+		if j.Sample != nil {
 			keys[i] = fmt.Sprintf("sampled %s %v %v", j.Spec.Name, j.Cfg, *j.Sample)
-		default:
+		} else {
 			keys[i] = "exact " + j.Spec.Name
 		}
 	}
@@ -155,8 +144,8 @@ func RunAll(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
 		func(i int) string { return keys[i] },
 		func(first int) (shared, error) { return jobs[first].prepare() },
 		func(ctx context.Context, i int, s shared) (err error) {
-			if j := &jobs[i]; j.sampled() {
-				results[i], err = s.plan.replay(ctx, j, builds[i])
+			if j := &jobs[i]; j.Sample != nil {
+				results[i], err = replay(ctx, s.plan, j, builds[i])
 			} else {
 				results[i], err = j.run(ctx, s.w.Fork(), builds[i])
 			}

@@ -12,9 +12,9 @@ import (
 )
 
 // SampleOptions are the sampled-simulation knobs of a Job, as exposed to
-// callers (CLI flags, the dvrd API). Zero values pick the ROI-scaled auto
-// defaults — see sampling.Options for the policy. The ROI itself is not an
-// option: it comes from the spec, exactly as in exact runs.
+// callers (CLI flags). Zero values pick the ROI-scaled auto defaults — see
+// sampling.Options for the policy. The ROI itself is not an option: it
+// comes from the spec, exactly as in exact runs.
 type SampleOptions struct {
 	WindowInsts uint64
 	WarmupInsts uint64
@@ -32,41 +32,27 @@ func (o SampleOptions) options(roi uint64) sampling.Options {
 	}
 }
 
-// SampledPlan is everything about a benchmark's sampled projection that
-// does not depend on the technique: the built workload image and its
-// sampling.Plan (profile, phases, boundary snapshots, and the predictor
-// and cache states of cfg at every segment start). Building it — one
+// newPlan builds spec's workload image and its sampling plan under cfg and
+// so: everything about a sampled projection that does not depend on the
+// technique (profile, phases, boundary snapshots, and the predictor and
+// cache states of cfg at every segment start). Building it — one
 // functional pass over the ROI and a warming walk over that pass's record
-// of the stream — is the bulk of one projection's cost, so a caller with
-// several techniques to project (RunAll, a dvrd batch) builds the plan
-// once and runs one Job per technique with it as Job.Plan. A plan holds
+// of the stream — is the bulk of one projection's cost, so RunAll builds
+// one plan per benchmark and replays it for every technique. A plan holds
 // one cache state per segment, tens of MB at full ROIs; the stream record
 // is gone once the plan is built. Jobs may replay one plan concurrently.
-type SampledPlan struct {
-	plan *sampling.Plan
-}
-
-// NewSampledPlan builds spec's workload image and its sampling plan under
-// cfg and so.
-func NewSampledPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*SampledPlan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func newPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*sampling.Plan, error) {
 	base, err := buildWorkload(spec)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := sampling.NewPlan(base, cfg, so.options(roiOf(spec)))
-	if err != nil {
-		return nil, err
-	}
-	return &SampledPlan{plan: plan}, nil
+	return sampling.NewPlan(base, cfg, so.options(roiOf(spec)))
 }
 
-// replay projects job j, of the plan's benchmark, under its technique.
-func (p *SampledPlan) replay(ctx context.Context, j *Job, build Build) (cpu.Result, error) {
+// replay projects job j, of plan's benchmark, under its technique.
+func replay(ctx context.Context, plan *sampling.Plan, j *Job, build Build) (cpu.Result, error) {
 	hostStart := time.Now()
-	res, err := p.plan.Replay(ctx, j.Cfg, func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
+	res, err := plan.Replay(ctx, j.Cfg, func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
 		return build(fe, w, h, j.Cfg), nil
 	})
 	if err != nil {

@@ -33,11 +33,6 @@ type Interp struct {
 	Mem  *Memory
 	St   State
 	Seq  uint64
-	// SuppressStores, when set, makes stores compute their address but not
-	// modify memory. Clones no longer need it (they write a copy-on-write
-	// fork of the image instead), but it remains available for engines that
-	// want stores discarded entirely.
-	SuppressStores bool
 }
 
 // New returns an interpreter at PC 0 with zeroed registers.
@@ -146,15 +141,11 @@ func (it *Interp) StepInto(di *DynInst) bool {
 	case isa.Store:
 		di.Addr = r[in.Src1] + uint64(in.Imm)
 		di.Val = r[in.Src2]
-		if !it.SuppressStores {
-			it.Mem.Store64(di.Addr, di.Val)
-		}
+		it.Mem.Store64(di.Addr, di.Val)
 	case isa.StoreIdx:
 		di.Addr = r[in.Src1] + r[in.Src2]*8 + uint64(in.Imm)
 		di.Val = r[in.Dst]
-		if !it.SuppressStores {
-			it.Mem.Store64(di.Addr, di.Val)
-		}
+		it.Mem.Store64(di.Addr, di.Val)
 	case isa.Br:
 		di.Taken = in.Cond.Eval(int64(r[in.Src1]))
 		if di.Taken {

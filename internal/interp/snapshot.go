@@ -126,24 +126,22 @@ func (m *Memory) RestorePages(deltas []PageDelta) error {
 // Snapshot is the serializable state of an interpreter: architectural
 // registers plus the memory delta of its (forked) image.
 type Snapshot struct {
-	Regs           [isa.NumRegs]uint64 `json:"regs"`
-	PC             int                 `json:"pc"`
-	Halted         bool                `json:"halted,omitempty"`
-	Seq            uint64              `json:"seq"`
-	SuppressStores bool                `json:"suppress_stores,omitempty"`
-	Pages          []PageDelta         `json:"pages,omitempty"`
+	Regs   [isa.NumRegs]uint64 `json:"regs"`
+	PC     int                 `json:"pc"`
+	Halted bool                `json:"halted,omitempty"`
+	Seq    uint64              `json:"seq"`
+	Pages  []PageDelta         `json:"pages,omitempty"`
 }
 
 // Snapshot captures the interpreter's architectural state and owned memory
 // pages.
 func (it *Interp) Snapshot() Snapshot {
 	return Snapshot{
-		Regs:           it.St.Regs,
-		PC:             it.St.PC,
-		Halted:         it.St.Halted,
-		Seq:            it.Seq,
-		SuppressStores: it.SuppressStores,
-		Pages:          it.Mem.SnapshotPages(),
+		Regs:   it.St.Regs,
+		PC:     it.St.PC,
+		Halted: it.St.Halted,
+		Seq:    it.Seq,
+		Pages:  it.Mem.SnapshotPages(),
 	}
 }
 
@@ -159,6 +157,5 @@ func (it *Interp) Restore(s Snapshot) error {
 	it.St.PC = s.PC
 	it.St.Halted = s.Halted
 	it.Seq = s.Seq
-	it.SuppressStores = s.SuppressStores
 	return nil
 }

@@ -8,6 +8,8 @@
 package api
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 
 	"dvr/internal/cpu"
@@ -26,40 +28,9 @@ const Version = "v1"
 // prefetch, workloads, graphgen) alters any Result field for any job.
 const EngineVersion = "dvr-engine/4"
 
-// SamplingOptions selects sampled simulation for a request: instead of
-// timing the full ROI, the server phase-profiles it, times one
-// representative window per phase, and extrapolates. The projected Result
-// carries Sampled provenance and confidence bounds, and is cached under a
-// key distinct from the exact run's (sampling options are hashed into the
-// content address), so sampled and exact results never alias. Zero fields
-// mean server-side auto-tuning from the ROI length.
-type SamplingOptions struct {
-	// WindowInsts is the profiling window length in instructions; 0
-	// auto-sizes from the ROI.
-	WindowInsts uint64 `json:"window_insts,omitempty"`
-	// WarmupInsts is the detailed (timed but discarded) warmup preceding
-	// each measured window; 0 means one window.
-	WarmupInsts uint64 `json:"warmup_insts,omitempty"`
-	// MaxPhases bounds the number of phase clusters; 0 means the default.
-	MaxPhases int `json:"max_phases,omitempty"`
-	// Replicates is the number of representative windows timed per phase;
-	// 0 means one.
-	Replicates int `json:"replicates,omitempty"`
-}
-
-// Validate rejects option values that cannot describe a plan.
-func (o *SamplingOptions) Validate() error {
-	if o == nil {
-		return nil
-	}
-	if o.MaxPhases < 0 {
-		return fmt.Errorf("api: sampling.max_phases must be >= 0, got %d", o.MaxPhases)
-	}
-	if o.Replicates < 0 {
-		return fmt.Errorf("api: sampling.replicates must be >= 0, got %d", o.Replicates)
-	}
-	return nil
-}
+// errSampling refuses a request that carries "sampling": sampled
+// projection runs in-process only, one plan per workload for every technique.
+var errSampling = errors.New("api: dvrd does not serve sampled projection; run it in-process with dvrsim -sampled or dvrbench -sampled")
 
 // Transport headers carrying request metadata that is not part of the
 // JSON body. Both are optional on every request.
@@ -95,11 +66,8 @@ type SimRequest struct {
 	Technique string `json:"technique"`
 	// Config is the core configuration; nil means cpu.DefaultConfig().
 	Config *cpu.Config `json:"config,omitempty"`
-	// Sampling, when non-nil, requests a sampled (projected) result
-	// instead of an exact one. Sampled jobs skip durable checkpointing and
-	// interval tracing — they are cheap enough to restart — and never
-	// share a cache key with exact jobs.
-	Sampling *SamplingOptions `json:"sampling,omitempty"`
+	// Sampling is only ever refused (errSampling), never run as exact.
+	Sampling json.RawMessage `json:"sampling,omitempty"`
 	// TimeoutMS bounds the request; 0 means the server default. A request
 	// that exceeds its deadline is cancelled in-flight and answered 504.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -121,7 +89,10 @@ func (r SimRequest) Validate() error {
 	if r.Technique == "" {
 		return fmt.Errorf("api: technique is required")
 	}
-	return r.Sampling.Validate()
+	if r.Sampling != nil {
+		return errSampling
+	}
+	return nil
 }
 
 // SimResponse is the outcome of one cell. Result is canonical
@@ -166,8 +137,8 @@ type BatchRequest struct {
 	// Config is the shared core configuration; nil means
 	// cpu.DefaultConfig().
 	Config *cpu.Config `json:"config,omitempty"`
-	// Sampling applies to every cell of the batch; see SimRequest.Sampling.
-	Sampling *SamplingOptions `json:"sampling,omitempty"`
+	// Sampling is only ever refused; see SimRequest.Sampling.
+	Sampling json.RawMessage `json:"sampling,omitempty"`
 	// Async makes the server answer immediately with a job id to poll at
 	// GET /v1/jobs/{id} instead of blocking until the matrix completes.
 	Async bool `json:"async,omitempty"`
@@ -203,6 +174,9 @@ func (r BatchRequest) CellList() []CellRequest {
 
 // Validate rejects structurally empty batches and mixed-shape requests.
 func (r BatchRequest) Validate() error {
+	if r.Sampling != nil {
+		return errSampling
+	}
 	if len(r.Cells) > 0 {
 		if len(r.Workloads) > 0 || len(r.Techniques) > 0 {
 			return fmt.Errorf("api: cells and workloads/techniques are mutually exclusive")
@@ -215,7 +189,7 @@ func (r BatchRequest) Validate() error {
 				return fmt.Errorf("api: cell technique is required")
 			}
 		}
-		return r.Sampling.Validate()
+		return nil
 	}
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("api: workloads is required")
@@ -233,7 +207,7 @@ func (r BatchRequest) Validate() error {
 			return fmt.Errorf("api: technique names must be non-empty")
 		}
 	}
-	return r.Sampling.Validate()
+	return nil
 }
 
 // BatchResponse carries the completed matrix (synchronous batches and

@@ -30,7 +30,9 @@ func TestWireCompat(t *testing.T) {
 			value: SimRequest{
 				Workload:  workloads.Ref{Kernel: "bfs", ROI: 1000},
 				Technique: "dvr",
-				Sampling:  &SamplingOptions{WindowInsts: 2000, WarmupInsts: 500, MaxPhases: 4, Replicates: 2},
+				// Raw bytes decode verbatim: the value is the golden's
+				// indented object, which marshals to the same golden.
+				Sampling:  json.RawMessage("{\n    \"window_insts\": 2000,\n    \"warmup_insts\": 500,\n    \"max_phases\": 4,\n    \"replicates\": 2\n  }"),
 				TimeoutMS: 1500,
 			},
 			fresh: func() any { return &SimRequest{} },

@@ -21,71 +21,51 @@ import (
 // key; nothing else is (see DESIGN.md, "dvrd cache key"). Two requests
 // with the same key are the same job, whichever client sent them.
 func CacheKey(ref workloads.Ref, tech string, cfg cpu.Config) string {
-	return CacheKeySampled(ref, tech, cfg, nil)
-}
-
-// CacheKeySampled is CacheKey for sampled (projected) jobs: the sampling
-// options join the hashed payload, so a sampled result can never be served
-// for an exact request or vice versa, and two different sampling
-// configurations never alias either. A nil options pointer means an exact
-// job: the field is omitted and the address is CacheKey's.
-func CacheKeySampled(ref workloads.Ref, tech string, cfg cpu.Config, so *api.SamplingOptions) string {
 	payload := struct {
-		Engine    string               `json:"engine"`
-		Workload  workloads.Ref        `json:"workload"`
-		Technique string               `json:"technique"`
-		Config    cpu.Config           `json:"config"`
-		Sampling  *api.SamplingOptions `json:"sampling,omitempty"`
-	}{api.EngineVersion, ref, tech, cfg, so}
+		Engine    string        `json:"engine"`
+		Workload  workloads.Ref `json:"workload"`
+		Technique string        `json:"technique"`
+		Config    cpu.Config    `json:"config"`
+	}{api.EngineVersion, ref, tech, cfg}
 	sum := sha256.Sum256(mustJSON(payload))
 	return hex.EncodeToString(sum[:])
 }
 
-// simConfig is what every cell of one request shares: the core config, the
-// sampling options (nil: exact), and the part of every content address
-// under them that does not depend on the cell, marshalled once. Marshalling
-// the config is most of what an address costs, and a request's cells all
-// hash the same one: addressed through CacheKeySampled, a /v1/sim hit takes
-// 13.9 us instead of 12.2 and a 78-cell batch of hits 0.40 ms instead of
-// 0.30 (BenchmarkSimHit, BenchmarkBatchHit78).
+// simConfig is what every cell of one request shares: the core config and
+// the part of every content address under it that does not depend on the
+// cell, marshalled once. Marshalling the config is most of what an address
+// costs, and a request's cells all hash the same one: addressed through
+// CacheKey, a /v1/sim hit takes 13.9 us instead of 12.2 and a 78-cell
+// batch of hits 0.40 ms instead of 0.30 (BenchmarkSimHit,
+// BenchmarkBatchHit78).
 type simConfig struct {
 	cpu cpu.Config
-	so  *api.SamplingOptions
 	// keyTail closes the hashed payload after its technique:
-	// ,"config":{...}[,"sampling":{...}]}
+	// ,"config":{...}}
 	keyTail []byte
 }
 
 // newSimConfig resolves a request's config override against the default.
-func newSimConfig(override *cpu.Config, so *api.SamplingOptions) simConfig {
-	if override == nil && so == nil {
+func newSimConfig(override *cpu.Config) simConfig {
+	if override == nil {
 		return simConfig{cpu: cpu.DefaultConfig(), keyTail: defaultKeyTail()}
 	}
-	sc := simConfig{cpu: cpu.DefaultConfig(), so: so}
-	if override != nil {
-		sc.cpu = *override
-	}
-	sc.keyTail = keyTail(sc.cpu, so)
-	return sc
+	return simConfig{cpu: *override, keyTail: keyTail(*override)}
 }
 
-// defaultKeyTail is the tail of the request every client sends most: an
-// exact run under the default config.
-var defaultKeyTail = sync.OnceValue(func() []byte { return keyTail(cpu.DefaultConfig(), nil) })
+// defaultKeyTail is the tail of the request every client sends most: the
+// default config.
+var defaultKeyTail = sync.OnceValue(func() []byte { return keyTail(cpu.DefaultConfig()) })
 
-func keyTail(cfg cpu.Config, so *api.SamplingOptions) []byte {
-	tail := append([]byte(`,"config":`), mustJSON(cfg)...)
-	if so != nil {
-		tail = append(append(tail, `,"sampling":`...), mustJSON(so)...)
-	}
-	return append(tail, '}')
+func keyTail(cfg cpu.Config) []byte {
+	return append(append([]byte(`,"config":`), mustJSON(cfg)...), '}')
 }
 
 // keyHead opens the hashed payload: {"engine":"...","workload":
 var keyHead = append(append([]byte(`{"engine":`), mustJSON(api.EngineVersion)...), `,"workload":`...)
 
-// key is CacheKeySampled(ref, tech, sc.cpu, sc.so): the compact JSON of
-// that payload written field by field around the request's keyTail
+// key is CacheKey(ref, tech, sc.cpu): the compact JSON of that payload
+// written field by field around the request's keyTail
 // (TestCacheKeyMatchesMarshalledPayload holds the two together).
 func (sc simConfig) key(ref workloads.Ref, tech string) string {
 	buf := make([]byte, 0, 1024)

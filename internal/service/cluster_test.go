@@ -80,7 +80,7 @@ func newTestCluster(t *testing.T, n int, wcfg Config, tune func(*FrontendConfig)
 	}
 	c.fe = fe
 	c.feTS = httptest.NewServer(fe.Handler())
-	ring, err := cluster.New(urls, fcfg.VNodes)
+	ring, err := cluster.New(urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,10 +309,6 @@ type cell struct {
 	spec workloads.Spec
 	tech string
 	key  string
-	// plan, on a sampled cell of a worker's batch, is the sampling plan it
-	// shares with the batch's other cells of its workload; nil builds its
-	// own.
-	plan *sharedPlan
 }
 
 // resolveCell validates one (workload, technique) pair; its errors are 400s.
@@ -330,7 +326,7 @@ func resolveCell(ref workloads.Ref, tech string, sc simConfig) (cell, error) {
 // resolveBatch resolves every cell of a batch up front, so a malformed one
 // is a clean 400 before any work starts or any job is accepted.
 func resolveBatch(req api.BatchRequest) ([]cell, simConfig, error) {
-	sc := newSimConfig(req.Config, req.Sampling)
+	sc := newSimConfig(req.Config)
 	list := req.CellList()
 	cells := make([]cell, len(list))
 	for i, c := range list {
@@ -388,7 +384,7 @@ func (co *core) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sc := newSimConfig(req.Config, req.Sampling)
+	sc := newSimConfig(req.Config)
 	c, err := resolveCell(req.Workload, req.Technique, sc)
 	if err != nil {
 		writeError(w, err)

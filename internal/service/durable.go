@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"runtime/debug"
-	"sync"
 
 	"dvr/internal/checkpoint"
 	"dvr/internal/cpu"
@@ -77,63 +75,6 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 	return res, err
 }
 
-// simulateSampled runs one sampled cell inside a pool worker: it replays
-// the technique over the workload's sampling plan, shared with the other
-// cells of the cell's batch that simulate the workload; a cell on its own
-// (/v1/sim) builds the plan for itself. Sampled jobs deliberately opt out
-// of the durability machinery (experiments.Run refuses the combination):
-// they are cheap enough to restart from scratch (that is their entire
-// point), their projected results have no meaningful per-interval
-// telemetry, and the sampling replayer drives cores directly rather than
-// through the checkpointable single-run path.
-func (s *Server) simulateSampled(ctx context.Context, spec workloads.Spec, tech string, sc simConfig, shared *sharedPlan) (cpu.Result, error) {
-	if shared == nil {
-		shared = &sharedPlan{}
-	}
-	plan, err := shared.get(func() (*experiments.SampledPlan, error) {
-		s.plansBuilt.Add(1)
-		return experiments.NewSampledPlan(spec, sc.cpu, experiments.SampleOptions{
-			WindowInsts: sc.so.WindowInsts,
-			WarmupInsts: sc.so.WarmupInsts,
-			MaxPhases:   sc.so.MaxPhases,
-			Replicates:  sc.so.Replicates,
-		})
-	})
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	return experiments.Run(ctx, experiments.Job{Spec: spec, Tech: experiments.Technique(tech), Cfg: sc.cpu, Plan: plan})
-}
-
-// sharedPlan is the sampling plan of one workload within one batch: the
-// first of the batch's cells of that workload to reach a worker builds it,
-// the others replay it, and it is garbage once the last of them returns
-// (runBatch, which also decides how many are alive at a time). Sampling
-// only pays when the plan, as costly as all of a workload's replays
-// together, is amortised over them.
-type sharedPlan struct {
-	once sync.Once
-	plan *experiments.SampledPlan
-	err  error
-}
-
-// get returns the plan, building it on first use. A failed build fails
-// every cell that shares it with the builder's own error: Once counts a
-// panicking build as done, so the panic is kept (stack included) for the
-// followers before the builder's worker recovers it.
-func (p *sharedPlan) get(build func() (*experiments.SampledPlan, error)) (*experiments.SampledPlan, error) {
-	p.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = &PanicError{Value: r, Stack: debug.Stack()}
-				panic(r)
-			}
-		}()
-		p.plan, p.err = build()
-	})
-	return p.plan, p.err
-}
-
 // resumePending re-submits every job the startup checkpoint scan found a
 // healthy journal for. Each resumed job goes through runCell — the same
 // cache / single-flight / pool path as a fresh request — and simulate
@@ -146,7 +87,7 @@ func (s *Server) resumePending(scan checkpoint.Health) {
 		// The journal is self-describing; re-derive the content address
 		// and refuse files that do not name the job they are filed under
 		// (a renamed file, a foreign checkpoint dropped in the directory).
-		sc := newSimConfig(&st.Config, nil) // a copy: the queued job must not pin the snapshot
+		sc := newSimConfig(&st.Config) // a copy: the queued job must not pin the snapshot
 		c, err := resolveCell(st.Ref, st.Technique, sc)
 		if err != nil || c.key != key {
 			_ = s.ckpts.Remove(key)

@@ -374,6 +374,47 @@ func TestFrontendCrashPointsBracketLedgerWrite(t *testing.T) {
 	}
 }
 
+// TestRecoveredSampledJobSettlesFailed: a pending journal whose accepted
+// request asks for sampling, as older builds accepted and journalled them,
+// settles failed when the frontend boots, with the refusal as the job's
+// error. Nothing is dispatched: the request never runs as an exact job.
+func TestRecoveredSampledJobSettlesFailed(t *testing.T) {
+	ledgerDir := t.TempDir()
+	led, err := ledger.NewStore(ledgerDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-7"
+	req := &api.BatchRequest{
+		Workloads:  []workloads.Ref{loopRef(1000)},
+		Techniques: []string{"ooo", "dvr"},
+		Sampling:   json.RawMessage(`{"max_phases":4}`),
+		Async:      true,
+	}
+	if err := led.Append(id, ledger.Record{Kind: ledger.KindAccepted, JobID: id, Key: "sampled-key", Total: 2, Request: req}); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCluster(t, 1, Config{}, func(fc *FrontendConfig) { fc.LedgerDir = ledgerDir })
+	if lh := c.fe.LedgerHealth(); len(lh.Pending) != 1 || lh.Pending[0].ID != id {
+		t.Fatalf("ledger scan pending = %+v, want [%s]", lh.Pending, id)
+	}
+	st := waitJobState(t, c.feTS.URL, id)
+	if st.State != api.JobError || !strings.Contains(st.Error, "dvrbench -sampled") {
+		t.Errorf("recovered sampled job ended %s (%q), want %s naming dvrbench -sampled", st.State, st.Error, api.JobError)
+	}
+	if m := c.fe.Metrics(); m.RoutedTotal != 0 || m.LedgerJobsRecovered != 0 {
+		t.Errorf("frontend routed %d cells and recovered %d jobs, want none", m.RoutedTotal, m.LedgerJobsRecovered)
+	}
+	if m := c.workers[0].Metrics(); m.CacheMisses != 0 || m.SimsCompleted != 0 {
+		t.Errorf("worker saw %d misses and ran %d sims, want none", m.CacheMisses, m.SimsCompleted)
+	}
+	// The settlement is durable: a second boot finds the job completed.
+	_, ts2 := newFrontendOver(t, c, func(fc *FrontendConfig) { fc.LedgerDir = ledgerDir })
+	if st := waitJobState(t, ts2.URL, id); st.State != api.JobError {
+		t.Errorf("after a second boot the job is %s, want %s", st.State, api.JobError)
+	}
+}
+
 // TestIdempotencyKeyRace: racing duplicate submissions with one key admit
 // exactly one job, on the worker and through the frontend. Run with
 // -race, this also proves the admission path is data-race free.

@@ -48,9 +48,6 @@ type FrontendConfig struct {
 	// membership changes are a restart (the ring is deterministic in the
 	// set, so every frontend replica agrees on ownership).
 	Replicas []string
-	// VNodes is the consistent-hash virtual-node count per replica; 0
-	// means cluster.DefaultVNodes.
-	VNodes int
 	// ProbeInterval is the per-replica heartbeat period; 0 means 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one readiness probe; 0 means half the interval.
@@ -109,7 +106,7 @@ type Frontend struct {
 // NewFrontend builds a frontend over the configured replica fleet and
 // starts its health prober.
 func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
-	ring, err := cluster.New(cfg.Replicas, cfg.VNodes)
+	ring, err := cluster.New(cfg.Replicas, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -188,13 +185,16 @@ func (f *Frontend) recoverLedger() {
 			sc    simConfig
 		)
 		err := errors.New("service: recovered job has no request payload")
-		if lj.Accepted.Request != nil {
-			cells, sc, err = resolveBatch(*lj.Accepted.Request)
+		if req := lj.Accepted.Request; req != nil {
+			if err = req.Validate(); err == nil {
+				cells, sc, err = resolveBatch(*req)
+			}
 		}
 		if err != nil {
 			// A journal that cannot be re-run (its accepted record lost its
-			// payload, or names a cell this build cannot resolve) settles as
-			// failed rather than recover a ghost.
+			// payload, asks for what this build refuses, such as sampling, or
+			// names a cell this build cannot resolve) settles as failed
+			// rather than recover a ghost.
 			f.settle(j, nil, err)
 			continue
 		}
@@ -597,7 +597,6 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 	sub := api.BatchRequest{
 		Cells:     make([]api.CellRequest, len(idxs)),
 		Config:    req.Config,
-		Sampling:  req.Sampling,
 		TimeoutMS: req.TimeoutMS,
 	}
 	// Deadline propagation, frontend→worker hop: the sub-batch gets what

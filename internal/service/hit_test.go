@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"dvr/internal/cpu"
-	"dvr/internal/experiments"
 	"dvr/internal/faults"
 	"dvr/internal/service/api"
 	"dvr/internal/workloads"
@@ -84,7 +82,7 @@ func TestSpliceMatchesEncoder(t *testing.T) {
 				}
 			}}}})
 			defer shutdown(t, srv)
-			sc := newSimConfig(nil, nil)
+			sc := newSimConfig(nil)
 			req := api.BatchRequest{Techniques: []string{"ooo"}}
 			want := map[int]api.SimResponse{} // the hits: known before the request
 			nFailed := 0
@@ -184,11 +182,10 @@ func firstDiff(got, want []byte) string {
 }
 
 // TestCacheKeyMatchesMarshalledPayload: a request computes its cells'
-// content addresses field by field (simConfig.key, config and sampling
-// options marshalled once per request), and each must be the address
-// CacheKeySampled defines: the SHA-256 of the payload struct as
-// encoding/json marshals it, which is how every key on disk and in the
-// wire goldens was made.
+// content addresses field by field (simConfig.key, the config marshalled
+// once per request), and each must be the address CacheKey defines: the
+// SHA-256 of the payload struct as encoding/json marshals it, which is how
+// every key on disk and in the wire goldens was made.
 func TestCacheKeyMatchesMarshalledPayload(t *testing.T) {
 	small := cpu.DefaultConfig()
 	small.ROBSize = 128
@@ -197,14 +194,12 @@ func TestCacheKeyMatchesMarshalledPayload(t *testing.T) {
 		{Kernel: `we<ird>&"\`, ROI: 1}} {
 		for _, tech := range []string{"ooo", "dvr", `t<e>&"ch` + "\u2028"} {
 			for _, cfg := range []*cpu.Config{nil, &small} {
-				for _, so := range []*api.SamplingOptions{nil, {}, {WindowInsts: 5_000, MaxPhases: 3}} {
-					want := cpu.DefaultConfig()
-					if cfg != nil {
-						want = *cfg
-					}
-					if got, def := newSimConfig(cfg, so).key(ref, tech), CacheKeySampled(ref, tech, want, so); got != def {
-						t.Errorf("key of (%+v, %q, override=%v, so=%+v) = %s, CacheKeySampled defines %s", ref, tech, cfg != nil, so, got, def)
-					}
+				want := cpu.DefaultConfig()
+				if cfg != nil {
+					want = *cfg
+				}
+				if got, def := newSimConfig(cfg).key(ref, tech), CacheKey(ref, tech, want); got != def {
+					t.Errorf("key of (%+v, %q, override=%v) = %s, CacheKey defines %s", ref, tech, cfg != nil, got, def)
 				}
 			}
 		}
@@ -404,95 +399,4 @@ func TestStreamBurstFlushesOnce(t *testing.T) {
 	}
 	cancel()
 	<-served
-}
-
-// TestSampledPlanPerWorkload: a sampled batch builds one sampling plan per
-// workload, however many techniques replay it, however few workers there
-// are and in whatever order its cells reach them, and each cell is the
-// result RunSampled projects for it alone.
-func TestSampledPlanPerWorkload(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer shutdown(t, srv)
-	refs := []workloads.Ref{graphRef(40_000), {Kernel: "camel", ROI: 40_000},
-		loopRef(30_000), loopRef(30_001), loopRef(30_002)}
-	techs := []string{"ooo", "vr", "dvr"}
-	body, err := json.Marshal(api.BatchRequest{Workloads: refs, Techniques: techs, Sampling: &api.SamplingOptions{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := serve(srv.Handler(), http.MethodPost, "/v1/batch", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("sampled batch: status %d: %s", rec.Code, rec.Body)
-	}
-	var batch api.BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.plansBuilt.Load(); got != uint64(len(refs)) {
-		t.Errorf("%d plans built for %d workloads x %d techniques, want %d", got, len(refs), len(techs), len(refs))
-	}
-	if len(batch.Cells) != len(refs)*len(techs) || batch.Failed != 0 {
-		t.Fatalf("batch has %d cells, %d failed", len(batch.Cells), batch.Failed)
-	}
-	for i, c := range batch.Cells {
-		ref, tech := refs[i/len(techs)], techs[i%len(techs)]
-		spec, err := workloads.Resolve(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := experiments.Run(context.Background(), experiments.Job{
-			Spec: spec, Tech: experiments.Technique(tech), Cfg: cpu.DefaultConfig(), Sample: &experiments.SampleOptions{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(c.Result, want.Canonical()) {
-			t.Errorf("%s/%s through the shared plan:\n%+v\nsampled alone:\n%+v", ref.Kernel, tech, c.Result, want.Canonical())
-		}
-	}
-	// The cells are cached now; a lone sampled cell builds its own plan.
-	one, err := json.Marshal(api.SimRequest{Workload: loopRef(30_003), Technique: "ooo", Sampling: &api.SamplingOptions{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := serve(srv.Handler(), http.MethodPost, "/v1/sim", one); rec.Code != http.StatusOK {
-		t.Fatalf("sampled sim: status %d: %s", rec.Code, rec.Body)
-	}
-	if got := srv.plansBuilt.Load(); got != uint64(len(refs))+1 {
-		t.Errorf("%d plans built after one more workload, want %d", got, len(refs)+1)
-	}
-}
-
-// TestSampledPlanBuildPanicReachesFollowers: when building a shared plan
-// panics, the builder's worker recovers the panic as it would any other,
-// and every later cell sharing the plan gets that panic, stack included,
-// as its error instead of a nil plan.
-func TestSampledPlanBuildPanicReachesFollowers(t *testing.T) {
-	p := newPool(1, 1)
-	defer p.Close()
-	var shared sharedPlan
-	builds := 0
-	build := func() (*experiments.SampledPlan, error) {
-		builds++
-		panic("plan build refused")
-	}
-	for cell := 0; cell < 3; cell++ {
-		var (
-			plan *experiments.SampledPlan
-			err  error
-		)
-		poolErr := p.Do(context.Background(), func() { plan, err = shared.get(build) })
-		if cell == 0 {
-			err = poolErr // the builder: its panic went through to the worker
-		} else if poolErr != nil {
-			t.Fatalf("cell %d: a follower panicked too: %v", cell, poolErr)
-		}
-		var pe *PanicError
-		if plan != nil || !errors.As(err, &pe) || pe.Value != "plan build refused" || !bytes.Contains(pe.Stack, []byte("sharedPlan")) {
-			t.Errorf("cell %d: plan %v, error %v; want the build's panic with its stack", cell, plan, err)
-		}
-	}
-	if builds != 1 {
-		t.Errorf("plan built %d times, want 1", builds)
-	}
 }

@@ -50,18 +50,21 @@ type Config struct {
 	// instruction for this many cycles with a typed livelock error and a
 	// forensics dump under <CacheDir>/forensics/.
 	WatchdogCycles uint64
-	// BaseEntries bounds the memoized built workload images; 0 means 32.
-	BaseEntries int
 	// TraceIntervalEvery, when nonzero, attaches an interval sampler to
 	// every simulation (one sample per N committed instructions) and keeps
 	// each cell's series in the trace store, served at
 	// GET /v1/jobs/{id}/trace. 0 disables tracing. Tracing is
 	// observational: results are bit-identical either way.
 	TraceIntervalEvery uint64
-	// TraceEntries bounds the in-memory trace store; 0 means 1024. With
-	// CacheDir set, series also spill to <dir>/traces/.
-	TraceEntries int
 }
+
+// baseEntries bounds the memoized built workload images; traceEntries the
+// in-memory trace store (with CacheDir set, series also spill to
+// <dir>/traces/).
+const (
+	baseEntries  = 32
+	traceEntries = 1024
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -72,12 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 4096
-	}
-	if c.BaseEntries <= 0 {
-		c.BaseEntries = 32
-	}
-	if c.TraceEntries <= 0 {
-		c.TraceEntries = 1024
 	}
 	return c
 }
@@ -107,7 +104,6 @@ type Server struct {
 	startInsts uint64
 	sfRetries  atomic.Uint64 // single-flight followers that re-ran after a leader error
 	simsDone   atomic.Uint64 // detailed simulations run to completion and committed
-	plansBuilt atomic.Uint64 // sampling plans built (simulateSampled)
 
 	watchdogTrips atomic.Uint64 // simulations aborted by the retirement watchdog
 }
@@ -122,7 +118,7 @@ func New(cfg Config) *Server {
 		cache:      newResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.Faults.Filesystem()),
 		flight:     newFlightGroup[cpu.Result](),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
-		bases:      &baseCache{entries: newLRU[*baseEntry](cfg.BaseEntries)},
+		bases:      &baseCache{entries: newLRU[*baseEntry](baseEntries)},
 		startInsts: experiments.SimInstructions(),
 	}
 	s.core.init(s, "worker", workerExposition, cfg.Common, cfg.CacheDir)
@@ -131,7 +127,7 @@ func New(cfg Config) *Server {
 	if cfg.TraceIntervalEvery > 0 && cfg.CacheDir != "" {
 		traceDir = filepath.Join(cfg.CacheDir, "traces")
 	}
-	s.traces = newSpillCache[[]trace.Interval](cfg.TraceEntries, traceDir, cfg.Faults.Filesystem(), nil)
+	s.traces = newSpillCache[[]trace.Interval](traceEntries, traceDir, cfg.Faults.Filesystem(), nil)
 	if cfg.CacheDir != "" && cfg.CheckpointEvery > 0 {
 		store, err := checkpoint.NewStore(filepath.Join(cfg.CacheDir, "checkpoints"), cfg.Faults.Filesystem())
 		if err == nil {
@@ -223,11 +219,9 @@ func (s *Server) hitCell(ctx context.Context, c cell, pub *cellPub) (api.SimResp
 
 // missCell simulates a cell the cache did not hold, via single-flight on
 // its content address and the worker pool. The result stored and returned
-// is canonical (deterministic), so repeated requests are byte-identical. A
-// non-nil sc.so selects the sampled path: the cell's content address includes
-// the sampling options, so sampled and exact results never share a cache
-// line or a single-flight. Cells answered by another request's flight
-// replay their stored series to pub instead of streaming live.
+// is canonical (deterministic), so repeated requests are byte-identical.
+// Cells answered by another request's flight replay their stored series to
+// pub instead of streaming live.
 func (s *Server) missCell(ctx context.Context, c cell, sc simConfig, adm admission, pub *cellPub) (api.SimResponse, error) {
 	key, tech, bench := c.key, c.tech, c.spec.Ref.Kernel
 	simulate := func() (cpu.Result, error) {
@@ -259,12 +253,7 @@ func (s *Server) missCell(ctx context.Context, c cell, sc simConfig, adm admissi
 			simStart := time.Now()
 			ssp := parent.StartChild("worker.sim").
 				Attr("key", key).Attr("bench", bench).Attr("technique", tech)
-			if sc.so != nil {
-				out, runErr = s.simulateSampled(ctx, runSpec, tech, sc, c.plan)
-				ssp.Attr("sampled", "true")
-			} else {
-				out, runErr = s.simulate(ctx, key, runSpec, tech, sc.cpu, pub)
-			}
+			out, runErr = s.simulate(ctx, key, runSpec, tech, sc.cpu, pub)
 			ssp.Fail(runErr).End()
 			sp.addSim(time.Since(simStart))
 		}
@@ -326,10 +315,9 @@ func (s *Server) missCell(ctx context.Context, c cell, sc simConfig, adm admissi
 // matrix row-major, or the explicit Cells form — see
 // api.BatchRequest.CellList). Cached cells are answered in place, in
 // order; the others run concurrently (the pool bounds actual simulation
-// parallelism), a sampled batch's a workload at a time around one
-// sampling plan each. A recovered worker panic fails only its own cell —
-// the cell carries a typed api.Error and the rest of the batch completes
-// — while systemic failures (deadline, shutdown) cancel the batch.
+// parallelism). A recovered worker panic fails only its own cell — the
+// cell carries a typed api.Error and the rest of the batch completes —
+// while systemic failures (deadline, shutdown) cancel the batch.
 // bodies[i] is cell i's stored encoding when it was a cache hit, nil
 // otherwise (encodeBatch).
 func (s *Server) runBatch(ctx context.Context, resolved []cell, sc simConfig, j *job) (out *api.BatchResponse, bodies [][]byte, err error) {
@@ -342,38 +330,6 @@ func (s *Server) runBatch(ctx context.Context, resolved []cell, sc simConfig, j 
 		errOnce  sync.Once
 		firstErr error
 	)
-	// miss is a cell the cache did not hold.
-	type miss struct {
-		idx int
-		c   cell
-		pub *cellPub
-	}
-	simulate := func(m miss) {
-		resp, err := s.missCell(ctx, m.c, sc, admitQueue, m.pub)
-		var (
-			pe *PanicError
-			le *cpu.LivelockError
-		)
-		switch {
-		case err == nil:
-		case errors.As(err, &pe) || errors.As(err, &le):
-			// Isolated crash or wedge of this one cell: report
-			// it in place and let the rest of the batch finish.
-			resp = api.SimResponse{Key: m.c.key, Error: &api.Error{Code: api.CodeInternal, Error: err.Error()}}
-		default:
-			errOnce.Do(func() {
-				firstErr = err
-				cancel()
-			})
-			return
-		}
-		cells[m.idx] = resp
-		m.pub.done(resp)
-	}
-	var (
-		groups  [][]miss // a sampled batch's misses, by workload
-		groupOf = make(map[string]int)
-	)
 	for idx, c := range resolved {
 		var pub *cellPub
 		if j != nil {
@@ -384,57 +340,29 @@ func (s *Server) runBatch(ctx context.Context, resolved []cell, sc simConfig, j 
 			pub.done(resp)
 			continue
 		}
-		m := miss{idx, c, pub}
-		if sc.so == nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				simulate(m)
-			}()
-			continue
-		}
-		ref := string(mustJSON(c.spec.Ref))
-		g, ok := groupOf[ref]
-		if !ok {
-			g = len(groups)
-			groupOf[ref] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], m)
-	}
-	// The sampled misses of one workload replay one sampling plan, which
-	// lives as long as its group runs, and no more groups run at a time
-	// than the pool has workers: peak memory follows the pool, not the
-	// batch (a plan is tens of MB at full ROIs). A group's first cell, which
-	// builds the plan, runs alone, so the group's other cells queue once
-	// the plan is there to replay and no worker parks behind the build
-	// while another group has work for it (experiments.RunAll schedules
-	// the same way).
-	live := make(chan struct{}, s.cfg.Workers)
-	for _, group := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			select {
-			case live <- struct{}{}:
-				defer func() { <-live }()
-			case <-ctx.Done(): // cancelled: the cells below fail at once
+			resp, err := s.missCell(ctx, c, sc, admitQueue, pub)
+			var (
+				pe *PanicError
+				le *cpu.LivelockError
+			)
+			switch {
+			case err == nil:
+			case errors.As(err, &pe) || errors.As(err, &le):
+				// Isolated crash or wedge of this one cell: report
+				// it in place and let the rest of the batch finish.
+				resp = api.SimResponse{Key: c.key, Error: &api.Error{Code: api.CodeInternal, Error: err.Error()}}
+			default:
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
+				return
 			}
-			plan := &sharedPlan{}
-			run := func(m miss) {
-				m.c.plan = plan // on m, a copy: the plan dies with this goroutine
-				simulate(m)
-			}
-			run(group[0])
-			var rest sync.WaitGroup
-			for _, m := range group[1:] {
-				rest.Add(1)
-				go func() {
-					defer rest.Done()
-					run(m)
-				}()
-			}
-			rest.Wait()
+			cells[idx] = resp
+			pub.done(resp)
 		}()
 	}
 	wg.Wait()

@@ -74,7 +74,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // runRef answers one exact cell on srv the way a batch answers its cells.
 func runRef(ctx context.Context, srv *Server, ref workloads.Ref, tech string, cfg cpu.Config) (api.SimResponse, error) {
-	sc := newSimConfig(&cfg, nil)
+	sc := newSimConfig(&cfg)
 	c, err := resolveCell(ref, tech, sc)
 	if err != nil {
 		return api.SimResponse{}, err
@@ -211,24 +211,43 @@ func TestDeadlineExceededReturns504AndFreesWorker(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestsReturn400: a request the service cannot run is a
+// typed 400 on both roles. One asking for sampling is such a request on
+// every route: sampled projection runs in-process only, so the refusal
+// names the tools that run it and nothing runs as an exact job instead.
 func TestMalformedRequestsReturn400(t *testing.T) {
-	cases := []string{
-		string(mustJSON(api.SimRequest{Workload: loopRef(1000), Technique: "warp-drive"})),          // unknown technique
-		string(mustJSON(api.SimRequest{Workload: workloads.Ref{Kernel: "nope"}, Technique: "ooo"})), // unknown kernel
-		string(mustJSON(api.SimRequest{Workload: workloads.Ref{Kernel: "bfs"}, Technique: "ooo"})),  // graph kernel, no graph
-		string(mustJSON(api.SimRequest{Workload: workloads.Ref{Kernel: "svc-test-loop", Graph: &graphgen.Params{Gen: "bogus"}}, Technique: "ooo"})),
-		`{"technique": "ooo"}`, // fails Validate: no kernel
-		`{"workload": {"ke`,    // not JSON
+	const (
+		loop   = `{"workload":{"kernel":"svc-test-loop","roi":1000},"technique":"ooo"`
+		matrix = `{"workloads":[{"kernel":"svc-test-loop","roi":1000}],"techniques":["ooo"]`
+	)
+	cases := []struct {
+		path, body string
+		sampling   bool
+	}{
+		{"/v1/sim", string(mustJSON(api.SimRequest{Workload: loopRef(1000), Technique: "warp-drive"})), false},          // unknown technique
+		{"/v1/sim", string(mustJSON(api.SimRequest{Workload: workloads.Ref{Kernel: "nope"}, Technique: "ooo"})), false}, // unknown kernel
+		{"/v1/sim", string(mustJSON(api.SimRequest{Workload: workloads.Ref{Kernel: "bfs"}, Technique: "ooo"})), false},  // graph kernel, no graph
+		{"/v1/sim", string(mustJSON(api.SimRequest{Workload: workloads.Ref{Kernel: "svc-test-loop", Graph: &graphgen.Params{Gen: "bogus"}}, Technique: "ooo"})), false},
+		{"/v1/sim", `{"technique": "ooo"}`, false}, // fails Validate: no kernel
+		{"/v1/sim", `{"workload": {"ke`, false},    // not JSON
+		{"/v1/sim", loop + `,"sampling":{}}`, true},
+		{"/v1/batch", matrix + `,"sampling":{"max_phases":4}}`, true},
+		{"/v1/batch", matrix + `,"async":true,"sampling":{}}`, true},
 	}
 	check := func(t *testing.T, base string) {
-		for i, req := range cases {
-			resp, err := http.Post(base+"/v1/sim", "application/json", strings.NewReader(req))
+		for i, tc := range cases {
+			resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			body, _ := readAll(resp)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("case %d: status %s, want 400: %s", i, resp.Status, body)
+			var apiErr api.Error
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &apiErr) != nil || apiErr.Code != api.CodeBadRequest {
+				t.Errorf("case %d (%s): status %s, want a typed 400: %s", i, tc.path, resp.Status, body)
+				continue
+			}
+			if tc.sampling && !(strings.Contains(apiErr.Error, "dvrsim -sampled") && strings.Contains(apiErr.Error, "dvrbench -sampled")) {
+				t.Errorf("case %d (%s): sampling refusal %q does not name dvrsim/dvrbench -sampled", i, tc.path, apiErr.Error)
 			}
 		}
 	}
@@ -464,7 +483,7 @@ func TestUnknownTechniqueRejected(t *testing.T) {
 			return err
 		},
 		"resolveCell": func() error {
-			_, err := resolveCell(loopRef(1000), bogus, newSimConfig(nil, nil))
+			_, err := resolveCell(loopRef(1000), bogus, newSimConfig(nil))
 			if code, _ := classify(err); code != http.StatusBadRequest {
 				t.Errorf("resolveCell: status %d, want 400", code)
 			}

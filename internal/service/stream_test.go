@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dvr/internal/faults"
 	"dvr/internal/service/api"
 	"dvr/internal/service/client"
 	"dvr/internal/stream"
@@ -236,7 +237,13 @@ func TestStreamBitIdentityUnderSubscribers(t *testing.T) {
 // shows up in its per-session drop counter and at /metrics, and the job
 // itself is completely unaffected.
 func TestStalledSubscriberDropsOldestAccounted(t *testing.T) {
-	srv, ts := newTestServer(t, Config{TraceIntervalEvery: 500, Common: Common{StreamReplay: 2}})
+	// The simulation waits for the subscription: a job that finished first
+	// would leave nothing to drop.
+	subscribed := make(chan struct{})
+	release := sync.OnceFunc(func() { close(subscribed) })
+	defer release()
+	srv, ts := newTestServer(t, Config{TraceIntervalEvery: 500, Common: Common{StreamReplay: 2,
+		Faults: &faults.Injector{BeforeSim: func(string) { <-subscribed }}}})
 	jobID := startAsyncBatch(t, ts.URL, api.BatchRequest{
 		Workloads:  []workloads.Ref{loopRef(20_000)},
 		Techniques: []string{"ooo"},
@@ -249,6 +256,7 @@ func TestStalledSubscriberDropsOldestAccounted(t *testing.T) {
 	// events is evicted before the session reads it, and each is a drop.
 	sess := j.bc.Subscribe(stream.SubOptions{})
 	defer sess.Close()
+	release()
 
 	st := waitJobDone(t, ts.URL, jobID)
 	if st.State != api.JobDone {
