@@ -22,7 +22,7 @@ type Snapshot struct {
 func (p *Predictor) Snapshot() Snapshot {
 	s := Snapshot{
 		Bimodal:     make([]byte, len(p.bimodal)),
-		Tables:      make([][]byte, len(p.tables)),
+		Tables:      make([][]byte, len(p.tab)),
 		GHist:       p.ghist,
 		AllocFail:   p.allocFail,
 		Lookups:     p.Lookups,
@@ -31,7 +31,8 @@ func (p *Predictor) Snapshot() Snapshot {
 	for i, c := range p.bimodal {
 		s.Bimodal[i] = byte(c)
 	}
-	for t, tab := range p.tables {
+	for t := range s.Tables {
+		tab := p.table(t)
 		b := make([]byte, 4*len(tab))
 		for i, e := range tab {
 			b[4*i] = byte(e.ctr)
@@ -51,19 +52,19 @@ func (p *Predictor) Restore(s Snapshot) error {
 	if len(s.Bimodal) != len(p.bimodal) {
 		return fmt.Errorf("bpred: snapshot bimodal size %d, predictor has %d", len(s.Bimodal), len(p.bimodal))
 	}
-	if len(s.Tables) != len(p.tables) {
-		return fmt.Errorf("bpred: snapshot has %d tagged tables, predictor has %d", len(s.Tables), len(p.tables))
+	if len(s.Tables) != len(p.tab) {
+		return fmt.Errorf("bpred: snapshot has %d tagged tables, predictor has %d", len(s.Tables), len(p.tab))
 	}
 	for t := range s.Tables {
-		if len(s.Tables[t]) != 4*len(p.tables[t]) {
-			return fmt.Errorf("bpred: snapshot table %d is %d bytes, want %d", t, len(s.Tables[t]), 4*len(p.tables[t]))
+		if len(s.Tables[t]) != 4*len(p.table(t)) {
+			return fmt.Errorf("bpred: snapshot table %d is %d bytes, want %d", t, len(s.Tables[t]), 4*len(p.table(t)))
 		}
 	}
 	for i, b := range s.Bimodal {
 		p.bimodal[i] = int8(b)
 	}
 	for t, b := range s.Tables {
-		tab := p.tables[t]
+		tab := p.table(t)
 		for i := range tab {
 			tab[i] = taggedEntry{
 				ctr:    int8(b[4*i]),
@@ -73,8 +74,15 @@ func (p *Predictor) Restore(s Snapshot) error {
 		}
 	}
 	p.ghist = s.GHist
+	p.refold()
 	p.allocFail = s.AllocFail
 	p.Lookups = s.Lookups
 	p.Mispredicts = s.Mispredicts
 	return nil
+}
+
+// table returns tagged table t's entries.
+func (p *Predictor) table(t int) []taggedEntry {
+	n := 1 << p.cfg.TableBits
+	return p.tables[t*n : (t+1)*n]
 }

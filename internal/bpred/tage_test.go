@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"testing"
+	"time"
 )
 
 func train(p *Predictor, pc uint64, outcomes []bool) (mispredicts int) {
@@ -163,39 +164,90 @@ func TestZeroValueConfigSafe(t *testing.T) {
 	}
 }
 
-// The memoized incremental fold (foldStep fast path in refold) must stay
+// The incremental fold (push) must stay
 // bit-identical to folding the raw history from scratch after every
-// single-bit ghist advance — the path every Update and Warm takes.
+// single-bit ghist advance — the path every Update and Warm takes — under
+// the default geometry and under degenerate ones (zero-width index or tag
+// folds, zero-length histories, lengths past 64 bits).
 func TestIncrementalFoldMatchesScratch(t *testing.T) {
-	p := New(DefaultConfig())
-	rng := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 4096; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		p.Update(rng>>33, rng&1 == 0)
-		p.refold()
-		for tbl, l := range p.histLen {
-			if want := p.foldHistory(l, p.cfg.TableBits); p.foldIdx[tbl] != want {
-				t.Fatalf("step %d table %d: incremental index fold %#x, scratch %#x", i, tbl, p.foldIdx[tbl], want)
-			}
-			if want := p.foldHistory(l, p.cfg.TagBits-1); p.foldTag[tbl] != want {
-				t.Fatalf("step %d table %d: incremental tag fold %#x, scratch %#x", i, tbl, p.foldTag[tbl], want)
+	for _, cfg := range append([]Config{DefaultConfig()}, edgeConfigs()...) {
+		p := New(cfg)
+		rng := uint64(0x9e3779b97f4a7c15)
+		for i := 0; i < 4096; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			p.Update(rng>>33, rng&1 == 0)
+			for tbl, l := range cfg.HistLengths {
+				f := p.folds[p.tab[tbl].fold]
+				if want := p.foldHistory(l, cfg.TableBits); f.idx != want {
+					t.Fatalf("%+v step %d table %d: incremental index fold %#x, scratch %#x", cfg, i, tbl, f.idx, want)
+				}
+				if want := p.foldHistory(l, cfg.TagBits-1); f.tag != want {
+					t.Fatalf("%+v step %d table %d: incremental tag fold %#x, scratch %#x", cfg, i, tbl, f.tag, want)
+				}
 			}
 		}
 	}
 }
 
-// An arbitrary ghist jump (what Restore does) must force the full
-// recompute path, not reuse stale incremental folds.
+// edgeConfigs are valid configurations at the edges of what Validate
+// admits: one-bit tags and zero-bit tables make a fold zero bits wide.
+func edgeConfigs() []Config {
+	return []Config{
+		{BimodalBits: 4, TableBits: 0, TagBits: 9, HistLengths: []int{4, 8, 64, 128}, UsefulReset: 64},
+		{BimodalBits: 4, TableBits: 6, TagBits: 1, HistLengths: []int{0, 3, 70}, UsefulReset: 64},
+		{BimodalBits: 0, TableBits: 3, TagBits: 16, HistLengths: []int{1, 1, 5, 200}, UsefulReset: 8},
+		{BimodalBits: 2, TableBits: 2, TagBits: 2, HistLengths: nil, UsefulReset: 1},
+	}
+}
+
+// An arbitrary ghist jump (what Restore does) must recompute the folds,
+// not keep the ones of the history before it.
 func TestFoldRecomputeAfterHistoryJump(t *testing.T) {
 	p := New(DefaultConfig())
 	for i := 0; i < 100; i++ {
 		p.Update(uint64(i)*31, i%3 == 0)
 	}
-	p.ghist = 0xdeadbeefcafef00d // simulate a snapshot restore
-	p.refold()
-	for tbl, l := range p.histLen {
-		if want := p.foldHistory(l, p.cfg.TableBits); p.foldIdx[tbl] != want {
-			t.Fatalf("table %d: fold stale after history jump: %#x, want %#x", tbl, p.foldIdx[tbl], want)
+	s := p.Snapshot()
+	s.GHist = 0xdeadbeefcafef00d
+	if err := p.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	for tbl, l := range p.cfg.HistLengths {
+		if want, got := p.foldHistory(l, p.cfg.TableBits), p.folds[p.tab[tbl].fold].idx; got != want {
+			t.Fatalf("table %d: fold stale after history jump: %#x, want %#x", tbl, got, want)
+		}
+	}
+}
+
+// A zero-width fold (tag_bits 1 or table_bits 0, both valid) once made the
+// from-scratch fold loop forever, and Restore always takes that path with a
+// nonzero history. Update after Restore must return.
+func TestRestoreWithZeroWidthFoldReturns(t *testing.T) {
+	for _, cfg := range []Config{
+		{BimodalBits: 4, TableBits: 4, TagBits: 1, HistLengths: []int{4, 8}, UsefulReset: 16},
+		{BimodalBits: 4, TableBits: 0, TagBits: 9, HistLengths: []int{4, 8}, UsefulReset: 16},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		src := New(cfg)
+		for i := 0; i < 64; i++ {
+			src.Update(uint64(i)*4, i%3 != 0)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			p := New(cfg)
+			if err := p.Restore(src.Snapshot()); err != nil {
+				t.Error(err)
+				return
+			}
+			p.Update(0x40, true)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%+v: Update after Restore did not return", cfg)
 		}
 	}
 }
