@@ -122,3 +122,92 @@ func TestIssueQueueMatchesHeap(t *testing.T) {
 		}
 	}
 }
+
+// stepQueue is the counting ring as first written: admit walks the cursor
+// one cycle at a time, empty cycles included. The occupancy bitmap must
+// reproduce it exactly — admit results, the cursor and the counts — while
+// jumping over the empty cycles.
+type stepQueue struct {
+	size int
+	n    int
+	cur  uint64
+	cnt  []uint32
+}
+
+func (q *stepQueue) admit(at uint64) uint64 {
+	if at > q.cur {
+		for q.n > 0 && q.cur < at {
+			q.free()
+		}
+		q.cur = at
+	}
+	for q.n >= q.size {
+		q.free()
+	}
+	return q.cur
+}
+
+func (q *stepQueue) free() {
+	q.cur++
+	s := &q.cnt[q.cur&uint64(len(q.cnt)-1)]
+	q.n -= int(*s)
+	*s = 0
+}
+
+func (q *stepQueue) record(issue uint64) {
+	if issue <= q.cur {
+		return
+	}
+	for issue-q.cur > uint64(len(q.cnt)) {
+		old := q.cnt
+		q.cnt = make([]uint32, 2*len(old))
+		for c := q.cur + 1; c <= q.cur+uint64(len(old)); c++ {
+			q.cnt[c&uint64(len(q.cnt)-1)] = old[c&uint64(len(old)-1)]
+		}
+	}
+	q.cnt[issue&uint64(len(q.cnt)-1)]++
+	q.n++
+}
+
+// TestIssueQueueSkipMatchesStepping drives the bitmap queue and the
+// per-cycle stepping reference with seeded random streams: dense dispatch,
+// idle gaps longer than the ring, a full queue waiting on far issues, and
+// issues far enough ahead to grow the ring. Every admit, cursor and
+// occupancy must agree, and so must the per-cycle counts.
+func TestIssueQueueSkipMatchesStepping(t *testing.T) {
+	for seed, size := range []int{1, 4, 128, 300} {
+		rng := rand.New(rand.NewSource(int64(seed) + 41))
+		q, ref := newIssueQueue(size), &stepQueue{size: size, cnt: make([]uint32, iqInitialSpan)}
+		var at uint64
+		for i := 0; i < 100_000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 50:
+			case r < 95:
+				at += uint64(rng.Intn(8))
+			default:
+				at += uint64(rng.Intn(3 * iqInitialSpan))
+			}
+			got, want := q.admit(at), ref.admit(at)
+			if got != want || q.cur != ref.cur || q.n != ref.n {
+				t.Fatalf("size %d step %d: admit(%d) = %d cur %d n %d, stepping says %d cur %d n %d",
+					size, i, at, got, q.cur, q.n, want, ref.cur, ref.n)
+			}
+			at = got
+			issue := at + 1 + uint64(rng.Intn(200))
+			if rng.Intn(300) == 0 {
+				issue += uint64(rng.Intn(16 * iqInitialSpan))
+			}
+			q.record(issue)
+			ref.record(issue)
+		}
+		if len(q.cnt) != len(ref.cnt) {
+			t.Fatalf("size %d: ring of %d cycles, stepping grew to %d", size, len(q.cnt), len(ref.cnt))
+		}
+		for c := q.cur + 1; c <= q.cur+uint64(len(q.cnt)); c++ {
+			s := q.slot(c)
+			if q.cnt[s] != ref.cnt[s] || (q.occ[s>>6]>>(s&63)&1 == 1) != (q.cnt[s] != 0) {
+				t.Fatalf("size %d: cycle %d count %d (bitmap %v), stepping %d", size, c, q.cnt[s], q.occ[s>>6]>>(s&63)&1 == 1, ref.cnt[s])
+			}
+		}
+	}
+}
