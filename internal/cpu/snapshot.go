@@ -90,11 +90,11 @@ func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
 		StoreRing:  slices.Clone(rs.storeRing),
 		FetchLim:   LimiterState{rs.fetchLim.cycle, rs.fetchLim.count},
 		CommitLim:  LimiterState{rs.commitLim.cycle, rs.commitLim.count},
-		ALU:        rs.alu.cal.Export(),
-		Mul:        rs.mul.cal.Export(),
-		Div:        rs.div.cal.Export(),
-		LoadPorts:  rs.loadPorts.cal.Export(),
-		StorePorts: rs.storePorts.cal.Export(),
+		ALU:        rs.fu[fuALU].cal.Export(),
+		Mul:        rs.fu[fuMul].cal.Export(),
+		Div:        rs.fu[fuDiv].cal.Export(),
+		LoadPorts:  rs.fu[fuLoad].cal.Export(),
+		StorePorts: rs.fu[fuStore].cal.Export(),
 		FeReady:    rs.feReady,
 		LastCommit: rs.lastCommit,
 		NLoads:     rs.nLoads,
@@ -191,15 +191,18 @@ func (c *Core) restore(rs *runState, s *Snapshot) (uint64, error) {
 	// Dispatch never precedes the fetch limiter's cycle, so it is the
 	// queue's cursor: entries issuing by then are already free.
 	rs.iq.load(s.IQ, s.FetchLim.Cycle)
-	rs.alu.cal.Import(s.ALU)
-	rs.mul.cal.Import(s.Mul)
-	rs.div.cal.Import(s.Div)
-	rs.loadPorts.cal.Import(s.LoadPorts)
-	rs.storePorts.cal.Import(s.StorePorts)
+	rs.fu[fuALU].cal.Import(s.ALU)
+	rs.fu[fuMul].cal.Import(s.Mul)
+	rs.fu[fuDiv].cal.Import(s.Div)
+	rs.fu[fuLoad].cal.Import(s.LoadPorts)
+	rs.fu[fuStore].cal.Import(s.StorePorts)
 	rs.feReady = s.FeReady
 	rs.lastCommit = s.LastCommit
 	rs.nLoads = s.NLoads
 	rs.nStores = s.NStores
+	rs.robPos = int(s.Seq % uint64(len(rs.commitRing)))
+	rs.lqPos = int(s.NLoads % uint64(len(rs.loadRing)))
+	rs.sqPos = int(s.NStores % uint64(len(rs.storeRing)))
 	rs.stallCursor = s.StallCur
 	rs.setLastPCs(s.Seq, s.LastPCs)
 	return s.Seq, nil
