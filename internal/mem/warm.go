@@ -26,7 +26,7 @@ func (h *Hierarchy) Warm(addr uint64, write bool) {
 		h.l3.touch(line)
 	}
 	if write {
-		h.markDirty(line)
+		h.markDirty(line, -1, -1, -1)
 	}
 }
 
@@ -90,7 +90,7 @@ func (h *Hierarchy) ImportCaches(s *CacheState) error {
 // bandwidth contention. MSHR busy cycles keep accumulating so the
 // boundary-delta statistics never go backwards.
 func (h *Hierarchy) BeginSegment() {
-	h.mshr.entries = h.mshr.entries[:0]
+	h.mshr.reset()
 	h.dram.reset()
 	if h.stride != nil {
 		h.stride.reset()
