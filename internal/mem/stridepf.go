@@ -34,19 +34,23 @@ func newStridePrefetcher(streams, degree int) *stridePrefetcher {
 func (p *stridePrefetcher) observe(pc, addr uint64) []uint64 {
 	p.clock++
 	var s *pfStream
-	victim := 0
 	for i := range p.streams {
-		if p.streams[i].valid && p.streams[i].pc == pc {
+		if p.streams[i].pc == pc && p.streams[i].valid {
 			s = &p.streams[i]
 			break
 		}
-		if !p.streams[i].valid {
-			victim = i
-		} else if p.streams[victim].valid && p.streams[i].lastUse < p.streams[victim].lastUse {
-			victim = i
-		}
 	}
 	if s == nil {
+		// A new stream replaces the last invalid one, else the least
+		// recently used.
+		victim := 0
+		for i := range p.streams {
+			if !p.streams[i].valid {
+				victim = i
+			} else if p.streams[victim].valid && p.streams[i].lastUse < p.streams[victim].lastUse {
+				victim = i
+			}
+		}
 		p.streams[victim] = pfStream{pc: pc, valid: true, lastAddr: addr, lastUse: p.clock}
 		return nil
 	}
