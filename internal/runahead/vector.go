@@ -1,6 +1,8 @@
 package runahead
 
 import (
+	"math/bits"
+
 	"dvr/internal/interp"
 	"dvr/internal/isa"
 	"dvr/internal/mem"
@@ -93,6 +95,7 @@ func DefaultVecConfig() VecConfig {
 // uop per cycle; dependants wait on per-register ready cycles).
 type vecRun struct {
 	prog *isa.Program
+	srcs []uint16 // prog.SrcMasks()
 	fmem *interp.Memory
 	hier *mem.Hierarchy
 	cfg  VecConfig
@@ -126,8 +129,8 @@ type reconvEntry struct {
 	mask Mask
 }
 
-func newVecRun(prog *isa.Program, fmem *interp.Memory, hier *mem.Hierarchy, cfg VecConfig, st vecState, start uint64) *vecRun {
-	v := &vecRun{prog: prog, fmem: fmem, hier: hier, cfg: cfg, st: st, cursor: start}
+func newVecRun(prog *isa.Program, srcs []uint16, fmem *interp.Memory, hier *mem.Hierarchy, cfg VecConfig, st vecState, start uint64) *vecRun {
+	v := &vecRun{prog: prog, srcs: srcs, fmem: fmem, hier: hier, cfg: cfg, st: st, cursor: start}
 	for i := range v.regReady {
 		v.regReady[i] = start
 	}
@@ -228,17 +231,15 @@ func (v *vecRun) readyAt(r isa.Reg, lane int) uint64 {
 }
 
 // groupReady returns the cycle at which all of uop group g's active lanes
-// have their source operands ready.
-func (v *vecRun) groupReady(in isa.Inst, g int) uint64 {
-	var srcBuf [4]isa.Reg
-	srcs := in.SrcRegs(srcBuf[:0])
+// have their source operands, the register set srcs, ready.
+func (v *vecRun) groupReady(srcs uint16, g int) uint64 {
 	var t uint64
 	for lane := g * VectorWidth; lane < (g+1)*VectorWidth && lane < v.st.lanes; lane++ {
 		if !v.st.active.Get(lane) {
 			continue
 		}
-		for _, r := range srcs {
-			if rt := v.readyAt(r, lane); rt > t {
+		for m := srcs; m != 0; m &= m - 1 {
+			if rt := v.readyAt(isa.Reg(bits.TrailingZeros16(m)), lane); rt > t {
 				t = rt
 			}
 		}
@@ -268,15 +269,8 @@ func (v *vecRun) step(pc int, in isa.Inst, addrOverride *laneVec) (nextPC int, t
 	nextPC = pc + 1
 	st := &v.st
 
-	var srcBuf [4]isa.Reg
-	srcs := in.SrcRegs(srcBuf[:0])
-	anyVec := false
-	for _, r := range srcs {
-		if st.isVec(r) {
-			anyVec = true
-			break
-		}
-	}
+	srcs := v.srcs[pc]
+	anyVec := srcs&st.taint != 0
 	vectorWrite := anyVec || addrOverride != nil || st.diverged()
 
 	uopCount := uint64(1)
@@ -303,9 +297,9 @@ func (v *vecRun) step(pc int, in isa.Inst, addrOverride *laneVec) (nextPC int, t
 
 	// Scalar issue time (used by scalar ops and control flow).
 	scalarReady := v.cursor
-	for _, r := range srcs {
-		if !st.isVec(r) && v.regReady[r] > scalarReady {
-			scalarReady = v.regReady[r]
+	for m := srcs &^ st.taint; m != 0; m &= m - 1 {
+		if r := v.regReady[bits.TrailingZeros16(m)]; r > scalarReady {
+			scalarReady = r
 		}
 	}
 
@@ -368,7 +362,7 @@ func (v *vecRun) step(pc int, in isa.Inst, addrOverride *laneVec) (nextPC int, t
 			at := cur
 			var srcT uint64
 			if addrOverride == nil {
-				srcT = v.groupReady(in, g)
+				srcT = v.groupReady(srcs, g)
 			} else {
 				srcT = scalarReady
 			}
@@ -512,7 +506,7 @@ func (v *vecRun) step(pc int, in isa.Inst, addrOverride *laneVec) (nextPC int, t
 		cur := v.cursor
 		for g := 0; g < groups; g++ {
 			at := cur
-			if srcT := v.groupReady(in, g); srcT > at {
+			if srcT := v.groupReady(srcs, g); srcT > at {
 				at = srcT
 			}
 			if scalarReady > at {

@@ -45,7 +45,7 @@ func TestVectorGatherIssuesLanePrefetches(t *testing.T) {
 	regs[1], regs[2], regs[3], regs[4] = 0, 4096, 0x100000, 0x800000
 
 	const lanes = 32
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, lanes), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, lanes), 0)
 	override := new(laneVec)
 	for k := 0; k < lanes; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
@@ -82,7 +82,7 @@ func TestVectorTerminatesAtFLR(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[2], regs[3], regs[4] = 4096, 0x100000, 0x800000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
 	override := new(laneVec)
 	for k := 0; k < 8; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
@@ -99,7 +99,7 @@ func TestVectorTerminatesAtStridePCWithoutFLR(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[2], regs[3], regs[4] = 4096, 0x100000, 0x800000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
 	override := new(laneVec)
 	for k := 0; k < 8; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
@@ -151,7 +151,7 @@ func vecPrefCount(t *testing.T, reconverge bool) (evens, odds int) {
 	cfg := DefaultVecConfig()
 	cfg.Reconverge = reconverge
 	const lanes = 16
-	run := newVecRun(prog, m, h, cfg, newVecState(regs, lanes), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, cfg, newVecState(regs, lanes), 0)
 	override := new(laneVec)
 	for k := 0; k < lanes; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8) // values 1..16, half odd
@@ -205,7 +205,7 @@ func TestVectorTimeout(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[3] = 0x100000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
 	override := new(laneVec)
 	run.exec(execOpts{startPC: stride, addrOverride: override, stridePC: stride, flrPC: -1, stopBefore: -1})
 	if !run.timedOut {
@@ -232,7 +232,7 @@ func TestScalarOverwriteUntaints(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[3] = 0x100000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
 	override := new(laneVec)
 	run.exec(execOpts{startPC: stride, addrOverride: override, stridePC: stride, flrPC: -1, stopBefore: -1})
 	if run.st.isVec(8) {
@@ -248,7 +248,7 @@ func TestVectorUopAccounting(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[2], regs[3], regs[4] = 4096, 0x100000, 0x800000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 128), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 128), 0)
 	override := new(laneVec)
 	for k := 0; k < 128; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
@@ -267,7 +267,7 @@ func TestInOrderSubthreadTiming(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[2], regs[3], regs[4] = 4096, 0x100000, 0x800000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 16), 1000)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 16), 1000)
 	override := new(laneVec)
 	for k := 0; k < 16; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
@@ -283,7 +283,7 @@ func TestStopBeforeHandsOffState(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[2], regs[3], regs[4] = 4096, 0x100000, 0x800000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 8), 0)
 	override := new(laneVec)
 	for k := 0; k < 8; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
@@ -306,7 +306,7 @@ func TestVIRCopiesOverlapAcrossDependentGathers(t *testing.T) {
 	h := testHier()
 	var regs [isa.NumRegs]uint64
 	regs[2], regs[3], regs[4] = 4096, 0x100000, 0x800000
-	run := newVecRun(prog, m, h, DefaultVecConfig(), newVecState(regs, 128), 0)
+	run := newVecRun(prog, prog.SrcMasks(), m, h, DefaultVecConfig(), newVecState(regs, 128), 0)
 	override := new(laneVec)
 	for k := 0; k < 128; k++ {
 		override[k] = uint64(0x100000 + (k+1)*8)
