@@ -21,7 +21,7 @@ type cancelAtEngine struct {
 }
 
 func (e *cancelAtEngine) Name() string { return "cancel-at" }
-func (e *cancelAtEngine) OnCommit(di interp.DynInst, cycle uint64) {
+func (e *cancelAtEngine) OnCommit(di *interp.DynInst, cycle uint64) {
 	e.commits++
 	if e.commits == e.at {
 		e.cancel()

@@ -48,7 +48,7 @@ func (o *Oracle) Stats() cpu.EngineStats { return o.stats }
 
 // OnCommit implements cpu.Engine: advance the future view and drain the
 // prefetch queue within resource limits.
-func (o *Oracle) OnCommit(di interp.DynInst, cycle uint64) {
+func (o *Oracle) OnCommit(di *interp.DynInst, cycle uint64) {
 	o.committed++
 	var adi interp.DynInst
 	for o.ahead.Seq < o.committed+o.lookahead {

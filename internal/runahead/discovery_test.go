@@ -22,7 +22,7 @@ func discover(t *testing.T, prog *isa.Program, m *interp.Memory, stridePC int, w
 			t.Fatal("program halted before discovery completed")
 		}
 		if d != nil {
-			res, done := d.observe(di, rpt, it.St.Regs)
+			res, done := d.observe(&di, rpt, it.St.Regs)
 			if done {
 				return res
 			}
@@ -253,7 +253,7 @@ func TestDiscoveryBudgetAbort(t *testing.T) {
 		if !ok {
 			t.Fatal("halted")
 		}
-		if res, done := d.observe(di, rpt, it.St.Regs); done {
+		if res, done := d.observe(&di, rpt, it.St.Regs); done {
 			if res.hasChain() {
 				t.Error("aborted discovery reported a chain")
 			}

@@ -19,7 +19,7 @@ func drive(t *testing.T, eng *Vector, it *interp.Interp, n int) uint64 {
 			break
 		}
 		cyc += 3
-		eng.OnCommit(di, cyc)
+		eng.OnCommit(&di, cyc)
 	}
 	return cyc
 }
@@ -106,7 +106,7 @@ func TestVRDelayedTerminationHoldsCommit(t *testing.T) {
 	}
 	// The hold clears once the main thread passes it.
 	di, _ := it.Step()
-	eng.OnCommit(di, hold+1)
+	eng.OnCommit(&di, hold+1)
 	if eng.CommitBlockedUntil() != 0 {
 		t.Error("hold not cleared after the subthread finished")
 	}
