@@ -47,20 +47,18 @@ func (t *RPT) Restore(s RPT) error {
 // repeats.
 func (t *RPT) Observe(pc int, addr uint64) *RPTEntry {
 	t.Clock++
-	var e *RPTEntry
-	victim := 0
-	for i := range t.Entries {
-		if t.Entries[i].Valid && t.Entries[i].PC == pc {
-			e = &t.Entries[i]
-			break
-		}
-		if !t.Entries[i].Valid {
-			victim = i
-		} else if t.Entries[victim].Valid && t.Entries[i].LastUse < t.Entries[victim].LastUse {
-			victim = i
-		}
-	}
+	e := t.Lookup(pc)
 	if e == nil {
+		// A new entry replaces the last invalid one, else the least
+		// recently used.
+		victim := 0
+		for i := range t.Entries {
+			if !t.Entries[i].Valid {
+				victim = i
+			} else if t.Entries[victim].Valid && t.Entries[i].LastUse < t.Entries[victim].LastUse {
+				victim = i
+			}
+		}
 		t.Entries[victim] = RPTEntry{PC: pc, Valid: true, PrevAddr: addr, LastUse: t.Clock}
 		return &t.Entries[victim]
 	}
@@ -87,7 +85,7 @@ func (t *RPT) Observe(pc int, addr uint64) *RPTEntry {
 // Lookup returns the entry for pc, or nil.
 func (t *RPT) Lookup(pc int) *RPTEntry {
 	for i := range t.Entries {
-		if t.Entries[i].Valid && t.Entries[i].PC == pc {
+		if t.Entries[i].PC == pc && t.Entries[i].Valid {
 			return &t.Entries[i]
 		}
 	}
