@@ -64,15 +64,22 @@ func (it *Interp) Step() (di DynInst, ok bool) {
 // fresh one out per instruction. Every field of *di is overwritten; when
 // it returns false (halted, or off the end of the code) *di is untouched.
 func (it *Interp) StepInto(di *DynInst) bool {
-	if it.St.Halted || it.St.PC < 0 || it.St.PC >= len(it.Prog.Code) {
+	pc, code := it.St.PC, it.Prog.Code
+	if it.St.Halted || uint(pc) >= uint(len(code)) {
 		it.St.Halted = true
 		return false
 	}
-	in := &it.Prog.Code[it.St.PC]
-	// Field by field: a composite-literal assignment builds the record on
-	// the stack and copies it over, which costs more than Step ever did.
-	di.Seq, di.PC, di.Inst, di.NextPC = it.Seq, it.St.PC, *in, it.St.PC+1
-	di.Addr, di.Taken, di.Val = 0, false, 0
+	in := &code[pc]
+	// Field by field, one statement each: a composite literal or a tuple
+	// assignment builds the record (or the instruction) on the stack first
+	// and copies it over.
+	di.Seq = it.Seq
+	di.PC = pc
+	di.Inst = *in
+	di.NextPC = pc + 1
+	di.Addr = 0
+	di.Taken = false
+	di.Val = 0
 	r := &it.St.Regs
 
 	// The arithmetic second operand, read once. Ops that ignore it may carry
