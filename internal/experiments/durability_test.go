@@ -336,10 +336,28 @@ func TestRunERejectsDegenerateConfig(t *testing.T) {
 		func(c *cpu.Config) { c.Mem.L1D.Assoc = 0 },
 		func(c *cpu.Config) { c.Mem.MSHRs = 0 },
 		func(c *cpu.Config) { c.Mem.StrideStreams = 0 },
+		// Sizes that allocate, far past their bounds: each must be refused
+		// before anything is allocated for it.
+		func(c *cpu.Config) { c.ROBSize = 1 << 40 },
+		func(c *cpu.Config) { c.IQSize = 1 << 40 },
+		func(c *cpu.Config) { c.LQSize = 1 << 40 },
+		func(c *cpu.Config) { c.SQSize = 1 << 40 },
+		func(c *cpu.Config) { c.Mem.L3.SizeBytes = 1 << 44 },
+		func(c *cpu.Config) { c.Mem.L1D.Assoc = 1 << 40 },
+		func(c *cpu.Config) { c.Mem.MSHRs = 1 << 40 },
+		func(c *cpu.Config) { c.Mem.StrideStreams = 1 << 40 },
+		func(c *cpu.Config) { c.Mem.StrideDegree = 1 << 40 },
+		func(c *cpu.Config) { c.Bpred.TableBits, c.Bpred.HistLengths = 24, make([]int, 64) },
 	}
 	for i, mutate := range bad {
 		cfg := cpu.DefaultConfig()
 		mutate(&cfg)
+		// Never run a config Validate lets through: an oversized one would
+		// allocate what the bound exists to refuse.
+		if cfg.Validate() == nil {
+			t.Errorf("case %d: degenerate config passes Validate", i)
+			continue
+		}
 		if _, err := RunE(context.Background(), spec, TechDVR, cfg); err == nil {
 			t.Errorf("case %d: degenerate config accepted", i)
 		}
