@@ -12,6 +12,7 @@ import (
 
 	"dvr/internal/cpu"
 	"dvr/internal/graphgen"
+	"dvr/internal/mem"
 	"dvr/internal/workloads"
 )
 
@@ -30,14 +31,44 @@ type goldenCell struct {
 // new run path) proves it in tier-1. header names the label's fields. A
 // change that moves cycles on purpose regenerates the files with
 // `go test ./internal/experiments -update` and says why in its description.
+//
+// Every exact cell (not a sampled projection) must also obey the
+// statistics' conservation laws (checkConservation).
 func checkGolden(t *testing.T, name, header string, cells []goldenCell) {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s instructions cycles\n", header)
 	for _, c := range cells {
 		fmt.Fprintf(&b, "%s %d %d\n", c.label, c.res.Instructions, c.res.Cycles)
+		if c.res.Sampled == nil {
+			checkConservation(t, name+" "+c.label, c.res)
+		}
 	}
 	matchGolden(t, name+"_quick.golden", b.String())
+}
+
+// checkConservation asserts the laws every exact result obeys: each demand
+// access is satisfied at exactly one level or merged into an in-flight
+// miss; the demand accesses are the committed loads and stores; and no
+// prefetch is both useful, late or evicted unused more than once, so
+// those outcomes never outnumber the prefetches issued.
+func checkConservation(t *testing.T, label string, r cpu.Result) {
+	t.Helper()
+	m := r.Mem
+	var satisfied uint64
+	for _, n := range m.DemandHits {
+		satisfied += n
+	}
+	if got, want := satisfied+m.DemandMerged, m.Accesses[mem.SrcDemand]; got != want {
+		t.Errorf("%s: demand hits %v + merged %d = %d, demand accesses %d", label, m.DemandHits, m.DemandMerged, got, want)
+	}
+	if got, want := m.Accesses[mem.SrcDemand], r.Loads+r.Stores; got != want {
+		t.Errorf("%s: demand accesses %d, loads %d + stores %d = %d", label, got, r.Loads, r.Stores, want)
+	}
+	if out, issued := m.TotalPrefUseful()+m.TotalPrefLate()+m.TotalPrefUnusedEvict(), m.TotalPrefIssued(); out > issued {
+		t.Errorf("%s: prefetches useful %d + late %d + evicted unused %d = %d > issued %d",
+			label, m.TotalPrefUseful(), m.TotalPrefLate(), m.TotalPrefUnusedEvict(), out, issued)
+	}
 }
 
 // matchGolden compares got line by line against testdata/<file>, or
