@@ -496,7 +496,9 @@ const fidelityMaxTimedFrac = 0.10
 // plan builds and replays, are printed but do not gate, because they
 // depend on the runner. CI runs it as the sampled-fidelity job; the error
 // metric is over h-means (the figure's headline numbers), where
-// independent per-benchmark projection noise largely cancels.
+// independent per-benchmark projection noise largely cancels. The per-cell
+// errors that cancellation hides, and how often the exact cycles fall
+// inside the projection's CI95, are printed beside it without gating.
 func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol float64, cfg cpu.Config) error {
 	specs := experiments.QuickSuite().All()
 	for i := range specs {
@@ -569,6 +571,11 @@ func fidelityReport(w io.Writer, roi uint64, so experiments.SampleOptions, tol f
 		planDur += time.Since(t2) - time.Duration(res.HostNS)
 	}
 	fmt.Fprintln(w, t.String())
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.Name
+	}
+	writeCellFidelity(w, names, techs, em, sm)
 	fmt.Fprintf(w, "mean h-mean speedup error: %.2f%% (tolerance %.2f%%)\n", 100*meanErr, 100*tol)
 	fmt.Fprintf(w, "timed-instruction fraction: %.3f (maximum %.2f)\n", timedFrac, fidelityMaxTimedFrac)
 	fmt.Fprintf(w, "suite wall-clock: exact %s, sampled %s (%.1fx, not gated)\n",
