@@ -130,11 +130,11 @@ type fuPool struct {
 	cal       *calendar.Calendar
 }
 
-func newFUPool(n int, latency uint64, pipelined bool) *fuPool {
+func newFUPool(n int, latency uint64, pipelined bool) fuPool {
 	if latency == 0 {
 		latency = 1
 	}
-	return &fuPool{units: uint16(n), latency: latency, pipelined: pipelined, cal: calendar.New()}
+	return fuPool{units: uint16(n), latency: latency, pipelined: pipelined, cal: calendar.New()}
 }
 
 // issue schedules an operation no earlier than `at` and returns the actual
