@@ -46,11 +46,16 @@ type simConfig struct {
 }
 
 // newSimConfig resolves a request's config override against the default.
-func newSimConfig(override *cpu.Config) simConfig {
+// An override that fails validation is a 400, refused once per request
+// before any of its cells is resolved.
+func newSimConfig(override *cpu.Config) (simConfig, error) {
 	if override == nil {
-		return simConfig{cpu: cpu.DefaultConfig(), keyTail: defaultKeyTail()}
+		return simConfig{cpu: cpu.DefaultConfig(), keyTail: defaultKeyTail()}, nil
 	}
-	return simConfig{cpu: *override, keyTail: keyTail(*override)}
+	if err := override.Validate(); err != nil {
+		return simConfig{}, badRequest(err)
+	}
+	return simConfig{cpu: *override, keyTail: keyTail(*override)}, nil
 }
 
 // defaultKeyTail is the tail of the request every client sends most: the

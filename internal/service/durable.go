@@ -87,7 +87,11 @@ func (s *Server) resumePending(scan checkpoint.Health) {
 		// The journal is self-describing; re-derive the content address
 		// and refuse files that do not name the job they are filed under
 		// (a renamed file, a foreign checkpoint dropped in the directory).
-		sc := newSimConfig(&st.Config) // a copy: the queued job must not pin the snapshot
+		sc, err := newSimConfig(&st.Config) // a copy: the queued job must not pin the snapshot
+		if err != nil {
+			_ = s.ckpts.Remove(key)
+			continue
+		}
 		c, err := resolveCell(st.Ref, st.Technique, sc)
 		if err != nil || c.key != key {
 			_ = s.ckpts.Remove(key)

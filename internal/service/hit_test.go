@@ -82,7 +82,7 @@ func TestSpliceMatchesEncoder(t *testing.T) {
 				}
 			}}}})
 			defer shutdown(t, srv)
-			sc := newSimConfig(nil)
+			sc, _ := newSimConfig(nil)
 			req := api.BatchRequest{Techniques: []string{"ooo"}}
 			want := map[int]api.SimResponse{} // the hits: known before the request
 			nFailed := 0
@@ -198,7 +198,11 @@ func TestCacheKeyMatchesMarshalledPayload(t *testing.T) {
 				if cfg != nil {
 					want = *cfg
 				}
-				if got, def := newSimConfig(cfg).key(ref, tech), CacheKey(ref, tech, want); got != def {
+				sc, err := newSimConfig(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, def := sc.key(ref, tech), CacheKey(ref, tech, want); got != def {
 					t.Errorf("key of (%+v, %q, override=%v) = %s, CacheKey defines %s", ref, tech, cfg != nil, got, def)
 				}
 			}
