@@ -341,10 +341,10 @@ var intervalTechs = []experiments.Technique{experiments.TechOoO, experiments.Tec
 
 // intervalsReport runs the suite with the interval sampler attached and
 // prints one line per cell — IPC and MLP sparklines over ~16 intervals —
-// followed by a consistency line. Consistency means the sampled series
-// sums back to the end-of-run Result exactly: interval instruction deltas
-// total res.Instructions and the last boundary lands on res.Cycles. A
-// mismatch is an error (the CI trace-smoke job greps for the OK line).
+// followed by a consistency line. Consistency is experiments.CheckIntervals:
+// the series tiles the run and its counter deltas sum back to the
+// end-of-run Result. A mismatch is an error (the CI trace-smoke job greps
+// for the OK line).
 func intervalsReport(w io.Writer, s experiments.Suite, cfg cpu.Config) error {
 	specs := s.All()
 	cells, bad := 0, 0
@@ -367,24 +367,17 @@ func intervalsReport(w io.Writer, s experiments.Suite, cfg cpu.Config) error {
 				return fmt.Errorf("cell %s-%s: %w", sp.Name, tech, err)
 			}
 			ivs := job.Trace.Intervals()
-			var insts uint64
-			var lastCycle uint64
 			ipc := make([]float64, 0, len(ivs))
 			mlp := make([]float64, 0, len(ivs))
 			for _, iv := range ivs {
-				insts += iv.EndInst - iv.StartInst
-				lastCycle = iv.EndCycle
 				ipc = append(ipc, iv.IPC)
 				mlp = append(mlp, iv.MLP)
 			}
 			cells++
-			ok := insts == res.Instructions && lastCycle == res.Cycles
-			if !ok {
-				bad++
-			}
 			status := "ok"
-			if !ok {
-				status = fmt.Sprintf("MISMATCH insts=%d/%d cycles=%d/%d", insts, res.Instructions, lastCycle, res.Cycles)
+			if err := experiments.CheckIntervals(res, ivs); err != nil {
+				bad++
+				status = "MISMATCH " + err.Error()
 			}
 			fmt.Fprintf(w, "%-16s %-4s IPC %.3f %s  MLP %.2f %s  [%s]\n",
 				sp.Name, tech, res.IPC(), stats.Sparkline(ipc), res.MLP(), stats.Sparkline(mlp), status)

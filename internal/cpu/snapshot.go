@@ -67,15 +67,8 @@ type Snapshot struct {
 }
 
 // snapshot captures the full simulation state at the boundary before
-// instruction seq.
-//
-// Res is stamped as a fully populated stats view of the run so far: on
-// top of the counters the cycle loop maintains, the fields RunWithOptions
-// normally fills at run end (Cycles, Mem, branch totals, Engine) carry
-// their boundary values. Resume overwrites all of them at its own run
-// end, so this is invisible to the durability path; the sampled-
-// simulation engine depends on it to delta a window's contribution out of
-// a warmup-prefixed replay (final Result minus boundary Res).
+// instruction seq. Its Res is boundaryRes; a resumed run rebuilds every
+// field boundaryRes fills at its own run end.
 func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
 	// Release first, so the calendars export only what a continuation can
 	// still reach and a straight and a resumed run snapshot alike.
@@ -115,11 +108,11 @@ func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
 	return s, nil
 }
 
-// boundaryRes is the fully populated stats view of the run so far: on top
-// of the counters the cycle loop maintains, the fields RunWithOptions
-// normally fills at run end (Cycles, Mem, branch totals, Engine) carry
-// their boundary values. Snapshots embed it as Res; the stats-boundary
-// hook (RunOptions.StatsBoundaryFn) hands it out on its own.
+// boundaryRes is the stats view of the run so far: the counters the cycle
+// loop maintains plus Cycles, Mem, the branch totals and Engine at their
+// boundary values. Snapshots embed it as Res, the stats-boundary hook
+// (RunOptions.StatsBoundaryFn) and the interval sampler read it, and the
+// run end builds its Result from it after FinishStats.
 func (c *Core) boundaryRes(rs *runState) Result {
 	bres := rs.res
 	bres.Cycles = rs.lastCommit

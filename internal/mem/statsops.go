@@ -3,8 +3,8 @@ package mem
 // Sub returns s - o field-wise: the hierarchy activity that happened
 // after the boundary snapshot o was taken. Every counter in Stats is
 // monotonic over a run, so the subtraction never wraps when o is an
-// earlier snapshot of the same run — the only way the sampled-simulation
-// engine (the sole caller) uses it.
+// earlier snapshot of the same run — the only way cpu.Result.Sub, its
+// caller for sampled windows and trace intervals, uses it.
 func (s Stats) Sub(o Stats) Stats {
 	d := s
 	for i := range d.Accesses {

@@ -15,9 +15,12 @@
 //
 // The package sits below every simulator package (it imports none of them),
 // so mem, runahead, and cpu can all emit into the same Recorder. Counters is
-// therefore a flat struct: cpu composes it from mem.Stats and EngineStats at
-// each sampling boundary.
+// therefore a flat struct: at each sampling boundary cpu subtracts the
+// previous boundary's Result from the current one and projects the delta
+// onto it (cpu.Result.TraceCounters).
 package trace
+
+import "slices"
 
 // Kind identifies the event type. The taxonomy is documented in DESIGN.md
 // ("Tracing & telemetry").
@@ -147,9 +150,8 @@ type Config struct {
 	IntervalEvery uint64
 
 	// OnInterval, when non-nil, is called with each interval the moment
-	// its closing sample lands (the same values Intervals() later
-	// returns, in the same order — the live stream and the post-hoc
-	// series are element-identical by construction). It runs on the
+	// it closes (the same values Intervals() later returns, in the same
+	// order — both hand out the one stored Interval). It runs on the
 	// simulation goroutine, so implementations must be fast and must
 	// never block; they must also never mutate simulator state (the
 	// bit-identity contract extends to them).
@@ -162,25 +164,18 @@ type Config struct {
 	OnEvent func(Event)
 }
 
-// Recorder collects events and interval samples for one simulation. It is
+// Recorder collects events and intervals for one simulation. It is
 // not safe for concurrent use; each core run owns its own Recorder (matching
 // the one-goroutine-per-simulation model everywhere else in the repo).
 //
 // All methods are nil-safe: a nil *Recorder is the disabled tracer.
 type Recorder struct {
-	cfg     Config
-	ring    []Event
-	emitted uint64
-	samples []sample
-	curHW   int // interval-local MSHR high-water, reset at each Sample
-	runHW   int // run-wide MSHR high-water
-}
-
-type sample struct {
-	inst  uint64
-	cycle uint64
-	c     Counters
-	hw    int
+	cfg       Config
+	ring      []Event
+	emitted   uint64
+	intervals []Interval
+	curHW     int // interval-local MSHR high-water, reset as each interval closes
+	runHW     int // run-wide MSHR high-water
 }
 
 // New builds a Recorder. A config with both fields zero still yields a
@@ -242,21 +237,20 @@ func (r *Recorder) MSHRHighWater() int {
 	return r.runHW
 }
 
-// Sample records one counter snapshot at an instruction boundary. The
-// caller (cpu.Core) samples at the run start, every IntervalEvery committed
-// instructions, and at the run end; a repeated boundary (end coinciding
-// with the last cadence sample) is ignored.
-func (r *Recorder) Sample(inst, cycle uint64, c Counters) {
+// AddInterval closes one interval of the series: d holds the counters
+// accumulated over committed instructions [startInst, endInst), which
+// committed in cycles (startCycle, endCycle]. The caller (cpu.Core)
+// closes one every IntervalEvery committed instructions and a final
+// partial one at the run end.
+func (r *Recorder) AddInterval(startInst, endInst, startCycle, endCycle uint64, d Counters) {
 	if r == nil || r.cfg.IntervalEvery == 0 {
 		return
 	}
-	if n := len(r.samples); n > 0 && r.samples[n-1].inst == inst {
-		return
-	}
-	r.samples = append(r.samples, sample{inst: inst, cycle: cycle, c: c, hw: r.curHW})
+	iv := makeInterval(len(r.intervals), startInst, endInst, startCycle, endCycle, d, r.curHW)
 	r.curHW = 0
-	if n := len(r.samples); n >= 2 && r.cfg.OnInterval != nil {
-		r.cfg.OnInterval(makeInterval(r.samples[n-2], r.samples[n-1], n-2))
+	r.intervals = append(r.intervals, iv)
+	if r.cfg.OnInterval != nil {
+		r.cfg.OnInterval(iv)
 	}
 }
 
@@ -290,10 +284,9 @@ func (r *Recorder) Dropped() uint64 {
 	return 0
 }
 
-// Counters is the flat snapshot the interval sampler diffs. cpu.Core
-// composes it from mem.Stats, the core's own Result counters, and the
-// engine's EngineStats at each boundary; trace deliberately knows nothing
-// about those types.
+// Counters is one interval's counter deltas. cpu.Result.TraceCounters
+// projects them from the core's, the hierarchy's and the engine's
+// counters; trace deliberately knows nothing about those types.
 type Counters struct {
 	ROBStallCycles     uint64 `json:"rob_stall_cycles"`
 	CommitHoldCycles   uint64 `json:"commit_hold_cycles"`
@@ -313,29 +306,6 @@ type Counters struct {
 	RunaheadPrefetches uint64 `json:"runahead_prefetches"`
 	RunaheadBusyCycles uint64 `json:"runahead_busy_cycles"`
 	VectorUops         uint64 `json:"vector_uops"`
-}
-
-func (c Counters) sub(b Counters) Counters {
-	return Counters{
-		ROBStallCycles:     c.ROBStallCycles - b.ROBStallCycles,
-		CommitHoldCycles:   c.CommitHoldCycles - b.CommitHoldCycles,
-		DemandAccesses:     c.DemandAccesses - b.DemandAccesses,
-		DemandL1Hits:       c.DemandL1Hits - b.DemandL1Hits,
-		DemandDRAM:         c.DemandDRAM - b.DemandDRAM,
-		DemandMerged:       c.DemandMerged - b.DemandMerged,
-		DemandMissCycles:   c.DemandMissCycles - b.DemandMissCycles,
-		PrefIssued:         c.PrefIssued - b.PrefIssued,
-		PrefUseful:         c.PrefUseful - b.PrefUseful,
-		PrefUsefulL1:       c.PrefUsefulL1 - b.PrefUsefulL1,
-		PrefLate:           c.PrefLate - b.PrefLate,
-		PrefUnusedEvict:    c.PrefUnusedEvict - b.PrefUnusedEvict,
-		MSHRBusyCycles:     c.MSHRBusyCycles - b.MSHRBusyCycles,
-		DRAMAccesses:       c.DRAMAccesses - b.DRAMAccesses,
-		RunaheadEpisodes:   c.RunaheadEpisodes - b.RunaheadEpisodes,
-		RunaheadPrefetches: c.RunaheadPrefetches - b.RunaheadPrefetches,
-		RunaheadBusyCycles: c.RunaheadBusyCycles - b.RunaheadBusyCycles,
-		VectorUops:         c.VectorUops - b.VectorUops,
-	}
 }
 
 // Interval is one step of the sampled time-series: the raw counter deltas
@@ -382,22 +352,19 @@ func ratio(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// makeInterval derives one interval from an adjacent sample pair. Both the
-// post-hoc Intervals() series and the live OnInterval hook go through it,
-// which is what makes a streamed series element-identical to the stored one.
-func makeInterval(a, b sample, index int) Interval {
-	d := b.c.sub(a.c)
-	cycles := b.cycle - a.cycle
+// makeInterval derives one interval's rates from its bounds and deltas.
+func makeInterval(index int, startInst, endInst, startCycle, endCycle uint64, d Counters, hw int) Interval {
+	cycles := endCycle - startCycle
 	return Interval{
 		Index:         index,
-		StartInst:     a.inst,
-		EndInst:       b.inst,
-		StartCycle:    a.cycle,
-		EndCycle:      b.cycle,
+		StartInst:     startInst,
+		EndInst:       endInst,
+		StartCycle:    startCycle,
+		EndCycle:      endCycle,
 		Delta:         d,
-		MSHRHighWater: b.hw,
+		MSHRHighWater: hw,
 
-		IPC:               ratio(b.inst-a.inst, cycles),
+		IPC:               ratio(endInst-startInst, cycles),
 		MLP:               ratio(d.MSHRBusyCycles, cycles),
 		PrefAccuracy:      ratio(d.PrefUseful, d.PrefIssued),
 		PrefCoverage:      ratio(d.PrefUseful, d.PrefUseful+d.DemandDRAM),
@@ -408,14 +375,11 @@ func makeInterval(a, b sample, index int) Interval {
 	}
 }
 
-// Intervals derives the interval series from the recorded samples.
+// Intervals returns the closed intervals in order. The slice is freshly
+// allocated; the Recorder can keep recording afterwards.
 func (r *Recorder) Intervals() []Interval {
-	if r == nil || len(r.samples) < 2 {
+	if r == nil {
 		return nil
 	}
-	out := make([]Interval, 0, len(r.samples)-1)
-	for i := 1; i < len(r.samples); i++ {
-		out = append(out, makeInterval(r.samples[i-1], r.samples[i], i-1))
-	}
-	return out
+	return slices.Clone(r.intervals)
 }

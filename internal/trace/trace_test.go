@@ -17,7 +17,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *trace.Recorder
 	r.Emit(trace.EvRunaheadSpawn, 1, 2, 3, 4, 5)
 	r.MSHROccupancy(1, 9)
-	r.Sample(0, 0, trace.Counters{})
+	r.AddInterval(0, 10, 0, 20, trace.Counters{PrefIssued: 1})
 	if r.Events() != nil {
 		t.Error("nil recorder returned events")
 	}
@@ -60,16 +60,12 @@ func TestRingWrapAndDropped(t *testing.T) {
 
 func TestIntervalsMath(t *testing.T) {
 	r := trace.New(trace.Config{IntervalEvery: 100})
-	r.Sample(0, 0, trace.Counters{})
 	r.MSHROccupancy(50, 7)
-	r.Sample(100, 200, trace.Counters{
+	r.AddInterval(0, 100, 0, 200, trace.Counters{
 		ROBStallCycles: 50, MSHRBusyCycles: 400,
 		PrefIssued: 10, PrefUseful: 8, PrefUsefulL1: 6, PrefLate: 2,
 		DemandDRAM: 2, RunaheadBusyCycles: 100,
 	})
-	// Duplicate boundary (the final sample landing on the last cadence
-	// sample) must be ignored.
-	r.Sample(100, 200, trace.Counters{})
 	ivs := r.Intervals()
 	if len(ivs) != 1 {
 		t.Fatalf("got %d intervals, want 1", len(ivs))
@@ -99,8 +95,7 @@ func TestIntervalsMath(t *testing.T) {
 
 func TestIntervalsZeroDenominators(t *testing.T) {
 	r := trace.New(trace.Config{IntervalEvery: 10})
-	r.Sample(0, 0, trace.Counters{})
-	r.Sample(10, 10, trace.Counters{})
+	r.AddInterval(0, 10, 0, 10, trace.Counters{})
 	ivs := r.Intervals()
 	if len(ivs) != 1 {
 		t.Fatalf("got %d intervals, want 1", len(ivs))
@@ -134,12 +129,10 @@ func TestLiveHooksMatchPostHoc(t *testing.T) {
 		OnInterval:    func(iv trace.Interval) { live = append(live, iv) },
 		OnEvent:       func(ev trace.Event) { events = append(events, ev) },
 	})
-	r.Sample(0, 0, trace.Counters{})
 	r.Emit(trace.EvRunaheadSpawn, 10, 50, 3, 16, trace.ReasonStride)
 	r.MSHROccupancy(20, 4)
-	r.Sample(100, 200, trace.Counters{PrefIssued: 4, PrefUseful: 2})
-	r.Sample(100, 200, trace.Counters{}) // duplicate boundary: no hook
-	r.Sample(250, 500, trace.Counters{PrefIssued: 9, PrefUseful: 7})
+	r.AddInterval(0, 100, 0, 200, trace.Counters{PrefIssued: 4, PrefUseful: 2})
+	r.AddInterval(100, 250, 200, 500, trace.Counters{PrefIssued: 5, PrefUseful: 5})
 
 	post := r.Intervals()
 	if len(live) != len(post) || len(post) != 2 {
@@ -163,10 +156,10 @@ func TestLiveHooksMatchPostHoc(t *testing.T) {
 	}
 }
 
-// fillRecorder emits one event of every kind plus occupancy and samples.
+// fillRecorder emits one event of every kind plus occupancy and an
+// interval.
 func fillRecorder() *trace.Recorder {
 	r := trace.New(trace.Config{Events: 64, IntervalEvery: 100})
-	r.Sample(0, 0, trace.Counters{})
 	r.Emit(trace.EvRunaheadSpawn, 10, 50, 3, 16, trace.ReasonStride)
 	r.Emit(trace.EvRunaheadEnd, 50, 0, 3, 16, trace.ReasonStride)
 	r.Emit(trace.EvDiscoveryStart, 12, 0, 4, 0, 0)
@@ -181,7 +174,7 @@ func fillRecorder() *trace.Recorder {
 	r.Emit(trace.EvPrefetchUseless, 70, 0, -1, 2, 0)
 	r.Emit(trace.EvPatternConfirm, 33, 0, 9, 4, 0)
 	r.MSHROccupancy(12, 5)
-	r.Sample(100, 80, trace.Counters{PrefIssued: 1})
+	r.AddInterval(0, 100, 0, 80, trace.Counters{PrefIssued: 1})
 	return r
 }
 
