@@ -30,9 +30,9 @@ import (
 // saves, cleanup; see checkpoint.Journal), the retirement watchdog, and
 // scripted livelock faults. A live pub additionally wires the recorder's
 // OnInterval/OnEvent hooks into the job's broadcaster, so subscribers see
-// each interval the moment its closing sample lands. The hooks publish
-// without ever blocking, and they observe only — the result stays
-// bit-identical under streaming.
+// each interval the moment it closes. The hooks publish without ever
+// blocking, and they observe only — the result stays bit-identical under
+// streaming.
 func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, tech string, cfg cpu.Config, pub *cellPub) (cpu.Result, error) {
 	job := experiments.Job{Spec: spec, Tech: experiments.Technique(tech), Cfg: cfg}
 	job.WatchdogBudget = s.cfg.WatchdogCycles
