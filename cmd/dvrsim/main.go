@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"dvr/internal/checkpoint"
@@ -48,8 +49,8 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("bench", "bfs", "benchmark: bc,bfs,cc,pr,sssp,camel,graph500,hj2,hj8,kangaroo,nas-cg,nas-is,randomaccess")
-		inputName = flag.String("input", "KR", "graph input for GAP kernels: KR,LJN,ORK,TW,UR")
+		benchName = flag.String("bench", "bfs", "benchmark: "+strings.Join(workloads.Kernels(), ","))
+		inputName = flag.String("input", "KR", "graph input for graph kernels: "+strings.Join(graphInputs(), ","))
 		techName  = flag.String("tech", "dvr", "technique: "+techniques(","))
 		rob       = flag.Int("rob", 350, "reorder-buffer size")
 		roi       = flag.Uint64("roi", 300_000, "timed instructions")
@@ -101,8 +102,8 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("benchmarks: bc bfs cc pr sssp (with -input KR|LJN|ORK|TW|UR)")
-		fmt.Println("            camel graph500 hj2 hj8 kangaroo nas-cg nas-is randomaccess")
+		fmt.Println("benchmarks: " + strings.Join(workloads.Kernels(), " "))
+		fmt.Println("inputs:     " + strings.Join(graphInputs(), " ") + " (graph kernels)")
 		fmt.Println("techniques: " + techniques(" "))
 		return
 	}
@@ -330,23 +331,27 @@ func sum4(a [5]uint64) uint64 {
 	return t
 }
 
-func findSpec(bench, input string) (workloads.Spec, error) {
-	for _, sp := range workloads.HPCDBSpecs() {
-		if sp.Name == bench {
-			return sp, nil
-		}
+// graphInputs lists the Table 2 graph inputs by name.
+func graphInputs() []string {
+	var names []string
+	for _, p := range graphgen.Table2Params() {
+		names = append(names, p.Name)
 	}
-	gapNames := map[string]bool{"bc": true, "bfs": true, "cc": true, "pr": true, "sssp": true}
-	if !gapNames[bench] {
+	return names
+}
+
+// findSpec resolves a registered kernel, on the Table 2 graph input named
+// input (any case) when the kernel takes a graph.
+func findSpec(bench, input string) (workloads.Spec, error) {
+	if !slices.Contains(workloads.Kernels(), bench) {
 		return workloads.Spec{}, fmt.Errorf("unknown benchmark %q", bench)
 	}
-	for _, in := range graphgen.Table2Inputs() {
-		if strings.EqualFold(in.Name, input) {
-			for _, sp := range workloads.GAPSpecs(in) {
-				if strings.HasPrefix(sp.Name, bench+"_") {
-					return sp, nil
-				}
-			}
+	if sp, err := workloads.Resolve(workloads.Ref{Kernel: bench}); err == nil {
+		return sp, nil
+	}
+	for _, p := range graphgen.Table2Params() {
+		if strings.EqualFold(p.Name, input) {
+			return workloads.Resolve(workloads.Ref{Kernel: bench, Graph: &p})
 		}
 	}
 	return workloads.Spec{}, fmt.Errorf("unknown graph input %q", input)

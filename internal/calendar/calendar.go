@@ -32,11 +32,12 @@ const window = 1 << 13
 // rare. The log is folded into the map in one batch the first time a
 // straggler probes it, so the common no-straggler run never hashes at all.
 //
-// A caller that can prove it will never reserve below some epoch says so
-// with Release, and the calendar forgets everything older: evicted epochs
-// below the floor are not logged and Export omits them, so such a calendar
-// holds O(window) state however long the run. Without Release (the DRAM
-// calendar has no such floor) every epoch is kept, as before.
+// Its owner says with Release that it will never reserve below some epoch,
+// and the calendar forgets everything older: evicted epochs below the
+// floor are not logged and Export omits them, so a calendar whose floor
+// follows the simulation holds O(window) state however long the run. The
+// functional-unit and DRAM calendars are both released from the core's
+// fetch cycle.
 type Calendar struct {
 	tags     []uint64       // epoch currently occupying each slot
 	counts   []uint16       // reservations booked in that epoch

@@ -36,32 +36,42 @@ func BenchmarkCoreRun(b *testing.B) {
 // table) and a warm-up in which growable structures reach their size, the
 // per-instruction loop allocates nothing: between a boundary 100k
 // instructions in and the end of a 400k-instruction run, no heap object
-// is allocated. The loop's data fits on chip once warm: the DRAM
-// bandwidth calendar keeps every epoch it has booked (it has no release
-// floor), so DRAM traffic grows its log by design.
+// is allocated. The loop indexes a table that fits on chip, and one of
+// 16 MB, twice the L3, whose misses keep the DRAM bandwidth calendar
+// booking new epochs for the whole run.
 func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
-	bl := isa.NewBuilder("steady")
-	bl.Li(1, 0)
-	bl.Li(3, 1<<21)
-	bl.Label("top")
-	bl.Hash(8, 1)
-	bl.AndI(8, 8, (1<<14)-1)
-	bl.LoadIdx(9, 3, 8, 0)
-	bl.Op3(isa.Mul, 10, 9, 8)
-	bl.Store(3, 10, 0)
-	bl.AddI(1, 1, 1)
-	bl.CmpI(7, 1, 1<<40)
-	bl.Br(isa.LT, 7, "top")
-	var at, end runtime.MemStats
-	core := NewCore(DefaultConfig(), interp.New(bl.MustBuild(), interp.NewMemory()))
-	if _, err := core.RunWithOptions(context.Background(), 400_000, RunOptions{
-		StatsBoundaryAt: 100_000,
-		StatsBoundaryFn: func(Result) { runtime.ReadMemStats(&at) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&end)
-	if n := end.Mallocs - at.Mallocs; n != 0 {
-		t.Fatalf("300k steady-state instructions allocated %d times", n)
+	for _, tc := range []struct {
+		name string
+		mask int64 // table index mask, in 8-byte words
+	}{
+		{"on-chip", (1 << 14) - 1},
+		{"off-chip", (1 << 21) - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bl := isa.NewBuilder("steady")
+			bl.Li(1, 0)
+			bl.Li(3, 1<<21)
+			bl.Label("top")
+			bl.Hash(8, 1)
+			bl.AndI(8, 8, tc.mask)
+			bl.LoadIdx(9, 3, 8, 0)
+			bl.Op3(isa.Mul, 10, 9, 8)
+			bl.Store(3, 10, 0)
+			bl.AddI(1, 1, 1)
+			bl.CmpI(7, 1, 1<<40)
+			bl.Br(isa.LT, 7, "top")
+			var at, end runtime.MemStats
+			core := NewCore(DefaultConfig(), interp.New(bl.MustBuild(), interp.NewMemory()))
+			if _, err := core.RunWithOptions(context.Background(), 400_000, RunOptions{
+				StatsBoundaryAt: 100_000,
+				StatsBoundaryFn: func(Result) { runtime.ReadMemStats(&at) },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&end)
+			if n := end.Mallocs - at.Mallocs; n != 0 {
+				t.Fatalf("300k steady-state instructions allocated %d times", n)
+			}
+		})
 	}
 }

@@ -493,15 +493,20 @@ func wrap(pos, size int) int {
 	return pos
 }
 
-// releaseFUs lets the functional-unit calendars forget the past. Every
-// later instruction dispatches at or after the fetch limiter's cycle and
-// issues after it dispatches (ready = disp+1), so no booking will target
-// that cycle or an earlier one. The loop calls it every cancelCheckInterval
-// instructions, which keeps the calendars' state bounded by the window.
-func (rs *runState) releaseFUs() {
+// release lets the functional-unit and DRAM calendars forget the past.
+// Every later instruction dispatches at or after the fetch limiter's cycle
+// and issues after it dispatches (ready = disp+1), so no functional-unit
+// booking will target that cycle or an earlier one. Every later memory
+// request is made at or after the cycle of an access no earlier than that
+// dispatch: a demand issue, a store's commit, the start of a ROB stall, or
+// an engine cursor that starts from one of these. The loop calls it every
+// cancelCheckInterval instructions, which keeps the calendars' state
+// bounded by the window.
+func (c *Core) release(rs *runState) {
 	for i := range rs.fu {
 		rs.fu[i].release(rs.fetchLim.cycle)
 	}
+	c.hier.Release(rs.fetchLim.cycle)
 }
 
 // lastPCs returns the trailing committed PCs before instruction seq,
@@ -557,7 +562,7 @@ func (c *Core) RunWithOptions(ctx context.Context, maxInsts uint64, opts RunOpti
 
 	for seq := startSeq; seq < maxInsts; seq++ {
 		if seq%cancelCheckInterval == 0 {
-			rs.releaseFUs()
+			c.release(rs)
 			if cancelCh != nil {
 				select {
 				case <-cancelCh:

@@ -72,7 +72,7 @@ type Snapshot struct {
 func (c *Core) snapshot(rs *runState, seq uint64) (*Snapshot, error) {
 	// Release first, so the calendars export only what a continuation can
 	// still reach and a straight and a resumed run snapshot alike.
-	rs.releaseFUs()
+	c.release(rs)
 	s := &Snapshot{
 		Seq:        seq,
 		Res:        c.boundaryRes(rs),

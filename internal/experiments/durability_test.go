@@ -367,11 +367,13 @@ func TestRunERejectsDegenerateConfig(t *testing.T) {
 var _ = workloads.Ref{} // keep the import when build tags trim tests
 
 // TestCheckpointStateBounded pins the two properties the release floor of
-// the functional-unit calendars exists for. A checkpoint's size must not
-// grow with how long the run has been going: the calendars used to export
-// one epoch per simulated cycle since instruction zero (1.9 MB of ALU
-// bookings at 200k instructions, 7.8 MB at 800k); now they hold only the
-// epochs a continuation can still book, a window's worth. And forgetting
+// the functional-unit and DRAM calendars exists for. A checkpoint's size
+// must not grow with how long the run has been going: the FU calendars
+// used to export one epoch per simulated cycle since instruction zero
+// (1.9 MB of ALU bookings at 200k instructions, 7.8 MB at 800k), the DRAM
+// calendar every epoch it had booked (1 682 at 200k, 6 591 at 800k); now
+// they hold only the epochs a continuation can still book, a window's
+// worth. And forgetting
 // the past must not make a resumed run's state differ from a straight
 // run's: from the same boundary on, both checkpoint deep-equal snapshots.
 func TestCheckpointStateBounded(t *testing.T) {
@@ -399,16 +401,17 @@ func TestCheckpointStateBounded(t *testing.T) {
 	}
 
 	// A pipelined pool books at most a few hundred cycles past dispatch,
-	// so 2000 epochs across the five pools is generous; the parent commit
+	// and DRAM a few dozen epochs past it, so 2000 epochs across the
+	// five pools and DRAM is generous; before their floors the pools
 	// exported ~330 000 at the first checkpoint and ~1.3 M at the last.
 	const maxEpochs = 2000
 	for seq, s := range straight {
 		n := 0
-		for _, st := range []calendar.State{s.ALU, s.Mul, s.Div, s.LoadPorts, s.StorePorts} {
+		for _, st := range []calendar.State{s.ALU, s.Mul, s.Div, s.LoadPorts, s.StorePorts, s.Hier.DRAM} {
 			n += len(st.Epochs)
 		}
 		if n > maxEpochs {
-			t.Errorf("checkpoint at %d exports %d functional-unit epochs, want at most %d", seq, n, maxEpochs)
+			t.Errorf("checkpoint at %d exports %d functional-unit and DRAM epochs, want at most %d", seq, n, maxEpochs)
 		}
 		if !slices.IsSorted(s.IQ) || len(s.IQ) > cfg.IQSize {
 			t.Errorf("checkpoint at %d: issue queue %v is not an ascending list of at most %d cycles", seq, s.IQ, cfg.IQSize)

@@ -12,25 +12,10 @@ import (
 )
 
 // SampleOptions are the sampled-simulation knobs of a Job, as exposed to
-// callers (CLI flags). Zero values pick the ROI-scaled auto defaults — see
-// sampling.Options for the policy. The ROI itself is not an option: it
-// comes from the spec, exactly as in exact runs.
-type SampleOptions struct {
-	WindowInsts uint64
-	WarmupInsts uint64
-	MaxPhases   int
-	Replicates  int
-}
-
-func (o SampleOptions) options(roi uint64) sampling.Options {
-	return sampling.Options{
-		ROI:         roi,
-		WindowInsts: o.WindowInsts,
-		WarmupInsts: o.WarmupInsts,
-		MaxPhases:   o.MaxPhases,
-		Replicates:  o.Replicates,
-	}
-}
+// callers (CLI flags): sampling.Options under the name dvr/bench uses.
+// Zero values pick the ROI-scaled auto defaults. The ROI itself is not an
+// option: it comes from the spec, exactly as in exact runs.
+type SampleOptions = sampling.Options
 
 // newPlan builds spec's workload image and its sampling plan under cfg and
 // so: everything about a sampled projection that does not depend on the
@@ -38,21 +23,22 @@ func (o SampleOptions) options(roi uint64) sampling.Options {
 // cache states of cfg at every segment start). Building it — one
 // functional pass over the ROI and a warming walk over that pass's record
 // of the stream — is the bulk of one projection's cost, so RunAll builds
-// one plan per benchmark and replays it for every technique. A plan holds
-// one cache state per segment, tens of MB at full ROIs; the stream record
-// is gone once the plan is built. Jobs may replay one plan concurrently.
+// one plan per benchmark, config and options and replays it for every
+// technique. A plan holds one cache state per segment, tens of MB at full
+// ROIs; the stream record is gone once the plan is built. Jobs may replay
+// one plan concurrently.
 func newPlan(spec workloads.Spec, cfg cpu.Config, so SampleOptions) (*sampling.Plan, error) {
 	base, err := buildWorkload(spec)
 	if err != nil {
 		return nil, err
 	}
-	return sampling.NewPlan(base, cfg, so.options(roiOf(spec)))
+	return sampling.NewPlan(base, roiOf(spec), cfg, so)
 }
 
 // replay projects job j, of plan's benchmark, under its technique.
 func replay(ctx context.Context, plan *sampling.Plan, j *Job, build Build) (cpu.Result, error) {
 	hostStart := time.Now()
-	res, err := plan.Replay(ctx, j.Cfg, func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
+	res, err := plan.Replay(ctx, func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy) (cpu.Engine, error) {
 		return build(fe, w, h, j.Cfg), nil
 	})
 	if err != nil {

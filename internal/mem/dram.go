@@ -40,5 +40,9 @@ func (d *dramSched) schedule(t uint64) uint64 {
 	return start
 }
 
+// release promises that no later request arrives before cycle, and drops
+// the bookings of every epoch that ends at or before it.
+func (d *dramSched) release(cycle uint64) { d.cal.Release(cycle / d.epochCycles) }
+
 // scheduled returns the total number of line transfers booked so far.
 func (d *dramSched) scheduled() uint64 { return d.cal.Booked() }

@@ -104,6 +104,13 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	return h
 }
 
+// Release promises that no later access, prefetch or runahead access is
+// stamped below cycle, so the DRAM bandwidth calendar can forget the epochs
+// before it; a writeback is stamped at the latest cycle seen, later still.
+// A request that breaks the promise is a caller bug, which the calendar
+// panics on when it can tell.
+func (h *Hierarchy) Release(cycle uint64) { h.dram.release(cycle) }
+
 // Config returns the configuration the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
 

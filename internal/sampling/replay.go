@@ -19,41 +19,41 @@ type phaseResult struct {
 	deltas []cpu.Result
 }
 
-// Replay timing-simulates the plan's segments under one technique and
-// extrapolates the full-run Result. One hierarchy and one predictor live
-// for the whole pass and segments run in ascending window order. Nothing
-// is warmed per replay: what the caches and the predictor hold at a
-// segment start depends only on the committed stream, so the plan computed
-// it once (Plan.walk) and each segment restores it. A segment that
-// directly follows the previous timed one keeps the cache state it
-// carries instead. Cache and predictor state thus track the exact run
-// continuously from the ROI start — a replayed window never sees
-// artificial cold misses for the techniques to hide. Concurrent Replay
-// calls on one Plan are safe: each call owns its hierarchy and predictor,
-// forks the shared frozen boundary state copy-on-write and only reads the
-// plan's states.
-func (p *Plan) Replay(ctx context.Context, cfg cpu.Config, build BuildEngine) (cpu.Result, error) {
+// Replay timing-simulates the plan's segments under one technique, with
+// the config the plan was built for, and extrapolates the full-run Result.
+// One hierarchy and one predictor live for the whole pass and segments run
+// in ascending window order. Nothing is warmed per replay: what the caches
+// and the predictor hold at a segment start depends only on the committed
+// stream, so the plan computed it once (Plan.walk) and each segment
+// restores it. A segment that directly follows the previous timed one
+// keeps the cache state it carries instead. Cache and predictor state thus
+// track the exact run continuously from the ROI start — a replayed window
+// never sees artificial cold misses for the techniques to hide. Concurrent
+// Replay calls on one Plan are safe: each call owns its hierarchy and
+// predictor, and only reads the plan, forking its frozen memory views
+// copy-on-write.
+func (p *Plan) Replay(ctx context.Context, build BuildEngine) (cpu.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return cpu.Result{}, err
 	}
-	h := mem.NewHierarchy(cfg.Mem)
-	bp := bpred.New(cfg.Bpred)
-	states := p.states(cfg)
+	h := mem.NewHierarchy(p.cfg.Mem)
+	bp := bpred.New(p.cfg.Bpred)
 	results := make([]phaseResult, len(p.phases))
 	for i, ph := range p.phases {
 		results[i].insts = ph.insts
 	}
 	var simulated uint64
-	for k, s := range p.segs {
-		if st := states[k].caches; st != nil {
-			if err := h.ImportCaches(st); err != nil {
+	for k := range p.segs {
+		s := &p.segs[k]
+		if s.caches != nil {
+			if err := h.ImportCaches(s.caches); err != nil {
 				return cpu.Result{}, err
 			}
 		}
-		if err := bp.Restore(states[k].bp); err != nil {
+		if err := bp.Restore(s.bp); err != nil {
 			return cpu.Result{}, err
 		}
-		delta, ran, err := p.runSegment(ctx, cfg, build, h, bp, s)
+		delta, ran, err := p.runSegment(ctx, build, h, bp, s)
 		if err != nil {
 			return cpu.Result{}, err
 		}
@@ -61,7 +61,7 @@ func (p *Plan) Replay(ctx context.Context, cfg cpu.Config, build BuildEngine) (c
 		simulated += ran
 	}
 	eff := p.opts
-	eff.WarmupInsts = uint64(p.warmWins) * p.winLen
+	eff.WarmupInsts = uint64(p.warmWins) * p.opts.WindowInsts
 	return extrapolate(p.tot, p.wins, results, eff, simulated), nil
 }
 
@@ -78,11 +78,7 @@ func (p *Plan) Replay(ctx context.Context, cfg cpu.Config, build BuildEngine) (c
 // warmup's MSHR occupancy too and sampled MLP reads high (DESIGN.md,
 // "Sampled simulation"). DemandMissCycles is added at access time and
 // splits at the boundary like every other counter.
-func (p *Plan) runSegment(ctx context.Context, cfg cpu.Config, build BuildEngine, h *mem.Hierarchy, bp *bpred.Predictor, s segment) (cpu.Result, uint64, error) {
-	cp, ok := p.caps[s.start]
-	if !ok {
-		return cpu.Result{}, 0, fmt.Errorf("sampling: no boundary state at window %d", s.start)
-	}
+func (p *Plan) runSegment(ctx context.Context, build BuildEngine, h *mem.Hierarchy, bp *bpred.Predictor, s *segment) (cpu.Result, uint64, error) {
 	// Segment cycle clocks restart at zero; drop the previous segment's
 	// transient timing state and note the cumulative counters so the
 	// segment's own contribution can be isolated.
@@ -93,11 +89,11 @@ func (p *Plan) runSegment(ctx context.Context, cfg cpu.Config, build BuildEngine
 		BranchMispredict: bp.Mispredicts,
 	}
 	wk := *p.base
-	wk.Mem = cp.mem.Fork()
+	wk.Mem = s.mem.Fork()
 	fe := interp.New(wk.Prog, wk.Mem)
-	fe.St = cp.st
-	fe.Seq = cp.seq
-	core := cpu.NewCoreWith(cfg, fe, h, bp)
+	fe.St = s.st
+	fe.Seq = s.seq
+	core := cpu.NewCoreWith(p.cfg, fe, h, bp)
 	eng, err := build(fe, &wk, h)
 	if err != nil {
 		return cpu.Result{}, 0, err

@@ -21,12 +21,12 @@
 //     a copy-on-write view of memory, the store log applied to a fork of
 //     the ROI-start image) at every window boundary a replay will start
 //     from, and carries one cache hierarchy (mem.Hierarchy.Warm) and one
-//     branch predictor through the committed stream, keeping their state
-//     at each boundary: what the caches and the predictor hold there
-//     depends on the stream alone, never on the technique, so it is
-//     computed once per plan instead of per replay. The record is
-//     transient (0.7-3.3 bytes per instruction): NewPlan drops it once
-//     the walk is done.
+//     branch predictor of the plan's config through the committed stream,
+//     keeping their state at each boundary: what the caches and the
+//     predictor hold there depends on the stream alone, never on the
+//     technique, so it is computed once per plan instead of per replay.
+//     The record is transient (0.7-3.3 bytes per instruction): NewPlan
+//     drops it once the walk is done.
 //  4. Replay, per technique: for each phase, the window(s) nearest the
 //     centroid are timing-simulated. Caches and predictor are restored to
 //     the plan's state at the segment start, then a detailed-warmup
@@ -41,20 +41,19 @@
 //     half-width (internal/stats) from replicate spread and a
 //     cpu.SampledProvenance block ride along.
 //
-// A Plan is built once per workload and replayed once per technique (the
-// profile, clustering, boundary, cache and predictor states are
-// technique-independent); concurrent Replay calls on one Plan are safe.
-// Everything is deterministic: the same workload, config and options
-// produce a byte-identical canonical Result.
+// A Plan is built once per (workload, config, options) and replayed once
+// per technique: the profile, clustering, boundary, cache and predictor
+// states are technique-independent, but the cache and predictor states
+// belong to the config NewPlan was given, so a plan replays under that
+// config only. A Plan is read-only once built, so concurrent Replay calls
+// on one Plan are safe. Everything is deterministic: the same workload,
+// ROI, config and options produce a byte-identical canonical Result.
 package sampling
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"dvr/internal/bpred"
 	"dvr/internal/cpu"
@@ -73,8 +72,6 @@ type BuildEngine func(fe *interp.Interp, w *workloads.Workload, h *mem.Hierarchy
 // Options shape a sampled run. The zero value of every field picks an
 // auto default, scaled to the ROI.
 type Options struct {
-	// ROI is the timed instruction budget being projected. Required.
-	ROI uint64
 	// WindowInsts is the profile window length; 0 picks
 	// max(1000, ROI/64) capped at 5000. The final window is partial when
 	// the ROI is not a multiple (or the program halts early).
@@ -99,13 +96,13 @@ type Options struct {
 	Replicates int
 }
 
-func (o Options) withDefaults() Options {
+func (o Options) withDefaults(roi uint64) Options {
 	if o.WindowInsts == 0 {
 		// ROI/64 keeps short ROIs from collapsing into a handful of
 		// windows; the 5k cap keeps the timed-simulation cost (phases ×
 		// replicates × windows) constant as the ROI grows, which is where
 		// the wall-clock saving comes from.
-		w := o.ROI / 64
+		w := roi / 64
 		if w < 1_000 {
 			w = 1_000
 		}
@@ -161,17 +158,6 @@ type profTotals struct {
 	branches uint64
 }
 
-// boundary is the frozen architectural state at a window start: the
-// walker's register file plus the copy-on-write memory view it stopped
-// writing at that instant. Replays fork the view (reads share pages,
-// writes stay private), so one boundary serves any number of concurrent
-// replays.
-type boundary struct {
-	mem *interp.Memory
-	st  interp.State
-	seq uint64
-}
-
 // segment is one timed excursion of a replay: fork the frozen state at
 // window start, run windows [start, bwin] on the timing core (the prefix
 // [start, bwin-1] is detailed warmup, subtracted via stats boundary), and
@@ -179,60 +165,61 @@ type boundary struct {
 // window order and never overlap — when a representative window directly
 // follows the previous timed segment, the carried-over state replaces
 // detailed warmup.
+//
+// The rest is what the walk leaves at window start. The architectural
+// state is the walk's register file plus the copy-on-write memory view it
+// stopped writing at that instant: replays fork the view (reads share
+// pages, writes stay private), so one segment serves any number of
+// concurrent replays. The microarchitectural state is what the committed
+// stream leaves in the predictor and the caches; caches is nil for a
+// segment that directly follows the previous timed one (or starts the
+// ROI): a replay keeps running on the state it carries, which also holds
+// what its technique prefetched.
 type segment struct {
 	start int // first timed window
 	bwin  int // the measured (representative) window
 	phase int // index into phases, for delta attribution
+
+	mem *interp.Memory
+	st  interp.State
+	seq uint64
+
+	bp     bpred.Snapshot
+	caches *mem.CacheState
 }
 
-// Plan is a workload's sampled-simulation plan: windows, phases, the
-// replay schedule with its frozen boundary states, and the cache and
-// predictor states at each segment start. Build it once with NewPlan, then
-// Replay once per technique; a Plan is safe for concurrent Replay calls
-// (only the state memo changes after construction, under its lock).
+// Plan is a workload's sampled-simulation plan under one config: windows,
+// phases, and the replay schedule, each segment with its frozen boundary
+// state and the cache and predictor states of the config at its start.
+// Build it once with NewPlan, then Replay once per technique. A Plan is
+// never written after NewPlan returns, so it is safe for concurrent Replay
+// calls.
 type Plan struct {
+	cfg      cpu.Config
 	opts     Options
-	winLen   uint64
 	warmWins int // detailed warmup, whole windows
-	// base is the caller's image: recording passes fork it, and segments
-	// run its Prog/Sym/Skip over a fork of a boundary's memory.
+	// base is the caller's image: segments run its Prog/Sym/Skip over a
+	// fork of a boundary's memory.
 	base   *workloads.Workload
 	wins   []window
 	phases []phase
 	segs   []segment
 	tot    profTotals
-	caps   map[int]boundary
-
-	// warmed maps a (predictor, memory) config pair, printed, to the
-	// microarchitectural state at each segment start. NewPlan fills in the
-	// pair it was given; a Replay under any other computes it on first use
-	// with a recording pass and a walk of its own.
-	mu     sync.Mutex
-	warmed map[string][]segState
 }
 
-// segState is what the committed stream leaves in the predictor and the
-// caches at a segment start. caches is nil for a segment that directly
-// follows the previous timed one (or starts the ROI): a replay keeps
-// running on the state it carries, which also holds what its technique
-// prefetched.
-type segState struct {
-	bp     bpred.Snapshot
-	caches *mem.CacheState
-}
-
-// NewPlan profiles, clusters and prepares replay state for base under
-// opts, warming the branch predictor and the cache hierarchy of cfg along
-// the way. base is forked internally and never mutated; the plan keeps it
-// (a Replay under another predictor or memory config records its stream
-// again and walks that), so the caller must not write it either.
-func NewPlan(base *workloads.Workload, cfg cpu.Config, opts Options) (*Plan, error) {
-	if opts.ROI == 0 {
-		return nil, errors.New("sampling: Options.ROI is required")
+// NewPlan profiles, clusters and prepares replay state for the first roi
+// instructions of base (after its skip) under opts, warming the branch
+// predictor and the cache hierarchy of cfg along the way; the plan replays
+// under cfg. roi is required. base is forked internally and never
+// mutated; the plan keeps it for its program, so the caller must not write
+// it either.
+func NewPlan(base *workloads.Workload, roi uint64, cfg cpu.Config, opts Options) (*Plan, error) {
+	if roi == 0 {
+		return nil, errors.New("sampling: a sampled run needs a nonzero ROI")
 	}
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(roi)
 
-	wins, tot, rec := profile(base, opts.ROI, opts.WindowInsts)
+	wins, tot, rec := profile(base, roi, opts.WindowInsts)
 	if tot.insts == 0 {
 		return nil, fmt.Errorf("sampling: %s executed no instructions in the ROI", base.Name)
 	}
@@ -248,22 +235,18 @@ func NewPlan(base *workloads.Workload, cfg cpu.Config, opts Options) (*Plan, err
 	phases := buildPhases(wins, sigs, assign, opts.Replicates)
 
 	p := &Plan{
+		cfg:      cfg,
 		opts:     opts,
-		winLen:   opts.WindowInsts,
 		warmWins: ceilWins(opts.WarmupInsts, opts.WindowInsts),
 		base:     base,
 		wins:     wins,
 		phases:   phases,
 		tot:      tot,
-		caps:     make(map[int]boundary),
 	}
 	p.schedule()
-	p.warmed = map[string][]segState{warmKey(cfg): p.walk(cfg, rec, true)}
+	p.walk(rec)
 	return p, nil
 }
-
-// warmKey names the part of cfg the walk's result depends on.
-func warmKey(cfg cpu.Config) string { return fmt.Sprint(cfg.Bpred, cfg.Mem) }
 
 // schedule lays the phases' representative windows out as the ascending,
 // non-overlapping timed segments a replay executes. Each representative
@@ -289,33 +272,30 @@ func (p *Plan) schedule() {
 }
 
 // walk replays rec, the profile pass's record of the committed stream, over
-// the windows before the last segment. It carries a fresh predictor and a
-// fresh cache hierarchy of cfg through the stream and returns their state
-// at each segment start. The predictor sees what a replay's predictor used
-// to see: every branch of a window between segments (functional warming
-// takes them all), only the conditional ones of a timed window, statistics
-// included (what the core feeds it). The hierarchy sees every load and
-// store of every window as demand traffic (mem.Hierarchy.Warm): across a
-// gap, a replay's caches hold what the program touched, not the prefetches
-// one technique left behind in an earlier timed window. With capture set
-// (NewPlan's walk) it also applies the store log to a fork of the ROI-start
-// image and freezes that, with the recorded registers, at every segment
-// start. Nothing is executed: the predictor, the hierarchy and the memory
-// are independent, so each takes its own record a span of windows at a
-// time, in commit order.
+// the windows before the last segment, and fills in each segment's state
+// at its start. It carries a fresh predictor and a fresh cache hierarchy
+// of the plan's config through the stream. The predictor sees what a
+// replay's predictor used to see: every branch of a window between
+// segments (functional warming takes them all), only the conditional ones
+// of a timed window, statistics included (what the core feeds it). The
+// hierarchy sees every load and store of every window as demand traffic
+// (mem.Hierarchy.Warm): across a gap, a replay's caches hold what the
+// program touched, not the prefetches one technique left behind in an
+// earlier timed window. It also applies the store log to a fork of the
+// ROI-start image and freezes that, with the recorded registers, at every
+// segment start. Nothing is executed: the predictor, the hierarchy and the
+// memory are independent, so each takes its own record a span of windows
+// at a time, in commit order.
 //
 // The line record drops consecutive accesses to one line (sequential scans
 // touch each 64-byte line many times): dropping a duplicate preserves the
 // relative LRU order of distinct lines and the dirty bits Warm would set,
 // so victims and residency are identical. A store following a load to the
 // same line is still kept for its dirty bit.
-func (p *Plan) walk(cfg cpu.Config, rec *stream, capture bool) []segState {
-	bp := bpred.New(cfg.Bpred)
-	h := mem.NewHierarchy(cfg.Mem)
-	var m *interp.Memory
-	if capture {
-		m = rec.image.Fork()
-	}
+func (p *Plan) walk(rec *stream) {
+	bp := bpred.New(p.cfg.Bpred)
+	h := mem.NewHierarchy(p.cfg.Mem)
+	m := rec.image.Fork()
 	// advance feeds windows [from, to) of the record through.
 	advance := func(from, to int, timed bool) {
 		a, b := rec.marks[from], rec.marks[to]
@@ -333,56 +313,32 @@ func (p *Plan) walk(cfg cpu.Config, rec *stream, capture bool) []segState {
 				h.Warm(w>>1*mem.LineSize, w&1 != 0)
 			}
 		})
-		if capture {
-			rec.stores.each(a.stores, b.stores, func(ss []storeRec) {
-				for _, st := range ss {
-					m.Store64(st.addr, st.val)
-				}
-			})
-		}
+		rec.stores.each(a.stores, b.stores, func(ss []storeRec) {
+			for _, st := range ss {
+				m.Store64(st.addr, st.val)
+			}
+		})
 	}
-	states := make([]segState, 0, len(p.segs))
 	pos := 0 // first window after the previous timed segment
-	for _, s := range p.segs {
+	for k := range p.segs {
+		s := &p.segs[k]
 		advance(pos, s.start, false)
-		st := segState{bp: bp.Snapshot()}
+		s.bp = bp.Snapshot()
 		if s.start > pos {
-			st.caches = h.ExportCaches()
+			s.caches = h.ExportCaches()
 		}
-		states = append(states, st)
-		if capture {
-			// Freeze the walk's memory: hand the frozen view to the
-			// boundary and continue on a fresh fork of it, so nothing
-			// written after this instant is visible through the boundary.
-			frozen := m
-			m = frozen.Fork()
-			at := rec.marks[s.start]
-			p.caps[s.start] = boundary{mem: frozen, st: at.st, seq: at.seq}
-		}
-		if len(states) == len(p.segs) {
+		// Freeze the walk's memory: hand the frozen view to the segment
+		// and continue on a fresh fork of it, so nothing written after
+		// this instant is visible through the segment's view.
+		s.mem, m = m, m.Fork()
+		at := rec.marks[s.start]
+		s.st, s.seq = at.st, at.seq
+		if k == len(p.segs)-1 {
 			break
 		}
 		advance(s.start, s.bwin+1, true)
 		pos = s.bwin + 1
 	}
-	return states
-}
-
-// states returns the predictor and cache state at every segment start
-// under cfg. If no call has asked for its predictor and memory configs
-// before, it records the stream again, with the pass NewPlan ran, and walks
-// that record.
-func (p *Plan) states(cfg cpu.Config) []segState {
-	key := warmKey(cfg)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	states, ok := p.warmed[key]
-	if !ok {
-		_, _, rec := profile(p.base, p.opts.ROI, p.winLen)
-		states = p.walk(cfg, rec, false)
-		p.warmed[key] = states
-	}
-	return states
 }
 
 // profile runs the functional pass over a fork of base: fast-forward the
@@ -518,25 +474,6 @@ func normalizeSig(counts []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Run is the single-technique convenience: NewPlan + Replay. Callers
-// projecting several techniques over one workload should build the Plan
-// once and Replay per technique — the profile pass and the walk over its
-// record are technique-independent and dominate the cost of a single
-// projection.
-func Run(ctx context.Context, base *workloads.Workload, cfg cpu.Config, build BuildEngine, opts Options) (cpu.Result, error) {
-	hostStart := time.Now()
-	plan, err := NewPlan(base, cfg, opts)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	res, err := plan.Replay(ctx, cfg, build)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	res.HostNS = time.Since(hostStart).Nanoseconds()
-	return res, nil
 }
 
 // phase is one cluster: the windows that will be timing-simulated for it

@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -174,17 +173,24 @@ func TestNormalizeSigHalves(t *testing.T) {
 	}
 }
 
+// project builds the plan of base's first roi instructions under the
+// default config and replays it for the OoO baseline.
+func project(base *workloads.Workload, roi uint64, opts Options) (cpu.Result, error) {
+	p, err := NewPlan(base, roi, cpu.DefaultConfig(), opts)
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	return p.Replay(context.Background(), noEngine)
+}
+
 // Two sampled runs of the same workload/config/options must be
 // byte-identical after Canonical — the determinism contract callers
 // (cache keys, CI) rely on.
 func TestRunDeterministic(t *testing.T) {
 	sp := testSpec(t, 20_000)
-	cfg := cpu.DefaultConfig()
-	opts := Options{ROI: sp.ROI, WindowInsts: 2_000, Replicates: 2}
+	opts := Options{WindowInsts: 2_000, Replicates: 2}
 	run := func() []byte {
-		res, err := Run(context.Background(), sp.Build(), cfg, func(_ *interp.Interp, _ *workloads.Workload, _ *mem.Hierarchy) (cpu.Engine, error) {
-			return nil, nil
-		}, opts)
+		res, err := project(sp.Build(), sp.ROI, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,9 +221,7 @@ func TestRunProjectionNearExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Run(context.Background(), base, cfg, func(_ *interp.Interp, _ *workloads.Workload, _ *mem.Hierarchy) (cpu.Engine, error) {
-		return nil, nil
-	}, Options{ROI: sp.ROI})
+	res, err := project(base, sp.ROI, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +258,17 @@ func TestRunProjectionNearExact(t *testing.T) {
 
 func TestRunRequiresROI(t *testing.T) {
 	sp := testSpec(t, 10_000)
-	_, err := Run(context.Background(), sp.Build(), cpu.DefaultConfig(), func(_ *interp.Interp, _ *workloads.Workload, _ *mem.Hierarchy) (cpu.Engine, error) {
-		return nil, nil
-	}, Options{})
-	if err == nil {
-		t.Fatal("ROI-less options accepted")
+	if _, err := NewPlan(sp.Build(), 0, cpu.DefaultConfig(), Options{}); err == nil {
+		t.Fatal("a zero ROI accepted")
 	}
 }
 
 func noEngine(_ *interp.Interp, _ *workloads.Workload, _ *mem.Hierarchy) (cpu.Engine, error) {
 	return nil, nil
 }
+
+// planROI is the ROI of every plan the state tests build.
+const planROI = 60_000
 
 // twoKernels are the plans the state tests run on: a graph kernel and an
 // hpc-db kernel whose inner loops both take unconditional branches (the
@@ -275,12 +279,12 @@ func twoKernels(t *testing.T, cfg cpu.Config) map[string]*Plan {
 	t.Helper()
 	g := graphgen.Kronecker(12, 8, 7)
 	specs := []workloads.Spec{
-		{Name: "cc_t", Build: func() *workloads.Workload { return workloads.CC(g) }, ROI: 60_000},
-		{Name: "kangaroo", Build: workloads.Kangaroo, ROI: 60_000},
+		{Name: "cc_t", Build: func() *workloads.Workload { return workloads.CC(g) }, ROI: planROI},
+		{Name: "kangaroo", Build: workloads.Kangaroo, ROI: planROI},
 	}
 	plans := make(map[string]*Plan)
 	for _, sp := range specs {
-		p, err := NewPlan(sp.Build(), cfg, Options{ROI: sp.ROI, WindowInsts: 2_000, Replicates: 2})
+		p, err := NewPlan(sp.Build(), sp.ROI, cfg, Options{WindowInsts: 2_000, Replicates: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,15 +303,12 @@ func twoKernels(t *testing.T, cfg cpu.Config) map[string]*Plan {
 func TestPlanPredictorStatesMatchPerReplayWarm(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	for name, p := range twoKernels(t, cfg) {
-		states := p.states(cfg)
-		if len(states) != len(p.segs) {
-			t.Fatalf("%s: %d states for %d segments", name, len(states), len(p.segs))
-		}
 		it := p.base.Fork().Frontend()
 		ref := bpred.New(cfg.Bpred)
 		h := mem.NewHierarchy(cfg.Mem)
 		pos := 0
-		for k, s := range p.segs {
+		for k := range p.segs {
+			s := &p.segs[k]
 			for j := pos; j < s.start; j++ {
 				it.RunWith(p.wins[j].insts, func(di interp.DynInst) {
 					if di.Inst.Op.IsBranch() {
@@ -315,11 +316,11 @@ func TestPlanPredictorStatesMatchPerReplayWarm(t *testing.T) {
 					}
 				})
 			}
-			if got, want := states[k].bp, ref.Snapshot(); !reflect.DeepEqual(got, want) {
+			if got, want := s.bp, ref.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: segment %d (window %d): restored predictor state differs from the per-replay one (ghist %x vs %x, lookups %d vs %d)",
 					name, k, s.start, got.GHist, want.GHist, got.Lookups, want.Lookups)
 			}
-			if _, _, err := p.runSegment(context.Background(), cfg, noEngine, h, ref, s); err != nil {
+			if _, _, err := p.runSegment(context.Background(), noEngine, h, ref, s); err != nil {
 				t.Fatal(err)
 			}
 			for j := s.start; j <= s.bwin; j++ {
@@ -368,22 +369,14 @@ func recencyOrder(t *testing.T, ways []byte) [][wayRecBytes - 8]byte {
 // same recency order (its clock ticks once per Warm, so only the absolute
 // values may differ). A segment that directly follows the previous timed
 // one has no state of its own, and those states are all the plan keeps of
-// the memory stream: one memo entry, at most one state per segment, no
-// recorded events (the stream record NewPlan walks is not reachable from
-// a Plan).
+// the memory stream: at most one state per segment, no recorded events
+// (the stream record NewPlan walks is not reachable from a Plan).
 func TestPlanCacheStatesMatchFunctionalWarm(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	if reaches(reflect.TypeOf(Plan{}), reflect.TypeOf(stream{}), map[reflect.Type]bool{}) {
 		t.Error("a Plan can keep a stream record")
 	}
 	for name, p := range twoKernels(t, cfg) {
-		if len(p.warmed) != 1 {
-			t.Errorf("%s: %d warmed configs after NewPlan, want 1", name, len(p.warmed))
-		}
-		states := p.states(cfg)
-		if len(states) != len(p.segs) {
-			t.Fatalf("%s: %d states for %d segments", name, len(states), len(p.segs))
-		}
 		it := p.base.Fork().Frontend()
 		ref := mem.NewHierarchy(cfg.Mem)
 		next, pos, gaps := 0, 0, 0
@@ -398,17 +391,17 @@ func TestPlanCacheStatesMatchFunctionalWarm(t *testing.T) {
 			adjacent := s.start == pos
 			pos = s.bwin + 1
 			if adjacent {
-				if states[k].caches != nil {
+				if s.caches != nil {
 					t.Errorf("%s: segment %d (window %d) directly follows timed window %d but has a cache state", name, k, s.start, s.start-1)
 				}
 				continue
 			}
 			gaps++
-			if states[k].caches == nil {
+			if s.caches == nil {
 				t.Fatalf("%s: segment %d (window %d) follows a gap but has no cache state", name, k, s.start)
 			}
 			got := mem.NewHierarchy(cfg.Mem)
-			if err := got.ImportCaches(states[k].caches); err != nil {
+			if err := got.ImportCaches(s.caches); err != nil {
 				t.Fatal(err)
 			}
 			g, w := got.Snapshot(), ref.Snapshot()
@@ -463,7 +456,7 @@ func reaches(t, want reflect.Type, seen map[reflect.Type]bool) bool {
 func TestPlanBoundariesMatchFunctionalRun(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	plans := twoKernels(t, cfg)
-	p, err := NewPlan(workloads.NASIS(), cfg, Options{ROI: 60_000, WindowInsts: 2_000, Replicates: 2})
+	p, err := NewPlan(workloads.NASIS(), planROI, cfg, Options{WindowInsts: 2_000, Replicates: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +467,7 @@ func TestPlanBoundariesMatchFunctionalRun(t *testing.T) {
 		var stored []uint64
 		wk := p.base.Fork()
 		all := interp.New(wk.Prog, wk.Mem)
-		all.RunWith(wk.Skip+p.opts.ROI, func(di interp.DynInst) {
+		all.RunWith(wk.Skip+planROI, func(di interp.DynInst) {
 			if di.Inst.Op.IsStore() {
 				stored = append(stored, di.Addr)
 			}
@@ -483,27 +476,18 @@ func TestPlanBoundariesMatchFunctionalRun(t *testing.T) {
 			storing++
 		}
 
-		starts := make([]int, 0, len(p.caps))
-		for w := range p.caps {
-			starts = append(starts, w)
-		}
-		sort.Ints(starts)
-		if len(starts) != len(p.segs) {
-			t.Errorf("%s: %d boundaries for %d segments", name, len(starts), len(p.segs))
-		}
 		ref := p.base.Fork().Frontend()
 		next := 0
-		for _, w := range starts {
-			for ; next < w; next++ {
+		for _, s := range p.segs {
+			for ; next < s.start; next++ {
 				ref.Run(p.wins[next].insts)
 			}
-			b := p.caps[w]
-			if b.st != ref.St || b.seq != ref.Seq {
-				t.Errorf("%s: window %d: boundary registers/PC/seq %v/%d, functional run %v/%d", name, w, b.st, b.seq, ref.St, ref.Seq)
+			if s.st != ref.St || s.seq != ref.Seq {
+				t.Errorf("%s: window %d: boundary registers/PC/seq %v/%d, functional run %v/%d", name, s.start, s.st, s.seq, ref.St, ref.Seq)
 			}
 			for _, a := range stored {
-				if got, want := b.mem.Load64(a), ref.Mem.Load64(a); got != want {
-					t.Fatalf("%s: window %d: boundary memory holds %#x at %#x, functional run %#x", name, w, got, a, want)
+				if got, want := s.mem.Load64(a), ref.Mem.Load64(a); got != want {
+					t.Fatalf("%s: window %d: boundary memory holds %#x at %#x, functional run %#x", name, s.start, got, a, want)
 				}
 			}
 		}
@@ -551,7 +535,7 @@ func TestSampledResultConserves(t *testing.T) {
 	for name, p := range twoKernels(t, cfg) {
 		var insts, loads, stores, branches uint64
 		it := p.base.Fork().Frontend()
-		it.RunWith(p.opts.ROI, func(di interp.DynInst) {
+		it.RunWith(planROI, func(di interp.DynInst) {
 			insts++
 			switch op := di.Inst.Op; {
 			case op.IsLoad():
@@ -562,7 +546,7 @@ func TestSampledResultConserves(t *testing.T) {
 				branches++
 			}
 		})
-		res, err := p.Replay(context.Background(), cfg, noEngine)
+		res, err := p.Replay(context.Background(), noEngine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,66 +574,6 @@ func TestSampledResultConserves(t *testing.T) {
 	}
 }
 
-// A plan warmed for one predictor or memory config must replay correctly
-// under another (it walks the stream for the second one on first use,
-// once), also when replays under both configs run at the same time.
-func testReplayUnderSecondConfig(t *testing.T, second cpu.Config) {
-	cfg := cpu.DefaultConfig()
-	sp := testSpec(t, 60_000)
-	base := sp.Build()
-	opts := Options{ROI: sp.ROI, WindowInsts: 2_000}
-	canon := func(p *Plan, c cpu.Config) string {
-		res, err := p.Replay(context.Background(), c, noEngine)
-		if err != nil {
-			t.Error(err)
-		}
-		b, _ := json.Marshal(res.Canonical())
-		return string(b)
-	}
-	fresh := func(c cpu.Config) *Plan {
-		p, err := NewPlan(base, c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	cfgs := []cpu.Config{cfg, second}
-	want := []string{canon(fresh(cfg), cfg), canon(fresh(second), second)}
-	if want[0] == want[1] {
-		t.Fatal("the two configs project the same result; the test would prove nothing")
-	}
-	plan := fresh(cfg)
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := canon(plan, cfgs[i%2]); got != want[i%2] {
-				t.Errorf("replay %d differs from a plan built for its config:\n%s\n%s", i, got, want[i%2])
-			}
-		}()
-	}
-	wg.Wait()
-	if len(plan.warmed) != 2 {
-		t.Errorf("%d warmed configs after replays under two, want 2", len(plan.warmed))
-	}
-}
-
-func TestReplayUnderSecondPredictorConfig(t *testing.T) {
-	small := cpu.DefaultConfig()
-	small.Bpred.TableBits = 7
-	small.Bpred.HistLengths = []int{4, 16, 64}
-	testReplayUnderSecondConfig(t, small)
-}
-
-// The smaller L3 keeps its associativity, so a cache state of the default
-// geometry would not even import into it.
-func TestReplayUnderSecondMemConfig(t *testing.T) {
-	small := cpu.DefaultConfig()
-	small.Mem.L3.SizeBytes = 128 << 10
-	testReplayUnderSecondConfig(t, small)
-}
-
 // BenchmarkNewPlan builds the plan of one quick GAP kernel (bfs on the
 // scale-13 Kronecker graph of the quick suite) at a 2 M-instruction ROI,
 // the shape of one row of a sampled matrix, and reports the bytes per
@@ -659,15 +583,15 @@ func BenchmarkNewPlan(b *testing.B) {
 	in := graphgen.Params{Gen: graphgen.GenKronecker, Scale: 13, EdgeFactor: 8, Seed: 7, Name: "KR-S"}.Input()
 	base := workloads.GAPSpecs(in)[1].Build()
 	cfg := cpu.DefaultConfig()
-	opts := Options{ROI: 2_000_000}
+	const roi = 2_000_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewPlan(base, cfg, opts); err != nil {
+		if _, err := NewPlan(base, roi, cfg, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	_, tot, rec := profile(base, opts.ROI, opts.withDefaults().WindowInsts)
+	_, tot, rec := profile(base, roi, Options{}.withDefaults(roi).WindowInsts)
 	b.ReportMetric(float64(recordBytes(rec))/float64(tot.insts), "record-B/inst")
 }
 

@@ -1,12 +1,11 @@
 // Package stats provides the small numeric helpers the evaluation harness
-// uses: harmonic and geometric means, normalization, and fixed-width table
-// rendering for the paper-style result rows.
+// uses: harmonic and arithmetic means, confidence intervals, and
+// fixed-width table rendering for the paper-style result rows.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -31,22 +30,6 @@ func HarmonicMean(xs []float64) float64 {
 		return 0
 	}
 	return float64(n) / sum
-}
-
-// GeoMean returns the geometric mean of the positive entries of xs.
-func GeoMean(xs []float64) float64 {
-	var sum float64
-	var n int
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -108,12 +91,6 @@ func CI95(xs []float64) float64 {
 		return 0
 	}
 	return TCrit95(n-1) * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// MeanCI95 returns the mean of xs together with its 95% confidence
-// half-width (see CI95).
-func MeanCI95(xs []float64) (mean, half float64) {
-	return Mean(xs), CI95(xs)
 }
 
 // Max returns the maximum of xs (0 for empty input).
@@ -194,15 +171,4 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m in sorted order; a convenience for
-// deterministic iteration in reports.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -27,7 +27,7 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
-// TestMeanInequality: HM <= GM <= AM for positive inputs.
+// TestMeanInequality: HM <= AM for positive inputs.
 func TestMeanInequality(t *testing.T) {
 	f := func(raw []float64) bool {
 		var xs []float64
@@ -39,21 +39,12 @@ func TestMeanInequality(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		hm, gm, am := HarmonicMean(xs), GeoMean(xs), Mean(xs)
+		hm, am := HarmonicMean(xs), Mean(xs)
 		const eps = 1e-9
-		return hm <= gm*(1+eps) && gm <= am*(1+eps)
+		return hm <= am*(1+eps)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("GM(2,8) = %f", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GM(nil) = %f", got)
 	}
 }
 
@@ -137,10 +128,6 @@ func TestCI95(t *testing.T) {
 	if large >= small {
 		t.Errorf("CI95 did not tighten with more samples: n=4 %g vs n=12 %g", small, large)
 	}
-	mean, half := MeanCI95([]float64{1, 3})
-	if mean != 2 || half != CI95([]float64{1, 3}) {
-		t.Errorf("MeanCI95 = (%g, %g)", mean, half)
-	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -156,14 +143,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, rule, two rows
 		t.Errorf("table has %d lines, want 5:\n%s", len(lines), out)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
 	}
 }
 
