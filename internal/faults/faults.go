@@ -22,16 +22,16 @@ import (
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
+	// WriteTemp writes data to a new uniquely-named file in dir (pattern
+	// as in os.CreateTemp, mode 0600) through one open handle and returns
+	// its path; the caller publishes it with Rename. A failed write leaves
+	// no file behind.
+	WriteTemp(dir, pattern string, data []byte) (string, error)
 	// AppendFile appends data to name, creating it if absent — the
-	// journal-append primitive of the frontend ledger. Unlike WriteFile the
-	// write is not atomic: a crash mid-append leaves a torn tail, which is
-	// exactly the failure the ledger's per-record seals are built to detect.
+	// journal-append primitive of the frontend ledger. The write is not
+	// atomic: a crash mid-append leaves a torn tail, which is exactly the
+	// failure the ledger's per-record seals are built to detect.
 	AppendFile(name string, data []byte, perm os.FileMode) error
-	// CreateTemp creates a uniquely-named file in dir (pattern as in
-	// os.CreateTemp) and returns its path; the caller writes it with
-	// WriteFile and publishes it with Rename.
-	CreateTemp(dir, pattern string) (string, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadDir(name string) ([]fs.DirEntry, error)
@@ -44,8 +44,20 @@ type osFS struct{}
 
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
+func (osFS) WriteTemp(dir, pattern string, data []byte) (string, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 func (osFS) AppendFile(name string, data []byte, perm os.FileMode) error {
 	f, err := os.OpenFile(name, os.O_APPEND|os.O_CREATE|os.O_WRONLY, perm)
@@ -57,17 +69,6 @@ func (osFS) AppendFile(name string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return f.Close()
-}
-func (osFS) CreateTemp(dir, pattern string) (string, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return "", err
-	}
-	name := f.Name()
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	return name, nil
 }
 func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }

@@ -155,7 +155,8 @@ func TestStallDelaysThenReleases(t *testing.T) {
 
 // TestFaultyFSReplaysBySeed: two FaultyFS over the same inner filesystem
 // schedule and the same seed fail and corrupt the same writes, byte for
-// byte — what lets a chaos run be re-investigated.
+// byte — what lets a chaos run be re-investigated. A failed write leaves
+// no file, and a landed one is private to its owner (mode 0600).
 func TestFaultyFSReplaysBySeed(t *testing.T) {
 	run := func() (failed []int, files map[string]string) {
 		dir := t.TempDir()
@@ -163,11 +164,16 @@ func TestFaultyFSReplaysBySeed(t *testing.T) {
 		fsys.FailWriteEvery = 3
 		fsys.CorruptWriteEvery = 2
 		for i := 1; i <= 12; i++ {
-			if err := fsys.WriteFile(filepath.Join(dir, fmt.Sprint(i)), []byte("payload-payload"), 0o644); err != nil {
-				if !errors.Is(err, ErrInjected) {
-					t.Fatal(err)
+			name, err := fsys.WriteTemp(dir, fmt.Sprint(i)+".*.tmp", []byte("payload-payload"))
+			if err != nil {
+				if !errors.Is(err, ErrInjected) || name != "" {
+					t.Fatal(name, err)
 				}
 				failed = append(failed, i)
+				continue
+			}
+			if fi, err := os.Stat(name); err != nil || fi.Mode().Perm() != 0o600 {
+				t.Fatalf("write %d landed as %v, %v; want mode 0600", i, fi, err)
 			}
 		}
 		wf, wc, _ := fsys.Counters()
@@ -184,7 +190,11 @@ func TestFaultyFSReplaysBySeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			files[e.Name()] = string(data)
+			i, _, _ := strings.Cut(e.Name(), ".")
+			files[i] = string(data)
+		}
+		if len(files)+len(failed) != 12 {
+			t.Fatalf("%d files for %d landed writes", len(files), 12-len(failed))
 		}
 		return failed, files
 	}

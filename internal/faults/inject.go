@@ -72,7 +72,9 @@ func (f *FaultyFS) ReadFile(name string) ([]byte, error) {
 	return f.Inner.ReadFile(name)
 }
 
-func (f *FaultyFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+// WriteTemp counts one write per call: a failed one creates no file, a
+// corrupted one lands with one byte flipped.
+func (f *FaultyFS) WriteTemp(dir, pattern string, data []byte) (string, error) {
 	f.mu.Lock()
 	f.writes++
 	fail := f.FailWriteEvery > 0 && f.writes%f.FailWriteEvery == 0
@@ -91,13 +93,13 @@ func (f *FaultyFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	}
 	f.mu.Unlock()
 	if fail {
-		return ErrInjected
+		return "", ErrInjected
 	}
-	return f.Inner.WriteFile(name, data, perm)
+	return f.Inner.WriteTemp(dir, pattern, data)
 }
 
 // AppendFile counts as a write under the same fail/corrupt schedule as
-// WriteFile: a failed append drops the record, a corrupted one lands torn —
+// WriteTemp: a failed append drops the record, a corrupted one lands torn —
 // both shapes the ledger's per-record seals must absorb.
 func (f *FaultyFS) AppendFile(name string, data []byte, perm os.FileMode) error {
 	f.mu.Lock()
@@ -110,7 +112,7 @@ func (f *FaultyFS) AppendFile(name string, data []byte, perm os.FileMode) error 
 	if corrupt && len(data) > 0 {
 		f.writesCorrupted++
 		// Truncate the record mid-way: the torn-append shape, distinct from
-		// WriteFile's bit flip, because appends really do die half-written.
+		// WriteTemp's bit flip, because appends really do die half-written.
 		data = data[:f.rng.IntN(len(data))]
 	}
 	f.mu.Unlock()
@@ -118,10 +120,6 @@ func (f *FaultyFS) AppendFile(name string, data []byte, perm os.FileMode) error 
 		return ErrInjected
 	}
 	return f.Inner.AppendFile(name, data, perm)
-}
-
-func (f *FaultyFS) CreateTemp(dir, pattern string) (string, error) {
-	return f.Inner.CreateTemp(dir, pattern)
 }
 
 func (f *FaultyFS) Rename(oldpath, newpath string) error { return f.Inner.Rename(oldpath, newpath) }

@@ -58,14 +58,11 @@ func (s *Store) Quarantined() uint64 { return s.quarantined.Load() }
 // ever being visible under the final name, and a failed one leaves no
 // tmp file either.
 func (s *Store) Put(key string, data []byte) error {
-	tmp, err := s.fs.CreateTemp(s.dir, key+".*.tmp")
+	tmp, err := s.fs.WriteTemp(s.dir, key+".*.tmp", data)
 	if err != nil {
 		return err
 	}
-	if err = s.fs.WriteFile(tmp, data, 0o644); err == nil {
-		err = s.fs.Rename(tmp, s.Path(key))
-	}
-	if err != nil {
+	if err = s.fs.Rename(tmp, s.Path(key)); err != nil {
 		_ = s.fs.Remove(tmp)
 	}
 	return err

@@ -35,19 +35,19 @@ func codec(data []byte) error {
 	return nil
 }
 
-// hookFS adds the failures FaultyFS cannot script: CreateTemp, and Rename
-// by destination.
+// hookFS adds the failures FaultyFS cannot script: WriteTemp failing to
+// create its file, and Rename by destination.
 type hookFS struct {
 	faults.FS
 	failCreateTemp bool
 	failRenameTo   string // substring of the destination path
 }
 
-func (h *hookFS) CreateTemp(dir, pattern string) (string, error) {
+func (h *hookFS) WriteTemp(dir, pattern string, data []byte) (string, error) {
 	if h.failCreateTemp {
 		return "", faults.ErrInjected
 	}
-	return h.FS.CreateTemp(dir, pattern)
+	return h.FS.WriteTemp(dir, pattern, data)
 }
 
 func (h *hookFS) Rename(oldpath, newpath string) error {
@@ -204,8 +204,9 @@ func TestScanLeavesUnreadableFiles(t *testing.T) {
 	}
 }
 
-// TestPutIsAtomic: whichever step of the publish fails, neither a tmp
-// file nor a partial final file is left, and a previous version survives.
+// TestPutIsAtomic: whichever step of the publish fails — creating the tmp
+// file, writing it, renaming it — neither a tmp file nor a partial final
+// file is left, and a previous version survives.
 func TestPutIsAtomic(t *testing.T) {
 	failWrite := faults.NewFaultyFS(nil, 1)
 	failWrite.FailWriteEvery = 1

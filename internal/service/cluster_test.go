@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,6 +360,161 @@ func TestClusterStreamPassthrough(t *testing.T) {
 	var terr api.Error
 	if err := json.Unmarshal(tbody, &terr); err != nil || terr.Code != api.CodeNotFound {
 		t.Errorf("frontend trace error not typed: %s (%v)", tbody, err)
+	}
+}
+
+// TestClusterStreamCellDoneWhenCellEnds: a fleet cell is announced done
+// when its worker finishes it, not when the worker's whole sub-batch
+// does. Both cells of a two-cell job land on the one worker, and the
+// second cannot start simulating until the test has read the first
+// cell's cell-done from the frontend stream and seen the job report
+// done:1.
+func TestClusterStreamCellDoneWhenCellEnds(t *testing.T) {
+	first, second := loopRef(20_000), loopRef(30_000)
+	held := keyFor(t, second, "ooo")
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	c := newTestCluster(t, 1, Config{Workers: 2, Common: Common{Faults: &faults.Injector{BeforeSim: func(key string) {
+		if key == held {
+			<-gate
+		}
+	}}}}, nil)
+	jobID := startAsyncBatch(t, c.feTS.URL, api.BatchRequest{
+		Workloads:  []workloads.Ref{first, second},
+		Techniques: []string{"ooo"},
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st := client.New(c.feTS.URL, client.WithRetryPolicy(*fastRetry())).Stream(ctx, jobID,
+		api.StreamOptions{Kinds: []string{api.EventCellDone, api.EventJobDone}})
+	defer st.Close()
+	ev, err := st.Next()
+	if err != nil {
+		t.Fatalf("no cell-done while the second cell is held: %v", err)
+	}
+	if ev.Kind != api.EventCellDone || ev.Cell != 0 || ev.Done != 1 || ev.Total != 2 {
+		t.Fatalf("first event = %s cell %d %d/%d, want cell-done cell 0 1/2", ev.Kind, ev.Cell, ev.Done, ev.Total)
+	}
+	resp, body := getBody(t, c.feTS.URL+"/v1/jobs/"+jobID)
+	var js api.JobStatus
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &js) != nil {
+		t.Fatalf("job status: %s: %s", resp.Status, body)
+	}
+	if js.State != api.JobRunning || js.Done != 1 {
+		t.Errorf("job status while the second cell is held = %s done:%d, want running done:1", js.State, js.Done)
+	}
+
+	release()
+	var rest []string
+	for {
+		ev, err := st.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest = append(rest, fmt.Sprintf("%s:%d:%d/%d", ev.Kind, ev.Cell, ev.Done, ev.Total))
+	}
+	if want := "[cell-done:1:2/2 job-done:-1:2/2]"; fmt.Sprint(rest) != want {
+		t.Errorf("events after the release = %v, want %s", rest, want)
+	}
+}
+
+// TestClusterStreamFailoverAfterCellDone: the worker holding a two-cell
+// group dies after its first cell's cell-done reached the frontend, and
+// the survivor takes the whole group over. Every cell still gets exactly
+// one cell-done, Done counts 1..Total, nothing is relayed for a cell
+// after its cell-done, and the final batch matches a single-node run byte
+// for byte. The announcement keeps the first attempt's cached:false; the
+// final result says cached, because the survivor answered the cell from
+// the dead worker's spill.
+func TestClusterStreamFailoverAfterCellDone(t *testing.T) {
+	var held atomic.Value // the key whose simulation waits for the gate
+	held.Store("")
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	c := newTestCluster(t, 2, Config{CacheDir: t.TempDir(), CheckpointEvery: 5_000, TraceIntervalEvery: 5_000, Workers: 2,
+		Common: Common{Faults: &faults.Injector{BeforeSim: func(key string) {
+			if key == held.Load() {
+				<-gate
+			}
+		}}}}, nil)
+
+	// Cells 0 and 1 are owned by worker 0 (the victim), cell 2 by worker 1.
+	byOwner := map[int][]workloads.Ref{}
+	for roi := uint64(20_000); len(byOwner[0]) < 2 || len(byOwner[1]) < 1; roi += 1_000 {
+		ref := loopRef(roi)
+		owner := c.ownerOf(t, keyFor(t, ref, "ooo"))
+		byOwner[owner] = append(byOwner[owner], ref)
+	}
+	const victim, announced, heldCell = 0, 0, 1
+	refs := []workloads.Ref{byOwner[0][0], byOwner[0][1], byOwner[1][0]}
+	held.Store(keyFor(t, refs[heldCell], "ooo"))
+	req := api.BatchRequest{Workloads: refs, Techniques: []string{"ooo"}}
+	want := runBaseline(t, req)
+
+	jobID := startAsyncBatch(t, c.feTS.URL, req)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st := client.New(c.feTS.URL, client.WithRetryPolicy(*fastRetry())).Stream(ctx, jobID, api.StreamOptions{})
+	defer st.Close()
+	var (
+		dones    []int
+		finished = map[int]api.Event{}
+	)
+	for {
+		ev, err := st.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Cell < 0 {
+			continue
+		}
+		if prev, ok := finished[ev.Cell]; ok {
+			t.Errorf("cell %d: %s event after its cell-done (cached:%v)", ev.Cell, ev.Kind, prev.Cached)
+		}
+		if ev.Kind != api.EventCellDone {
+			continue
+		}
+		finished[ev.Cell] = ev
+		dones = append(dones, ev.Done)
+		if ev.Cell == announced {
+			c.kill(t, victim)
+			release()
+		}
+	}
+	if fmt.Sprint(dones) != "[1 2 3]" || len(finished) != 3 {
+		t.Errorf("cell-done progress = %v over cells %v, want [1 2 3], one per cell", dones, finished)
+	}
+	if _, ok := finished[heldCell]; !ok {
+		t.Errorf("held cell %d never announced", heldCell)
+	}
+	if finished[announced].Cached {
+		t.Errorf("cell %d announced cached, want the first attempt's cached:false", announced)
+	}
+
+	js := waitJobDone(t, c.feTS.URL, jobID)
+	if js.State != api.JobDone || js.Batch == nil || js.Done != 3 {
+		t.Fatalf("job ended %s done:%d: %s", js.State, js.Done, js.Error)
+	}
+	if !js.Batch.Cells[announced].Cached {
+		t.Errorf("cell %d's final result is not cached; the survivor should have answered it from the spill", announced)
+	}
+	got := canonical(t, js.Batch.Cells)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("cell %d differs from single-node run:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	if m := c.fe.Metrics(); m.Failovers == 0 {
+		t.Error("no failovers recorded despite a dead worker")
 	}
 }
 

@@ -454,10 +454,15 @@ func (f *Frontend) recordHedge(key, winner, loser string) {
 // and groups whose replica fails are re-grouped onto the next candidate
 // until every cell completes or runs out of replicas. With j non-nil the
 // groups run as async worker jobs whose event streams are republished
-// (remapped to frontend cell indices) into j's broadcaster. Each cell
-// routes by its resolved content address, computed exactly as the worker
-// computes it, which is what keeps routing aligned with the workers'
-// caches. Routed cells have no stored encodings: bodies is nil.
+// (remapped to frontend cell indices) into j's broadcaster, and each cell
+// is announced done once, by whichever comes first: its replica's own
+// cell-done on the stream, its group's end, or its running out of
+// replicas (cellAnnouncer). A cell is final only when its group's results
+// are fetched, so a re-routed group still re-fetches cells already
+// announced. Each cell routes by its resolved content address, computed
+// exactly as the worker computes it, which is what keeps routing aligned
+// with the workers' caches. Routed cells have no stored encodings: bodies
+// is nil.
 func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolved []cell, _ simConfig, j *job) (*api.BatchResponse, [][]byte, error) {
 	list := req.CellList()
 	ctx, cancel := context.WithCancel(ctx)
@@ -466,6 +471,7 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 		cells = make([]api.SimResponse, len(list))
 		done  = make([]bool, len(list))
 		tried = make([]map[string]bool, len(list))
+		ann   = newCellAnnouncer(j, list)
 
 		mu       sync.Mutex
 		firstErr error
@@ -496,7 +502,7 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 				cells[i] = api.SimResponse{Key: resolved[i].key,
 					Error: &api.Error{Code: api.CodeShuttingDown, Error: errNoReplica.Error() + " for " + resolved[i].key}}
 				done[i] = true
-				jobCell(j, i, list[i]).done(cells[i])
+				ann.announce(i, cells[i])
 				continue
 			}
 			groups[next] = append(groups[next], i)
@@ -515,7 +521,7 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 				defer wg.Done()
 				tid := obs.FromContext(ctx).TraceID()
 				attempt := time.Now()
-				results, err := f.runGroup(ctx, rep, idxs, list, req, j)
+				results, err := f.runGroup(ctx, rep, idxs, list, req, ann)
 				elapsed := time.Since(attempt)
 				if err != nil {
 					if ctx.Err() != nil {
@@ -544,7 +550,7 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 				for n, i := range idxs {
 					cells[i] = results[n]
 					done[i] = true
-					jobCell(j, i, list[i]).done(results[n])
+					ann.announce(i, results[n])
 				}
 			}()
 		}
@@ -559,26 +565,72 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 	return tally(cells), nil, nil
 }
 
-// jobCell is cell idx's streaming identity on the frontend job j, nil
-// without a job. The frontend, not the worker, publishes a cell's
-// cell-done, once the cell is final: a re-routed group's first attempt
-// must not count.
-func jobCell(j *job, idx int, c api.CellRequest) *cellPub {
+// cellAnnouncer publishes a streamed frontend job's per-cell events and
+// announces each cell's cell-done exactly once, from whichever path gets
+// there first. The announced cell-done keeps that attempt's cached and
+// error flags; a failover successor that later answers the cell (from the
+// shared spill, cached) changes the cell's final result, not its
+// announcement. Every event relayed for a cell after its announcement is
+// dropped, so cell-done stays the cell's last event. A nil announcer
+// (synchronous batches) publishes nothing.
+type cellAnnouncer struct {
+	j    *job
+	list []api.CellRequest
+
+	mu   sync.Mutex // orders each cell's relayed events against its announcement
+	told []bool
+}
+
+func newCellAnnouncer(j *job, list []api.CellRequest) *cellAnnouncer {
 	if j == nil {
 		return nil
 	}
-	return &cellPub{j: j, cell: idx, bench: c.Workload.Kernel, tech: c.Technique}
+	return &cellAnnouncer{j: j, list: list, told: make([]bool, len(list))}
 }
 
-// runGroup runs one replica's share of a batch. Synchronous batches (j ==
-// nil) use one blocking sub-batch call. Streamed jobs submit an async
-// sub-batch, subscribe to its event stream, republish each event into the
-// frontend job's broadcaster with the cell index remapped from sub-batch
-// to frontend coordinates, and poll the worker job for the final results.
-// Worker cell-done/job-done events are not forwarded: the frontend emits
-// its own when a cell is truly final (jobCell) and when the whole
-// cross-replica batch ends.
-func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, j *job) (_ []api.SimResponse, retErr error) {
+// pub is cell idx's streaming identity on the frontend job.
+func (a *cellAnnouncer) pub(idx int) *cellPub {
+	return &cellPub{j: a.j, cell: idx, bench: a.list[idx].Workload.Kernel, tech: a.list[idx].Technique}
+}
+
+// relay republishes a worker event for cell idx unless the cell is
+// already announced.
+func (a *cellAnnouncer) relay(idx int, ev api.Event) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.told[idx] {
+		a.pub(idx).publish(ev)
+	}
+}
+
+// announce publishes cell idx's cell-done, with resp's key, cached flag
+// and error, unless the cell already has one.
+func (a *cellAnnouncer) announce(idx int, resp api.SimResponse) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.told[idx] {
+		a.told[idx] = true
+		a.pub(idx).done(resp)
+	}
+}
+
+// runGroup runs one replica's share of a batch. Synchronous batches (ann
+// == nil) use one blocking sub-batch call. Streamed jobs submit an async
+// sub-batch, subscribe to its event stream, republish each event through
+// ann with the cell index remapped from sub-batch to frontend
+// coordinates, and poll the worker job for the final results. A worker
+// cell-done is announced the moment it arrives: the worker publishes it
+// only after the cell's result is cached and spilled to the shared
+// directory, so a failover successor answers that cell from the spill or
+// recomputes it bit-identically. The worker's job-done is not forwarded:
+// the frontend emits its own when the whole cross-replica batch ends.
+func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, ann *cellAnnouncer) (_ []api.SimResponse, retErr error) {
 	// One span per replica-group dispatch: which worker got how many cells,
 	// failed on a transport death (the caller then re-routes the group).
 	gsp := obs.FromContext(ctx).StartChild("frontend.dispatch").
@@ -617,7 +669,7 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 	for n, i := range idxs {
 		sub.Cells[n] = list[i]
 	}
-	if j == nil {
+	if ann == nil {
 		resp, err := cl.Batch(ctx, sub)
 		if err != nil {
 			return nil, err
@@ -639,18 +691,22 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 		if err != nil {
 			return nil, err
 		}
-		if ev.Kind == api.EventJobDone || ev.Kind == api.EventCellDone {
-			continue
-		}
-		if ev.Cell < 0 || ev.Cell >= len(idxs) {
+		if ev.Kind == api.EventJobDone || ev.Cell < 0 || ev.Cell >= len(idxs) {
 			continue
 		}
 		idx := idxs[ev.Cell]
-		pub := jobCell(j, idx, list[idx])
+		if ev.Kind == api.EventCellDone {
+			resp := api.SimResponse{Key: ev.Key, Cached: ev.Cached}
+			if ev.Error != "" {
+				resp.Error = &api.Error{Error: ev.Error}
+			}
+			ann.announce(idx, resp)
+			continue
+		}
 		// Rebuild the event so worker-local identity (ID, JobID, progress
 		// counts) never leaks into the frontend stream; the broadcaster
 		// assigns fresh IDs in frontend sequence.
-		pub.publish(api.Event{
+		ann.relay(idx, api.Event{
 			Kind:     ev.Kind,
 			Key:      ev.Key,
 			Cached:   ev.Cached,

@@ -43,11 +43,14 @@ func (r *recordingFS) ReadFile(name string) ([]byte, error) {
 	return r.FS.ReadFile(name)
 }
 
-func (r *recordingFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	r.mu.Lock()
-	r.writes = append(r.writes, name)
-	r.mu.Unlock()
-	return r.FS.WriteFile(name, data, perm)
+func (r *recordingFS) WriteTemp(dir, pattern string, data []byte) (string, error) {
+	name, err := r.FS.WriteTemp(dir, pattern, data)
+	if err == nil {
+		r.mu.Lock()
+		r.writes = append(r.writes, name)
+		r.mu.Unlock()
+	}
+	return name, err
 }
 
 func (r *recordingFS) Rename(oldpath, newpath string) error {
