@@ -334,7 +334,22 @@ type Event struct {
 	// Done/Total report job progress on cell-done and job-done events.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
+
+	// Tail, when non-nil, stands in for every member after Technique: it
+	// is their JSON exactly as the stream frame this event was read from
+	// carried it, from the comma before the first of them (or the
+	// object's closing brace when there are none). A relay keeps the
+	// telemetry it only forwards this way instead of decoding it
+	// (client.Stream.NextRelay); the fields it stands in for are zero.
+	// It is never a member of its own.
+	Tail []byte `json:"-"`
 }
+
+// Terminal reports whether ev is a cell-done or job-done: an event a
+// consumer cannot do without, since it tells a finished cell or the
+// finished job apart from a lost one. A stream never drops one and never
+// holds one back.
+func (ev *Event) Terminal() bool { return ev.Kind == EventCellDone || ev.Kind == EventJobDone }
 
 // RunaheadEpisode is one completed runahead episode: the span of simulated
 // cycles the engine ran ahead, where it triggered, and how wide it went.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,6 +36,8 @@ type Stream struct {
 
 	resp    *http.Response
 	br      *bufio.Reader
+	data    []byte // the current frame's data, reused across frames
+	long    []byte // a line longer than br's buffer, reused
 	lastID  uint64
 	sawDone bool
 	err     error // sticky terminal state
@@ -70,7 +73,18 @@ func (s *Stream) Close() {
 // heartbeats, drops, and reconnects — until one arrives or the stream
 // ends. io.EOF is the clean end: the job finished and its final buffered
 // event has been delivered.
-func (s *Stream) Next() (api.Event, error) {
+func (s *Stream) Next() (api.Event, error) { return s.next(false) }
+
+// NextRelay is Next for a consumer that forwards the telemetry it reads
+// without looking into it. A cell-done or job-done is decoded in full, as
+// Next decodes it. Any other event whose JSON is in encoding/json's form
+// (compact, members in api.Event's order, no escapes in the strings up to
+// technique, no done or total) has only its members up to Technique
+// decoded; the rest is kept, as read, in Event.Tail. Any other frame is
+// decoded in full.
+func (s *Stream) NextRelay() (api.Event, error) { return s.next(true) }
+
+func (s *Stream) next(relay bool) (api.Event, error) {
 	if s.err != nil {
 		return api.Event{}, s.err
 	}
@@ -84,7 +98,7 @@ func (s *Stream) Next() (api.Event, error) {
 				continue
 			}
 		}
-		ev, err := s.readEvent()
+		ev, err := s.readEvent(relay)
 		if err == nil {
 			s.lastID = ev.ID
 			s.attempt = 0 // progress: reset the backoff ladder
@@ -165,40 +179,219 @@ func (s *Stream) disconnect() {
 	s.br = nil
 }
 
-// readEvent parses one SSE frame (id/event/data lines up to a blank
-// line), skipping heartbeat comments.
-func (s *Stream) readEvent() (api.Event, error) {
-	var data strings.Builder
+// readEvent reads one SSE frame and decodes its data (see NextRelay for
+// what relay changes).
+func (s *Stream) readEvent(relay bool) (api.Event, error) {
+	data, err := s.readData()
+	if err != nil {
+		return api.Event{}, err
+	}
+	if relay {
+		if ev, tail, ok := splitHead(data); ok {
+			ev.Tail = bytes.Clone(tail)
+			return ev, nil
+		}
+	}
+	var ev api.Event
+	if err := json.Unmarshal(data, &ev); err != nil {
+		return api.Event{}, fmt.Errorf("client: bad stream frame: %w", err)
+	}
+	return ev, nil
+}
+
+// readData reads one SSE frame (id/event/data lines up to a blank line),
+// skipping comment-only frames, and returns its data lines joined by
+// newlines. The bytes are the Stream's own and valid until the next read.
+func (s *Stream) readData() ([]byte, error) {
+	s.data = s.data[:0]
 	sawData := false
 	for {
-		line, err := s.br.ReadString('\n')
+		line, err := s.readLine()
 		if err != nil {
-			return api.Event{}, err
+			return nil, err
 		}
-		line = strings.TrimRight(line, "\r\n")
 		switch {
-		case line == "":
-			if !sawData {
-				continue // frame without data (pure comment block)
-			}
-			var ev api.Event
-			if err := json.Unmarshal([]byte(data.String()), &ev); err != nil {
-				return api.Event{}, fmt.Errorf("client: bad stream frame: %w", err)
-			}
-			return ev, nil
-		case strings.HasPrefix(line, ":"):
-			// Heartbeat comment; nothing to deliver.
-		case strings.HasPrefix(line, "data:"):
+		case len(line) == 0:
 			if sawData {
-				data.WriteByte('\n')
+				return s.data, nil
 			}
-			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
+			// Frame without data (pure comment block).
+		case line[0] == ':':
+			// Heartbeat comment; nothing to deliver.
+		case bytes.HasPrefix(line, []byte("data:")):
+			if sawData {
+				s.data = append(s.data, '\n')
+			}
+			s.data = append(s.data, bytes.TrimPrefix(line[len("data:"):], []byte(" "))...)
 			sawData = true
 		default:
 			// id: and event: lines duplicate what the JSON body carries;
 			// the body is authoritative.
 		}
 	}
+}
+
+// readLine returns the next line without its line end. It is the bufio
+// buffer itself, or for a line longer than that, a copy the Stream keeps;
+// either way valid until the next read.
+func (s *Stream) readLine() ([]byte, error) {
+	line, err := s.br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		s.long = append(s.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = s.br.ReadSlice('\n')
+			s.long = append(s.long, line...)
+		}
+		line = s.long
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// relayedMembers are the members of api.Event after Technique, in
+// declaration order, that a relay forwards as bytes. Done and Total are
+// not among them: they count progress on the stream that carried the
+// event, so a relay keeps its own.
+var relayedMembers = []string{"cached", "replayed", "error", "interval", "episode"}
+
+// splitHead decodes the head of an event's JSON: id, kind, job_id and
+// cell, then key, bench and technique where present, all in
+// encoding/json's form with strings that need no escapes. It returns the
+// rest as the tail if plainTail accepts it. ok is false for a cell-done
+// or job-done and for JSON in any other form.
+func splitHead(data []byte) (ev api.Event, tail []byte, ok bool) {
+	h := head{b: data, ok: true}
+	h.lit(`{"id":`)
+	ev.ID = h.uint()
+	h.lit(`,"kind":`)
+	ev.Kind = h.str()
+	h.lit(`,"job_id":`)
+	ev.JobID = h.str()
+	h.lit(`,"cell":`)
+	neg := h.opt(`-`)
+	if ev.Cell = int(h.uint()); neg {
+		ev.Cell = -ev.Cell
+	}
+	if h.opt(`,"key":`) {
+		ev.Key = h.str()
+	}
+	if h.opt(`,"bench":`) {
+		ev.Bench = h.str()
+	}
+	if h.opt(`,"technique":`) {
+		ev.Technique = h.str()
+	}
+	if !h.ok || ev.Terminal() || !plainTail(h.b) {
+		return api.Event{}, nil, false
+	}
+	return ev, h.b, true
+}
+
+// head is splitHead's cursor; ok turns false at the first byte out of
+// form and stays false.
+type head struct {
+	b  []byte
+	ok bool
+}
+
+// lit consumes s, which must come next.
+func (h *head) lit(s string) {
+	if !h.opt(s) {
+		h.ok = false
+	}
+}
+
+// opt consumes s if it comes next.
+func (h *head) opt(s string) bool {
+	if h.ok && bytes.HasPrefix(h.b, []byte(s)) {
+		h.b = h.b[len(s):]
+		return true
+	}
+	return false
+}
+
+// uint consumes a number of at most 18 digits, which fits any int.
+func (h *head) uint() uint64 {
+	var n uint64
+	i := 0
+	for ; i < len(h.b) && h.b[i] >= '0' && h.b[i] <= '9'; i++ {
+		n = n*10 + uint64(h.b[i]-'0')
+	}
+	if i == 0 || i > 18 {
+		h.ok = false
+	}
+	h.b = h.b[i:]
+	return n
+}
+
+// str consumes a string of printable ASCII other than quote and
+// backslash: one whose value is its bytes.
+func (h *head) str() string {
+	if h.ok && len(h.b) > 0 && h.b[0] == '"' {
+		for i := 1; i < len(h.b); i++ {
+			switch c := h.b[i]; {
+			case c == '"':
+				v := string(h.b[1:i])
+				h.b = h.b[i+1:]
+				return v
+			case c < 0x20 || c > 0x7e || c == '\\':
+				h.ok = false
+				return ""
+			}
+		}
+	}
+	h.ok = false
+	return ""
+}
+
+// plainTail reports whether tail, the rest of an event's JSON from the
+// comma before a member (or the closing brace), is in encoding/json's
+// form as far as a relay can tell without parsing it: no whitespace
+// outside strings, every string closed, brackets balanced and the object
+// closed by the last byte, and at the top level only relayedMembers, each
+// once and in order. The tokens in between are forwarded unchecked: dvrd
+// writes them with encoding/json.
+func plainTail(tail []byte) bool {
+	if len(tail) == 0 || tail[0] != ',' && tail[0] != '}' {
+		return false
+	}
+	next, depth := 0, 0
+	for i := 0; i < len(tail); i++ {
+		switch tail[i] {
+		case '"':
+			j := i + 1
+			for ; j < len(tail) && tail[j] != '"'; j++ {
+				if tail[j] == '\\' {
+					j++
+				}
+			}
+			if j >= len(tail) {
+				return false
+			}
+			if depth == 0 && tail[i-1] == ',' {
+				for next < len(relayedMembers) && relayedMembers[next] != string(tail[i+1:j]) {
+					next++
+				}
+				if next == len(relayedMembers) {
+					return false
+				}
+				next++
+			}
+			i = j
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return tail[i] == '}' && i == len(tail)-1
+			}
+			depth--
+		case ' ', '\t', '\n', '\r':
+			return false
+		}
+	}
+	return false
 }
 
 // finished asks the job API whether the job is still running — the

@@ -130,6 +130,9 @@ type core struct {
 	// streams owns the per-job event logs behind GET
 	// /v1/jobs/{id}/stream.
 	streams *stream.Registry
+	// linger is how long an SSE writer holding only telemetry waits for
+	// more before it flushes: streamLinger (tests stretch it).
+	linger time.Duration
 
 	// tracer is the distributed-tracing span collector (nil when
 	// disabled); logger, reqSeq and reqHist back the request observability
@@ -184,6 +187,7 @@ func (co *core) init(role dispatcher, name string, expo exposition, opts Common,
 	co.jobs = newJobStore()
 	co.batchFlight = newFlightGroup[*api.BatchResponse]()
 	co.streams = stream.NewRegistry(stream.Config{ReplayEntries: opts.StreamReplay})
+	co.linger = streamLinger
 	if opts.TraceSpans > 0 {
 		co.tracer = obs.New(opts.ProcName, opts.TraceSpans)
 	}

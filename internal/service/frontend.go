@@ -623,12 +623,12 @@ func (a *cellAnnouncer) announce(idx int, resp api.SimResponse) {
 // runGroup runs one replica's share of a batch. Synchronous batches (ann
 // == nil) use one blocking sub-batch call. Streamed jobs submit an async
 // sub-batch, subscribe to its event stream, republish each event through
-// ann with the cell index remapped from sub-batch to frontend
-// coordinates, and poll the worker job for the final results. A worker
-// cell-done is announced the moment it arrives: the worker publishes it
-// only after the cell's result is cached and spilled to the shared
-// directory, so a failover successor answers that cell from the spill or
-// recomputes it bit-identically. The worker's job-done is not forwarded:
+// ann with the cell index remapped from sub-batch to frontend coordinates
+// (telemetry as the worker's bytes, see relayed), and poll the worker job
+// for the final results. A worker cell-done is announced the moment it
+// arrives: the worker publishes it only after the cell's result is cached
+// and spilled to the shared directory, so a failover successor answers
+// that cell from the spill or recomputes it bit-identically. The worker's job-done is not forwarded:
 // the frontend emits its own when the whole cross-replica batch ends.
 func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, ann *cellAnnouncer) (_ []api.SimResponse, retErr error) {
 	// One span per replica-group dispatch: which worker got how many cells,
@@ -684,7 +684,7 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 	st := cl.Stream(ctx, acc.JobID, api.StreamOptions{})
 	defer st.Close()
 	for {
-		ev, err := st.Next()
+		ev, err := st.NextRelay()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -703,18 +703,7 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 			ann.announce(idx, resp)
 			continue
 		}
-		// Rebuild the event so worker-local identity (ID, JobID, progress
-		// counts) never leaks into the frontend stream; the broadcaster
-		// assigns fresh IDs in frontend sequence.
-		ann.relay(idx, api.Event{
-			Kind:     ev.Kind,
-			Key:      ev.Key,
-			Cached:   ev.Cached,
-			Replayed: ev.Replayed,
-			Error:    ev.Error,
-			Interval: ev.Interval,
-			Episode:  ev.Episode,
-		})
+		ann.relay(idx, relayed(ev))
 	}
 	js, err := cl.Job(ctx, acc.JobID)
 	if err != nil {
@@ -724,6 +713,25 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 		return nil, fmt.Errorf("service: replica %s job %s ended %s: %s", rep, acc.JobID, js.State, js.Error)
 	}
 	return js.Batch.Cells, nil
+}
+
+// relayed rebuilds a worker's telemetry event for the frontend stream, so
+// that worker-local identity (ID, JobID, cell index, progress counts)
+// never leaks into it: the broadcaster assigns fresh IDs in frontend
+// sequence and the cell's publisher its frontend coordinates. Telemetry
+// read with NextRelay keeps its payload as the worker's bytes (Tail), so
+// the frontend forwards what it never decoded.
+func relayed(ev api.Event) api.Event {
+	return api.Event{
+		Kind:     ev.Kind,
+		Key:      ev.Key,
+		Cached:   ev.Cached,
+		Replayed: ev.Replayed,
+		Error:    ev.Error,
+		Interval: ev.Interval,
+		Episode:  ev.Episode,
+		Tail:     ev.Tail,
+	}
 }
 
 // hopMargin is the slice of deadline budget the frontend keeps for itself

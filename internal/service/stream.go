@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"dvr/internal/service/api"
 	"dvr/internal/stream"
@@ -224,21 +225,30 @@ func (co *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	// A frame is written when its event is dequeued, but flushed (one chunk,
 	// one write syscall) only when the queue runs empty: a burst of queued
 	// events costs one flush, and a subscriber that has fallen behind
-	// catches up instead of falling further behind.
+	// catches up instead of falling further behind. A burst of telemetry
+	// alone first lingers (co.linger), so that events published close
+	// together share its flush; a cell-done, a job-done or the end of the
+	// stream cuts the linger short and leaves with everything before it.
 	var (
-		frame bytes.Buffer
-		enc   = json.NewEncoder(&frame)
-		dirty bool // frames written since the last Flush
+		frames   = newFrameEncoder()
+		dirty    bool // frames written since the last Flush
+		urgent   bool // one of them is a cell-done or job-done
+		lingered bool // this burst has had its linger
 	)
 	flush := func() {
 		if dirty {
 			fl.Flush()
-			dirty = false
 		}
+		dirty, urgent, lingered = false, false, false
 	}
 	for {
 		ev, ok, err := sess.TryNext()
 		if !ok && err == nil {
+			if dirty && !urgent && !lingered {
+				sess.Linger(r.Context(), co.linger)
+				lingered = true
+				continue
+			}
 			// Nothing queued: put the burst on the wire, then wait. Only a
 			// wait arms the heartbeat timeout.
 			flush()
@@ -248,16 +258,13 @@ func (co *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case err == nil:
-			frame.Reset()
-			fmt.Fprintf(&frame, "id: %d\nevent: %s\ndata: ", ev.ID, ev.Kind)
-			// The encoder's output has no newline but the one it ends with,
-			// so one data: line holds the whole event.
-			if enc.Encode(ev) != nil {
+			frame, err := frames.frame(&ev)
+			if err != nil {
 				return
 			}
-			frame.WriteByte('\n')
-			_, _ = w.Write(frame.Bytes())
+			_, _ = w.Write(frame)
 			dirty = true
+			urgent = urgent || ev.Terminal()
 		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
 			// Quiet interval: heartbeat comment, keep the connection warm.
 			fmt.Fprint(w, ": hb\n\n")
@@ -270,6 +277,77 @@ func (co *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// streamLinger is how long an SSE writer holding only telemetry waits for
+// more before it flushes: long enough that the events a simulation
+// publishes close together (one per interval, one per runahead episode)
+// leave in one chunk instead of one each, short next to the interval a
+// dashboard redraws at. Terminal events never wait for it.
+const streamLinger = 10 * time.Millisecond
+
+// frameEncoder writes SSE frames into one buffer it reuses.
+type frameEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+func newFrameEncoder() *frameEncoder {
+	f := &frameEncoder{}
+	f.enc = json.NewEncoder(&f.buf)
+	return f
+}
+
+// frame returns ev's SSE frame: its id (the resume cursor), its kind as
+// the event name, and its JSON as one data line. An event carrying its
+// payload as bytes (Tail, a relay's telemetry) has its head written here
+// member for member as encoding/json writes it, and the bytes after it.
+// The frame is valid until the next call.
+func (f *frameEncoder) frame(ev *api.Event) ([]byte, error) {
+	f.buf.Reset()
+	fmt.Fprintf(&f.buf, "id: %d\nevent: %s\ndata: ", ev.ID, ev.Kind)
+	if ev.Tail == nil {
+		// The encoder's output has no newline but the one it ends with,
+		// so one data: line holds the whole event.
+		if err := f.enc.Encode(ev); err != nil {
+			return nil, err
+		}
+	} else {
+		f.buf.Write(appendEventHead(f.buf.AvailableBuffer(), ev))
+		f.buf.Write(ev.Tail)
+		f.buf.WriteByte('\n')
+	}
+	f.buf.WriteByte('\n')
+	return f.buf.Bytes(), nil
+}
+
+// appendEventHead appends ev's JSON up to and including Technique, as
+// encoding/json writes it; ev.Tail is the rest.
+func appendEventHead(dst []byte, ev *api.Event) []byte {
+	dst = strconv.AppendUint(append(dst, `{"id":`...), ev.ID, 10)
+	dst = appendJSONString(append(dst, `,"kind":`...), ev.Kind)
+	dst = appendJSONString(append(dst, `,"job_id":`...), ev.JobID)
+	dst = strconv.AppendInt(append(dst, `,"cell":`...), int64(ev.Cell), 10)
+	for _, m := range [...]struct{ name, v string }{
+		{`,"key":`, ev.Key}, {`,"bench":`, ev.Bench}, {`,"technique":`, ev.Technique},
+	} {
+		if m.v != "" {
+			dst = appendJSONString(append(dst, m.name...), m.v)
+		}
+	}
+	return dst
+}
+
+// appendJSONString appends s as encoding/json writes a string: printable
+// ASCII as it is, and anything else through the encoder itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || strings.IndexByte(`"\<>&`, c) >= 0 {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // ---- typed-error normalization ----

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"slices"
+	"sort"
 	"time"
 
 	"dvr/internal/service/api"
@@ -18,6 +19,7 @@ type Session struct {
 	opened time.Time
 	filter func(api.Event) bool
 	notify chan struct{} // cap 1; kicked on publish and close
+	wake   chan struct{} // cap 1; kicked on an owed terminal event and close
 
 	cursor    uint64 // id of the last event read (or skipped by the filter)
 	floor     uint64 // telemetry with an id up to this is lost to the session
@@ -33,7 +35,7 @@ func (s *Session) wants(ev *api.Event) bool { return s.filter == nil || s.filter
 // owes reports whether s has yet to read ev: past its cursor, not lost to
 // its bound, and wanted.
 func (s *Session) owes(ev *api.Event) bool {
-	return ev.ID > s.cursor && (terminal(ev) || ev.ID > s.floor) && s.wants(ev)
+	return ev.ID > s.cursor && (ev.Terminal() || ev.ID > s.floor) && s.wants(ev)
 }
 
 // lose accounts the telemetry event ev, which s was owed, as never to be
@@ -65,9 +67,10 @@ func (s *Session) trim() {
 	}
 }
 
-func (s *Session) kick() {
+// kick leaves a token in a wake channel unless one is already there.
+func kick(c chan struct{}) {
 	select {
-	case s.notify <- struct{}{}:
+	case c <- struct{}{}:
 	default:
 	}
 }
@@ -114,6 +117,48 @@ func (s *Session) TryNext() (ev api.Event, ok bool, err error) {
 	return api.Event{}, false, nil
 }
 
+// Linger waits up to d for a reason not to: it returns early when the
+// session is owed a cell-done or job-done, or when the session, its
+// stream or ctx ends. Telemetry published meanwhile does not end it. A
+// writer that has telemetry to send lingers before it flushes, so events
+// published close together leave in one burst while a terminal event
+// never waits.
+func (s *Session) Linger(ctx context.Context, d time.Duration) {
+	// A token left from a terminal event already read is stale; one that
+	// arrives after urgent looked is not.
+	select {
+	case <-s.wake:
+	default:
+	}
+	if s.urgent() {
+		return
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-s.wake:
+	case <-t.C:
+	}
+}
+
+// urgent reports whether s is owed a terminal event or has ended, so
+// that a writer must not wait.
+func (s *Session) urgent() bool {
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if s.closed || b.closed {
+		return true
+	}
+	for j := sort.Search(len(b.done), func(j int) bool { return b.done[j].ID > s.cursor }); j < len(b.done); j++ {
+		if s.wants(&b.done[j]) {
+			return true
+		}
+	}
+	return false
+}
+
 // Dropped reports how many events this session lost to the log's
 // drop-oldest policy so far.
 func (s *Session) Dropped() uint64 {
@@ -139,5 +184,6 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.b.mu.Unlock()
-	s.kick()
+	kick(s.notify)
+	kick(s.wake)
 }

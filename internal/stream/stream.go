@@ -20,6 +20,12 @@
 //     was published after it attached. A reader that keeps up never
 //     loses an event.
 //
+//   - Telemetry may wait, terminal events may not. A session has two
+//     wakes: every publish kicks one (Next), and only a cell-done, a
+//     job-done or the end of the stream kicks the other (Linger), so a
+//     writer batching telemetry sleeps through it and still sends a
+//     terminal event the moment it is published.
+//
 //   - Reading is resuming. Ids are per-job, strictly increasing from 1,
 //     and double as the SSE resume cursor: live reads and Last-Event-ID
 //     resumes both read the retained events past the cursor, so the lag
@@ -83,12 +89,6 @@ func (b *Broadcaster) after(id uint64) *api.Event {
 	return next
 }
 
-// terminal reports whether ev is one a consumer cannot do without: it
-// tells a finished cell or the finished job apart from a lost one.
-func terminal(ev *api.Event) bool {
-	return ev.Kind == api.EventCellDone || ev.Kind == api.EventJobDone
-}
-
 // Publish stamps ev with the job's next event id, appends it to the log
 // and wakes every session, holding each to its bound. It never blocks on
 // subscribers and is safe to call from simulation goroutines. Returns the
@@ -103,7 +103,7 @@ func (b *Broadcaster) Publish(ev api.Event) uint64 {
 	ev.JobID = b.jobID
 	b.nextID++
 	b.reg.published.Add(1)
-	if terminal(&ev) {
+	if ev.Terminal() {
 		b.done = append(b.done, ev)
 	} else {
 		b.push(ev)
@@ -111,9 +111,12 @@ func (b *Broadcaster) Publish(ev api.Event) uint64 {
 	for _, s := range b.sessions {
 		if s.owes(&ev) {
 			s.owed++
+			if ev.Terminal() {
+				kick(s.wake)
+			}
 		}
 		s.trim()
-		s.kick()
+		kick(s.notify)
 	}
 	return ev.ID
 }
@@ -144,7 +147,8 @@ func (b *Broadcaster) Close() {
 	defer b.mu.Unlock()
 	b.closed = true
 	for _, s := range b.sessions {
-		s.kick()
+		kick(s.notify)
+		kick(s.wake)
 	}
 }
 
@@ -178,6 +182,7 @@ func (b *Broadcaster) Subscribe(opts SubOptions) *Session {
 		cursor: opts.After,
 		filter: opts.Filter,
 		notify: make(chan struct{}, 1),
+		wake:   make(chan struct{}, 1),
 		opened: time.Now(),
 		id:     b.reg.seq.Add(1),
 	}

@@ -467,7 +467,7 @@ func TestRandomInterleavingKeepsBound(t *testing.T) {
 				for ev := b.after(s.cursor); ev != nil; ev = b.after(ev.ID) {
 					if s.owes(ev) {
 						n++
-						if !terminal(ev) {
+						if !ev.Terminal() {
 							tele++
 						}
 					}
@@ -489,5 +489,130 @@ func TestRandomInterleavingKeepsBound(t *testing.T) {
 			}
 		}
 		r.Close()
+	}
+}
+
+// TestLingerEndsOnlyForTerminalEvents: Linger sleeps through telemetry
+// published during it. A cell-done or job-done the session is owed ends
+// it at once, whether published during it or already waiting unread, and
+// the events before it are read first. So do the close of the session,
+// of its stream, and of ctx. A terminal event already read, or one the
+// session's filter hides, does not cut a later linger short.
+func TestLingerEndsOnlyForTerminalEvents(t *testing.T) {
+	const (
+		long  = 10 * time.Second       // a linger no case may sit out
+		short = 100 * time.Millisecond // a linger the case must sit out
+		slack = 2 * time.Second
+	)
+	// linger runs s.Linger(ctx, d) while during runs, and returns how
+	// long it took.
+	linger := func(ctx context.Context, s *Session, d time.Duration, during func()) time.Duration {
+		took := make(chan time.Duration)
+		go func() {
+			t0 := time.Now()
+			s.Linger(ctx, d)
+			took <- time.Since(t0)
+		}()
+		time.Sleep(20 * time.Millisecond)
+		during()
+		return <-took
+	}
+	interval := api.Event{Kind: api.EventInterval}
+	cellDone := api.Event{Kind: api.EventCellDone, Cell: 0}
+
+	t.Run("telemetry-then-cell-done", func(t *testing.T) {
+		b := testRegistry(t, Config{}).Create("job-1")
+		s := b.Subscribe(SubOptions{})
+		defer s.Close()
+		took := linger(context.Background(), s, long, func() {
+			b.Publish(interval)
+			b.Publish(interval)
+			b.Publish(cellDone)
+		})
+		if took > slack {
+			t.Fatalf("a cell-done published during a %v linger ended it after %v", long, took)
+		}
+		var kinds []string
+		for {
+			ev, ok, err := s.TryNext()
+			if !ok || err != nil {
+				break
+			}
+			kinds = append(kinds, ev.Kind)
+		}
+		if want := "[interval interval cell-done]"; fmt.Sprint(kinds) != want {
+			t.Errorf("read %v after the linger, want %s", kinds, want)
+		}
+	})
+
+	t.Run("telemetry-only", func(t *testing.T) {
+		b := testRegistry(t, Config{}).Create("job-1")
+		s := b.Subscribe(SubOptions{})
+		defer s.Close()
+		took := linger(context.Background(), s, short, func() {
+			for i := 0; i < 50; i++ {
+				b.Publish(interval)
+			}
+		})
+		if took < short {
+			t.Errorf("telemetry ended a %v linger after %v", short, took)
+		}
+	})
+
+	t.Run("cell-done-already-waiting", func(t *testing.T) {
+		b := testRegistry(t, Config{}).Create("job-1")
+		s := b.Subscribe(SubOptions{})
+		defer s.Close()
+		b.Publish(interval)
+		b.Publish(cellDone)
+		if took := linger(context.Background(), s, long, func() {}); took > slack {
+			t.Errorf("an unread cell-done let the linger run %v", took)
+		}
+	})
+
+	t.Run("cell-done-already-read", func(t *testing.T) {
+		b := testRegistry(t, Config{}).Create("job-1")
+		s := b.Subscribe(SubOptions{})
+		defer s.Close()
+		b.Publish(cellDone)
+		if _, ok, err := s.TryNext(); !ok || err != nil {
+			t.Fatalf("TryNext = (%v, %v), want the cell-done", ok, err)
+		}
+		if took := linger(context.Background(), s, short, func() { b.Publish(interval) }); took < short {
+			t.Errorf("a cell-done read before the linger ended it after %v", took)
+		}
+	})
+
+	t.Run("cell-done-filtered-out", func(t *testing.T) {
+		b := testRegistry(t, Config{}).Create("job-1")
+		s := b.Subscribe(SubOptions{Filter: func(ev api.Event) bool { return ev.Kind == api.EventInterval }})
+		defer s.Close()
+		if took := linger(context.Background(), s, short, func() { b.Publish(cellDone) }); took < short {
+			t.Errorf("a cell-done the session filters out ended its linger after %v", took)
+		}
+	})
+
+	for _, end := range []struct {
+		name string
+		do   func(b *Broadcaster, s *Session, cancel context.CancelFunc)
+	}{
+		{"session-close", func(_ *Broadcaster, s *Session, _ context.CancelFunc) { s.Close() }},
+		{"stream-close", func(b *Broadcaster, _ *Session, _ context.CancelFunc) { b.Close() }},
+		{"ctx-cancel", func(_ *Broadcaster, _ *Session, cancel context.CancelFunc) { cancel() }},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			b := testRegistry(t, Config{}).Create("job-1")
+			s := b.Subscribe(SubOptions{})
+			defer s.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			took := linger(ctx, s, long, func() {
+				b.Publish(interval)
+				end.do(b, s, cancel)
+			})
+			if took > slack {
+				t.Errorf("%s during a %v linger ended it after %v", end.name, long, took)
+			}
+		})
 	}
 }
