@@ -32,7 +32,16 @@ import (
 // the words that differ from the memory's base chain (v2 stored every
 // owned page whole), and mem.CacheSnapshot.Ways is packed 21-byte records
 // (v2 stored an array of objects).
-const FormatVersion = 3
+//
+// v4: the state that is already packed bytes (cache Ways, predictor
+// Bimodal and Tables, the memory's PageDeltas) leaves the JSON for raw
+// length-prefixed sections after it (sections.go). A v3 file, the same
+// JSON with those fields inline as base64 and no sections, still loads.
+const FormatVersion = 4
+
+// inlineVersion is the oldest format Decode still reads: v3 holds every
+// field in its JSON.
+const inlineVersion = 3
 
 // ErrVersion marks an intact checkpoint written by a different format
 // version. Unlike corruption it is expected across upgrades: it wraps
@@ -64,14 +73,30 @@ type State struct {
 func (st *State) Seq() uint64 { return st.Core.Seq }
 
 // Encode serializes st (stamping FormatVersion) and seals it with the
-// digest footer.
+// digest footer. The payload is the JSON of st with its packed fields
+// emptied, a newline (compact JSON has none), then those fields as raw
+// sections in the order walk visits them. The JSON keeps a null per
+// predictor table, so Decode knows how many tables follow.
 func Encode(st *State) ([]byte, error) {
 	st.Version = FormatVersion
-	payload, err := json.Marshal(st)
+	head := *st
+	core := &head.Core
+	core.Hier.L1D.Ways, core.Hier.L2.Ways, core.Hier.L3.Ways = nil, nil, nil
+	core.Bpred.Bimodal = nil
+	if core.Bpred.Tables != nil {
+		core.Bpred.Tables = make([][]byte, len(core.Bpred.Tables))
+	}
+	core.Frontend.Pages = nil
+	js, err := json.Marshal(&head)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	return sealed.Seal(payload), nil
+	size := sections{mode: measure}
+	_ = walk(st, &size)
+	out := sections{mode: write, buf: make([]byte, 0, len(js)+1+size.size)}
+	out.buf = append(append(out.buf, js...), '\n')
+	_ = walk(st, &out)
+	return sealed.Seal(out.buf), nil
 }
 
 // Decode verifies and deserializes a checkpoint file. It returns
@@ -83,17 +108,32 @@ func Decode(data []byte) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	js, rest, split := bytes.Cut(payload, []byte{'\n'})
 	var st State
-	err = json.Unmarshal(payload, &st)
+	err = json.Unmarshal(js, &st)
 	// Another version's fields need not fit this build's types (v2 wrote
 	// cache ways as an array of objects); Unmarshal skips such a field and
 	// still fills in the rest, so the version is judged first.
 	var shape *json.UnmarshalTypeError
-	if (err == nil || errors.As(err, &shape)) && st.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: file has %d, this build reads %d", ErrVersion, st.Version, FormatVersion)
+	if (err == nil || errors.As(err, &shape)) && st.Version != FormatVersion && st.Version != inlineVersion {
+		return nil, fmt.Errorf("%w: file has %d, this build reads %d and %d", ErrVersion, st.Version, inlineVersion, FormatVersion)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", sealed.ErrCorrupt, err)
+	}
+	if st.Version == inlineVersion {
+		if split {
+			return nil, fmt.Errorf("%w: v%d file has %d bytes after its JSON", sealed.ErrCorrupt, inlineVersion, len(rest)+1)
+		}
+		return &st, nil
+	}
+	// The fields alias one copy of the sections, each capped at its length.
+	in := sections{mode: read, buf: bytes.Clone(rest)}
+	if err := walk(&st, &in); err != nil {
+		return nil, fmt.Errorf("%w: %v", sealed.ErrCorrupt, err)
+	}
+	if len(in.buf) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last of %d sections", sealed.ErrCorrupt, len(in.buf), in.n)
 	}
 	return &st, nil
 }

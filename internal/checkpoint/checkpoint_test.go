@@ -1,15 +1,20 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dvr/internal/bpred"
 	"dvr/internal/cpu"
 	"dvr/internal/interp"
 	"dvr/internal/mem"
@@ -21,8 +26,8 @@ import (
 var footerLen = len(sealed.Seal(nil))
 
 // testState builds a small but structurally real checkpoint, with one
-// packed word record and one packed cache way so the v3 fields are on the
-// wire.
+// packed word record, one packed cache way and two small predictor
+// tables, so every kind of packed field is on the wire.
 func testState() *State {
 	return &State{
 		Engine:    "dvr-engine/test",
@@ -43,7 +48,75 @@ func testState() *State {
 				UseClock: 9,
 				Ways:     []byte{0, 0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1},
 			}},
+			Bpred: bpred.Snapshot{
+				Bimodal: []byte{1, 2, 0xff},
+				Tables:  [][]byte{{1, 0, 7, 0}, {0xfe, 1, 0, 1}},
+			},
 		},
+	}
+}
+
+// inlineFile is st sealed in the v3 layout under the given version
+// number: one JSON document with the packed fields inline as base64.
+func inlineFile(t testing.TB, st *State, version int) []byte {
+	t.Helper()
+	cp := *st
+	cp.Version = version
+	js, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealed.Seal(js)
+}
+
+// splitV4 returns a v4 file's JSON and the sections after it.
+func splitV4(t testing.TB, data []byte) (js, sections []byte) {
+	t.Helper()
+	payload, err := sealed.Unseal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, sections, ok := bytes.Cut(payload, []byte{'\n'})
+	if !ok {
+		t.Fatal("v4 payload has no newline after its JSON")
+	}
+	return js, sections
+}
+
+// damagedSections are testState's v4 file with its sections cut,
+// stretched or padded, then sealed again, so that only the section walk
+// can tell. Each must decode as corruption.
+func damagedSections(t testing.TB) map[string][]byte {
+	t.Helper()
+	data, err := Encode(testState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, sec := splitV4(t, data)
+	// testState's sections open with the 21-byte L1D ways (a one-byte
+	// length) and end with its one page: count 1, page 3, 10 bytes.
+	first, pages := 1+21, len(sec)-13
+	if sec[0] != 21 || sec[pages] != 1 || sec[pages+1] != 3 || sec[pages+2] != 10 {
+		t.Fatalf("testState's sections are laid out differently: % x", sec)
+	}
+	file := func(parts ...[]byte) []byte {
+		payload := append(append([]byte(nil), js...), '\n')
+		for _, p := range parts {
+			payload = append(payload, p...)
+		}
+		return sealed.Seal(payload)
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	return map[string][]byte{
+		"truncated section":           file(sec[:len(sec)-1]),
+		"truncated length":            file(sec[:first], []byte{0x80}),
+		"section length past the end": file(huge, sec[1:]),
+		"page count past the end":     file(sec[:pages], huge, sec[pages+1:]),
+		"trailing bytes":              file(sec, []byte{0}),
+		"missing section":             file(sec[:first]),
+		"missing page":                file(sec[:pages+1]),
+		"no sections":                 sealed.Seal(js),
+		"empty sections":              file(),
 	}
 }
 
@@ -125,12 +198,9 @@ func TestDecodeVersionSkew(t *testing.T) {
 // checkpoint directory: dense 4 KiB pages and cache ways as an array of
 // objects, which does not even fit this build's field types. It must read
 // as version skew (dropped, recomputed), not as corruption (quarantined).
+// So must a file from a later format, whatever follows its JSON.
 func TestDecodeV2FileIsVersionSkew(t *testing.T) {
-	data, err := Encode(testState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := sealed.Unseal(data)
+	payload, err := sealed.Unseal(inlineFile(t, testState(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +222,77 @@ func TestDecodeV2FileIsVersionSkew(t *testing.T) {
 	v3 := strings.Replace(v2, `"version":2`, `"version":3`, 1)
 	if _, err := Decode(sealed.Seal([]byte(v3))); !errors.Is(err, sealed.ErrCorrupt) {
 		t.Errorf("Decode(v3 file with v2 ways) = %v, want ErrCorrupt", err)
+	}
+
+	v4, err := Encode(testState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err = sealed.Unseal(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5 := bytes.Replace(payload, []byte(`"version":4`), []byte(`"version":5`), 1)
+	if bytes.Equal(v5, payload) {
+		t.Fatal("v4 payload has no \"version\":4")
+	}
+	if _, err := Decode(sealed.Seal(v5)); !errors.Is(err, ErrVersion) {
+		t.Errorf("Decode(v5 head) = %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeV3FileLoads: a v3 file, every packed field inline in its JSON,
+// decodes to the state a v4 file of the same checkpoint decodes to.
+func TestDecodeV3FileLoads(t *testing.T) {
+	v4, err := Encode(testState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromV4, err := Decode(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromV3, err := Decode(inlineFile(t, testState(), 3))
+	if err != nil {
+		t.Fatalf("Decode(v3 file) = %v", err)
+	}
+	if fromV3.Version != 3 || fromV4.Version != FormatVersion {
+		t.Errorf("decoded versions %d and %d, want 3 and %d", fromV3.Version, fromV4.Version, FormatVersion)
+	}
+	fromV3.Version = FormatVersion
+	if !reflect.DeepEqual(fromV3, fromV4) {
+		t.Errorf("v3 and v4 files of one checkpoint decode differently:\nv3 %+v\nv4 %+v", fromV3.Core, fromV4.Core)
+	}
+	if !reflect.DeepEqual(fromV4.Core.Bpred, testState().Core.Bpred) || !reflect.DeepEqual(fromV4.Core.Frontend, testState().Core.Frontend) {
+		t.Errorf("v4 round trip changed the packed fields: %+v", fromV4.Core)
+	}
+	// A v3 file has nothing after its JSON.
+	payload, _ := sealed.Unseal(inlineFile(t, testState(), 3))
+	if _, err := Decode(sealed.Seal(append(payload, '\n', 0))); !errors.Is(err, sealed.ErrCorrupt) {
+		t.Errorf("Decode(v3 file with sections) = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeDamagedSections: a v4 file whose sections were cut, stretched
+// or padded is corruption, never a panic, even with a valid seal.
+func TestDecodeDamagedSections(t *testing.T) {
+	for name, data := range damagedSections(t) {
+		if _, err := Decode(data); !errors.Is(err, sealed.ErrCorrupt) {
+			t.Errorf("%s: Decode = %v, want ErrCorrupt", name, err)
+		}
+	}
+	// A packed field both inline and in a section is damage too.
+	data, err := Encode(testState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, sec := splitV4(t, data)
+	inline := bytes.Replace(js, []byte(`"bimodal":null`), []byte(`"bimodal":"AQI="`), 1)
+	if bytes.Equal(inline, js) {
+		t.Fatal(`v4 JSON has no "bimodal":null`)
+	}
+	if _, err := Decode(sealed.Seal(append(append(inline, '\n'), sec...))); !errors.Is(err, sealed.ErrCorrupt) {
+		t.Errorf("Decode(bimodal inline and in a section) = %v, want ErrCorrupt", err)
 	}
 }
 

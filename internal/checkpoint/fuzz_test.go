@@ -25,24 +25,33 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/4] ^= 1
 	f.Add(flipped)
-	// Sealed mutations of the payload: the previous version, and the v3
-	// packed fields cut ragged or swapped for v2's array of way objects.
+	// The v3 layout (every field inline), under its own and the previous
+	// version, with packed fields cut ragged or swapped for v2's array of
+	// way objects.
+	v3 := inlineFile(f, testState(), 3)
+	f.Add(v3)
 	for _, m := range [][2]string{
 		{`"version":3`, `"version":2`},
 		{`"data":"BwABAgMEBQYHCA=="`, `"data":"BwABAgME"`},
 		{`"ways":"AAAAAEAAAAAAAAAACQAAAAAAAAAB"`, `"ways":"AAAAAEAAAAAA"`},
 		{`"ways":"AAAAAEAAAAAAAAAACQAAAAAAAAAB"`, `"ways":[{"w":0,"l":64,"u":9}]`},
 	} {
-		mut := bytes.Replace(valid[:len(valid)-footerLen], []byte(m[0]), []byte(m[1]), 1)
+		mut := bytes.Replace(v3[:len(v3)-footerLen], []byte(m[0]), []byte(m[1]), 1)
 		f.Add(sealed.Seal(mut))
 	}
+	// v4 sections cut, stretched or padded under a valid seal, and a later
+	// version's head.
+	for _, data := range damagedSections(f) {
+		f.Add(data)
+	}
+	f.Add(sealed.Seal(bytes.Replace(valid[:len(valid)-footerLen], []byte(`"version":4`), []byte(`"version":5`), 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {
 			return
 		}
-		if st.Version != FormatVersion {
+		if st.Version != FormatVersion && st.Version != inlineVersion {
 			t.Fatalf("Decode accepted version %d", st.Version)
 		}
 		// Anything that decodes must survive a lossless round trip.

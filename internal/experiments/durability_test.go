@@ -433,9 +433,11 @@ func TestCheckpointStateBounded(t *testing.T) {
 // view repeating the frontend's pages in its own state) and a cold fleet
 // cell spends a third of its time encoding it. The same run must also
 // write the same bytes, or a checkpoint could not be verified by content.
+// maxFile is the largest of these six files in format v4 (379 064 bytes:
+// packed state as raw sections, no base64) plus about 20 %.
 func TestCheckpointSizeTracksChangedWords(t *testing.T) {
 	cfg := cpu.DefaultConfig()
-	const maxFile, maxOracleState = 1 << 20, 8 << 10
+	const maxFile, maxOracleState = 448 << 10, 8 << 10
 	for _, kernel := range []string{"randomaccess", "camel", "nas-is"} {
 		spec, err := workloads.Resolve(workloads.Ref{Kernel: kernel, ROI: 100_001})
 		if err != nil {

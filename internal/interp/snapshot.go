@@ -44,7 +44,11 @@ var zeroBlock block
 // parent by restoring the parent before the clone — and the delta is
 // replayed on a fresh fork of it.
 func (m *Memory) SnapshotPages() []PageDelta {
-	var deltas []PageDelta
+	var (
+		deltas []PageDelta
+		recs   []byte // every page's records, back to back
+		ends   []int  // where each page's records end in recs
+	)
 	// diff appends block bn's changed words; calls come in ascending bn.
 	diff := func(bn uint64, b *block) {
 		parent := &zeroBlock
@@ -61,10 +65,11 @@ func (m *Memory) SnapshotPages() []PageDelta {
 			}
 			if len(deltas) == 0 || deltas[len(deltas)-1].PN != pn {
 				deltas = append(deltas, PageDelta{PN: pn})
+				ends = append(ends, 0)
 			}
-			d := &deltas[len(deltas)-1]
-			d.Data = binary.LittleEndian.AppendUint16(d.Data, uint16(first+i))
-			d.Data = binary.LittleEndian.AppendUint64(d.Data, w)
+			recs = binary.LittleEndian.AppendUint16(recs, uint16(first+i))
+			recs = binary.LittleEndian.AppendUint64(recs, w)
+			ends[len(ends)-1] = len(recs)
 		}
 	}
 	for li, l := range m.dir {
@@ -85,6 +90,11 @@ func (m *Memory) SnapshotPages() []PageDelta {
 	slices.Sort(far)
 	for _, bn := range far {
 		diff(bn, m.far[bn])
+	}
+	start := 0
+	for i, end := range ends {
+		deltas[i].Data = recs[start:end:end]
+		start = end
 	}
 	return deltas
 }

@@ -70,14 +70,26 @@ type Snapshot struct {
 
 func (c *cache) snapshot() CacheSnapshot {
 	s := CacheSnapshot{UseClock: c.useClock}
+	n := 0
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return s
+	}
+	s.Ways = make([]byte, n*wayRecBytes)
+	rec := s.Ways
 	for w, t := range c.tags {
 		if t == 0 {
 			continue
 		}
-		s.Ways = binary.LittleEndian.AppendUint32(s.Ways, uint32(w))
-		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, t-1)
-		s.Ways = binary.LittleEndian.AppendUint64(s.Ways, c.lastUse[w])
-		s.Ways = append(s.Ways, c.flags[w])
+		binary.LittleEndian.PutUint32(rec, uint32(w))
+		binary.LittleEndian.PutUint64(rec[4:], t-1)
+		binary.LittleEndian.PutUint64(rec[12:], c.lastUse[w])
+		rec[20] = c.flags[w]
+		rec = rec[wayRecBytes:]
 	}
 	return s
 }

@@ -338,7 +338,7 @@ func FuzzStoreGet(f *testing.F) {
 	flipped[len(flipped)/4] ^= 1
 	for _, seed := range [][]byte{
 		ckpt, ckpt[:len(ckpt)/2], flipped, {},
-		bytes.Replace(ckpt, []byte(`"version":3`), []byte(`"version":2`), 1),
+		bytes.Replace(ckpt, []byte(`"version":4`), []byte(`"version":2`), 1),
 		sealed.Seal([]byte(`{"version":0,"engine":"x"}`)),
 		[]byte("\n# sha256:0000000000000000000000000000000000000000000000000000000000000000\n"),
 		journal, journal[:len(journal)-7], append(append([]byte(nil), journal[:5]...), journal[6:]...),

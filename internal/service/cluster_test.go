@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -278,6 +279,130 @@ func TestClusterBatchBitIdenticalVsSingleNode(t *testing.T) {
 	}
 }
 
+// inFlight is how many cells the frontend counts as in flight.
+func (l *inflight) inFlight() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.total
+}
+
+// ownedBy returns n quick cells whose ring owner is worker w.
+func (c *testCluster) ownedBy(t *testing.T, w, n int) []workloads.Ref {
+	t.Helper()
+	var refs []workloads.Ref
+	for roi := uint64(20_000); len(refs) < n; roi += 1_000 {
+		if ref := loopRef(roi); c.ownerOf(t, keyFor(t, ref, "ooo")) == w {
+			refs = append(refs, ref)
+		}
+	}
+	return refs
+}
+
+// TestClusterBoundedLoadSpreadsSkewedBatch: a batch whose cells all hash
+// to worker 0 is spread so that no replica takes more than ⌈1.25·n/2⌉ of
+// them, the frontend.dispatch spans count the cells moved off their owner,
+// the results are a single node's, and an idle frontend still sends a
+// lone cell to its owner. The same batch submitted twice at once
+// simulates each cell once: a key in flight goes where it already runs.
+func TestClusterBoundedLoadSpreadsSkewedBatch(t *testing.T) {
+	const n = 6
+	limit := (loadNum*n + loadDen*2 - 1) / (loadDen * 2)
+	sims := func(c *testCluster) []uint64 {
+		return []uint64{c.workers[0].Metrics().SimsCompleted, c.workers[1].Metrics().SimsCompleted}
+	}
+
+	t.Run("spread", func(t *testing.T) {
+		c := newTestCluster(t, 2, Config{}, func(fc *FrontendConfig) { fc.TraceSpans = 4096 })
+		refs := c.ownedBy(t, 0, n+1)
+		req := api.BatchRequest{Workloads: refs[:n], Techniques: []string{"ooo"}}
+		want := runBaseline(t, req)
+
+		jobID := startAsyncBatch(t, c.feTS.URL, req)
+		js := waitJobDone(t, c.feTS.URL, jobID)
+		if js.State != api.JobDone || js.Batch == nil {
+			t.Fatalf("job ended %s: %s", js.State, js.Error)
+		}
+		got := canonical(t, js.Batch.Cells)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("cell %d differs from single-node run:\n got %s\nwant %s", i, got[i], want[i])
+			}
+		}
+		ran := sims(c)
+		if ran[0]+ran[1] != n || ran[0] > uint64(limit) || ran[1] > uint64(limit) {
+			t.Errorf("workers simulated %v of %d cells all owned by worker 0, want each <= %d", ran, n, limit)
+		}
+
+		tresp, tbody := getBody(t, c.feTS.URL+"/v1/jobs/"+jobID+"/trace?view=cluster")
+		var ct api.ClusterTrace
+		if tresp.StatusCode != http.StatusOK || json.Unmarshal(tbody, &ct) != nil {
+			t.Fatalf("cluster trace: %s: %s", tresp.Status, tbody)
+		}
+		offOwner := 0
+		for _, sl := range ct.Slices {
+			for _, sp := range sl.Spans {
+				if sp.Name == "frontend.dispatch" {
+					k, err := strconv.Atoi(sp.Attrs.Get("off_owner"))
+					if err != nil {
+						t.Fatalf("dispatch span off_owner = %q: %v", sp.Attrs.Get("off_owner"), err)
+					}
+					offOwner += k
+				}
+			}
+		}
+		if uint64(offOwner) != ran[1] {
+			t.Errorf("dispatch spans count %d cells off their owner, worker 1 ran %d", offOwner, ran[1])
+		}
+
+		// Idle again, the frontend sends a lone cell to its owner.
+		resp, body := postJSON(t, c.feTS.URL+"/v1/batch", api.BatchRequest{Workloads: refs[n:], Techniques: []string{"ooo"}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lone cell: %s: %s", resp.Status, body)
+		}
+		if after := sims(c); after[0] != ran[0]+1 || after[1] != ran[1] {
+			t.Errorf("lone cell owned by worker 0: simulations %v -> %v, want worker 0 one more", ran, after)
+		}
+		if l := c.fe.load.inFlight(); l != 0 {
+			t.Errorf("idle frontend counts %d cells in flight", l)
+		}
+	})
+
+	t.Run("duplicate", func(t *testing.T) {
+		gate := make(chan struct{})
+		release := sync.OnceFunc(func() { close(gate) })
+		defer release()
+		c := newTestCluster(t, 2, Config{Common: Common{Faults: &faults.Injector{BeforeSim: func(string) { <-gate }}}}, nil)
+		req := api.BatchRequest{Workloads: c.ownedBy(t, 0, n), Techniques: []string{"ooo"}}
+		want := runBaseline(t, req)
+
+		ids := []string{startAsyncBatch(t, c.feTS.URL, req), startAsyncBatch(t, c.feTS.URL, req)}
+		// No cell can finish before both jobs' cells are placed.
+		deadline := time.Now().Add(30 * time.Second)
+		for c.fe.load.inFlight() < 2*n {
+			if time.Now().After(deadline) {
+				t.Fatalf("frontend placed %d of %d cells", c.fe.load.inFlight(), 2*n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		release()
+		for _, id := range ids {
+			js := waitJobDone(t, c.feTS.URL, id)
+			if js.State != api.JobDone || js.Batch == nil {
+				t.Fatalf("job %s ended %s: %s", id, js.State, js.Error)
+			}
+			got := canonical(t, js.Batch.Cells)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("job %s cell %d differs from single-node run:\n got %s\nwant %s", id, i, got[i], want[i])
+				}
+			}
+		}
+		if ran := sims(c); ran[0]+ran[1] != n {
+			t.Errorf("two submissions of %d cells ran %v simulations, want %d in all", n, ran, n)
+		}
+	})
+}
+
 // TestClusterStreamPassthrough subscribes to a frontend job's SSE stream
 // while its cells run on different workers and checks the republished
 // feed keeps the frontend's cell coordinates, delivers live interval
@@ -445,6 +570,8 @@ func TestClusterStreamFailoverAfterCellDone(t *testing.T) {
 		}}}}, nil)
 
 	// Cells 0 and 1 are owned by worker 0 (the victim), cell 2 by worker 1.
+	// The load bound leaves both on worker 0: cell 1 is placed with one
+	// cell in flight, against a bound of ⌈1.25·2/2⌉ = 2.
 	byOwner := map[int][]workloads.Ref{}
 	for roi := uint64(20_000); len(byOwner[0]) < 2 || len(byOwner[1]) < 1; roi += 1_000 {
 		ref := loopRef(roi)

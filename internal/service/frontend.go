@@ -23,15 +23,16 @@ import (
 // The cluster frontend: a stateless router that terminates client
 // connections and spreads jobs over a fleet of worker replicas. Routing is
 // by the job's content address over a consistent-hash ring
-// (internal/cluster), so a given cell always lands on the same worker —
-// cache hits and single-flight collapsing stay local to one replica — and
-// the ring's successor order doubles as the failover order: when a worker
-// dies mid-batch, its unfinished cells re-route to the next live replica,
-// whose runCell resumes the dead worker's journaled checkpoint from the
-// shared durable directory (DESIGN.md, "Cluster architecture"). The
-// frontend holds no simulation state of its own; everything it serves is
-// reconstructed from worker responses, which is what makes a frontend
-// restart free.
+// (internal/cluster) with bounded loads (bounded.go), so a cell lands on
+// its owner unless the owner already holds more than its share of the cells
+// in flight — cache hits and single-flight collapsing stay local to one
+// replica — and the ring's successor order doubles as the failover order:
+// when a worker dies mid-batch, its unfinished cells re-route to the next
+// live replica, whose runCell resumes the dead worker's journaled
+// checkpoint from the shared durable directory (DESIGN.md, "Cluster
+// architecture"). The frontend holds no simulation state of its own;
+// everything it serves is reconstructed from worker responses, which is
+// what makes a frontend restart free.
 
 // errNoReplica is the routing dead end: every candidate replica for a key
 // was tried and failed at the transport level. It maps to 503 +
@@ -87,6 +88,7 @@ type Frontend struct {
 	prober  *cluster.Prober
 	clients map[string]*client.Client
 	flight  *flightGroup[api.SimResponse]
+	load    *inflight
 
 	// ledgerHealth is the boot-time scan verdict of the ledger.
 	ledgerHealth ledger.Health
@@ -115,6 +117,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		ring:    ring,
 		clients: make(map[string]*client.Client, len(cfg.Replicas)),
 		flight:  newFlightGroup[api.SimResponse](),
+		load:    newInflight(),
 	}
 	f.core.init(f, "frontend", frontendExposition, cfg.Common, cfg.LedgerDir)
 	f.dispatchHist = make(map[string]*histogram, len(dispatchOutcomes))
@@ -233,23 +236,35 @@ func (f *Frontend) stop() { f.prober.Stop() }
 
 // ---- routing ----
 
-// candidates orders every replica by preference for key: the ring's
-// preference list re-sorted by probed state — up replicas first, draining
-// next (they still answer, they just should not get new work), dead last
-// (the probe may be wrong; a dead-listed replica is still worth one try
-// when nothing better exists). Within a state, ring order is kept, so two
-// frontends with the same view produce the same order.
-func (f *Frontend) candidates(key string) []string {
+// candidates orders every replica by preference for key, and names its
+// ring owner: the ring's preference list re-sorted by probed state — up
+// replicas first, draining next (they still answer, they just should not
+// get new work), dead last (the probe may be wrong; a dead-listed replica
+// is still worth one try when nothing better exists). Among the up
+// replicas, the one already running key comes first and those over the
+// load bound last (bounded.go). Within a rank, ring order is kept, so two
+// frontends with the same view and the same cells in flight produce the
+// same order.
+func (f *Frontend) candidates(key string) (cands []string, owner string) {
 	pref := f.ring.Prefer(key)
-	out := make([]string, 0, len(pref))
-	for _, want := range []cluster.State{cluster.StateUp, cluster.StateDraining, cluster.StateDead} {
-		for _, rep := range pref {
-			if f.prober.State(rep) == want {
-				out = append(out, rep)
+	states := make([]cluster.State, len(pref))
+	up := 0
+	for i, rep := range pref {
+		states[i] = f.prober.State(rep)
+		if states[i] == cluster.StateUp {
+			up++
+		}
+	}
+	ranks := f.load.rank(key, pref, states, up)
+	cands = make([]string, 0, len(pref))
+	for want := 0; want < numRanks; want++ {
+		for i, rep := range pref {
+			if ranks[i] == want {
+				cands = append(cands, rep)
 			}
 		}
 	}
-	return out
+	return cands, pref[0]
 }
 
 // answerCell routes one /v1/sim cell to its preferred live replica,
@@ -262,15 +277,12 @@ func (f *Frontend) candidates(key string) []string {
 func (f *Frontend) answerCell(ctx context.Context, req api.SimRequest, c cell, _ simConfig) (api.SimResponse, []byte, error) {
 	key := c.key
 	resp, _, err := f.flight.Do(ctx, key, func() (api.SimResponse, error) {
-		cands := f.candidates(key)
+		cands, owner := f.candidates(key)
 		tid := obs.FromContext(ctx).TraceID()
-		// The routing decision as a span: the ring owner (first candidate)
-		// plus, on End, every replica actually tried — the forensic answer
-		// to "why did this cell land on worker 3".
-		rsp := obs.FromContext(ctx).StartChild("frontend.route").Attr("key", key)
-		if len(cands) > 0 {
-			rsp.Attr("owner", cands[0])
-		}
+		// The routing decision as a span: the ring owner plus, on End,
+		// every replica actually tried — the forensic answer to "why did
+		// this cell land on worker 3".
+		rsp := obs.FromContext(ctx).StartChild("frontend.route").Attr("key", key).Attr("owner", owner)
 		var tried []string
 		endRoute := func() { rsp.Attr("tried", strings.Join(tried, ",")).End() }
 		var lastErr error
@@ -279,7 +291,9 @@ func (f *Frontend) answerCell(ctx context.Context, req api.SimRequest, c cell, _
 			dsp := rsp.StartChild("frontend.dispatch").Attr("replica", rep)
 			dctx := obs.ContextWithSpan(ctx, dsp)
 			attempt := time.Now()
+			f.load.add(key, rep)
 			resp, winner, hedged, err := f.dispatchHedged(dctx, key, req, rep, f.hedgePeer(cands, i))
+			f.load.done(key, rep)
 			elapsed := time.Since(attempt)
 			if err == nil || isAPIError(err) {
 				// The replica answered (success or its typed verdict).
@@ -449,20 +463,22 @@ func (f *Frontend) recordHedge(key, winner, loser string) {
 
 // ---- batch coordination ----
 
-// answerBatch answers a batch by sharding its cells over the fleet: cells
-// group by ring owner, each group runs as one sub-batch on its replica,
-// and groups whose replica fails are re-grouped onto the next candidate
-// until every cell completes or runs out of replicas. With j non-nil the
-// groups run as async worker jobs whose event streams are republished
-// (remapped to frontend cell indices) into j's broadcaster, and each cell
-// is announced done once, by whichever comes first: its replica's own
-// cell-done on the stream, its group's end, or its running out of
-// replicas (cellAnnouncer). A cell is final only when its group's results
-// are fetched, so a re-routed group still re-fetches cells already
-// announced. Each cell routes by its resolved content address, computed
-// exactly as the worker computes it, which is what keeps routing aligned
-// with the workers' caches. Routed cells have no stored encodings: bodies
-// is nil.
+// answerBatch answers a batch by sharding its cells over the fleet: each
+// cell goes to its first untried candidate, placed in list order so that
+// the load bound counts the cells placed before it, each group runs as one
+// sub-batch on its replica, and groups whose replica fails are re-grouped
+// onto the next candidate until every cell completes or runs out of
+// replicas. A placed cell counts as in flight until its cell-done or its
+// group's return. With j non-nil the groups run as async worker jobs whose
+// event streams are republished (remapped to frontend cell indices) into
+// j's broadcaster, and each cell is announced done once, by whichever comes
+// first: its replica's own cell-done on the stream, its group's end, or its
+// running out of replicas (cellAnnouncer). A cell is final only when its
+// group's results are fetched, so a re-routed group still re-fetches cells
+// already announced. Each cell routes by its resolved content address,
+// computed exactly as the worker computes it, which is what keeps routing
+// aligned with the workers' caches. Routed cells have no stored encodings:
+// bodies is nil.
 func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolved []cell, _ simConfig, j *job) (*api.BatchResponse, [][]byte, error) {
 	list := req.CellList()
 	ctx, cancel := context.WithCancel(ctx)
@@ -472,6 +488,16 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 		done  = make([]bool, len(list))
 		tried = make([]map[string]bool, len(list))
 		ann   = newCellAnnouncer(j, list)
+		// on is the replica each cell is in flight on, "" once released.
+		// A cell is in one group per round and rounds do not overlap, so
+		// each entry has one writer at a time.
+		on      = make([]string, len(list))
+		release = func(i int) {
+			if on[i] != "" {
+				f.load.done(resolved[i].key, on[i])
+				on[i] = ""
+			}
+		}
 
 		mu       sync.Mutex
 		firstErr error
@@ -483,13 +509,14 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 		// Group every unfinished cell under its best untried candidate.
 		// Re-grouping each round folds in what the last round learned: a
 		// replica that died re-sorts to the back of every preference list.
-		groups := make(map[string][]int)
+		groups := make(map[string]*group)
 		for i := range list {
 			if done[i] {
 				continue
 			}
 			next := ""
-			for _, rep := range f.candidates(resolved[i].key) {
+			cands, owner := f.candidates(resolved[i].key)
+			for _, rep := range cands {
 				if !tried[i][rep] {
 					next = rep
 					break
@@ -505,23 +532,36 @@ func (f *Frontend) answerBatch(ctx context.Context, req api.BatchRequest, resolv
 				ann.announce(i, cells[i])
 				continue
 			}
-			groups[next] = append(groups[next], i)
+			g := groups[next]
+			if g == nil {
+				g = &group{rep: next}
+				groups[next] = g
+			}
+			g.idxs = append(g.idxs, i)
+			if owner != next {
+				g.offOwner++
+			}
+			tried[i][next] = true
+			on[i] = next
+			f.load.add(resolved[i].key, next)
 		}
 		if len(groups) == 0 {
 			break
 		}
 		var wg sync.WaitGroup
-		for rep, idxs := range groups {
-			rep, idxs := rep, idxs
-			for _, i := range idxs {
-				tried[i][rep] = true
-			}
+		for _, g := range groups {
+			rep, idxs := g.rep, g.idxs
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() {
+					for _, i := range idxs {
+						release(i)
+					}
+				}()
 				tid := obs.FromContext(ctx).TraceID()
 				attempt := time.Now()
-				results, err := f.runGroup(ctx, rep, idxs, list, req, ann)
+				results, err := f.runGroup(ctx, g, list, req, ann, release)
 				elapsed := time.Since(attempt)
 				if err != nil {
 					if ctx.Err() != nil {
@@ -620,21 +660,33 @@ func (a *cellAnnouncer) announce(idx int, resp api.SimResponse) {
 	}
 }
 
-// runGroup runs one replica's share of a batch. Synchronous batches (ann
-// == nil) use one blocking sub-batch call. Streamed jobs submit an async
-// sub-batch, subscribe to its event stream, republish each event through
-// ann with the cell index remapped from sub-batch to frontend coordinates
-// (telemetry as the worker's bytes, see relayed), and poll the worker job
-// for the final results. A worker cell-done is announced the moment it
-// arrives: the worker publishes it only after the cell's result is cached
-// and spilled to the shared directory, so a failover successor answers
-// that cell from the spill or recomputes it bit-identically. The worker's job-done is not forwarded:
-// the frontend emits its own when the whole cross-replica batch ends.
-func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, ann *cellAnnouncer) (_ []api.SimResponse, retErr error) {
+// group is one replica's share of a batch in one routing round: the cells
+// placed on it, and how many of them another replica owns on the ring.
+type group struct {
+	rep      string
+	idxs     []int
+	offOwner int
+}
+
+// runGroup runs one replica's share of a batch and calls release for each
+// cell whose cell-done it reads. Synchronous batches (ann == nil) use one
+// blocking sub-batch call. Streamed jobs submit an async sub-batch,
+// subscribe to its event stream, republish each event through ann with the
+// cell index remapped from sub-batch to frontend coordinates (telemetry as
+// the worker's bytes, see relayed), and poll the worker job for the final
+// results. A worker cell-done is announced the moment it arrives: the
+// worker publishes it only after the cell's result is cached and spilled to
+// the shared directory, so a failover successor answers that cell from the
+// spill or recomputes it bit-identically. The worker's job-done is not
+// forwarded: the frontend emits its own when the whole cross-replica batch
+// ends.
+func (f *Frontend) runGroup(ctx context.Context, g *group, list []api.CellRequest, req api.BatchRequest, ann *cellAnnouncer, release func(int)) (_ []api.SimResponse, retErr error) {
+	rep, idxs := g.rep, g.idxs
 	// One span per replica-group dispatch: which worker got how many cells,
-	// failed on a transport death (the caller then re-routes the group).
+	// how many of them the load bound moved off their owner, failed on a
+	// transport death (the caller then re-routes the group).
 	gsp := obs.FromContext(ctx).StartChild("frontend.dispatch").
-		Attr("replica", rep).Attr("cells", strconv.Itoa(len(idxs)))
+		Attr("replica", rep).Attr("cells", strconv.Itoa(len(idxs))).Attr("off_owner", strconv.Itoa(g.offOwner))
 	defer func() {
 		outcome := "ok"
 		if retErr != nil && !isAPIError(retErr) {
@@ -701,6 +753,7 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 				resp.Error = &api.Error{Error: ev.Error}
 			}
 			ann.announce(idx, resp)
+			release(idx)
 			continue
 		}
 		ann.relay(idx, relayed(ev))
